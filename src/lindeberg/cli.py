@@ -37,7 +37,6 @@ from .sampling import (
     derive_child,
     rng_from,
     spec_from_dict,
-    spec_length,
     standardized_multiset,
 )
 from .spectral import (
@@ -101,24 +100,23 @@ def _write_csv(path: Path, fieldnames, rows):
             writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
-def _stderr(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / math.sqrt(values.size))
-
-
 # ---------------------------------------------------------------------------
 # Command implementations; each returns (fieldnames, rows, checks)
 # ---------------------------------------------------------------------------
 
 
-def run_identities(cfg: ExperimentConfig):
+def _n_list(cfg: ExperimentConfig, default) -> list:
+    """Vector lengths to run: the explicit multiset's length, else --n, else ``default``."""
     if cfg.multiset:
         n_list = [len(cfg.multiset)]
         if cfg.n_list and [int(n) for n in cfg.n_list] != n_list:
             raise ValueError("--n disagrees with the explicit multiset length")
-    else:
-        n_list = [int(n) for n in (cfg.n_list or [3, 4, 5, 6, 7])]
+        return n_list
+    return [int(n) for n in (cfg.n_list or default)]
+
+
+def run_identities(cfg: ExperimentConfig):
+    n_list = _n_list(cfg, [3, 4, 5, 6, 7])
     rows = []
     checks = {}
     for n in n_list:
@@ -180,7 +178,7 @@ def _swapping_cell(args):
     spec_kind, n, f_kind, replicates, seed = args
     if isinstance(spec_kind, dict):
         spec = spec_from_dict(spec_kind)
-        n = spec_length(spec)
+        n = spec.n
         label = spec_kind.get("variant", "custom")
     else:
         spec = suites.swapping_spec(spec_kind, n)
@@ -201,7 +199,7 @@ def _swapping_cell(args):
 
 
 def run_thm11(cfg: ExperimentConfig):
-    replicates = cfg.replicates or 100_000
+    replicates = 100_000 if cfg.replicates is None else cfg.replicates
     n_list = [int(n) for n in (cfg.n_list or suites.SWAPPING_N_VALUES)]
     spec_kinds = [cfg.custom_spec] if cfg.custom_spec else list(cfg.specs)
     cells = []
@@ -226,13 +224,13 @@ def run_thm11(cfg: ExperimentConfig):
 
 
 def run_thm12(cfg: ExperimentConfig):
-    replicates = cfg.replicates or 200_000
-    n_list = [int(n) for n in (cfg.n_list or suites.SUMMARIZATION_N_VALUES)]
+    replicates = 200_000 if cfg.replicates is None else cfg.replicates
+    n_list = _n_list(cfg, suites.SUMMARIZATION_N_VALUES)
     rows = []
     checks = {}
     idx = 0
     for n in n_list:
-        spec = (standardized_multiset(cfg.multiset) if cfg.multiset and len(cfg.multiset) == n
+        spec = (standardized_multiset(cfg.multiset) if cfg.multiset
                 else suites.ramp_multiset(n))
         for f_kind in suites.SUMMARIZATION_FUNCTION_KINDS:
             f = suites.summarization_function(f_kind, n)
@@ -465,6 +463,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.spec_json) as fh:
             cfg.custom_spec = json.load(fh)
         spec_from_dict(cfg.custom_spec)  # validate early
+    if cfg.replicates is not None and cfg.replicates < 2:
+        raise ValueError("--replicates must be at least 2 (a stderr needs two draws)")
+    counts = {"--n": cfg.n_list, "--N": cfg.N_list, "--seeds": [cfg.seeds],
+              "--trials": [cfg.trials], "--tuples": [cfg.tuples]}
+    for flag, values in counts.items():
+        if any(int(v) < 1 for v in values):
+            raise ValueError(f"{flag} must be positive")
     return cfg
 
 

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
-from .sampling import MultisetPermutation, derive_child, rng_from, sample_batch
+from .sampling import MultisetPermutation, center_and_scale, derive_child, rng_from, sample_batch
 from .swap import BoundReport
 
 _EXACT_ENUMERATION_LIMIT = 9
@@ -92,7 +92,7 @@ def conditional_mean_identity_check(spec: MultisetPermutation, i: int) -> float:
     Exhaustive over every ordered prefix; requires a standardized multiset
     with n small enough to enumerate.
     """
-    values = np.asarray(spec.values, dtype=float)
+    values = spec.values
     n = values.size
     if n > _EXACT_ENUMERATION_LIMIT:
         raise ValueError("multiset too large for exhaustive enumeration")
@@ -108,8 +108,11 @@ def conditional_mean_identity_check(spec: MultisetPermutation, i: int) -> float:
 
 
 def martingale_increment_check(spec: MultisetPermutation, i: int) -> float:
-    """Max |E(R_i | prefix)| over every ordered prefix; zero for centered input."""
-    values = np.asarray(spec.values, dtype=float)
+    """Max |E(R_i | prefix)| over every ordered prefix; zero for centered input.
+
+    R_i = x_i + (prefix sum) / (n - i + 1) is built for each possible next x_i.
+    """
+    values = spec.values
     n = values.size
     if n > _EXACT_ENUMERATION_LIMIT:
         raise ValueError("multiset too large for exhaustive enumeration")
@@ -117,10 +120,9 @@ def martingale_increment_check(spec: MultisetPermutation, i: int) -> float:
     worst = 0.0
     for prefix in _ordered_prefixes(n, i - 1):
         taken = set(prefix)
-        remaining = [values[j] for j in range(n) if j not in taken]
-        cond_mean = math.fsum(remaining) / rest
-        correction = math.fsum(values[list(prefix)]) / rest if prefix else 0.0
-        worst = max(worst, abs(cond_mean + correction))
+        shift = math.fsum(values[list(prefix)]) / rest if prefix else 0.0
+        increments = [values[j] + shift for j in range(n) if j not in taken]
+        worst = max(worst, abs(math.fsum(increments) / rest))
     return worst
 
 
@@ -148,7 +150,7 @@ class SecondMomentChecks:
 def second_moment_identity_check(spec: MultisetPermutation, i: int,
                                  mode: str = "exact", replicates: int = 20_000,
                                  seed: int = 0) -> SecondMomentChecks:
-    values = np.asarray(spec.values, dtype=float)
+    values = spec.values
     n = values.size
     rest = n - i + 1
     m4 = float(np.mean(values ** 4))
@@ -474,10 +476,10 @@ def end_to_end_check(spec: MultisetPermutation, f: SmoothFunction,
     """
     if not isinstance(spec, MultisetPermutation):
         raise TypeError("end_to_end_check requires a MultisetPermutation spec")
-    values = np.asarray(spec.values, dtype=float)
+    values = spec.values
     n = values.size
-    mu = float(values.mean())
-    sigma = float(np.sqrt(np.mean(np.square(values - mu))))
+    std = center_and_scale(values)
+    mu, sigma = std.mu_hat, std.sigma_hat
     m3 = float(np.mean(np.abs(values - mu) ** 3))
     m4 = float(np.mean((values - mu) ** 4))
     l2p, l3p = f.mixed_bounds[1], f.mixed_bounds[2]

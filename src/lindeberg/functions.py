@@ -103,15 +103,6 @@ def tanh_clamp_profile(scale: float = 1.0) -> GProfile:
                     1.0, 4.0 / (3.0 * math.sqrt(3.0) * s), 2.0 / s ** 2)
 
 
-PROFILES = {
-    "cos": cos_profile,
-    "inv_quad": inv_quad_profile,
-    "logistic_step": logistic_step_profile,
-    "identity": identity_profile,
-    "tanh_clamp": tanh_clamp_profile,
-}
-
-
 # ---------------------------------------------------------------------------
 # Finite differences
 # ---------------------------------------------------------------------------

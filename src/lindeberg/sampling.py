@@ -2,10 +2,11 @@
 
 Every sampler is a pure function of ``(spec, seed)``: the same pair always
 reproduces the same vector, and replicate streams are derived with a
-counter-based splitter so parallel Monte Carlo stays reproducible.  For
-specs whose conditional laws can be enumerated (value multisets, finite
-Markov chains, i.i.d. families) the module also provides exact
-conditional-moment oracles.
+counter-based splitter so parallel Monte Carlo stays reproducible.  Each
+spec class also carries its law's oracles: exact conditional moments where
+the conditional laws can be enumerated (value multisets, finite Markov
+chains, i.i.d. families), the A_i/B_i discrepancies of the swapping bound,
+and the exact absolute third moment where a closed form exists.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Union
+from itertools import product
+from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
@@ -176,24 +178,141 @@ def rademacher() -> Distribution:
 
 
 # ---------------------------------------------------------------------------
-# Exchangeable / weakly dependent vector specs
+# Exchangeable / weakly dependent vector specs.  Each class owns its sampler
+# (``sample``), its oracles (``conditional_moment``, ``ab``,
+# ``abs_third_moment``, None without a closed form) and its JSON form.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MultisetPermutation:
-    """Uniformly random permutation of a fixed value multiset (exchangeable)."""
+class ABEstimate:
+    """Discrepancies A_i, B_i with their Monte Carlo stderrs (zero when exact)."""
 
-    values: tuple
+    a: float
+    a_stderr: float
+    b: float
+    b_stderr: float
+    exact: bool
+
+
+def _ab_from_draws(da: np.ndarray, db: np.ndarray) -> ABEstimate:
+    root = math.sqrt(da.size)
+    return ABEstimate(float(da.mean()), float(da.std(ddof=1) / root),
+                      float(db.mean()), float(db.std(ddof=1) / root), False)
+
+
+def _prefix_count_distribution(counts: Sequence[int], k: int):
+    """Joint law of per-value draw counts after k draws without replacement.
+
+    Yields (count_vector, probability); the weights are multivariate
+    hypergeometric.
+    """
+    n = sum(counts)
+    total = math.comb(n, k)
+    ranges = [range(0, min(c, k) + 1) for c in counts]
+    for combo in product(*ranges):
+        if sum(combo) != k:
+            continue
+        weight = 1
+        for c, kk in zip(counts, combo):
+            weight *= math.comb(c, kk)
+        yield combo, weight / total
+
+
+_ENUMERATION_BUDGET = 200_000
+
+
+@dataclass(frozen=True, eq=False)
+class MultisetPermutation:
+    """Uniformly random permutation of a fixed value multiset (exchangeable).
+
+    ``values`` is stored once, at construction, as a read-only float64 array.
+    """
+
+    values: np.ndarray
+    variant: ClassVar[str] = "multiset"
 
     def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("multiset must be nonempty")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("multiset must be a nonempty sequence of values")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, MultisetPermutation):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        return hash(self.values.tobytes())
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.size
+
+    def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
+        out = np.tile(self.values, (replicates, 1))
+        return rng.permuted(out, axis=1)
+
+    def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
+        remaining = Counter(float(v) for v in self.values)
+        for p in prefix:
+            p = float(p)
+            if remaining[p] <= 0:
+                raise ValueError("prefix is not contained in the multiset")
+            remaining[p] -= 1
+        rest = [v for v, c in remaining.items() for _ in range(c)]
+        if not rest:
+            raise ValueError("prefix exhausts the multiset")
+        arr = np.asarray(rest)
+        return float(np.mean(arr if order == 1 else arr * arr))
+
+    def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
+        """Exact by prefix enumeration when it fits the budget, else Monte Carlo."""
+        exact = self._ab_exact(y_mean, y_second, i)
+        if exact is not None:
+            return exact
+        if replicates <= 0:
+            raise ValueError("prefix enumeration too large; provide a Monte Carlo budget")
+        return self.ab_mc(y_mean, y_second, i, replicates, seed)
+
+    def _ab_exact(self, y_mean, y_second, i):
+        values, counts = np.unique(self.values, return_counts=True)
+        budget = 1
+        for c in counts:
+            budget *= min(int(c), i - 1) + 1
+            if budget > _ENUMERATION_BUDGET:
+                return None
+        total_sum = float(np.dot(values, counts))
+        total_sq = float(np.dot(values * values, counts))
+        rest = self.n - (i - 1)
+        a = b = 0.0
+        for combo, p in _prefix_count_distribution([int(c) for c in counts], i - 1):
+            combo = np.asarray(combo)
+            cond_mean = (total_sum - float(np.dot(values, combo))) / rest
+            cond_sq = (total_sq - float(np.dot(values * values, combo))) / rest
+            a += p * abs(cond_mean - y_mean)
+            b += p * abs(cond_sq - y_second)
+        return ABEstimate(a, 0.0, b, 0.0, True)
+
+    def ab_mc(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
+        """Monte Carlo over prefixes; the inner conditional moments stay exact."""
+        prefixes = sample_batch(self, seed, replicates)[:, : i - 1]
+        rest = self.n - (i - 1)
+        cond_mean = (self.values.sum() - prefixes.sum(axis=1)) / rest
+        cond_sq = (np.square(self.values).sum() - np.square(prefixes).sum(axis=1)) / rest
+        return _ab_from_draws(np.abs(cond_mean - y_mean), np.abs(cond_sq - y_second))
+
+    def abs_third_moment(self, i: int):
+        return float(np.mean(np.abs(self.values) ** 3))
+
+    def to_dict(self) -> dict:
+        return {"variant": self.variant, "values": self.values.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "MultisetPermutation":
+        return cls(d["values"])
 
 
 @dataclass(frozen=True)
@@ -202,6 +321,27 @@ class IidFromDistribution:
 
     dist: Distribution
     n: int
+    variant: ClassVar[str] = "iid"
+
+    def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
+        return np.asarray(self.dist.sample(rng, (replicates, self.n)), dtype=float)
+
+    def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
+        return self.dist.mean() if order == 1 else self.dist.second_moment()
+
+    def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
+        return ABEstimate(abs(self.dist.mean() - y_mean), 0.0,
+                          abs(self.dist.second_moment() - y_second), 0.0, True)
+
+    def abs_third_moment(self, i: int):
+        return self.dist.abs_moment(3)
+
+    def to_dict(self) -> dict:
+        return {"variant": self.variant, "dist": self.dist.to_dict(), "n": self.n}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "IidFromDistribution":
+        return cls(Distribution.from_dict(d["dist"]), int(d["n"]))
 
 
 @dataclass(frozen=True)
@@ -209,18 +349,95 @@ class MarkovChain:
     """Finite-state chain with real state values.
 
     Generally not exchangeable; admitted as a weakly dependent input for the
-    swapping bound, never for the exchangeable summarization bound.
+    swapping bound, never for the exchangeable summarization bound.  The
+    kernel is validated when it is used, not at construction.
     """
 
     states: tuple
     initial: tuple
     kernel: tuple
     n: int
+    variant: ClassVar[str] = "markov"
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(float(s) for s in self.states))
         object.__setattr__(self, "initial", tuple(float(p) for p in self.initial))
         object.__setattr__(self, "kernel", tuple(tuple(float(p) for p in row) for row in self.kernel))
+
+    def _validated_kernel(self) -> np.ndarray:
+        kernel = np.asarray(self.kernel, dtype=float)
+        k = len(self.states)
+        if kernel.shape != (k, k):
+            raise ValueError("kernel shape must match the number of states")
+        if np.max(np.abs(kernel.sum(axis=1) - 1.0)) > _KERNEL_ROW_TOL:
+            raise ValueError("kernel rows must sum to 1 within 1e-12")
+        if kernel.min() < 0:
+            raise ValueError("kernel entries must be nonnegative")
+        init = np.asarray(self.initial, dtype=float)
+        if abs(init.sum() - 1.0) > _KERNEL_ROW_TOL or init.min() < 0:
+            raise ValueError("initial distribution must be a probability vector")
+        return kernel
+
+    def _step_distribution(self, i: int) -> np.ndarray:
+        """Law of the state at step i (1-based)."""
+        kernel = self._validated_kernel()
+        dist = np.asarray(self.initial, dtype=float)
+        for _ in range(i - 1):
+            dist = dist @ kernel
+        return dist
+
+    def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
+        kernel = self._validated_kernel()
+        states = np.asarray(self.states, dtype=float)
+        k = len(states)
+        cum = np.cumsum(kernel, axis=1)
+        out = np.empty((replicates, self.n))
+        idx = rng.choice(k, size=replicates, p=np.asarray(self.initial, dtype=float))
+        out[:, 0] = states[idx]
+        for t in range(1, self.n):
+            u = rng.random(replicates)
+            idx = np.minimum((u[:, None] >= cum[idx]).sum(axis=1), k - 1)
+            out[:, t] = states[idx]
+        return out
+
+    def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
+        kernel = self._validated_kernel()
+        states = np.asarray(self.states, dtype=float)
+        vals = states if order == 1 else states * states
+        if len(prefix) == 0:
+            return float(np.dot(self.initial, vals))
+        last = float(prefix[-1])
+        matches = np.nonzero(np.asarray(self.states) == last)[0]
+        if matches.size == 0:
+            raise ValueError("prefix value is not a chain state")
+        return float(np.dot(kernel[matches[0]], vals))
+
+    def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
+        kernel = self._validated_kernel()
+        states = np.asarray(self.states, dtype=float)
+        if i == 1:
+            m1 = float(np.dot(self.initial, states))
+            m2 = float(np.dot(self.initial, states * states))
+            return ABEstimate(abs(m1 - y_mean), 0.0, abs(m2 - y_second), 0.0, True)
+        prev = self._step_distribution(i - 1)
+        cond_mean = kernel @ states
+        cond_sq = kernel @ (states * states)
+        a = float(np.dot(prev, np.abs(cond_mean - y_mean)))
+        b = float(np.dot(prev, np.abs(cond_sq - y_second)))
+        return ABEstimate(a, 0.0, b, 0.0, True)
+
+    def abs_third_moment(self, i: int):
+        return float(np.dot(self._step_distribution(i), np.abs(self.states) ** 3))
+
+    def to_dict(self) -> dict:
+        return {"variant": self.variant, "states": list(self.states),
+                "initial": list(self.initial),
+                "kernel": [list(r) for r in self.kernel], "n": self.n}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "MarkovChain":
+        return cls(tuple(d["states"]), tuple(d["initial"]),
+                   tuple(tuple(r) for r in d["kernel"]), int(d["n"]))
 
 
 @dataclass(frozen=True)
@@ -235,63 +452,69 @@ class ConditionallyIid:
     conditional: str
     scale: float
     n: int
+    variant: ClassVar[str] = "conditionally_iid"
+
+    def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
+        theta = np.asarray(self.mixing.sample(rng, replicates), dtype=float)
+        z = rng.standard_normal((replicates, self.n))
+        if self.conditional == "gaussian_mean":
+            return theta[:, None] + self.scale * z
+        if self.conditional == "gaussian_scale":
+            return np.abs(theta)[:, None] * z
+        raise ValueError(f"unknown conditional family {self.conditional!r}")
+
+    def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
+        raise ValueError("no exact conditional oracle for this spec; use nested Monte Carlo")
+
+    def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
+        """Nested Monte Carlo: posterior moments by self-normalized prior weights."""
+        if self.conditional != "gaussian_mean":
+            raise ValueError("nested Monte Carlo oracle implemented for gaussian_mean only")
+        if replicates <= 0:
+            raise ValueError("nested Monte Carlo needs a positive replicate budget")
+        inner = 512  # prior draws per replicate
+        rng = rng_from(seed)
+        s2 = self.scale ** 2
+        da = np.empty(replicates)
+        db = np.empty(replicates)
+        for r in range(replicates):
+            theta0 = float(self.mixing.sample(rng, 1)[0])
+            prefix = theta0 + self.scale * rng.standard_normal(i - 1)
+            thetas = np.asarray(self.mixing.sample(rng, inner), dtype=float)
+            if prefix.size:
+                logw = -0.5 * np.sum((prefix[None, :] - thetas[:, None]) ** 2, axis=1) / s2
+                logw -= logw.max()
+                w = np.exp(logw)
+                w /= w.sum()
+            else:
+                w = np.full(inner, 1.0 / inner)
+            post_mean = float(np.dot(w, thetas))
+            post_sq = float(np.dot(w, thetas * thetas)) + s2
+            da[r] = abs(post_mean - y_mean)
+            db[r] = abs(post_sq - y_second)
+        return _ab_from_draws(da, db)
+
+    def abs_third_moment(self, i: int):
+        return None
+
+    def to_dict(self) -> dict:
+        return {"variant": self.variant, "mixing": self.mixing.to_dict(),
+                "conditional": self.conditional, "scale": self.scale, "n": self.n}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ConditionallyIid":
+        return cls(Distribution.from_dict(d["mixing"]), d["conditional"],
+                   float(d["scale"]), int(d["n"]))
 
 
 ExchangeableSpec = Union[MultisetPermutation, IidFromDistribution, MarkovChain, ConditionallyIid]
 
-
-def spec_length(spec: ExchangeableSpec) -> int:
-    if isinstance(spec, MultisetPermutation):
-        return spec.n
-    return spec.n
-
-
-def _validate_kernel(spec: MarkovChain) -> np.ndarray:
-    kernel = np.asarray(spec.kernel, dtype=float)
-    k = len(spec.states)
-    if kernel.shape != (k, k):
-        raise ValueError("kernel shape must match the number of states")
-    if np.max(np.abs(kernel.sum(axis=1) - 1.0)) > _KERNEL_ROW_TOL:
-        raise ValueError("kernel rows must sum to 1 within 1e-12")
-    if kernel.min() < 0:
-        raise ValueError("kernel entries must be nonnegative")
-    init = np.asarray(spec.initial, dtype=float)
-    if abs(init.sum() - 1.0) > _KERNEL_ROW_TOL or init.min() < 0:
-        raise ValueError("initial distribution must be a probability vector")
-    return kernel
+_SPEC_TYPES = {cls.variant: cls for cls in get_args(ExchangeableSpec)}
 
 
 def sample_batch(spec: ExchangeableSpec, seed: int, replicates: int) -> np.ndarray:
     """Draw ``replicates`` independent vectors; shape (replicates, n)."""
-    rng = rng_from(seed)
-    n = spec_length(spec)
-    if isinstance(spec, MultisetPermutation):
-        out = np.tile(np.asarray(spec.values, dtype=float), (replicates, 1))
-        return rng.permuted(out, axis=1)
-    if isinstance(spec, IidFromDistribution):
-        return np.asarray(spec.dist.sample(rng, (replicates, n)), dtype=float)
-    if isinstance(spec, MarkovChain):
-        kernel = _validate_kernel(spec)
-        states = np.asarray(spec.states, dtype=float)
-        k = len(states)
-        cum = np.cumsum(kernel, axis=1)
-        out = np.empty((replicates, n))
-        idx = rng.choice(k, size=replicates, p=np.asarray(spec.initial, dtype=float))
-        out[:, 0] = states[idx]
-        for t in range(1, n):
-            u = rng.random(replicates)
-            idx = np.minimum((u[:, None] >= cum[idx]).sum(axis=1), k - 1)
-            out[:, t] = states[idx]
-        return out
-    if isinstance(spec, ConditionallyIid):
-        theta = np.asarray(spec.mixing.sample(rng, replicates), dtype=float)
-        z = rng.standard_normal((replicates, n))
-        if spec.conditional == "gaussian_mean":
-            return theta[:, None] + spec.scale * z
-        if spec.conditional == "gaussian_scale":
-            return np.abs(theta)[:, None] * z
-        raise ValueError(f"unknown conditional family {spec.conditional!r}")
-    raise TypeError(f"not an exchangeable spec: {spec!r}")
+    return spec.sample(rng_from(seed), replicates)
 
 
 def sample_exchangeable(spec: ExchangeableSpec, seed: int) -> np.ndarray:
@@ -347,16 +570,6 @@ def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _remaining_multiset(values: Sequence[float], prefix: Sequence[float]) -> list:
-    remaining = Counter(float(v) for v in values)
-    for p in prefix:
-        p = float(p)
-        if remaining[p] <= 0:
-            raise ValueError("prefix is not contained in the multiset")
-        remaining[p] -= 1
-    return [v for v, c in remaining.items() for _ in range(c)]
-
-
 def exact_conditional_moments(spec: ExchangeableSpec, prefix: Sequence[float], order: int) -> float:
     """Exact E(X_i | prefix) (order 1) or E(X_i^2 | prefix) (order 2).
 
@@ -366,74 +579,7 @@ def exact_conditional_moments(spec: ExchangeableSpec, prefix: Sequence[float], o
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if isinstance(spec, MultisetPermutation):
-        rest = _remaining_multiset(spec.values, prefix)
-        if not rest:
-            raise ValueError("prefix exhausts the multiset")
-        arr = np.asarray(rest)
-        return float(np.mean(arr if order == 1 else arr * arr))
-    if isinstance(spec, MarkovChain):
-        kernel = _validate_kernel(spec)
-        states = np.asarray(spec.states, dtype=float)
-        vals = states if order == 1 else states * states
-        if len(prefix) == 0:
-            return float(np.dot(spec.initial, vals))
-        last = float(prefix[-1])
-        matches = np.nonzero(np.asarray(spec.states) == last)[0]
-        if matches.size == 0:
-            raise ValueError("prefix value is not a chain state")
-        return float(np.dot(kernel[matches[0]], vals))
-    if isinstance(spec, IidFromDistribution):
-        return spec.dist.mean() if order == 1 else spec.dist.second_moment()
-    raise ValueError("no exact conditional oracle for this spec; use nested Monte Carlo")
-
-
-def marginal_mean(spec: ExchangeableSpec, i: int) -> float:
-    """Exact E(X_i) (1-based i)."""
-    if isinstance(spec, MultisetPermutation):
-        return float(np.mean(spec.values))
-    if isinstance(spec, IidFromDistribution):
-        return spec.dist.mean()
-    if isinstance(spec, MarkovChain):
-        return float(np.dot(_step_distribution(spec, i), spec.states))
-    if isinstance(spec, ConditionallyIid):
-        if spec.conditional == "gaussian_mean":
-            return spec.mixing.mean()
-        return 0.0
-    raise TypeError(spec)
-
-
-def marginal_second_moment(spec: ExchangeableSpec, i: int) -> float:
-    if isinstance(spec, MultisetPermutation):
-        return float(np.mean(np.square(spec.values)))
-    if isinstance(spec, IidFromDistribution):
-        return spec.dist.second_moment()
-    if isinstance(spec, MarkovChain):
-        return float(np.dot(_step_distribution(spec, i), np.square(spec.states)))
-    if isinstance(spec, ConditionallyIid):
-        if spec.conditional == "gaussian_mean":
-            return spec.mixing.second_moment() + spec.scale ** 2
-        return spec.mixing.second_moment()
-    raise TypeError(spec)
-
-
-def marginal_abs_third_moment(spec: ExchangeableSpec, i: int):
-    """Exact E|X_i|^3, or None when only Monte Carlo is available."""
-    if isinstance(spec, MultisetPermutation):
-        return float(np.mean(np.abs(spec.values) ** 3))
-    if isinstance(spec, IidFromDistribution):
-        return spec.dist.abs_moment(3)
-    if isinstance(spec, MarkovChain):
-        return float(np.dot(_step_distribution(spec, i), np.abs(spec.states) ** 3))
-    return None
-
-
-def _step_distribution(spec: MarkovChain, i: int) -> np.ndarray:
-    kernel = _validate_kernel(spec)
-    dist = np.asarray(spec.initial, dtype=float)
-    for _ in range(i - 1):
-        dist = dist @ kernel
-    return dist
+    return spec.conditional_moment(prefix, order)
 
 
 # ---------------------------------------------------------------------------
@@ -441,38 +587,21 @@ def _step_distribution(spec: MarkovChain, i: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def spec_to_dict(spec: ExchangeableSpec) -> dict:
-    if isinstance(spec, MultisetPermutation):
-        return {"variant": "multiset", "values": list(spec.values)}
-    if isinstance(spec, IidFromDistribution):
-        return {"variant": "iid", "dist": spec.dist.to_dict(), "n": spec.n}
-    if isinstance(spec, MarkovChain):
-        return {"variant": "markov", "states": list(spec.states),
-                "initial": list(spec.initial),
-                "kernel": [list(r) for r in spec.kernel], "n": spec.n}
-    if isinstance(spec, ConditionallyIid):
-        return {"variant": "conditionally_iid", "mixing": spec.mixing.to_dict(),
-                "conditional": spec.conditional, "scale": spec.scale, "n": spec.n}
-    raise TypeError(spec)
-
-
 def spec_from_dict(d: dict) -> ExchangeableSpec:
-    variant = d["variant"]
-    if variant == "multiset":
-        return MultisetPermutation(tuple(d["values"]))
-    if variant == "iid":
-        return IidFromDistribution(Distribution.from_dict(d["dist"]), int(d["n"]))
-    if variant == "markov":
-        return MarkovChain(tuple(d["states"]), tuple(d["initial"]),
-                           tuple(tuple(r) for r in d["kernel"]), int(d["n"]))
-    if variant == "conditionally_iid":
-        return ConditionallyIid(Distribution.from_dict(d["mixing"]),
-                                d["conditional"], float(d["scale"]), int(d["n"]))
-    raise ValueError(f"unknown spec variant {variant!r}")
+    """Rebuild a spec from its ``to_dict`` form; a malformed one raises ValueError."""
+    variant = d.get("variant") if isinstance(d, dict) else None
+    cls = _SPEC_TYPES.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ValueError(f"spec variant must be one of {', '.join(_SPEC_TYPES)}; "
+                         f"got {variant!r}")
+    try:
+        return cls.from_dict(d)
+    except (KeyError, TypeError) as exc:  # a missing or mistyped field
+        raise ValueError(f"malformed {variant} spec ({type(exc).__name__}: {exc})") from None
 
 
 def spec_to_json(spec: ExchangeableSpec) -> str:
-    return json.dumps(spec_to_dict(spec), sort_keys=True)
+    return json.dumps(spec.to_dict(), sort_keys=True)
 
 
 def spec_from_json(text: str) -> ExchangeableSpec:
@@ -484,4 +613,4 @@ def standardized_multiset(values: Sequence[float]) -> MultisetPermutation:
     std = center_and_scale(np.asarray(values, dtype=float))
     if std.degenerate:
         raise ValueError("cannot standardize a constant multiset")
-    return MultisetPermutation(tuple(std.x_tilde))
+    return MultisetPermutation(std.x_tilde)

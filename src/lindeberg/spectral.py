@@ -18,11 +18,11 @@ from scipy.linalg import eigvalsh, svdvals
 from .sampling import (
     ExchangeableSpec,
     IidFromDistribution,
+    center_and_scale,
     derive_child,
     gaussian,
     rng_from,
     sample_exchangeable,
-    spec_length,
     standardized_multiset,
 )
 
@@ -62,7 +62,7 @@ class WignerEnsembleSpec:
     label: str = ""
 
     def __post_init__(self):
-        if spec_length(self.entries) != upper_triangle_size(self.N):
+        if self.entries.n != upper_triangle_size(self.N):
             raise ValueError("entry spec must cover the upper triangle")
 
 
@@ -119,9 +119,8 @@ def build_wigner(spec: WignerEnsembleSpec, seed: int):
     entries with divisor n.
     """
     x = sample_exchangeable(spec.entries, seed)
-    mu = float(x.mean())
-    sigma = float(np.sqrt(np.mean(np.square(x - mu))))
-    return wigner_matrix(x, spec.N), mu, sigma
+    std = center_and_scale(x)
+    return wigner_matrix(x, spec.N), std.mu_hat, std.sigma_hat
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +319,16 @@ def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
     empirical standardized fourth moment of the entries.
     """
     x = sample_exchangeable(spec.entries, seed)
-    mu = float(x.mean())
-    sigma = float(np.sqrt(np.mean(np.square(x - mu))))
-    if sigma <= 0:
+    std = center_and_scale(x)
+    if std.degenerate:
         raise ValueError("degenerate entries: sigma_hat must be positive")
+    mu, sigma = std.mu_hat, std.sigma_hat
+    m4 = float(np.mean(std.x_tilde ** 4))
+    del std  # free the standardized copy before the eigensolve
     a = wigner_matrix(x, spec.N) / sigma
     eigs = eigenvalues(a).eigenvalues
     esd = EsdFunction(eigs)
     ks = ks_distance(esd, semicircle_cdf)
     gaps = tuple(stieltjes_esd(eigs, z) - semicircle_stieltjes(z) for z in z_grid)
-    m4 = float(np.mean(((x - mu) / sigma) ** 4))
     return ExperimentRow(spec.N, seed, spec.label or "custom", mu, sigma, m4, ks,
                          tuple(complex(z) for z in z_grid), gaps)

@@ -3,9 +3,9 @@
 Compares Ef(X) against Ef(Y) for Y with independent components by replacing
 coordinates one at a time.  The bound needs the conditional-moment
 discrepancies A_i, B_i, a third-moment cap M3, and sup bounds on the first
-three unmixed partials of f; the module computes the discrepancies exactly
-whenever the spec admits enumeration and estimates the true difference by
-seeded Monte Carlo.
+three unmixed partials of f; the discrepancies come from each spec's own
+oracle (exact whenever the spec admits enumeration) and the true difference
+is estimated by seeded Monte Carlo.
 """
 
 from __future__ import annotations
@@ -13,25 +13,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Sequence
 
 import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
 from .sampling import (
-    ConditionallyIid,
+    ABEstimate,
     ExchangeableSpec,
     IidFromDistribution,
-    MarkovChain,
-    MultisetPermutation,
-    _step_distribution,
-    _validate_kernel,
     derive_child,
-    marginal_abs_third_moment,
-    rng_from,
     sample_batch,
-    spec_length,
 )
 
 _MC_MOMENT_REPLICATES = 100_000
@@ -90,117 +81,6 @@ def bound_components(A, B, M3, L1, L2, L3) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ABEstimate:
-    a: float
-    a_stderr: float
-    b: float
-    b_stderr: float
-    exact: bool
-
-
-def _prefix_count_distribution(counts: Sequence[int], k: int):
-    """Joint law of per-value draw counts after k draws without replacement.
-
-    Yields (count_vector, probability); the weights are multivariate
-    hypergeometric.
-    """
-    n = sum(counts)
-    total = math.comb(n, k)
-    ranges = [range(0, min(c, k) + 1) for c in counts]
-    for combo in product(*ranges):
-        if sum(combo) != k:
-            continue
-        weight = 1
-        for c, kk in zip(counts, combo):
-            weight *= math.comb(c, kk)
-        yield combo, weight / total
-
-
-_ENUMERATION_BUDGET = 200_000
-
-
-def _multiset_ab_exact(spec: MultisetPermutation, y_mean, y_second, i):
-    values, counts = np.unique(np.asarray(spec.values, dtype=float), return_counts=True)
-    n = spec.n
-    budget = 1
-    for c in counts:
-        budget *= min(int(c), i - 1) + 1
-        if budget > _ENUMERATION_BUDGET:
-            return None
-    total_sum = float(np.dot(values, counts))
-    total_sq = float(np.dot(values * values, counts))
-    rest = n - (i - 1)
-    a = b = 0.0
-    for combo, p in _prefix_count_distribution([int(c) for c in counts], i - 1):
-        combo = np.asarray(combo)
-        cond_mean = (total_sum - float(np.dot(values, combo))) / rest
-        cond_sq = (total_sq - float(np.dot(values * values, combo))) / rest
-        a += p * abs(cond_mean - y_mean)
-        b += p * abs(cond_sq - y_second)
-    return ABEstimate(a, 0.0, b, 0.0, True)
-
-
-def _markov_ab_exact(spec: MarkovChain, y_mean, y_second, i):
-    kernel = _validate_kernel(spec)
-    states = np.asarray(spec.states, dtype=float)
-    if i == 1:
-        m1 = float(np.dot(spec.initial, states))
-        m2 = float(np.dot(spec.initial, states * states))
-        return ABEstimate(abs(m1 - y_mean), 0.0, abs(m2 - y_second), 0.0, True)
-    prev = _step_distribution(spec, i - 1)
-    cond_mean = kernel @ states
-    cond_sq = kernel @ (states * states)
-    a = float(np.dot(prev, np.abs(cond_mean - y_mean)))
-    b = float(np.dot(prev, np.abs(cond_sq - y_second)))
-    return ABEstimate(a, 0.0, b, 0.0, True)
-
-
-def _multiset_ab_mc(spec, y_mean, y_second, i, replicates, seed):
-    values = np.asarray(spec.values, dtype=float)
-    n = spec.n
-    prefixes = sample_batch(spec, seed, replicates)[:, : i - 1]
-    rest = n - (i - 1)
-    cond_mean = (values.sum() - prefixes.sum(axis=1)) / rest
-    cond_sq = (np.square(values).sum() - np.square(prefixes).sum(axis=1)) / rest
-    da = np.abs(cond_mean - y_mean)
-    db = np.abs(cond_sq - y_second)
-    return ABEstimate(float(da.mean()), float(da.std(ddof=1) / math.sqrt(replicates)),
-                      float(db.mean()), float(db.std(ddof=1) / math.sqrt(replicates)),
-                      False)
-
-
-def _conditionally_iid_ab_mc(spec: ConditionallyIid, y_mean, y_second, i,
-                             replicates, seed, inner: int = 512):
-    if spec.conditional != "gaussian_mean":
-        raise ValueError("nested Monte Carlo oracle implemented for gaussian_mean only")
-    if replicates <= 0:
-        raise ValueError("nested Monte Carlo needs a positive replicate budget")
-    rng = rng_from(seed)
-    s2 = spec.scale ** 2
-    da = np.empty(replicates)
-    db = np.empty(replicates)
-    for r in range(replicates):
-        theta0 = float(spec.mixing.sample(rng, 1)[0])
-        prefix = theta0 + spec.scale * rng.standard_normal(i - 1)
-        thetas = np.asarray(spec.mixing.sample(rng, inner), dtype=float)
-        # self-normalized importance weights, prior proposals
-        if prefix.size:
-            logw = -0.5 * np.sum((prefix[None, :] - thetas[:, None]) ** 2, axis=1) / s2
-            logw -= logw.max()
-            w = np.exp(logw)
-            w /= w.sum()
-        else:
-            w = np.full(inner, 1.0 / inner)
-        post_mean = float(np.dot(w, thetas))
-        post_sq = float(np.dot(w, thetas * thetas)) + s2
-        da[r] = abs(post_mean - y_mean)
-        db[r] = abs(post_sq - y_second)
-    return ABEstimate(float(da.mean()), float(da.std(ddof=1) / math.sqrt(replicates)),
-                      float(db.mean()), float(db.std(ddof=1) / math.sqrt(replicates)),
-                      False)
-
-
 def estimate_ab(spec: ExchangeableSpec, y_mean, y_second, i: int,
                 replicates: int = 0, seed: int = 0) -> ABEstimate:
     """Discrepancies A_i = E|E(X_i | X_<i) - EY_i| and the squared analogue B_i.
@@ -212,26 +92,12 @@ def estimate_ab(spec: ExchangeableSpec, y_mean, y_second, i: int,
     """
     y_mean = float(np.asarray(y_mean).reshape(-1)[i - 1]) if np.ndim(y_mean) else float(y_mean)
     y_second = float(np.asarray(y_second).reshape(-1)[i - 1]) if np.ndim(y_second) else float(y_second)
-    if isinstance(spec, IidFromDistribution):
-        return ABEstimate(abs(spec.dist.mean() - y_mean), 0.0,
-                          abs(spec.dist.second_moment() - y_second), 0.0, True)
-    if isinstance(spec, MarkovChain):
-        return _markov_ab_exact(spec, y_mean, y_second, i)
-    if isinstance(spec, MultisetPermutation):
-        exact = _multiset_ab_exact(spec, y_mean, y_second, i)
-        if exact is not None:
-            return exact
-        if replicates <= 0:
-            raise ValueError("prefix enumeration too large; provide a Monte Carlo budget")
-        return _multiset_ab_mc(spec, y_mean, y_second, i, replicates, seed)
-    if isinstance(spec, ConditionallyIid):
-        return _conditionally_iid_ab_mc(spec, y_mean, y_second, i, replicates, seed)
-    raise TypeError(spec)
+    return spec.ab(y_mean, y_second, i, replicates, seed)
 
 
 def estimate_ab_all(spec, y_mean, y_second, replicates: int = 0, seed: int = 0):
     """Arrays (A, B) over i = 1..n, using a derived seed per coordinate."""
-    n = spec_length(spec)
+    n = spec.n
     a = np.empty(n)
     b = np.empty(n)
     for i in range(1, n + 1):
@@ -243,10 +109,10 @@ def estimate_ab_all(spec, y_mean, y_second, replicates: int = 0, seed: int = 0):
 
 def third_moment_bound(x_spec, y_spec, seed: int = 0) -> float:
     """max_i (E|X_i|^3 + E|Y_i|^3), exact where closed forms exist."""
-    n = spec_length(x_spec)
+    n = x_spec.n
 
     def per_spec(spec):
-        vals = [marginal_abs_third_moment(spec, i) for i in range(1, n + 1)]
+        vals = [spec.abs_third_moment(i) for i in range(1, n + 1)]
         if all(v is not None for v in vals):
             return max(vals)
         draws = np.abs(sample_batch(spec, derive_child(seed, 97), _MC_MOMENT_REPLICATES)) ** 3
@@ -288,8 +154,8 @@ def telescoping_difference(f: SmoothFunction, x_spec, y_spec,
     step estimate is Ef(hybrid_i) - Ef(hybrid_{i-1}), and the steps sum to
     the total difference replicate by replicate.
     """
-    n = spec_length(x_spec)
-    if f.arity != n or spec_length(y_spec) != n:
+    n = x_spec.n
+    if f.arity != n or y_spec.n != n:
         raise ValueError("function arity and spec lengths must agree")
     X = sample_batch(x_spec, derive_child(seed, 0), replicates)
     Y = sample_batch(y_spec, derive_child(seed, 1), replicates)

@@ -190,3 +190,50 @@ def test_env_var_sets_default_threads(tmp_path, monkeypatch):
         ["semicircle-table", "--x", "0", "--out", str(tmp_path)])
     cfg = cli.build_config(parser_args)
     assert cfg.threads == 3
+
+
+@pytest.mark.parametrize("doc", [
+    {"values": [1.0, 2.0, 3.0]},
+    {"variant": "bogus", "n": 3},
+    {"variant": "iid", "n": 3},
+    {"variant": "iid", "dist": {"kind": "gaussian", "params": [0, 1]}, "n": None},
+    [1.0, 2.0, 3.0],
+], ids=["no-variant", "unknown-variant", "missing-field", "wrong-field-type", "not-an-object"])
+def test_bad_spec_json_exits_2(tmp_path, capsys, doc):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    code = run_cli(["thm11-check", "--spec-json", str(spec_path),
+                    "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["identities", "thm12-check"])
+def test_multiset_length_mismatch_exits_2(tmp_path, capsys, command):
+    code = run_cli([command, "--n", "5", "--multiset", "1,2,3",
+                    "--out", str(tmp_path)])
+    assert code == 2
+    assert "multiset length" in capsys.readouterr().err
+
+
+def test_thm12_uses_explicit_multiset(tmp_path):
+    out = tmp_path / "m"
+    assert run_cli(["thm12-check", "--multiset", "1,2,3,4,8", "--replicates", "2000",
+                    "--out", str(out)]) == 0
+    assert {row["n"] for row in read_rows(out, "thm12-check")} == {"5"}
+
+
+@pytest.mark.parametrize("args", [
+    ["identities", "--n", "0"],
+    ["identities", "--n", "-1"],
+    ["thm11-check", "--replicates", "0"],
+    ["thm12-check", "--replicates", "1"],
+    ["wigner-sweep", "--seeds", "0"],
+    ["wigner-sweep", "--N", "0"],
+    ["resolvent-check", "--trials", "0"],
+    ["resolvent-check", "--tuples", "0"],
+], ids=" ".join)
+def test_nonpositive_counts_exit_2(tmp_path, capsys, args):
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -102,6 +103,25 @@ def test_martingale_increments_vanish(n):
     for spec in MULTISETS[n]:
         for i in range(1, n + 1):
             assert martingale_increment_check(spec, i) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_martingale_increments_match_g_transform(n):
+    # oracle: R = G x over every permutation of the multiset's positions,
+    # grouped by the ordered prefix of positions; E(R_i | prefix) is the
+    # group mean.  The two uncentered multisets (the second with repeats)
+    # make the expected value |sum x| / (n - i + 1) rather than zero.
+    g = build_g_transform(n).matrix
+    for values in (MULTISETS[n][0].values if n >= 3 else (-1.0, 1.0),
+                   np.arange(1.0, n + 1.0), [2.0] * (n - 1) + [-3.5]):
+        spec = MultisetPermutation(values)
+        for i in range(1, n + 1):
+            groups = {}
+            for perm in itertools.permutations(range(n)):
+                r = g @ spec.values[list(perm)]
+                groups.setdefault(perm[: i - 1], []).append(r[i - 1])
+            reference = max(abs(np.mean(rs)) for rs in groups.values())
+            assert martingale_increment_check(spec, i) == pytest.approx(reference, abs=1e-12)
 
 
 def test_conditional_mean_square_value():

@@ -25,6 +25,7 @@ from lindeberg import (
     standardized_multiset,
     uniform,
 )
+from lindeberg.sampling import spec_from_dict
 
 
 def test_singleton_multiset_returns_its_value():
@@ -186,6 +187,35 @@ def test_spec_json_round_trip():
     ]
     for spec in specs:
         assert spec_from_json(spec_to_json(spec)) == spec
+
+
+@pytest.mark.parametrize("spec, n", [
+    (MultisetPermutation([-1.5, 0.0, 2.25, 0.0]), 4),
+    (IidFromDistribution(uniform(-2.0, 3.0), 7), 7),
+    (MarkovChain((-1.0, 1.0), (0.25, 0.75), ((0.9, 0.1), (0.2, 0.8)), 6), 6),
+    (ConditionallyIid(gaussian(0.5, 2.0), "gaussian_mean", 1.0, 3), 3),
+], ids=lambda v: getattr(v, "variant", str(v)))
+def test_spec_variant(spec, n):
+    assert type(spec).from_dict(spec.to_dict()) == spec
+    assert spec_from_dict(spec.to_dict()) == spec
+    assert spec.n == n
+    if isinstance(spec, ConditionallyIid):
+        with pytest.raises(ValueError, match="no exact conditional oracle"):
+            exact_conditional_moments(spec, [], 1)
+    else:
+        assert math.isfinite(exact_conditional_moments(spec, [], 1))
+    if isinstance(spec, MultisetPermutation):
+        assert isinstance(spec.values, np.ndarray) and spec.values.dtype == np.float64
+        assert not spec.values.flags.writeable
+        with pytest.raises(ValueError):
+            spec.values[0] = 1.0
+
+
+def test_multiset_values_are_copied_not_frozen_in_place():
+    values = np.array([1.0, 2.0, 3.0])
+    spec = MultisetPermutation(values)
+    values[0] = 9.0
+    assert spec.values[0] == 1.0 and values.flags.writeable
 
 
 def test_distribution_moments_against_sampling():

@@ -128,13 +128,11 @@ class TestEstimateAB:
         assert est.exact and est.a_stderr == 0.0
 
     def test_monte_carlo_prefix_mode_agrees_with_enumeration(self):
-        from lindeberg.swap import _multiset_ab_mc
-
         rng_vals = tuple(np.random.default_rng(3).standard_normal(12))
         spec = MultisetPermutation(rng_vals)
         exact = estimate_ab(spec, 0.0, 1.0, i=7)
         assert exact.exact
-        mc = _multiset_ab_mc(spec, 0.0, 1.0, 7, replicates=40_000, seed=5)
+        mc = spec.ab_mc(0.0, 1.0, 7, replicates=40_000, seed=5)
         assert not mc.exact and mc.a_stderr > 0
         assert abs(mc.a - exact.a) <= 4 * mc.a_stderr
         assert abs(mc.b - exact.b) <= 4 * mc.b_stderr
