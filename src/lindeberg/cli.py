@@ -79,6 +79,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - set(ExperimentConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         return ExperimentConfig(**d)
 
 
@@ -440,6 +443,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
         data.setdefault("command", args.command)
         if data["command"] != args.command:
             raise ValueError("config file is for a different command")

@@ -99,15 +99,14 @@ class Distribution:
             return (a * a + a * b + b * b) / 3.0
         if self.kind == "student_t":
             (df,) = self.params
-            if df <= 2:
-                raise ValueError("second moment requires df > 2")
-            return df / (df - 2.0)
+            return df / (df - 2.0) if df > 2 else math.inf
         if self.kind == "finite":
             return float(np.dot(np.square(self.values), self.probs))
         raise ValueError(self.kind)
 
     def abs_moment(self, p: int):
-        """E|X|^p in closed form, or None when only Monte Carlo is available."""
+        """E|X|^p in closed form (``math.inf`` when it diverges), or None when
+        only Monte Carlo is available."""
         if self.kind == "finite":
             return float(np.dot(np.abs(self.values) ** p, self.probs))
         if self.kind == "gaussian":
@@ -123,7 +122,7 @@ class Distribution:
         if self.kind == "student_t":
             (df,) = self.params
             if p >= df:
-                return None
+                return math.inf
             return (df ** (p / 2) * math.gamma((p + 1) / 2) * math.gamma((df - p) / 2)
                     / (math.sqrt(math.pi) * math.gamma(df / 2)))
         raise ValueError(self.kind)
@@ -440,6 +439,56 @@ class MarkovChain:
                    tuple(tuple(r) for r in d["kernel"]), int(d["n"]))
 
 
+def _normal_mass(lo: float, hi: float) -> float:
+    """P(lo < Z < hi) for standard normal Z, from erfc in either tail."""
+    root2 = math.sqrt(2.0)
+    if lo > 0.0:
+        return 0.5 * (math.erfc(lo / root2) - math.erfc(hi / root2))
+    if hi < 0.0:
+        return 0.5 * (math.erfc(-hi / root2) - math.erfc(-lo / root2))
+    return 0.5 * (math.erf(hi / root2) - math.erf(lo / root2))
+
+
+def _normal_pdf(z: float) -> float:
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _folded_normal_mean(mu: float, sigma: float) -> float:
+    """E|M| for M ~ N(mu, sigma^2)."""
+    if sigma == 0.0:
+        return abs(mu)
+    z = mu / sigma
+    return (sigma * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z)
+            + mu * math.erf(z / math.sqrt(2.0)))
+
+
+def _abs_shifted_square_mean(mu: float, sigma: float, c: float) -> float:
+    """E|M^2 + c| for M ~ N(mu, sigma^2).
+
+    For c < 0 the integrand changes sign at |M| = r = sqrt(-c), so the mean
+    of M^2 + c is corrected by twice its (negative) part on (-r, r), taken
+    from the truncated moments of Z = (M - mu) / sigma on (lo, hi).
+    """
+    mean = mu * mu + sigma * sigma + c
+    if c >= 0.0:
+        return mean
+    if sigma == 0.0:
+        return abs(mu * mu + c)
+    r = math.sqrt(-c)
+    lo, hi = (-r - mu) / sigma, (r - mu) / sigma
+    mass = _normal_mass(lo, hi)
+    z1 = _normal_pdf(lo) - _normal_pdf(hi)  # integral of z phi(z) over (lo, hi)
+    z2 = mass + lo * _normal_pdf(lo) - hi * _normal_pdf(hi)  # of z^2 phi(z)
+    inside = (mu * mu + c) * mass + 2.0 * mu * sigma * z1 + sigma * sigma * z2
+    return mean - 2.0 * inside
+
+
+# Replicate rows per block of the nested Monte Carlo, so that each
+# (rows x prior draws) weight matrix stays at 4 MB.
+_MC_BLOCK_ROWS = 1024
+_MC_PRIOR_DRAWS = 512
+
+
 @dataclass(frozen=True)
 class ConditionallyIid:
     """Mixture of i.i.d. laws: draw a parameter, then n conditional draws.
@@ -466,35 +515,87 @@ class ConditionallyIid:
     def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
         raise ValueError("no exact conditional oracle for this spec; use nested Monte Carlo")
 
+    def _gaussian_mixing(self) -> bool:
+        return self.conditional == "gaussian_mean" and self.mixing.kind == "gaussian"
+
     def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
-        """Nested Monte Carlo: posterior moments by self-normalized prior weights."""
+        """Exact at i = 1 and under Gaussian mixing, else nested Monte Carlo."""
         if self.conditional != "gaussian_mean":
-            raise ValueError("nested Monte Carlo oracle implemented for gaussian_mean only")
+            raise ValueError("A/B oracle implemented for gaussian_mean only")
+        exact = self._ab_exact(y_mean, y_second, i)
+        if exact is not None:
+            return exact
         if replicates <= 0:
             raise ValueError("nested Monte Carlo needs a positive replicate budget")
-        inner = 512  # prior draws per replicate
-        rng = rng_from(seed)
+        return self.ab_mc(y_mean, y_second, i, replicates, seed)
+
+    def _ab_exact(self, y_mean, y_second, i):
+        """Closed forms; None when the posterior has none.
+
+        With an empty prefix the conditional moments are the marginal ones,
+        E X_1 = E theta and E X_1^2 = E theta^2 + scale^2, for any mixing.
+        Under theta ~ N(m, tau^2) and k = i - 1 observations the posterior
+        mean M = E(X_i | X_<i) is N(m, var_k) with var_k = k tau^4 /
+        (scale^2 + k tau^2), and E(X_i^2 | X_<i) = M^2 + v_k + scale^2 with
+        the posterior variance v_k = tau^2 scale^2 / (scale^2 + k tau^2).
+        """
         s2 = self.scale ** 2
-        da = np.empty(replicates)
-        db = np.empty(replicates)
-        for r in range(replicates):
-            theta0 = float(self.mixing.sample(rng, 1)[0])
-            prefix = theta0 + self.scale * rng.standard_normal(i - 1)
-            thetas = np.asarray(self.mixing.sample(rng, inner), dtype=float)
-            if prefix.size:
-                logw = -0.5 * np.sum((prefix[None, :] - thetas[:, None]) ** 2, axis=1) / s2
-                logw -= logw.max()
-                w = np.exp(logw)
-                w /= w.sum()
-            else:
-                w = np.full(inner, 1.0 / inner)
-            post_mean = float(np.dot(w, thetas))
-            post_sq = float(np.dot(w, thetas * thetas)) + s2
-            da[r] = abs(post_mean - y_mean)
-            db[r] = abs(post_sq - y_second)
-        return _ab_from_draws(da, db)
+        if i == 1:
+            m1 = self.mixing.mean()
+            m2 = self.mixing.second_moment() + s2
+            return ABEstimate(abs(m1 - y_mean), 0.0, abs(m2 - y_second), 0.0, True)
+        if not self._gaussian_mixing():
+            return None
+        m, tau = self.mixing.params
+        k = i - 1
+        tau2 = tau * tau
+        if tau2 == 0.0:
+            var_k = v_k = 0.0
+        else:
+            var_k = k * tau2 * tau2 / (s2 + k * tau2)
+            v_k = tau2 * s2 / (s2 + k * tau2)
+        sd = math.sqrt(var_k)
+        return ABEstimate(_folded_normal_mean(m - y_mean, sd), 0.0,
+                          _abs_shifted_square_mean(m, sd, v_k + s2 - y_second), 0.0, True)
+
+    def ab_mc(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
+        """Nested Monte Carlo for the ``gaussian_mean`` family: posterior
+        moments by self-normalized prior weights.
+
+        Each replicate draws theta and a prefix of k = i - 1 observations,
+        then weights 512 fresh prior draws by the prefix likelihood.  That
+        likelihood depends on the prefix only through its sum S, so the sum
+        is drawn directly and log w = (theta S - k theta^2 / 2) / scale^2.
+        """
+        k = i - 1
+        s2 = self.scale ** 2
+        rng = rng_from(seed)
+        theta0 = np.asarray(self.mixing.sample(rng, replicates), dtype=float)
+        if k and s2 == 0.0:  # noiseless observations reveal theta
+            return _ab_from_draws(np.abs(theta0 - y_mean), np.abs(theta0 * theta0 - y_second))
+        sums = k * theta0 + self.scale * math.sqrt(k) * rng.standard_normal(replicates)
+        inv_s2 = 1.0 / s2 if k else 0.0  # an empty prefix leaves the prior weights equal
+        post_mean = np.empty(replicates)
+        post_sq = np.empty(replicates)
+        for start in range(0, replicates, _MC_BLOCK_ROWS):
+            rows = slice(start, min(start + _MC_BLOCK_ROWS, replicates))
+            thetas = np.asarray(self.mixing.sample(rng, (rows.stop - start, _MC_PRIOR_DRAWS)),
+                                dtype=float)
+            logw = (thetas * sums[rows, None] - 0.5 * k * thetas * thetas) * inv_s2
+            w = np.exp(logw - logw.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            post_mean[rows] = np.einsum("ij,ij->i", w, thetas)
+            post_sq[rows] = np.einsum("ij,ij->i", w, thetas * thetas)
+        return _ab_from_draws(np.abs(post_mean - y_mean), np.abs(post_sq + s2 - y_second))
 
     def abs_third_moment(self, i: int):
+        """Exact under Gaussian mixing with m = 0 (X_i ~ N(0, tau^2 + scale^2));
+        infinite when the mixing law's third absolute moment is."""
+        if self._gaussian_mixing():
+            m, tau = self.mixing.params
+            return gaussian(m, math.sqrt(tau * tau + self.scale ** 2)).abs_moment(3)
+        if self.mixing.abs_moment(3) == math.inf:
+            return math.inf
         return None
 
     def to_dict(self) -> dict:

@@ -63,16 +63,18 @@ def lindeberg_bound(A, B, M3: float, L1: float, L2: float, L3: float) -> float:
         raise ValueError("A and B must have the same length")
     if A.min(initial=0.0) < 0 or B.min(initial=0.0) < 0 or min(M3, L1, L2, L3) < 0:
         raise ValueError("inputs must be nonnegative")
-    return float(A.sum() * L1 + 0.5 * B.sum() * L2 + A.size * L3 * M3 / 6.0)
+    return float(sum(bound_components(A, B, M3, L1, L2, L3).values()))
 
 
 def bound_components(A, B, M3, L1, L2, L3) -> dict:
+    """The three terms of the bound.  A term whose derivative bound is zero
+    vanishes even when its moment is infinite (0 * inf counts as 0)."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     return {
-        "first_order": float(A.sum() * L1),
-        "second_order": float(0.5 * B.sum() * L2),
-        "third_moment": float(A.size * L3 * M3 / 6.0),
+        "first_order": 0.0 if L1 == 0 else float(A.sum() * L1),
+        "second_order": 0.0 if L2 == 0 else float(0.5 * B.sum() * L2),
+        "third_moment": 0.0 if L3 == 0 else float(A.size * L3 * M3 / 6.0),
     }
 
 
@@ -108,7 +110,11 @@ def estimate_ab_all(spec, y_mean, y_second, replicates: int = 0, seed: int = 0):
 
 
 def third_moment_bound(x_spec, y_spec, seed: int = 0) -> float:
-    """max_i (E|X_i|^3 + E|Y_i|^3), exact where closed forms exist."""
+    """max_i (E|X_i|^3 + E|Y_i|^3), exact where closed forms exist.
+
+    An infinite moment makes the cap infinite; Monte Carlo is used only
+    where a spec has no closed form.
+    """
     n = x_spec.n
 
     def per_spec(spec):

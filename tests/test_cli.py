@@ -130,6 +130,18 @@ def test_invalid_config_exits_2(tmp_path):
     wrong.write_text(json.dumps({"command": "wigner-sweep"}))
     assert run_cli(["identities", "--config", str(wrong)]) == 2
 
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text(json.dumps(["identities"]))
+    assert run_cli(["identities", "--config", str(not_an_object)]) == 2
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": "identities", "bogus": 1}))
+    assert run_cli(["identities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bogus" in err
+
 
 def test_failing_check_exits_1(tmp_path, monkeypatch, capsys):
     def broken(cfg):
@@ -190,6 +202,19 @@ def test_env_var_sets_default_threads(tmp_path, monkeypatch):
         ["semicircle-table", "--x", "0", "--out", str(tmp_path)])
     cfg = cli.build_config(parser_args)
     assert cfg.threads == 3
+
+
+def test_infinite_third_moment_gives_infinite_bound(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"variant": "iid", "dist": {"kind": "student_t", "params": [2.5]}, "n": 5}))
+    out = tmp_path / "o"
+    code = run_cli(["thm11-check", "--spec-json", str(spec_path),
+                    "--functions", "cos", "--replicates", "4000", "--out", str(out)])
+    assert code == 0
+    rows = read_rows(out, "thm11-check")
+    assert [r["bound"] for r in rows] == ["inf"]
+    assert rows[0]["third_moment"] == "inf" and rows[0]["dominated"] == "True"
 
 
 @pytest.mark.parametrize("doc", [

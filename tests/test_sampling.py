@@ -23,6 +23,7 @@ from lindeberg import (
     spec_from_json,
     spec_to_json,
     standardized_multiset,
+    student_t,
     uniform,
 )
 from lindeberg.sampling import spec_from_dict
@@ -216,6 +217,12 @@ def test_multiset_values_are_copied_not_frozen_in_place():
     spec = MultisetPermutation(values)
     values[0] = 9.0
     assert spec.values[0] == 1.0 and values.flags.writeable
+
+
+def test_student_t_divergent_moments_are_infinite():
+    assert student_t(2.0).second_moment() == math.inf
+    assert student_t(2.5).abs_moment(3) == math.inf
+    assert math.isfinite(student_t(2.5).abs_moment(2))
 
 
 def test_distribution_moments_against_sampling():

@@ -20,6 +20,7 @@ from lindeberg import (
     swapping_report,
     telescoping_difference,
     third_moment_bound,
+    uniform,
 )
 from lindeberg.functions import constant_function, logistic_step_profile
 from lindeberg.swap import bound_components
@@ -35,6 +36,10 @@ class TestLindebergBound:
 
     def test_constant_function_gives_zero(self):
         assert lindeberg_bound([0.3, 0.1], [0.2, 0.4], 2.0, 0.0, 0.0, 0.0) == 0.0
+
+    def test_zero_derivative_bound_cancels_infinite_moment(self):
+        assert lindeberg_bound([1.0], [2.0], math.inf, 1.0, 1.0, 0.0) == 2.0
+        assert lindeberg_bound([1.0], [2.0], math.inf, 1.0, 1.0, 1.0) == math.inf
 
     def test_negative_inputs_raise(self):
         with pytest.raises(ValueError):
@@ -160,9 +165,97 @@ class TestConditionallyIidOracle:
     def test_zero_budget_rejected(self):
         from lindeberg import ConditionallyIid
 
-        spec = ConditionallyIid(gaussian(), "gaussian_mean", 1.0, 4)
+        # uniform mixing has no closed-form posterior, so it still needs MC
+        spec = ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 1.0, 4)
         with pytest.raises(ValueError):
             estimate_ab(spec, 0.0, 1.0, i=2, replicates=0)
+
+    def test_first_coordinate_exact_for_any_mixing(self):
+        from lindeberg import ConditionallyIid
+
+        mixing = finite([-1.0, 2.0], [0.6, 0.4])
+        spec = ConditionallyIid(mixing, "gaussian_mean", 0.5, 4)
+        est = estimate_ab(spec, 0.3, 1.0, i=1)
+        assert est.exact and est.a_stderr == 0.0 and est.b_stderr == 0.0
+        assert est.a == pytest.approx(abs(mixing.mean() - 0.3), abs=1e-15)
+        assert est.b == pytest.approx(abs(mixing.second_moment() + 0.25 - 1.0), abs=1e-15)
+
+    @pytest.mark.parametrize("m", [0.0, 0.7, -1.3])
+    def test_gaussian_mixing_matches_quadrature(self, m):
+        from scipy.integrate import quad
+
+        from lindeberg import ConditionallyIid
+
+        def expect(g, mean, sd, kinks):
+            # integrate g against N(mean, sd^2) piecewise between the kinks of g
+            lo, hi = mean - 12 * sd, mean + 12 * sd
+            edges = [lo, *sorted(x for x in kinks if lo < x < hi), hi]
+            dens = lambda x: math.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+            return sum(quad(lambda x: g(x) * dens(x), a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                       for a, b in zip(edges, edges[1:]))
+
+        signs = set()
+        for tau, s, i, y_mean, y_second in itertools.product(
+                (0.5, 1.2), (0.3, 2.0), (2, 6), (0.4, -0.2), (3.0, 0.1)):
+            est = estimate_ab(ConditionallyIid(gaussian(m, tau), "gaussian_mean", s, 8),
+                              y_mean, y_second, i)
+            k = i - 1
+            var_k = k * tau**4 / (s**2 + k * tau**2)
+            c = tau**2 - var_k + s**2 - y_second
+            signs.add(c > 0)
+            sd = math.sqrt(var_k)
+            r = math.sqrt(max(-c, 0.0))
+            assert est.exact and est.a_stderr == 0.0 and est.b_stderr == 0.0
+            assert est.a == pytest.approx(expect(lambda x: abs(x - y_mean), m, sd, [y_mean]),
+                                          abs=1e-12)
+            assert est.b == pytest.approx(expect(lambda x: abs(x * x + c), m, sd, [-r, r]),
+                                          abs=1e-12)
+        assert signs == {True, False}
+
+    def test_degenerate_mixing_or_noise(self):
+        from lindeberg import ConditionallyIid
+
+        # tau = 0: theta = m, so E(X_3 | X_<3) = m and E(X_3^2 | X_<3) = m^2 + s^2
+        est = estimate_ab(ConditionallyIid(gaussian(0.7, 0.0), "gaussian_mean", 0.5, 4),
+                          0.2, 1.0, 3)
+        assert est.exact
+        assert est.a == pytest.approx(0.5, abs=1e-15)
+        assert est.b == pytest.approx(abs(0.49 + 0.25 - 1.0), abs=1e-15)
+        # s = 0: one observation reveals theta ~ N(0, 1), so A = E|Z| and
+        # B = E|Z^2 - 1| = 4 phi(1)
+        est = estimate_ab(ConditionallyIid(gaussian(), "gaussian_mean", 0.0, 4), 0.0, 1.0, 3)
+        assert est.a == pytest.approx(math.sqrt(2 / math.pi), abs=1e-15)
+        assert est.b == pytest.approx(4 * math.exp(-0.5) / math.sqrt(2 * math.pi), abs=1e-15)
+        # the nested MC takes the same shortcut: theta ~ U(-1, 1), A = 1/2, B = 2/3
+        mc = estimate_ab(ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 0.0, 4),
+                         0.0, 1.0, 3, replicates=4_000, seed=6)
+        assert not mc.exact
+        assert abs(mc.a - 0.5) <= 4 * mc.a_stderr
+        assert abs(mc.b - 2 / 3) <= 4 * mc.b_stderr
+
+    def test_nested_mc_agrees_with_exact_oracle(self):
+        from lindeberg import ConditionallyIid
+
+        spec = ConditionallyIid(gaussian(0.2, 0.5), "gaussian_mean", 0.75**0.5, 5)
+        for i in range(2, 6):
+            exact = estimate_ab(spec, 0.0, 1.0, i)
+            mc = spec.ab_mc(0.0, 1.0, i, replicates=4_000, seed=i)
+            assert exact.exact and not mc.exact and mc.a_stderr > 0
+            assert abs(mc.a - exact.a) <= 4 * mc.a_stderr
+            assert abs(mc.b - exact.b) <= 4 * mc.b_stderr
+
+    def test_abs_third_moment(self):
+        from lindeberg import ConditionallyIid, sample_batch, student_t
+
+        spec = ConditionallyIid(gaussian(0.0, 0.5), "gaussian_mean", 0.75**0.5, 3)
+        draws = np.abs(sample_batch(spec, 4, 200_000)) ** 3
+        assert spec.abs_third_moment(2) == pytest.approx(draws.mean(), rel=2e-2)
+        assert spec.abs_third_moment(2) == pytest.approx(gaussian().abs_moment(3), rel=1e-15)
+        # no closed form off-centre, and a heavy-tailed mixing law makes it infinite
+        off_centre = ConditionallyIid(gaussian(0.3, 0.5), "gaussian_mean", 1.0, 3)
+        heavy = ConditionallyIid(student_t(2.5), "gaussian_mean", 1.0, 3)
+        assert off_centre.abs_third_moment(1) is None
+        assert heavy.abs_third_moment(1) == math.inf
 
 
 def test_third_moment_bound_exact_for_multiset_vs_gaussian():
