@@ -17,6 +17,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -284,12 +285,10 @@ def run_resolvent_check(cfg: ExperimentConfig):
     return fields, rows, checks
 
 
-def _sweep_cell(args):
-    ensemble, N, seed, z_grid = args
-    spec = ENSEMBLES[ensemble](N)
+def _sweep_cell(spec, z_grid, seed):
     row = thm13_experiment(spec, z_grid, seed)
     out = {
-        "schema_version": SCHEMA_VERSION, "N": N, "seed": seed,
+        "schema_version": SCHEMA_VERSION, "N": spec.N, "seed": seed,
         "ensemble": row.ensemble, "mu_hat": row.mu_hat,
         "sigma_hat": row.sigma_hat, "m4_tilde": row.m4_tilde, "ks": row.ks,
     }
@@ -304,13 +303,13 @@ def run_wigner_sweep(cfg: ExperimentConfig):
         raise ValueError(f"unknown ensemble {cfg.ensemble!r}")
     N_list = [int(N) for N in (cfg.N_list or [50, 100, 200, 400])]
     z_grid = [complex(z) for z in cfg.z_grid]
-    cells = [(cfg.ensemble, N, derive_child(cfg.seed, N * 100_003 + s), z_grid)
-             for N in N_list for s in range(cfg.seeds)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
+    rows = []
+    with ThreadPoolExecutor(max_workers=max(cfg.threads, 1)) as pool:
+        run = pool.map if cfg.threads > 1 else map
+        for N in N_list:
+            # The ensemble is deterministic, so one build serves every seed of the order.
+            rows += run(partial(_sweep_cell, ENSEMBLES[cfg.ensemble](N), z_grid),
+                        [derive_child(cfg.seed, N * 100_003 + s) for s in range(cfg.seeds)])
     medians = {N: float(np.median([r["ks"] for r in rows if r["N"] == N]))
                for N in N_list}
     checks = {"all_cells_finite": all(math.isfinite(r["ks"]) for r in rows)}

@@ -17,7 +17,8 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
-from .sampling import MultisetPermutation, center_and_scale, derive_child, rng_from, sample_batch
+from .sampling import (MultisetPermutation, build_y, center_and_scale, derive_child, rng_from,
+                       sample_batch)
 from .swap import BoundReport
 
 _EXACT_ENUMERATION_LIMIT = 9
@@ -457,11 +458,17 @@ def interpolation_difference(f0: SmoothFunction, n: int, replicates: int = 40_00
 # ---------------------------------------------------------------------------
 
 
-def thm12_bound(m3: float, m4: float, l2p: float, l3p: float, n: int) -> float:
-    """9.5 sqrt(m4) L2' sqrt(n) + 13 m3 L3' n."""
+def thm12_terms(m3: float, m4: float, l2p: float, l3p: float, n: int) -> dict:
+    """The two terms of the bound: 9.5 sqrt(m4) L2' sqrt(n) and 13 m3 L3' n."""
     if min(m3, m4, l2p, l3p) < 0:
         raise ValueError("moments and derivative bounds must be nonnegative")
-    return 9.5 * math.sqrt(m4) * l2p * math.sqrt(n) + 13.0 * m3 * l3p * n
+    return {"second_order": 9.5 * math.sqrt(m4) * l2p * math.sqrt(n),
+            "third_order": 13.0 * m3 * l3p * n}
+
+
+def thm12_bound(m3: float, m4: float, l2p: float, l3p: float, n: int) -> float:
+    """9.5 sqrt(m4) L2' sqrt(n) + 13 m3 L3' n."""
+    return sum(thm12_terms(m3, m4, l2p, l3p, n).values())
 
 
 def end_to_end_check(spec: MultisetPermutation, f: SmoothFunction,
@@ -482,16 +489,12 @@ def end_to_end_check(spec: MultisetPermutation, f: SmoothFunction,
     mu, sigma = std.mu_hat, std.sigma_hat
     m3 = float(np.mean(np.abs(values - mu) ** 3))
     m4 = float(np.mean((values - mu) ** 4))
-    l2p, l3p = f.mixed_bounds[1], f.mixed_bounds[2]
-    components = {
-        "second_order": 9.5 * math.sqrt(m4) * l2p * math.sqrt(n),
-        "third_order": 13.0 * m3 * l3p * n,
-    }
-    bound = components["second_order"] + components["third_order"]
+    components = thm12_terms(m3, m4, f.mixed_bounds[1], f.mixed_bounds[2], n)
+    bound = sum(components.values())
 
     X = sample_batch(spec, derive_child(seed, 0), replicates)
     z = rng_from(derive_child(seed, 1)).standard_normal((replicates, n))
-    y = mu + sigma * (z - z.mean(axis=1, keepdims=True))
+    y = build_y(mu, sigma, z)
     diff = np.asarray(f(X), dtype=float) - np.asarray(f(y), dtype=float)
     stderr = float(diff.std(ddof=1) / math.sqrt(replicates)) if sigma > 0 else 0.0
     return BoundReport(bound=bound, mc_estimate=float(diff.mean()),

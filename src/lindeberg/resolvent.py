@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as _permutations
+from itertools import permutations, product
 
 import numpy as np
 from scipy.linalg import eigh
 
+from .exchangeable import thm12_bound
 from .functions import GProfile, finite_difference
 from .spectral import upper_triangle_size, wigner_matrix
 
@@ -30,9 +31,9 @@ def _check_z(z: complex) -> complex:
 class ResolventWorkspace:
     """Eigendecomposition-backed resolvent of a symmetric matrix.
 
-    One real symmetric eigensolve serves every z: G(z) is assembled as
-    Q diag(1/(lambda - z)) Q^T, so no complex linear solves are needed and
-    each eigenvalue of G has magnitude at most 1/|Im z|.
+    One real symmetric eigensolve gives G = Q diag(1/(lambda - z)) Q^T, so
+    no complex linear solves are needed and each eigenvalue of G has
+    magnitude at most 1/|Im z|.
     """
 
     def __init__(self, matrix, z: complex):
@@ -42,12 +43,7 @@ class ResolventWorkspace:
         self.matrix = a
         self.z = _check_z(z)
         self.eigenvalues, self.vectors = eigh(a)
-        self.G = self.resolvent_at(self.z)
-
-    def resolvent_at(self, z: complex) -> np.ndarray:
-        z = _check_z(z)
-        scaled = self.vectors / (self.eigenvalues - z)
-        return scaled @ self.vectors.T
+        self.G = (self.vectors / (self.eigenvalues - self.z)) @ self.vectors.T
 
     def residual(self) -> float:
         """max |(G (A - zI) - I)_ij|, relative to 1/|Im z|."""
@@ -62,11 +58,6 @@ class ResolventWorkspace:
 def resolvent(matrix, z: complex) -> np.ndarray:
     """(A - zI)^{-1} for symmetric A and z off the real axis."""
     return ResolventWorkspace(matrix, z).G
-
-
-def h_value(x, N: int, z: complex) -> complex:
-    """Tr((A(x) - zI)^{-1}) / N."""
-    return ResolventWorkspace(wigner_matrix(x, N), z).trace_mean()
 
 
 def h_value_hp(x, N: int, z: complex):
@@ -91,15 +82,15 @@ def h_value_hp(x, N: int, z: complex):
             inv[[col, piv]] = inv[[piv, col]]
         inv[col] /= m[col, col]
         m[col] /= m[col, col]
-        for r in range(N):
-            if r != col and m[r, col] != 0:
-                inv[r] -= m[r, col] * inv[col]
-                m[r] -= m[r, col] * m[col]
+        f = m[:, col].copy()
+        f[col] = 0
+        inv -= np.outer(f, inv[col])
+        m -= np.outer(f, m[col])
     return np.trace(inv) / N
 
 
 # ---------------------------------------------------------------------------
-# Upper-triangle index pairs and entry perturbations
+# Upper-triangle index pairs and entry-level traces
 # ---------------------------------------------------------------------------
 
 
@@ -108,14 +99,42 @@ def triu_pairs(N: int):
     return [(i, j) for i in range(N) for j in range(i, N)]
 
 
-def perturbation_matrix(alpha, N: int) -> np.ndarray:
-    """dA/dx_alpha: at most two entries of size N^{-1/2}, one on the diagonal."""
-    i, j = alpha
+def _checked_pair(alpha, N: int):
+    i, j = (int(v) for v in alpha)
     if not (0 <= i <= j < N):
         raise ValueError("index pair must satisfy 0 <= i <= j < N")
+    return i, j
+
+
+def perturbation_matrix(alpha, N: int) -> np.ndarray:
+    """dA/dx_alpha: at most two entries of size N^{-1/2}, one on the diagonal."""
+    i, j = _checked_pair(alpha, N)
     d = np.zeros((N, N))
     d[i, j] = d[j, i] = 1.0 / math.sqrt(N)
     return d
+
+
+def _trace(g: np.ndarray, pairs) -> complex:
+    """Tr(G D_1 G D_2 ... D_k G) from entries of G, with D_m = dA/dx_{pairs[m]}.
+
+    D_m is N^{-1/2} times the sum of e_a e_b^T over (a, b) in {(i, j), (j, i)},
+    one term when i = j.  Expanding every D_m turns the trace into at most
+    2^k products (G^2)_{b_k a_1} G_{b_1 a_2} ... G_{b_{k-1} a_k}.
+    """
+    N = g.shape[0]
+    ends = [sorted({(i, j), (j, i)}) for i, j in (_checked_pair(p, N) for p in pairs)]
+    total = 0j
+    for choice in product(*ends):
+        chain = math.prod(g[b, a] for (_, b), (a, _) in zip(choice, choice[1:]))
+        total += chain * (g[choice[-1][1]] @ g[:, choice[0][0]])
+    return total / math.sqrt(N) ** len(pairs)
+
+
+def _h_derivative(g: np.ndarray, pairs) -> complex:
+    """The partial of h along every pair: (-1)^k / N times the sum of the
+    trace over all k! orderings of the k pairs."""
+    k = len(pairs)
+    return (-1) ** k * sum(_trace(g, p) for p in permutations(pairs)) / g.shape[0]
 
 
 def resolvent_partials(x, N: int, z: complex, alpha, beta=None, gamma=None):
@@ -125,25 +144,14 @@ def resolvent_partials(x, N: int, z: complex, alpha, beta=None, gamma=None):
     with beta; all three orders with gamma.  The second order sums the two
     orderings of (beta, alpha); the third sums all six orderings.
     """
-    ws = ResolventWorkspace(wigner_matrix(x, N), z)
-    g = ws.G
-    d_alpha = perturbation_matrix(alpha, N)
-    first = -np.trace(g @ d_alpha @ g) / N
+    g = ResolventWorkspace(wigner_matrix(x, N), z).G
+    first = _h_derivative(g, (alpha,))
     if beta is None:
         return first
-    d_beta = perturbation_matrix(beta, N)
-    second = sum(
-        np.trace(g @ p @ g @ q @ g)
-        for p, q in _permutations((d_beta, d_alpha))
-    ) / N
+    second = _h_derivative(g, (alpha, beta))
     if gamma is None:
         return first, second
-    d_gamma = perturbation_matrix(gamma, N)
-    third = -sum(
-        np.trace(g @ p @ g @ q @ g @ r @ g)
-        for p, q, r in _permutations((d_gamma, d_beta, d_alpha))
-    ) / N
-    return first, second, third
+    return first, second, _h_derivative(g, (alpha, beta, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +255,14 @@ class TraceRatios:
 
 def trace_bound_check(x, N: int, z: complex, trials: int, rng) -> TraceRatios:
     """Worst measured-to-bound trace ratios over random index tuples."""
-    ws = ResolventWorkspace(wigner_matrix(x, N), z)
-    g = ws.G
+    g = ResolventWorkspace(wigner_matrix(x, N), z).G
     bounds = trace_bounds(z.imag, N)
     pairs = triu_pairs(N)
     worst = [0.0, 0.0, 0.0]
     for _ in range(trials):
         picks = [pairs[int(rng.integers(len(pairs)))] for _ in range(3)]
-        ds = [perturbation_matrix(p, N) for p in picks]
-        t1 = abs(np.trace(g @ ds[0] @ g))
-        t2 = abs(np.trace(g @ ds[0] @ g @ ds[1] @ g))
-        t3 = abs(np.trace(g @ ds[0] @ g @ ds[1] @ g @ ds[2] @ g))
-        worst[0] = max(worst[0], t1 / bounds.t1)
-        worst[1] = max(worst[1], t2 / bounds.t2)
-        worst[2] = max(worst[2], t3 / bounds.t3)
+        for k, cap in enumerate((bounds.t1, bounds.t2, bounds.t3)):
+            worst[k] = max(worst[k], abs(_trace(g, picks[:k + 1])) / cap)
     return TraceRatios(*worst)
 
 
@@ -310,39 +312,28 @@ def lemma41_bound(m3_tilde: float, m4_tilde: float, N: int,
                   constants: Lemma41Constants) -> float:
     """Summarization bound specialized to n = N(N+1)/2 upper-triangle entries.
 
-    Equals 9.5 sqrt(m4) L2' sqrt(n) + 13 m3 L3' n, which collapses to
+    Equals ``thm12_bound`` at L2', L3' and n, which collapses to
     C1 N^-1 sqrt(m4) + C2 N^-1/2 m3 with the recorded C1, C2.
     """
-    if min(m3_tilde, m4_tilde) < 0:
-        raise ValueError("moments must be nonnegative")
-    n = upper_triangle_size(N)
-    return (9.5 * math.sqrt(m4_tilde) * constants.l2p_bound * math.sqrt(n)
-            + 13.0 * m3_tilde * constants.l3p_bound * n)
+    return thm12_bound(m3_tilde, m4_tilde, constants.l2p_bound, constants.l3p_bound,
+                       upper_triangle_size(N))
 
 
 def composed_partials(profile: GProfile, x, N: int, z: complex,
                       alpha, beta=None, gamma=None):
     """Partials of f = g(Re h) by the chain rule on the exact trace formulas."""
+    ws = ResolventWorkspace(wigner_matrix(x, N), z)
+    u = ws.trace_mean().real
+    d = lambda *pairs: _h_derivative(ws.G, pairs).real
     if gamma is not None:
-        d_a = resolvent_partials(x, N, z, alpha).real
-        d_b = resolvent_partials(x, N, z, beta).real
-        d_c = resolvent_partials(x, N, z, gamma).real
-        d_ab = resolvent_partials(x, N, z, alpha, beta)[1].real
-        d_ac = resolvent_partials(x, N, z, alpha, gamma)[1].real
-        d_bc = resolvent_partials(x, N, z, beta, gamma)[1].real
-        d_abc = resolvent_partials(x, N, z, alpha, beta, gamma)[2].real
-        u = h_value(x, N, z).real
+        d_a, d_b, d_c = d(alpha), d(beta), d(gamma)
         return (float(profile.d3(u)) * d_a * d_b * d_c
-                + float(profile.d2(u)) * (d_ab * d_c + d_ac * d_b + d_bc * d_a)
-                + float(profile.d1(u)) * d_abc)
+                + float(profile.d2(u)) * (d(alpha, beta) * d_c + d(alpha, gamma) * d_b
+                                          + d(beta, gamma) * d_a)
+                + float(profile.d1(u)) * d(alpha, beta, gamma))
     if beta is not None:
-        d_a = resolvent_partials(x, N, z, alpha).real
-        d_b = resolvent_partials(x, N, z, beta).real
-        d_ab = resolvent_partials(x, N, z, alpha, beta)[1].real
-        u = h_value(x, N, z).real
-        return float(profile.d2(u)) * d_a * d_b + float(profile.d1(u)) * d_ab
-    u = h_value(x, N, z).real
-    return float(profile.d1(u)) * resolvent_partials(x, N, z, alpha).real
+        return float(profile.d2(u)) * d(alpha) * d(beta) + float(profile.d1(u)) * d(alpha, beta)
+    return float(profile.d1(u)) * d(alpha)
 
 
 def dump_resolvent_csv(g: np.ndarray, path):

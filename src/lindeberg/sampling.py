@@ -111,10 +111,17 @@ class Distribution:
             return float(np.dot(np.abs(self.values) ** p, self.probs))
         if self.kind == "gaussian":
             mu, sigma = self.params
-            if mu != 0.0:
+            if mu == 0.0:
+                # E|sigma Z|^p = sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
+                return sigma ** p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
+            if p != 3:
                 return None
-            # E|sigma Z|^p = sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
-            return sigma ** p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
+            if sigma == 0.0:
+                return abs(mu) ** 3
+            # E|sigma (Z + z)|^3 = sigma^3 [2 (z^2 + 2) phi(z) + (z^3 + 3z) erf(z / sqrt 2)]
+            z = mu / sigma
+            return sigma ** 3 * (2.0 * (z * z + 2.0) * _normal_pdf(z)
+                                 + (z ** 3 + 3.0 * z) * math.erf(z / math.sqrt(2.0)))
         if self.kind == "uniform":
             a, b = self.params
             anti = lambda x: math.copysign(abs(x) ** (p + 1) / (p + 1), x)
@@ -589,8 +596,8 @@ class ConditionallyIid:
         return _ab_from_draws(np.abs(post_mean - y_mean), np.abs(post_sq + s2 - y_second))
 
     def abs_third_moment(self, i: int):
-        """Exact under Gaussian mixing with m = 0 (X_i ~ N(0, tau^2 + scale^2));
-        infinite when the mixing law's third absolute moment is."""
+        """Exact under Gaussian mixing (X_i ~ N(m, tau^2 + scale^2)); infinite
+        when the mixing law's third absolute moment is."""
         if self._gaussian_mixing():
             m, tau = self.mixing.params
             return gaussian(m, math.sqrt(tau * tau + self.scale ** 2)).abs_moment(3)
@@ -661,9 +668,9 @@ def center_and_scale(x) -> StandardizedVector:
 
 
 def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
-    """Gaussian summary vector mu + sigma * (z - mean(z)); its mean is exactly mu."""
+    """Gaussian summary mu + sigma * (z - mean(z)) along the last axis; its mean is mu."""
     z = np.asarray(z, dtype=float)
-    return mu_hat + sigma_hat * (z - z.mean())
+    return mu_hat + sigma_hat * (z - z.mean(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -15,15 +16,16 @@ from lindeberg import (
     trace_bound_check,
     trace_bounds,
 )
+from lindeberg.functions import finite_difference
 from lindeberg.resolvent import (
     composed_partials,
     dump_resolvent_csv,
-    h_value,
+    flat_index,
     h_value_hp,
     perturbation_matrix,
     triu_pairs,
 )
-from lindeberg.spectral import upper_triangle_size
+from lindeberg.spectral import upper_triangle_size, wigner_matrix
 
 
 def _random_symmetric(rng, n):
@@ -71,7 +73,8 @@ class TestResolventWorkspace:
         rng = np.random.default_rng(4)
         x = rng.uniform(-2, 2, upper_triangle_size(6))
         hp = complex(h_value_hp(x, 6, 1j))
-        assert hp == pytest.approx(h_value(x, 6, 1j), abs=1e-13)
+        float_path = ResolventWorkspace(wigner_matrix(x, 6), 1j).trace_mean()
+        assert hp == pytest.approx(float_path, abs=1e-13)
 
 
 class TestScalarFormulas:
@@ -173,6 +176,109 @@ class TestDerivativeFormulas:
     def test_invalid_index_pair(self):
         with pytest.raises(ValueError):
             perturbation_matrix((2, 1), 4)
+
+    @pytest.mark.parametrize("bad", [(2, 1), (0, 4), (-1, 0)])
+    def test_invalid_index_pair_in_partials(self, bad):
+        # a negative index would otherwise wrap silently in entry indexing
+        x = np.random.default_rng(14).uniform(-2, 2, upper_triangle_size(4))
+        g = tanh_clamp_profile(1.0)
+        with pytest.raises(ValueError):
+            resolvent_partials(x, 4, 1j, bad)
+        with pytest.raises(ValueError):
+            resolvent_partials(x, 4, 1j, (0, 1), (1, 2), bad)
+        with pytest.raises(ValueError):
+            composed_partials(g, x, 4, 1j, bad)
+        with pytest.raises(ValueError):
+            composed_partials(g, x, 4, 1j, (0, 1), bad, (1, 1))
+
+
+def _h_value_hp_by_rows(x, N, z):
+    """Row-by-row elimination: the loop the column updates of h_value_hp replace."""
+    x = np.asarray(x, dtype=np.longdouble)
+    a = np.zeros((N, N), dtype=np.clongdouble)
+    iu = np.triu_indices(N)
+    a[iu] = x / np.sqrt(np.longdouble(N))
+    a.T[iu] = a[iu]
+    m = a - np.clongdouble(z) * np.eye(N, dtype=np.clongdouble)
+    inv = np.eye(N, dtype=np.clongdouble)
+    for col in range(N):
+        piv = col + int(np.argmax(np.abs(m[col:, col])))
+        if piv != col:
+            m[[col, piv]] = m[[piv, col]]
+            inv[[col, piv]] = inv[[piv, col]]
+        inv[col] /= m[col, col]
+        m[col] /= m[col, col]
+        for r in range(N):
+            if r != col and m[r, col] != 0:
+                inv[r] -= m[r, col] * inv[col]
+                m[r] -= m[r, col] * m[col]
+    return np.trace(inv) / N
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8])
+def test_extended_precision_column_updates_match_row_loop(N):
+    rng = np.random.default_rng(18 + N)
+    for z in (1j, 0.4 - 0.7j):
+        x = rng.uniform(-2, 2, upper_triangle_size(N)).astype(np.longdouble)
+        sparse = np.where(rng.random(x.size) < 0.5, 0, x)  # rows the loop skips
+        for xx in (x, sparse):
+            assert h_value_hp(xx, N, z) == _h_value_hp_by_rows(xx, N, z)
+
+
+def _dense_partials(x, N, z, pairs):
+    """All orders of the partials of h from dense products of dA/dx matrices."""
+    g = ResolventWorkspace(wigner_matrix(x, N), z).G
+    out = []
+    for k in range(1, len(pairs) + 1):
+        total = 0j
+        for order in permutations(pairs[:k]):
+            m = g
+            for p in order:
+                m = m @ perturbation_matrix(p, N) @ g
+            total += np.trace(m)
+        out.append((-1) ** k * total / N)
+    return out
+
+
+def test_entry_traces_match_dense_products():
+    N = 3
+    x = np.random.default_rng(15).uniform(-2, 2, upper_triangle_size(N))
+    pairs = triu_pairs(N)
+    for picks in product(pairs, repeat=3):
+        got = resolvent_partials(x, N, 0.3 + 0.8j, *picks)
+        want = _dense_partials(x, N, 0.3 + 0.8j, picks)
+        for k in range(3):
+            assert abs(got[k] - want[k]) <= 1e-12 * abs(want[k])
+
+
+def test_composed_partials_match_finite_differences():
+    rng = np.random.default_rng(16)
+    g = tanh_clamp_profile(1.0)
+    for _ in range(8):
+        N = int(rng.integers(2, 6))
+        pairs = triu_pairs(N)
+        x = rng.uniform(-2.0, 2.0, len(pairs)).astype(np.longdouble)
+        picks = [pairs[int(rng.integers(len(pairs)))] for _ in range(3)]
+        idx = [flat_index(p, N) for p in picks]
+        f = lambda xx: g.value(np.real(h_value_hp(xx, N, 1j)))
+        for k, step in ((1, 0.03125), (2, 0.0625), (3, 0.0625)):
+            analytic = composed_partials(g, x.astype(float), N, 1j, *picks[:k])
+            fd = finite_difference(f, x, idx[:k], step=step, richardson=2)
+            assert abs(analytic - fd) <= 1e-6 * abs(analytic)
+
+
+def test_composed_partials_use_one_eigensolve(monkeypatch):
+    calls = []
+    init = ResolventWorkspace.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResolventWorkspace, "__init__", spy)
+    x = np.random.default_rng(17).uniform(-2, 2, upper_triangle_size(5))
+    composed_partials(tanh_clamp_profile(1.0), x, 5, 1j, (0, 1), (2, 4), (3, 3))
+    assert len(calls) == 1
 
 
 class TestLemma41Constants:

@@ -225,6 +225,27 @@ def test_student_t_divergent_moments_are_infinite():
     assert math.isfinite(student_t(2.5).abs_moment(2))
 
 
+def _gaussian_abs_third_by_quadrature(mu, sigma):
+    from scipy.integrate import quad
+
+    dens = lambda x: abs(x) ** 3 * math.exp(-0.5 * ((x - mu) / sigma) ** 2) / (
+        sigma * math.sqrt(2.0 * math.pi))
+    # split at the kink of |x|^3 so each piece is smooth
+    return sum(quad(dens, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in ((-math.inf, 0.0), (0.0, math.inf)))
+
+
+@pytest.mark.parametrize("mu", [-2.5, -0.3, 0.3, 1.0, 4.0])
+@pytest.mark.parametrize("sigma", [0.2, 1.0, 3.0])
+def test_gaussian_abs_third_moment_off_centre(mu, sigma):
+    expected = _gaussian_abs_third_by_quadrature(mu, sigma)
+    assert gaussian(mu, sigma).abs_moment(3) == pytest.approx(expected, rel=1e-12)
+
+
+def test_gaussian_abs_third_moment_degenerate():
+    assert gaussian(-1.5, 0.0).abs_moment(3) == 1.5 ** 3
+
+
 def test_distribution_moments_against_sampling():
     rng = np.random.default_rng(3)
     for dist in (gaussian(0, 2.0), uniform(-1.0, 3.0), finite([-2.0, 1.0], [0.25, 0.75])):

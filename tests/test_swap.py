@@ -251,10 +251,16 @@ class TestConditionallyIidOracle:
         draws = np.abs(sample_batch(spec, 4, 200_000)) ** 3
         assert spec.abs_third_moment(2) == pytest.approx(draws.mean(), rel=2e-2)
         assert spec.abs_third_moment(2) == pytest.approx(gaussian().abs_moment(3), rel=1e-15)
-        # no closed form off-centre, and a heavy-tailed mixing law makes it infinite
+        # exact off-centre too (X_i ~ N(0.3, 1.25)); a heavy-tailed mixing law makes it infinite
+        from scipy.integrate import quad
+
         off_centre = ConditionallyIid(gaussian(0.3, 0.5), "gaussian_mean", 1.0, 3)
         heavy = ConditionallyIid(student_t(2.5), "gaussian_mean", 1.0, 3)
-        assert off_centre.abs_third_moment(1) is None
+        dens = lambda x: abs(x) ** 3 * math.exp(-0.5 * (x - 0.3) ** 2 / 1.25) / math.sqrt(
+            2.0 * math.pi * 1.25)
+        expected = sum(quad(dens, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                       for a, b in ((-math.inf, 0.0), (0.0, math.inf)))
+        assert off_centre.abs_third_moment(1) == pytest.approx(expected, rel=1e-12)
         assert heavy.abs_third_moment(1) == math.inf
 
 
