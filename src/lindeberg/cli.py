@@ -135,20 +135,17 @@ def run_identities(cfg: ExperimentConfig):
             dev_mart = martingale_increment_check(spec, i)
             sm = second_moment_identity_check(spec, i)
             dev_sq = abs(sm.mean_square_lhs - sm.mean_square_rhs)
-            slack = min(slack,
-                        sm.variance_rhs - sm.variance_lhs,
-                        sm.deviation_rhs - sm.deviation_lhs,
-                        sm.third_moment_rhs - sm.third_moment_lhs)
+            slack_i = min(sm.variance_rhs - sm.variance_lhs,
+                          sm.deviation_rhs - sm.deviation_lhs,
+                          sm.third_moment_rhs - sm.third_moment_lhs)
+            slack = min(slack, slack_i)
             worst_mean = max(worst_mean, dev_mean)
             worst_sq = max(worst_sq, dev_sq)
             worst_mart = max(worst_mart, dev_mart)
             rows.append({
                 "schema_version": SCHEMA_VERSION, "check": "conditional_moments",
                 "n": n, "i": i, "lhs": sm.mean_square_lhs, "rhs": sm.mean_square_rhs,
-                "deviation": dev_mean, "slack": min(
-                    sm.variance_rhs - sm.variance_lhs,
-                    sm.deviation_rhs - sm.deviation_lhs,
-                    sm.third_moment_rhs - sm.third_moment_lhs),
+                "deviation": dev_mean, "slack": slack_i,
             })
         gap = covariance_gap_sum(n)
         gap_exact_dev = abs(float(covariance_gap_sum_exact(n) - harmonic_gap_closed_form(n)))

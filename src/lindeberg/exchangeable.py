@@ -339,13 +339,12 @@ def stein_exact_check(cov, degree: int = 3) -> float:
     return worst
 
 
-def _sample_centered_gaussian(cov: np.ndarray, rng: np.random.Generator,
-                              replicates: int) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(np.asarray(cov, dtype=float))
+def _psd_root(cov: np.ndarray) -> np.ndarray:
+    """R with R R^T = cov, from one eigendecomposition; raises unless cov is PSD."""
+    vals, vecs = np.linalg.eigh(cov)
     if vals.min() < -1e-10 * max(vals.max(), 1.0):
         raise ValueError("covariance must be positive semidefinite")
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return rng.standard_normal((replicates, cov.shape[0])) @ root.T
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def stein_mc_check(h: SmoothFunction, cov, replicates: int, seed: int):
@@ -356,7 +355,8 @@ def stein_mc_check(h: SmoothFunction, cov, replicates: int, seed: int):
     sides share randomness and the stderr accounts for their correlation.
     """
     cov = np.asarray(cov, dtype=float)
-    xi = _sample_centered_gaussian(cov, rng_from(seed), replicates)
+    root = _psd_root(cov)
+    xi = rng_from(seed).standard_normal((replicates, cov.shape[0])) @ root.T
     hv = np.asarray(h(xi), dtype=float)
     if isinstance(h, RidgeFunction):
         grads = np.asarray(h.profile.d1(xi @ h.weights + h.offset))[:, None] * h.weights
@@ -377,14 +377,12 @@ def stein_identity_check(covariance, mode: str = "exact", h: SmoothFunction | No
     4-stderr allowance raises.
     """
     cov = np.asarray(covariance, dtype=float)
-    vals = np.linalg.eigvalsh(cov)
-    if vals.min() < -1e-10 * max(vals.max(), 1.0):
-        raise ValueError("covariance must be positive semidefinite")
     if mode == "exact":
-        return stein_exact_check(covariance)
+        _psd_root(cov)  # raises unless cov is PSD
+        return stein_exact_check(cov)
     if h is None:
         raise ValueError("Monte Carlo mode needs a differentiable h")
-    dev, allowed = stein_mc_check(h, covariance, replicates, seed)
+    dev, allowed = stein_mc_check(h, cov, replicates, seed)
     if dev > allowed:
         raise AssertionError(f"Stein identity violated: {dev:.3e} > {allowed:.3e}")
     return dev

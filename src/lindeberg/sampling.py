@@ -644,14 +644,6 @@ class StandardizedVector:
     x_tilde: np.ndarray
     degenerate: bool
 
-    def check(self, tol: float = 1e-12):
-        """Raise unless sum = 0 and sum of squares = n within ``tol * n``."""
-        if self.degenerate:
-            return
-        n = self.x_tilde.size
-        if abs(self.x_tilde.sum()) > tol * n or abs(np.square(self.x_tilde).sum() - n) > tol * n:
-            raise AssertionError("standardized vector violates its sum identities")
-
 
 def center_and_scale(x) -> StandardizedVector:
     """Standardize ``x`` to mean 0 and mean-square 1 (divisor n).

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -262,3 +265,35 @@ def test_thm12_uses_explicit_multiset(tmp_path):
 def test_nonpositive_counts_exit_2(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from lindeberg import cli
+out = sys.argv[1]
+for args in json.loads(sys.argv[2]):
+    if cli.main(args + ["--out", out]) != 0:
+        sys.exit(f"exit status != 0: {args}")
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    runs = [
+        ["identities", "--n", "3"],
+        ["thm11-check", "--n", "5", "--specs", "iid-uniform", "--functions", "cos",
+         "--replicates", "200"],
+        ["thm12-check", "--n", "5", "--replicates", "200"],
+        ["resolvent-check", "--N", "3", "--tuples", "2", "--trials", "5"],
+        ["wigner-sweep", "--N", "20", "--seeds", "2"],
+        ["semicircle-table", "--x", "0", "--z", "1j"],
+    ]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path), json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert json.loads(result.stdout.splitlines()[-1]) == []

@@ -262,6 +262,16 @@ class TestSteinIdentity:
         with pytest.raises(ValueError, match="semidefinite"):
             stein_identity_check(np.array([[1.0, 2.0], [2.0, 1.0]]), "exact")
 
+    def test_mc_mode_decomposes_once(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k))
+        stein_identity_check(covariance_matrices(3).sigma_tilde, "mc",
+                             sum_ridge(cos_profile(), 3), replicates=2000, seed=1)
+        assert len(calls) == 1
+
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError):
             stein_mc_check(sum_ridge(cos_profile(), 2),

@@ -1,4 +1,6 @@
+import importlib
 import math
+import types
 from itertools import permutations, product
 
 import numpy as np
@@ -10,7 +12,6 @@ from lindeberg import (
     hs_norm,
     lemma41_bound,
     lemma41_constants,
-    resolvent,
     resolvent_partials,
     tanh_clamp_profile,
     trace_bound_check,
@@ -35,11 +36,11 @@ def _random_symmetric(rng, n):
 
 class TestResolventWorkspace:
     def test_scalar_case(self):
-        g = resolvent(np.array([[0.0]]), 1j)
+        g = ResolventWorkspace(np.array([[0.0]]), 1j).G
         assert g[0, 0] == pytest.approx(1j)
 
     def test_identity_matrix(self):
-        g = resolvent(np.eye(3), 2j)
+        g = ResolventWorkspace(np.eye(3), 2j).G
         assert np.allclose(g, np.eye(3) / (1.0 - 2j))
 
     def test_residual_small(self):
@@ -63,11 +64,11 @@ class TestResolventWorkspace:
 
     def test_real_z_rejected(self):
         with pytest.raises(ValueError):
-            resolvent(np.eye(2), 3.0)
+            ResolventWorkspace(np.eye(2), 3.0)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            resolvent(np.array([[0.0, 1.0], [0.0, 0.0]]), 1j)
+            ResolventWorkspace(np.array([[0.0, 1.0], [0.0, 0.0]]), 1j)
 
     def test_extended_precision_matches_float_path(self):
         rng = np.random.default_rng(4)
@@ -96,9 +97,9 @@ class TestScalarFormulas:
 
     def test_scalar_trace_bound(self):
         for x in (-2.0, 0.0, 1.5):
-            val = abs(np.trace(resolvent(np.array([[x]]), 1j) @
+            val = abs(np.trace(ResolventWorkspace(np.array([[x]]), 1j).G @
                                perturbation_matrix((0, 0), 1) @
-                               resolvent(np.array([[x]]), 1j)))
+                               ResolventWorkspace(np.array([[x]]), 1j).G))
             assert val == pytest.approx(1.0 / (x * x + 1.0), rel=1e-12)
             assert val <= trace_bounds(1.0, 1).t1
 
@@ -279,6 +280,26 @@ def test_composed_partials_use_one_eigensolve(monkeypatch):
     x = np.random.default_rng(17).uniform(-2, 2, upper_triangle_size(5))
     composed_partials(tanh_clamp_profile(1.0), x, 5, 1j, (0, 1), (2, 4), (3, 3))
     assert len(calls) == 1
+
+
+def test_fd_agreement_solves_each_stencil_point_once(monkeypatch):
+    module = importlib.import_module("lindeberg.resolvent")
+    points = []
+    solve = module.h_value_hp
+
+    def spy(x, N, z):
+        points.append(tuple(x))
+        return solve(x, N, z)
+
+    monkeypatch.setattr(module, "h_value_hp", spy)
+    fd_agreement_check([3, 4], 3, 1j, np.random.default_rng(21))
+    assert points and len(points) == len(set(points))
+
+
+def test_submodule_import_binds_the_module():
+    import lindeberg.resolvent as r
+
+    assert isinstance(r, types.ModuleType)
 
 
 class TestLemma41Constants:

@@ -87,6 +87,21 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="symmetric"):
             eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 1] = bad
+        for solve in (eigenvalues, lambda m: ResolventWorkspace(m, 1j),
+                      lambda m: rank_inequality_check(m, np.eye(3))):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+                solve(a)
+
+    def test_ascending_order(self):
+        assert np.array_equal(eigenvalues(np.diag([3.0, -1.0, 2.0])).eigenvalues,
+                              [-1.0, 2.0, 3.0])
+        m = np.random.default_rng(11).standard_normal((40, 40))
+        assert np.all(np.diff(eigenvalues(m + m.T).eigenvalues) >= 0)
+
     def test_scaling_invariance(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((30, 30))
