@@ -16,9 +16,11 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,15 +64,15 @@ class ExperimentConfig:
     out: str = "."
     threads: int = 1
     replicates: int | None = None
-    n_list: list = field(default_factory=list)
-    N_list: list = field(default_factory=list)
-    multiset: list = field(default_factory=list)
+    n_list: list[int] = field(default_factory=list)
+    N_list: list[int] = field(default_factory=list)
+    multiset: list[float] = field(default_factory=list)
     ensemble: str = "rademacher-perm"
     seeds: int = 20
-    z_grid: list = field(default_factory=lambda: ["1j", "2j", "1+1j"])
-    x_values: list = field(default_factory=list)
-    specs: list = field(default_factory=lambda: list(suites.SWAPPING_SPEC_KINDS))
-    functions: list = field(default_factory=lambda: list(suites.SUITE_FUNCTION_KINDS))
+    z_grid: list[str] = field(default_factory=lambda: ["1j", "2j", "1+1j"])
+    x_values: list[float] = field(default_factory=list)
+    specs: list[str] = field(default_factory=lambda: list(suites.SWAPPING_SPEC_KINDS))
+    functions: list[str] = field(default_factory=lambda: list(suites.SUITE_FUNCTION_KINDS))
     trials: int = 200
     tuples: int = 50
     custom_spec: dict | None = None
@@ -83,7 +85,24 @@ class ExperimentConfig:
         unknown = sorted(set(d) - set(ExperimentConfig.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        hints = get_type_hints(ExperimentConfig)
+        for f in fields(ExperimentConfig):
+            if f.name in d and not _has_type(d[f.name], hints[f.name]):
+                raise ValueError(f"config key {f.name!r} must be {f.type}; got {d[f.name]!r}")
         return ExperimentConfig(**d)
+
+
+def _has_type(value, tp) -> bool:
+    """Whether a JSON value fits a field annotation; bools are not numbers."""
+    if get_origin(tp) is UnionType:
+        return any(_has_type(value, t) for t in get_args(tp))
+    if get_origin(tp) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(tp)[0]) for v in value)
+    if tp is float:
+        return _has_type(value, int) or isinstance(value, float) and math.isfinite(value)
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, tp)
 
 
 def _fmt(value) -> str:

@@ -52,10 +52,6 @@ class GTransform:
         """
         return max(math.fsum(np.abs(self.inverse[:, j])) for j in range(self.n))
 
-    def save_csv(self, path, which: str = "matrix"):
-        arr = self.matrix if which == "matrix" else self.inverse
-        np.savetxt(path, arr, delimiter=",")
-
 
 def build_g_transform(n: int) -> GTransform:
     if n < 1:
@@ -148,50 +144,35 @@ class SecondMomentChecks:
     third_moment_rhs: float
 
 
-def second_moment_identity_check(spec: MultisetPermutation, i: int,
-                                 mode: str = "exact", replicates: int = 20_000,
-                                 seed: int = 0) -> SecondMomentChecks:
+def second_moment_identity_check(spec: MultisetPermutation, i: int) -> SecondMomentChecks:
     values = spec.values
     n = values.size
+    if n > _EXACT_ENUMERATION_LIMIT:
+        raise ValueError("multiset too large for exhaustive enumeration")
     rest = n - i + 1
     m4 = float(np.mean(values ** 4))
     m3_abs = float(np.mean(np.abs(values) ** 3))
-    if mode == "exact":
-        if n > _EXACT_ENUMERATION_LIMIT:
-            raise ValueError("multiset too large for exhaustive enumeration")
-        sq_means = []
-        cond_seconds = []
-        r_devs = []
-        for prefix in _ordered_prefixes(n, i - 1):
-            taken = set(prefix)
-            remaining = [values[j] for j in range(n) if j not in taken]
-            m = math.fsum(remaining) / rest
-            m2 = math.fsum(v * v for v in remaining) / rest
-            sq_means.append(m * m)
-            cond_seconds.append(m2)
-            r_devs.append(abs(m2 - m * m - 1.0))
-        r_cubes = []
-        for prefix in _ordered_prefixes(n, i):
-            head = sum(values[j] for j in prefix[:-1])
-            r = values[prefix[-1]] + head / rest
-            r_cubes.append(abs(r) ** 3)
-        mean_square = math.fsum(sq_means) / len(sq_means)
-        second_mean = math.fsum(cond_seconds) / len(cond_seconds)
-        second_sq = math.fsum(v * v for v in cond_seconds) / len(cond_seconds)
-        deviation = math.fsum(r_devs) / len(r_devs)
-        third = math.fsum(r_cubes) / len(r_cubes)
-    else:
-        perms = sample_batch(spec, seed, replicates)
-        prefix_sum = perms[:, : i - 1].sum(axis=1)
-        prefix_sq = np.square(perms[:, : i - 1]).sum(axis=1)
-        m = -prefix_sum / rest
-        m2 = (np.square(values).sum() - prefix_sq) / rest
-        mean_square = float(np.mean(m * m))
-        second_mean = float(np.mean(m2))
-        second_sq = float(np.mean(m2 * m2))
-        deviation = float(np.mean(np.abs(m2 - m * m - 1.0)))
-        r = perms[:, i - 1] + prefix_sum / rest
-        third = float(np.mean(np.abs(r) ** 3))
+    sq_means = []
+    cond_seconds = []
+    r_devs = []
+    for prefix in _ordered_prefixes(n, i - 1):
+        taken = set(prefix)
+        remaining = [values[j] for j in range(n) if j not in taken]
+        m = math.fsum(remaining) / rest
+        m2 = math.fsum(v * v for v in remaining) / rest
+        sq_means.append(m * m)
+        cond_seconds.append(m2)
+        r_devs.append(abs(m2 - m * m - 1.0))
+    r_cubes = []
+    for prefix in _ordered_prefixes(n, i):
+        head = sum(values[j] for j in prefix[:-1])
+        r = values[prefix[-1]] + head / rest
+        r_cubes.append(abs(r) ** 3)
+    mean_square = math.fsum(sq_means) / len(sq_means)
+    second_mean = math.fsum(cond_seconds) / len(cond_seconds)
+    second_sq = math.fsum(v * v for v in cond_seconds) / len(cond_seconds)
+    deviation = math.fsum(r_devs) / len(r_devs)
+    third = math.fsum(r_cubes) / len(r_cubes)
     variance = second_sq - second_mean ** 2
     return SecondMomentChecks(
         mean_square_lhs=mean_square,
@@ -222,10 +203,6 @@ class CovariancePair:
     n: int
     sigma: np.ndarray
     sigma_tilde: np.ndarray
-
-    def save_csv(self, path, which: str = "sigma"):
-        arr = self.sigma if which == "sigma" else self.sigma_tilde
-        np.savetxt(path, arr, delimiter=",")
 
 
 def covariance_matrices(n: int) -> CovariancePair:
@@ -369,25 +346,6 @@ def stein_mc_check(h: SmoothFunction, cov, replicates: int, seed: int):
     return float(abs(means[worst])), float(4.0 * errs[worst])
 
 
-def stein_identity_check(covariance, mode: str = "exact", h: SmoothFunction | None = None,
-                         replicates: int = 200_000, seed: int = 0) -> float:
-    """Dispatch to the closed-form polynomial check or the Monte Carlo check.
-
-    Returns the worst deviation; in Monte Carlo mode a deviation above the
-    4-stderr allowance raises.
-    """
-    cov = np.asarray(covariance, dtype=float)
-    if mode == "exact":
-        _psd_root(cov)  # raises unless cov is PSD
-        return stein_exact_check(cov)
-    if h is None:
-        raise ValueError("Monte Carlo mode needs a differentiable h")
-    dev, allowed = stein_mc_check(h, cov, replicates, seed)
-    if dev > allowed:
-        raise AssertionError(f"Stein identity violated: {dev:.3e} > {allowed:.3e}")
-    return dev
-
-
 # ---------------------------------------------------------------------------
 # Gaussian interpolation between the two covariance structures
 # ---------------------------------------------------------------------------
@@ -498,8 +456,3 @@ def end_to_end_check(spec: MultisetPermutation, f: SmoothFunction,
     return BoundReport(bound=bound, mc_estimate=float(diff.mean()),
                        mc_stderr=stderr, replicates=replicates,
                        components=components)
-
-
-# Exact absolute third moment of a standard Gaussian, used as the constant
-# cap E|V|^3 <= 1.7 in the unified bound.
-GAUSSIAN_ABS_THIRD_MOMENT = 2.0 * math.sqrt(2.0 / math.pi)

@@ -214,11 +214,6 @@ def fd_agreement_check(N_values, tuples: int, z: complex, rng) -> FdAgreement:
 # ---------------------------------------------------------------------------
 
 
-def hs_norm(b) -> float:
-    """sqrt(sum |b_ij|^2)."""
-    return float(np.linalg.norm(np.asarray(b), "fro"))
-
-
 @dataclass(frozen=True)
 class DerivativeBounds:
     """Trace bounds T_r and the induced bounds H_r on the partials of h.
@@ -336,12 +331,3 @@ def composed_partials(profile: GProfile, x, N: int, z: complex,
     if beta is not None:
         return float(profile.d2(u)) * d(alpha) * d(beta) + float(profile.d1(u)) * d(alpha, beta)
     return float(profile.d1(u)) * d(alpha)
-
-
-def dump_resolvent_csv(g: np.ndarray, path):
-    """Debug dump of a complex resolvent with Re/Im columns interleaved."""
-    g = np.asarray(g)
-    out = np.empty((g.shape[0], 2 * g.shape[1]))
-    out[:, 0::2] = g.real
-    out[:, 1::2] = g.imag
-    np.savetxt(path, out, delimiter=",")

@@ -11,10 +11,9 @@ and the exact absolute third moment where a closed form exists.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import ClassVar, Sequence, Union, get_args
 
@@ -50,137 +49,179 @@ def rng_from(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A scalar law with seeded sampling and exact moments where closed forms exist.
+class _ParamLaw:
+    """A law whose fields are finite floats that meet its ``domain`` (a rule and its
+    test), listed in order as its JSON ``params``."""
 
-    ``kind`` is one of ``gaussian`` (params mu, sigma), ``uniform`` (params
-    low, high), ``student_t`` (params df), or ``finite`` (explicit atoms and
-    probabilities).
-    """
-
-    kind: str
-    params: tuple = ()
-    values: tuple = ()
-    probs: tuple = ()
-
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.kind == "gaussian":
-            mu, sigma = self.params
-            return rng.normal(mu, sigma, size)
-        if self.kind == "uniform":
-            low, high = self.params
-            return rng.uniform(low, high, size)
-        if self.kind == "student_t":
-            (df,) = self.params
-            return rng.standard_t(df, size)
-        if self.kind == "finite":
-            return rng.choice(np.asarray(self.values, dtype=float), size=size,
-                              p=np.asarray(self.probs, dtype=float))
-        raise ValueError(f"unknown distribution kind {self.kind!r}")
-
-    def mean(self) -> float:
-        if self.kind == "gaussian":
-            return self.params[0]
-        if self.kind == "uniform":
-            return 0.5 * (self.params[0] + self.params[1])
-        if self.kind == "student_t":
-            return 0.0
-        if self.kind == "finite":
-            return float(np.dot(self.values, self.probs))
-        raise ValueError(self.kind)
-
-    def second_moment(self) -> float:
-        if self.kind == "gaussian":
-            mu, sigma = self.params
-            return mu * mu + sigma * sigma
-        if self.kind == "uniform":
-            a, b = self.params
-            return (a * a + a * b + b * b) / 3.0
-        if self.kind == "student_t":
-            (df,) = self.params
-            return df / (df - 2.0) if df > 2 else math.inf
-        if self.kind == "finite":
-            return float(np.dot(np.square(self.values), self.probs))
-        raise ValueError(self.kind)
-
-    def abs_moment(self, p: int):
-        """E|X|^p in closed form (``math.inf`` when it diverges), or None when
-        only Monte Carlo is available."""
-        if self.kind == "finite":
-            return float(np.dot(np.abs(self.values) ** p, self.probs))
-        if self.kind == "gaussian":
-            mu, sigma = self.params
-            if mu == 0.0:
-                # E|sigma Z|^p = sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
-                return sigma ** p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
-            if p != 3:
-                return None
-            if sigma == 0.0:
-                return abs(mu) ** 3
-            # E|sigma (Z + z)|^3 = sigma^3 [2 (z^2 + 2) phi(z) + (z^3 + 3z) erf(z / sqrt 2)]
-            z = mu / sigma
-            return sigma ** 3 * (2.0 * (z * z + 2.0) * _normal_pdf(z)
-                                 + (z ** 3 + 3.0 * z) * math.erf(z / math.sqrt(2.0)))
-        if self.kind == "uniform":
-            a, b = self.params
-            anti = lambda x: math.copysign(abs(x) ** (p + 1) / (p + 1), x)
-            return (anti(b) - anti(a)) / (b - a)
-        if self.kind == "student_t":
-            (df,) = self.params
-            if p >= df:
-                return math.inf
-            return (df ** (p / 2) * math.gamma((p + 1) / 2) * math.gamma((df - p) / 2)
-                    / (math.sqrt(math.pi) * math.gamma(df / 2)))
-        raise ValueError(self.kind)
+    def __post_init__(self):
+        for f in fields(self):
+            value = float(getattr(self, f.name))
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} {f.name} must be finite; got {value}")
+            object.__setattr__(self, f.name, value)
+        rule, holds = self.domain
+        if not holds(self):
+            raise ValueError(f"{self.kind} needs {rule}; got {self.to_dict()['params']}")
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.params:
-            d["params"] = list(self.params)
-        if self.values:
-            d["values"] = list(self.values)
-            d["probs"] = list(self.probs)
-        return d
+        return {"kind": self.kind, "params": [getattr(self, f.name) for f in fields(self)]}
 
-    @staticmethod
-    def from_dict(d: dict) -> "Distribution":
-        return Distribution(
-            kind=d["kind"],
-            params=tuple(d.get("params", ())),
-            values=tuple(d.get("values", ())),
-            probs=tuple(d.get("probs", ())),
-        )
+    @classmethod
+    def from_dict(cls, d: dict):
+        params = d["params"]
+        names = [f.name for f in fields(cls)]
+        if not isinstance(params, list) or len(params) != len(names):
+            raise ValueError(f"{cls.kind} params must be [{', '.join(names)}]; got {params!r}")
+        return cls(*params)
 
 
-def gaussian(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
-    return Distribution("gaussian", (float(mu), float(sigma)))
+@dataclass(frozen=True)
+class Gaussian(_ParamLaw):
+    """N(mu, sigma^2); sigma = 0 is the point mass at mu."""
+
+    mu: float = 0.0
+    sigma: float = 1.0
+    kind: ClassVar[str] = "gaussian"
+    domain: ClassVar[tuple] = ("sigma >= 0", lambda law: law.sigma >= 0)
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.normal(self.mu, self.sigma, size)
+
+    def mean(self) -> float:
+        return self.mu
+
+    def second_moment(self) -> float:
+        return self.mu * self.mu + self.sigma * self.sigma
+
+    def abs_moment(self, p: int):
+        """E|X|^p; closed forms for mu = 0 and for p = 3, else None."""
+        mu, sigma = self.mu, self.sigma
+        if mu == 0.0:
+            # E|sigma Z|^p = sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
+            return sigma ** p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
+        if p != 3:
+            return None
+        if sigma == 0.0:
+            return abs(mu) ** 3
+        # E|sigma (Z + z)|^3 = sigma^3 [2 (z^2 + 2) phi(z) + (z^3 + 3z) erf(z / sqrt 2)]
+        z = mu / sigma
+        return sigma ** 3 * (2.0 * (z * z + 2.0) * _normal_pdf(z)
+                             + (z ** 3 + 3.0 * z) * math.erf(z / math.sqrt(2.0)))
 
 
-def uniform(low: float, high: float) -> Distribution:
-    return Distribution("uniform", (float(low), float(high)))
+@dataclass(frozen=True)
+class Uniform(_ParamLaw):
+    """Uniform on [low, high]."""
+
+    low: float
+    high: float
+    kind: ClassVar[str] = "uniform"
+    domain: ClassVar[tuple] = ("low < high", lambda law: law.low < law.high)
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.uniform(self.low, self.high, size)
+
+    def mean(self) -> float:
+        return 0.5 * (self.low + self.high)
+
+    def second_moment(self) -> float:
+        a, b = self.low, self.high
+        return (a * a + a * b + b * b) / 3.0
+
+    def abs_moment(self, p: int) -> float:
+        anti = lambda x: math.copysign(abs(x) ** (p + 1) / (p + 1), x)
+        return (anti(self.high) - anti(self.low)) / (self.high - self.low)
 
 
-def student_t(df: float) -> Distribution:
-    return Distribution("student_t", (float(df),))
+@dataclass(frozen=True)
+class StudentT(_ParamLaw):
+    """Student's t with df degrees of freedom."""
+
+    df: float
+    kind: ClassVar[str] = "student_t"
+    domain: ClassVar[tuple] = ("df > 0", lambda law: law.df > 0)
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.standard_t(self.df, size)
+
+    def mean(self) -> float:
+        return 0.0
+
+    def second_moment(self) -> float:
+        return self.df / (self.df - 2.0) if self.df > 2 else math.inf
+
+    def abs_moment(self, p: int) -> float:
+        """df^{p/2} Gamma((p+1)/2) Gamma((df-p)/2) / (sqrt(pi) Gamma(df/2)), infinite
+        for p >= df; the Gammas are taken as logs, as Gamma(df/2) overflows past df ~ 340."""
+        df = self.df
+        if p >= df:
+            return math.inf
+        return math.exp(0.5 * p * math.log(df) + math.lgamma((p + 1) / 2)
+                        + math.lgamma((df - p) / 2) - math.lgamma(df / 2)) / math.sqrt(math.pi)
 
 
-def finite(values: Sequence[float], probs: Sequence[float] | None = None) -> Distribution:
-    values = tuple(float(v) for v in values)
+@dataclass(frozen=True)
+class Finite:
+    """Atoms ``values`` with probabilities ``probs`` (nonnegative, summing to 1)."""
+
+    values: tuple
+    probs: tuple
+    kind: ClassVar[str] = "finite"
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        if not (self.values and len(self.probs) == len(self.values)
+                and all(map(math.isfinite, self.values + self.probs))
+                and min(self.probs) >= 0 and abs(sum(self.probs) - 1.0) <= 1e-12):
+            raise ValueError("finite law needs finite atoms, one probability per atom, "
+                             "and probabilities that are nonnegative and sum to 1")
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.choice(np.asarray(self.values, dtype=float), size=size,
+                          p=np.asarray(self.probs, dtype=float))
+
+    def mean(self) -> float:
+        return float(np.dot(self.values, self.probs))
+
+    def second_moment(self) -> float:
+        return float(np.dot(np.square(self.values), self.probs))
+
+    def abs_moment(self, p: int) -> float:
+        return float(np.dot(np.abs(self.values) ** p, self.probs))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "values": list(self.values), "probs": list(self.probs)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Finite":
+        return cls(d["values"], d["probs"])
+
+
+Distribution = Union[Gaussian, Uniform, StudentT, Finite]
+
+_LAW_TYPES = {cls.kind: cls for cls in get_args(Distribution)}
+
+
+def _law_from_dict(d: dict) -> Distribution:
+    cls = _LAW_TYPES.get(d["kind"])
+    if cls is None:
+        raise ValueError(f"law kind must be one of {', '.join(_LAW_TYPES)}; got {d['kind']!r}")
+    return cls.from_dict(d)
+
+
+gaussian, uniform, student_t = Gaussian, Uniform, StudentT
+
+
+def finite(values: Sequence[float], probs: Sequence[float] | None = None) -> Finite:
+    """Finite law; equal probabilities when ``probs`` is omitted."""
     if probs is None:
         probs = (1.0 / len(values),) * len(values)
-    probs = tuple(float(p) for p in probs)
-    if abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError("probabilities must sum to 1")
-    return Distribution("finite", values=values, probs=probs)
+    return Finite(values, probs)
 
 
-def point_mass(c: float) -> Distribution:
+def point_mass(c: float) -> Finite:
     return finite([c])
-
-
-def rademacher() -> Distribution:
-    return finite([-1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +269,11 @@ def _prefix_count_distribution(counts: Sequence[int], k: int):
 _ENUMERATION_BUDGET = 200_000
 
 
+def _check_length(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer; got {n!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class MultisetPermutation:
     """Uniformly random permutation of a fixed value multiset (exchangeable).
@@ -242,6 +288,8 @@ class MultisetPermutation:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("multiset must be a nonempty sequence of values")
+        if not np.isfinite(values).all():
+            raise ValueError("multiset values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -329,6 +377,9 @@ class IidFromDistribution:
     n: int
     variant: ClassVar[str] = "iid"
 
+    def __post_init__(self):
+        _check_length(self.n)
+
     def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
         return np.asarray(self.dist.sample(rng, (replicates, self.n)), dtype=float)
 
@@ -347,7 +398,7 @@ class IidFromDistribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IidFromDistribution":
-        return cls(Distribution.from_dict(d["dist"]), int(d["n"]))
+        return cls(_law_from_dict(d["dist"]), d["n"])
 
 
 @dataclass(frozen=True)
@@ -366,7 +417,10 @@ class MarkovChain:
     variant: ClassVar[str] = "markov"
 
     def __post_init__(self):
+        _check_length(self.n)
         object.__setattr__(self, "states", tuple(float(s) for s in self.states))
+        if not all(math.isfinite(s) for s in self.states):
+            raise ValueError("chain states must be finite")
         object.__setattr__(self, "initial", tuple(float(p) for p in self.initial))
         object.__setattr__(self, "kernel", tuple(tuple(float(p) for p in row) for row in self.kernel))
 
@@ -375,12 +429,12 @@ class MarkovChain:
         k = len(self.states)
         if kernel.shape != (k, k):
             raise ValueError("kernel shape must match the number of states")
-        if np.max(np.abs(kernel.sum(axis=1) - 1.0)) > _KERNEL_ROW_TOL:
+        if not np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= _KERNEL_ROW_TOL:  # NaN fails too
             raise ValueError("kernel rows must sum to 1 within 1e-12")
         if kernel.min() < 0:
             raise ValueError("kernel entries must be nonnegative")
         init = np.asarray(self.initial, dtype=float)
-        if abs(init.sum() - 1.0) > _KERNEL_ROW_TOL or init.min() < 0:
+        if not (abs(init.sum() - 1.0) <= _KERNEL_ROW_TOL and init.min() >= 0):
             raise ValueError("initial distribution must be a probability vector")
         return kernel
 
@@ -442,8 +496,7 @@ class MarkovChain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MarkovChain":
-        return cls(tuple(d["states"]), tuple(d["initial"]),
-                   tuple(tuple(r) for r in d["kernel"]), int(d["n"]))
+        return cls(d["states"], d["initial"], d["kernel"], d["n"])
 
 
 def _normal_mass(lo: float, hi: float) -> float:
@@ -510,20 +563,26 @@ class ConditionallyIid:
     n: int
     variant: ClassVar[str] = "conditionally_iid"
 
+    def __post_init__(self):
+        _check_length(self.n)
+        if self.conditional not in ("gaussian_mean", "gaussian_scale"):
+            raise ValueError(f"unknown conditional family {self.conditional!r}")
+        object.__setattr__(self, "scale", float(self.scale))
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError(f"scale must be finite and nonnegative; got {self.scale}")
+
     def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
         theta = np.asarray(self.mixing.sample(rng, replicates), dtype=float)
         z = rng.standard_normal((replicates, self.n))
         if self.conditional == "gaussian_mean":
             return theta[:, None] + self.scale * z
-        if self.conditional == "gaussian_scale":
-            return np.abs(theta)[:, None] * z
-        raise ValueError(f"unknown conditional family {self.conditional!r}")
+        return np.abs(theta)[:, None] * z
 
     def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
         raise ValueError("no exact conditional oracle for this spec; use nested Monte Carlo")
 
     def _gaussian_mixing(self) -> bool:
-        return self.conditional == "gaussian_mean" and self.mixing.kind == "gaussian"
+        return self.conditional == "gaussian_mean" and isinstance(self.mixing, Gaussian)
 
     def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
         """Exact at i = 1 and under Gaussian mixing, else nested Monte Carlo."""
@@ -553,7 +612,7 @@ class ConditionallyIid:
             return ABEstimate(abs(m1 - y_mean), 0.0, abs(m2 - y_second), 0.0, True)
         if not self._gaussian_mixing():
             return None
-        m, tau = self.mixing.params
+        m, tau = self.mixing.mu, self.mixing.sigma
         k = i - 1
         tau2 = tau * tau
         if tau2 == 0.0:
@@ -599,8 +658,8 @@ class ConditionallyIid:
         """Exact under Gaussian mixing (X_i ~ N(m, tau^2 + scale^2)); infinite
         when the mixing law's third absolute moment is."""
         if self._gaussian_mixing():
-            m, tau = self.mixing.params
-            return gaussian(m, math.sqrt(tau * tau + self.scale ** 2)).abs_moment(3)
+            m, tau = self.mixing.mu, self.mixing.sigma
+            return Gaussian(m, math.sqrt(tau * tau + self.scale ** 2)).abs_moment(3)
         if self.mixing.abs_moment(3) == math.inf:
             return math.inf
         return None
@@ -611,8 +670,7 @@ class ConditionallyIid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConditionallyIid":
-        return cls(Distribution.from_dict(d["mixing"]), d["conditional"],
-                   float(d["scale"]), int(d["n"]))
+        return cls(_law_from_dict(d["mixing"]), d["conditional"], d["scale"], d["n"])
 
 
 ExchangeableSpec = Union[MultisetPermutation, IidFromDistribution, MarkovChain, ConditionallyIid]
@@ -696,16 +754,8 @@ def spec_from_dict(d: dict) -> ExchangeableSpec:
                          f"got {variant!r}")
     try:
         return cls.from_dict(d)
-    except (KeyError, TypeError) as exc:  # a missing or mistyped field
+    except (KeyError, TypeError, OverflowError) as exc:  # a missing or mistyped field
         raise ValueError(f"malformed {variant} spec ({type(exc).__name__}: {exc})") from None
-
-
-def spec_to_json(spec: ExchangeableSpec) -> str:
-    return json.dumps(spec.to_dict(), sort_keys=True)
-
-
-def spec_from_json(text: str) -> ExchangeableSpec:
-    return spec_from_dict(json.loads(text))
 
 
 def standardized_multiset(values: Sequence[float]) -> MultisetPermutation:

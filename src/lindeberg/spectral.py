@@ -234,17 +234,6 @@ def semicircle_stieltjes(z: complex) -> complex:
     return (-z + z * np.sqrt(1.0 - 4.0 / (z * z))) / 2.0
 
 
-def semicircle_reference(query: str, arg):
-    """Dispatch on 'density' | 'cdf' | 'stieltjes'."""
-    if query == "density":
-        return semicircle_density(arg)
-    if query == "cdf":
-        return semicircle_cdf(arg)
-    if query == "stieltjes":
-        return semicircle_stieltjes(arg)
-    raise ValueError(f"unknown query {query!r}")
-
-
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov distance and the rank inequality
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ is estimated by seeded Monte Carlo.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -41,18 +40,6 @@ class BoundReport:
     def dominates(self, k: float = 3.0) -> bool:
         """True when |estimate| <= bound + k * stderr."""
         return abs(self.mc_estimate) <= self.bound + k * self.mc_stderr
-
-    def to_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "mc_estimate": self.mc_estimate,
-            "mc_stderr": self.mc_stderr,
-            "replicates": self.replicates,
-            "components": dict(self.components),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def lindeberg_bound(A, B, M3: float, L1: float, L2: float, L3: float) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -124,7 +125,7 @@ def test_help_exits_0():
         assert exc.value.code == 0
 
 
-def test_invalid_config_exits_2(tmp_path):
+def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli(["identities", "--config", str(bad)]) == 2
@@ -136,6 +137,19 @@ def test_invalid_config_exits_2(tmp_path):
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text(json.dumps(["identities"]))
     assert run_cli(["identities", "--config", str(not_an_object)]) == 2
+
+    # values of the wrong type for their field; json.dumps writes NaN and Infinity
+    for key, value in [("replicates", float("nan")), ("replicates", 2.5), ("threads", "2"),
+                       ("seeds", float("inf")), ("seed", 1.5), ("seed", True),
+                       ("functions", "cos"), ("n_list", [5, None]), ("z_grid", [None]),
+                       ("custom_spec", [1])]:
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps({"command": "identities", key: value}))
+        capsys.readouterr()
+        assert run_cli(["identities", "--config", str(typed),
+                        "--out", str(tmp_path / "o")]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -176,11 +190,11 @@ def test_config_round_trip():
 
 
 def test_custom_spec_json_document(tmp_path):
-    from lindeberg import MultisetPermutation, spec_to_json
+    from lindeberg import MultisetPermutation
 
     spec_path = tmp_path / "spec.json"
     values = [-1.0, -1.0, 1.0, 1.0, 0.0]
-    spec_path.write_text(spec_to_json(MultisetPermutation(tuple(values))))
+    spec_path.write_text(json.dumps(MultisetPermutation(tuple(values)).to_dict()))
     out = tmp_path / "o"
     code = run_cli(["thm11-check", "--spec-json", str(spec_path),
                     "--functions", "cos", "--replicates", "4000",
@@ -220,13 +234,48 @@ def test_infinite_third_moment_gives_infinite_bound(tmp_path):
     assert rows[0]["third_moment"] == "inf" and rows[0]["dominated"] == "True"
 
 
+def _iid(dist, n=3):
+    return {"variant": "iid", "dist": dist, "n": n}
+
+
+def _mixed(mixing, conditional="gaussian_mean", scale=1.0):
+    return {"variant": "conditionally_iid", "mixing": mixing, "conditional": conditional,
+            "scale": scale, "n": 3}
+
+
+_N01 = {"kind": "gaussian", "params": [0, 1]}
+
+
 @pytest.mark.parametrize("doc", [
     {"values": [1.0, 2.0, 3.0]},
     {"variant": "bogus", "n": 3},
     {"variant": "iid", "n": 3},
-    {"variant": "iid", "dist": {"kind": "gaussian", "params": [0, 1]}, "n": None},
+    _iid(_N01, None),
     [1.0, 2.0, 3.0],
-], ids=["no-variant", "unknown-variant", "missing-field", "wrong-field-type", "not-an-object"])
+    _iid({"kind": "uniform", "params": [1, 1]}),
+    _mixed({"kind": "uniform", "params": [1, 1]}),
+    _iid({"kind": "cauchy", "params": [0, 1]}),
+    _iid({"kind": "gaussian", "params": [0, 1, 2]}),
+    _iid({"kind": "gaussian"}),
+    _iid({"kind": "finite", "values": [0.0, 1.0]}),
+    _iid({"kind": "gaussian", "params": [0, -1]}),
+    _iid({"kind": "student_t", "params": [0]}),
+    _iid({"kind": "finite", "values": [0.0, 1.0], "probs": [0.5, 0.6]}),
+    _iid({"kind": "gaussian", "params": [float("nan"), 1]}),
+    _iid(_N01, 0),
+    _mixed(_N01, "gaussian_tail"),
+    _mixed(_N01, scale=-1.0),
+    _mixed(_N01, scale=float("nan")),
+    {"variant": "multiset", "values": [1.0, float("nan"), 2.0]},
+    {"variant": "markov", "states": [0.0, float("inf")], "initial": [0.5, 0.5],
+     "kernel": [[0.5, 0.5], [0.5, 0.5]], "n": 3},
+    {"variant": "markov", "states": [0.0, 1.0], "initial": [0.5, 0.5],
+     "kernel": [[float("nan"), 0.5], [0.5, 0.5]], "n": 3},
+], ids=["no-variant", "unknown-variant", "missing-field", "wrong-field-type", "not-an-object",
+        "uniform-empty", "uniform-empty-mixing", "unknown-kind", "wrong-arity",
+        "missing-params", "missing-probs", "negative-sigma", "zero-df", "probs-sum-1.1",
+        "nan-param", "zero-n", "unknown-conditional", "negative-scale", "nan-scale",
+        "nan-multiset", "infinite-state", "nan-kernel"])
 def test_bad_spec_json_exits_2(tmp_path, capsys, doc):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(doc))
@@ -235,6 +284,34 @@ def test_bad_spec_json_exits_2(tmp_path, capsys, doc):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["identities", "thm12-check"])
+def test_nonfinite_multiset_exits_2(tmp_path, capsys, command):
+    assert run_cli([command, "--multiset", "1,nan,2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+
+
+def test_student_t_large_df_third_moment(tmp_path):
+    # Gamma(df / 2) overflows a float at df = 400; the moment must not
+    from scipy.integrate import quad
+    from scipy.stats import t
+
+    from lindeberg.suites import suite_function
+
+    df, n = 400, 5
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_iid({"kind": "student_t", "params": [df]}, n)))
+    out = tmp_path / "o"
+    assert run_cli(["thm11-check", "--spec-json", str(spec_path), "--functions", "cos",
+                    "--replicates", "4000", "--out", str(out)]) == 0
+    m3_t = 2.0 * quad(lambda x: x ** 3 * t.pdf(x, df), 0.0, math.inf,
+                      epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    m3_gauss = 2.0 * math.sqrt(2.0 / math.pi)
+    expected = n * suite_function("cos", n).unmixed_bounds[2] * (m3_t + m3_gauss) / 6.0
+    row, = read_rows(out, "thm11-check")
+    assert float(row["third_moment"]) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["identities", "thm12-check"])

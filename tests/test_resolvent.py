@@ -9,7 +9,6 @@ import pytest
 from lindeberg import (
     ResolventWorkspace,
     fd_agreement_check,
-    hs_norm,
     lemma41_bound,
     lemma41_constants,
     resolvent_partials,
@@ -20,7 +19,6 @@ from lindeberg import (
 from lindeberg.functions import finite_difference
 from lindeberg.resolvent import (
     composed_partials,
-    dump_resolvent_csv,
     flat_index,
     h_value_hp,
     perturbation_matrix,
@@ -106,13 +104,13 @@ class TestScalarFormulas:
 
 class TestHilbertSchmidt:
     def test_identity_norm(self):
-        assert hs_norm(np.eye(9)) == pytest.approx(3.0)
+        assert np.linalg.norm(np.eye(9), "fro") == pytest.approx(3.0)
 
     def test_perturbation_norms(self):
         # off-diagonal direction has two entries, diagonal one
-        assert hs_norm(perturbation_matrix((0, 2), 5)) == pytest.approx(
+        assert np.linalg.norm(perturbation_matrix((0, 2), 5), "fro") == pytest.approx(
             math.sqrt(2.0 / 5.0))
-        assert hs_norm(perturbation_matrix((1, 1), 5)) == pytest.approx(
+        assert np.linalg.norm(perturbation_matrix((1, 1), 5), "fro") == pytest.approx(
             1.0 / math.sqrt(5.0))
 
     def test_trace_product_inequality(self):
@@ -120,21 +118,23 @@ class TestHilbertSchmidt:
         for _ in range(20):
             b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             c = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            assert abs(np.trace(b @ c)) <= hs_norm(b) * hs_norm(c) + 1e-10
+            assert abs(np.trace(b @ c)) <= (np.linalg.norm(b, "fro") * np.linalg.norm(c, "fro")
+                                            + 1e-10)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(6)
         c = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        assert hs_norm(q @ c) == pytest.approx(hs_norm(c), abs=1e-10)
-        assert hs_norm(c @ q) == pytest.approx(hs_norm(c), abs=1e-10)
+        assert np.linalg.norm(q @ c, "fro") == pytest.approx(np.linalg.norm(c, "fro"), abs=1e-10)
+        assert np.linalg.norm(c @ q, "fro") == pytest.approx(np.linalg.norm(c, "fro"), abs=1e-10)
 
     def test_normal_factor_bound(self):
         rng = np.random.default_rng(7)
         b = _random_symmetric(rng, 6)
         c = rng.standard_normal((6, 6))
         top = np.max(np.abs(np.linalg.eigvalsh(b)))
-        assert max(hs_norm(b @ c), hs_norm(c @ b)) <= top * hs_norm(c) + 1e-10
+        assert (max(np.linalg.norm(b @ c, "fro"), np.linalg.norm(c @ b, "fro"))
+                <= top * np.linalg.norm(c, "fro") + 1e-10)
 
 
 class TestDerivativeFormulas:
@@ -349,13 +349,3 @@ class TestLemma41Constants:
             picks = [pairs[int(rng.integers(len(pairs)))] for _ in range(3)]
             assert abs(composed_partials(g, x, N, 1j, picks[0], picks[1])) <= c.l2p_bound
             assert abs(composed_partials(g, x, N, 1j, *picks)) <= c.l3p_bound
-
-
-def test_resolvent_csv_dump(tmp_path):
-    ws = ResolventWorkspace(np.eye(3), 1j)
-    path = tmp_path / "g.csv"
-    dump_resolvent_csv(ws.G, path)
-    data = np.loadtxt(path, delimiter=",")
-    assert data.shape == (3, 6)
-    assert data[0, 0] == pytest.approx(ws.G[0, 0].real)
-    assert data[0, 1] == pytest.approx(ws.G[0, 0].imag)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -20,8 +21,6 @@ from lindeberg import (
     point_mass,
     sample_batch,
     sample_exchangeable,
-    spec_from_json,
-    spec_to_json,
     standardized_multiset,
     student_t,
     uniform,
@@ -187,7 +186,25 @@ def test_spec_json_round_trip():
         ConditionallyIid(gaussian(0.5, 2.0), "gaussian_scale", 1.0, 3),
     ]
     for spec in specs:
-        assert spec_from_json(spec_to_json(spec)) == spec
+        assert spec_from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+@pytest.mark.parametrize("law, doc", [
+    (gaussian(0.0, 0.5), {"kind": "gaussian", "params": [0.0, 0.5]}),
+    (uniform(-2.0, 3.0), {"kind": "uniform", "params": [-2.0, 3.0]}),
+    (student_t(5.0), {"kind": "student_t", "params": [5.0]}),
+    (finite([-0.5, 2.0], [0.8, 0.2]), {"kind": "finite", "values": [-0.5, 2.0],
+                                        "probs": [0.8, 0.2]}),
+], ids=["gaussian", "uniform", "student_t", "finite"])
+def test_law_json_form(law, doc):
+    # the document form of --spec-json files, the benchmark's mixing law among them
+    assert law.to_dict() == doc
+    iid = {"variant": "iid", "dist": doc, "n": 6}
+    mixed = {"variant": "conditionally_iid", "mixing": doc, "conditional": "gaussian_mean",
+             "scale": 0.75 ** 0.5, "n": 2}
+    assert spec_from_dict(iid).dist == law
+    for spec_doc in (iid, mixed):
+        assert spec_from_dict(json.loads(json.dumps(spec_doc))).to_dict() == spec_doc
 
 
 @pytest.mark.parametrize("spec, n", [

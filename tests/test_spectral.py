@@ -17,7 +17,6 @@ from lindeberg import (
     rank_inequality_check,
     semicircle_cdf,
     semicircle_density,
-    semicircle_reference,
     semicircle_stieltjes,
     stieltjes_esd,
     thm13_experiment,
@@ -174,13 +173,6 @@ class TestSemicircle:
             im = quad(lambda x: semicircle_density(x) * z.imag
                       / ((x - z.real) ** 2 + z.imag ** 2), -2, 2)[0]
             assert semicircle_stieltjes(z) == pytest.approx(re + 1j * im, abs=1e-9)
-
-    def test_dispatcher(self):
-        assert semicircle_reference("density", 0.0) == semicircle_density(0.0)
-        assert semicircle_reference("cdf", 0.3) == semicircle_cdf(0.3)
-        assert semicircle_reference("stieltjes", 2j) == semicircle_stieltjes(2j)
-        with pytest.raises(ValueError):
-            semicircle_reference("pdf", 0.0)
 
 
 class TestKsDistance:

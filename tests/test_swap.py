@@ -342,12 +342,3 @@ def test_difference_shrinks_with_dimension():
             gaps.append(abs(est))
         medians.append(float(np.median(gaps)))
     assert medians[0] > medians[1] > medians[2]
-
-
-def test_bound_report_json_round_trip():
-    report = swapping_report(suite_function("cos", 5), swapping_spec("iid-uniform", 5),
-                             gaussian_comparison(5), replicates=2_000, seed=4)
-    import json
-    data = json.loads(report.to_json())
-    assert data["bound"] == report.bound
-    assert data["components"] == report.components
