@@ -194,8 +194,9 @@ def run_identities(cfg: ExperimentConfig):
     return fields, rows, checks
 
 
-def _swapping_cell(args):
-    spec_kind, n, f_kind, replicates, seed = args
+def _swapping_group(args):
+    """Rows for every function of one (spec, n) pair, which share A, B and M3."""
+    spec_kind, n, f_kinds, replicates, seeds = args
     if isinstance(spec_kind, dict):
         spec = spec_from_dict(spec_kind)
         n = spec.n
@@ -204,42 +205,42 @@ def _swapping_cell(args):
         spec = suites.swapping_spec(spec_kind, n)
         label = spec_kind
     y_spec = suites.gaussian_comparison(n)
-    f = suites.suite_function(f_kind, n)
-    report = swapping_report(f, spec, y_spec, replicates, seed,
-                             ab_replicates=20_000)
-    return {
+    functions = [suites.suite_function(f_kind, n) for f_kind in f_kinds]
+    reports = swapping_report(functions, spec, y_spec, replicates, seeds,
+                              ab_replicates=20_000)
+    return [{
         "schema_version": SCHEMA_VERSION, "spec": label, "n": n,
         "function": f_kind, "bound": report.bound,
         "first_order": report.components["first_order"],
         "second_order": report.components["second_order"],
         "third_moment": report.components["third_moment"],
-        "estimate": report.mc_estimate, "stderr": report.mc_stderr,
-        "replicates": replicates, "dominated": report.dominates(3.0),
-    }
+        "estimate": report.estimate, "stderr": report.stderr,
+        "replicates": report.replicates, "dominated": report.dominates(3.0),
+        "estimate_kind": report.kind,
+    } for f_kind, report in zip(f_kinds, reports)]
 
 
 def run_thm11(cfg: ExperimentConfig):
     replicates = 100_000 if cfg.replicates is None else cfg.replicates
     n_list = [int(n) for n in (cfg.n_list or suites.SWAPPING_N_VALUES)]
     spec_kinds = [cfg.custom_spec] if cfg.custom_spec else list(cfg.specs)
-    cells = []
+    groups = []
     idx = 0
     for spec_kind in spec_kinds:
         for n in n_list if not cfg.custom_spec else [0]:
-            for f_kind in cfg.functions:
-                cells.append((spec_kind, n, f_kind, replicates,
-                              derive_child(cfg.seed, idx)))
-                idx += 1
+            seeds = [derive_child(cfg.seed, idx + k) for k in range(len(cfg.functions))]
+            groups.append((spec_kind, n, list(cfg.functions), replicates, seeds))
+            idx += len(cfg.functions)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(_swapping_cell, cells))
+            rows = [row for group in pool.map(_swapping_group, groups) for row in group]
     else:
-        rows = [_swapping_cell(c) for c in cells]
+        rows = [row for group in groups for row in _swapping_group(group)]
     checks = {f"dominated_{r['spec']}_n{r['n']}_{r['function']}": bool(r["dominated"])
               for r in rows}
     fields = ["schema_version", "spec", "n", "function", "bound", "first_order",
               "second_order", "third_moment", "estimate", "stderr", "replicates",
-              "dominated"]
+              "dominated", "estimate_kind"]
     return fields, rows, checks
 
 
@@ -262,12 +263,14 @@ def run_thm12(cfg: ExperimentConfig):
                 "bound": report.bound,
                 "second_order": report.components["second_order"],
                 "third_order": report.components["third_order"],
-                "estimate": report.mc_estimate, "stderr": report.mc_stderr,
-                "replicates": replicates, "dominated": ok,
+                "estimate": report.estimate, "stderr": report.stderr,
+                "replicates": report.replicates, "dominated": ok,
+                "estimate_kind": report.kind,
             })
             checks[f"dominated_n{n}_{f_kind}"] = bool(ok)
     fields = ["schema_version", "n", "function", "bound", "second_order",
-              "third_order", "estimate", "stderr", "replicates", "dominated"]
+              "third_order", "estimate", "stderr", "replicates", "dominated",
+              "estimate_kind"]
     return fields, rows, checks
 
 
@@ -483,6 +486,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.spec_json) as fh:
             cfg.custom_spec = json.load(fh)
         spec_from_dict(cfg.custom_spec)  # validate early
+    if not all(math.isfinite(x) for x in cfg.x_values):
+        raise ValueError("--x values must be finite")
     if cfg.replicates is not None and cfg.replicates < 2:
         raise ValueError("--replicates must be at least 2 (a stderr needs two draws)")
     counts = {"--n": cfg.n_list, "--N": cfg.N_list, "--seeds": [cfg.seeds],

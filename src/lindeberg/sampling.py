@@ -6,14 +6,15 @@ counter-based splitter so parallel Monte Carlo stays reproducible.  Each
 spec class also carries its law's oracles: exact conditional moments where
 the conditional laws can be enumerated (value multisets, finite Markov
 chains, i.i.d. families), the A_i/B_i discrepancies of the swapping bound,
-and the exact absolute third moment where a closed form exists.
+the exact absolute third moment where a closed form exists, and the law of
+a ridge argument w.X + b as a quadrature where an exact route exists.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import ClassVar, Sequence, Union, get_args
 
@@ -94,19 +95,28 @@ class Gaussian(_ParamLaw):
         return self.mu * self.mu + self.sigma * self.sigma
 
     def abs_moment(self, p: int):
-        """E|X|^p; closed forms for mu = 0 and for p = 3, else None."""
+        """E|X|^p; closed forms for mu = 0 and for p = 3, else None.  Infinite where
+        the moment overflows a float."""
         mu, sigma = self.mu, self.sigma
         if mu == 0.0:
             # E|sigma Z|^p = sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
-            return sigma ** p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
+            return _pow(sigma, p) * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
         if p != 3:
             return None
         if sigma == 0.0:
-            return abs(mu) ** 3
-        # E|sigma (Z + z)|^3 = sigma^3 [2 (z^2 + 2) phi(z) + (z^3 + 3z) erf(z / sqrt 2)]
+            return _pow(abs(mu), 3)
         z = mu / sigma
-        return sigma ** 3 * (2.0 * (z * z + 2.0) * _normal_pdf(z)
-                             + (z ** 3 + 3.0 * z) * math.erf(z / math.sqrt(2.0)))
+        if abs(z) > 40.0:  # phi(z) underflows and erf is +-1: |mu|^3 + 3 |mu| sigma^2
+            return abs(mu) * (mu * mu + 3.0 * sigma * sigma)
+        # E|sigma (Z + z)|^3 = sigma^3 [2 (z^2 + 2) phi(z) + (z^3 + 3z) erf(z / sqrt 2)]
+        return _pow(sigma, 3) * (2.0 * (z * z + 2.0) * _normal_pdf(z)
+                                 + (z ** 3 + 3.0 * z) * math.erf(z / math.sqrt(2.0)))
+
+    def ridge_law(self, weights, offset: float):
+        """b + sum_j w_j X_j ~ N(b + mu sum(w), sigma^2 |w|^2)."""
+        w = np.asarray(weights, dtype=float)
+        return normal_quadrature(offset + self.mu * float(w.sum()),
+                                 self.sigma * float(np.linalg.norm(w)))
 
 
 @dataclass(frozen=True)
@@ -126,11 +136,64 @@ class Uniform(_ParamLaw):
 
     def second_moment(self) -> float:
         a, b = self.low, self.high
-        return (a * a + a * b + b * b) / 3.0
+        value = (a * a + a * b + b * b) / 3.0
+        if math.isfinite(value):
+            return value
+        m = max(abs(a), abs(b))  # the squares overflow: work in units of the larger bound
+        a, b = a / m, b / m
+        return m * (m * ((a * a + a * b + b * b) / 3.0))
 
     def abs_moment(self, p: int) -> float:
+        """(F(high) - F(low)) / (high - low) for F(x) = sign(x) |x|^(p+1) / (p+1),
+        in units of the larger |bound| when |bound|^(p+1) overflows; infinite when
+        the moment itself does."""
         anti = lambda x: math.copysign(abs(x) ** (p + 1) / (p + 1), x)
-        return (anti(self.high) - anti(self.low)) / (self.high - self.low)
+        try:
+            return (anti(self.high) - anti(self.low)) / (self.high - self.low)
+        except OverflowError:
+            m = max(abs(self.low), abs(self.high))
+            lo, hi = self.low / m, self.high / m
+            return _pow(m, p) * ((anti(hi) - anti(lo)) / (hi - lo))
+
+    def cf(self, t):
+        """E e^{itX} = e^{i (low + high) t / 2} sin(h t) / (h t), with h = (high - low) / 2."""
+        t = np.asarray(t, dtype=float)
+        half = 0.5 * self.high - 0.5 * self.low
+        return np.exp(1j * self.mean() * t) * np.sinc(half * t / np.pi)
+
+    def ridge_law(self, weights, offset: float):
+        """The density of b + sum_j w_j X_j by inverting its characteristic function.
+
+        The sum is centre + U with U supported on [-R, R], R = h sum|w_j|, and U's
+        2R-periodic extension has Fourier coefficients psi(pi k / R) / (2R), where
+        psi(t) = prod_j E e^{i w_j t (X_j - EX_j)} is real.  The density is summed
+        over k = 1..1024 at the points of [-R, R] spaced R / 400 apart, and
+        integrated by the trapezoid rule; the check rule takes 724 terms and a
+        spacing sqrt(2) times wider.
+        """
+        w = np.asarray(weights, dtype=float)
+        half = 0.5 * self.high - 0.5 * self.low
+        centre = offset + self.mean() * float(w.sum())
+        radius = half * float(np.abs(w).sum())
+        if not (math.isfinite(centre) and math.isfinite(radius)):
+            return None
+        if radius == 0.0:
+            return RidgeLaw(np.array([centre]), np.ones(1))
+        centred = Uniform(-half, half)
+        scales, counts = np.unique(np.abs(w), return_counts=True)
+
+        def rule(terms: int, step: float) -> RidgeLaw:
+            k = np.arange(1, terms + 1)
+            psi = np.ones(terms)
+            for scale, count in zip(scales, counts):
+                psi *= centred.cf(scale * np.pi * k / radius).real ** count
+            x = _symmetric_grid(step, 1.0)
+            # the density vanishes at +-1, so the trapezoid weights are all equal
+            probs = 0.5 * step * (1.0 + 2.0 * (np.cos(np.pi * np.outer(x, k)) @ psi))
+            return RidgeLaw(centre + radius * x, probs)
+
+        step = 1.0 / 400.0
+        return replace(rule(1024, step), check=rule(724, math.sqrt(2.0) * step))
 
 
 @dataclass(frozen=True)
@@ -158,6 +221,10 @@ class StudentT(_ParamLaw):
             return math.inf
         return math.exp(0.5 * p * math.log(df) + math.lgamma((p + 1) / 2)
                         + math.lgamma((df - p) / 2) - math.lgamma(df / 2)) / math.sqrt(math.pi)
+
+    def ridge_law(self, weights, offset: float):
+        """No exact route: sums of t variables have no closed-form law."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -190,6 +257,10 @@ class Finite:
     def abs_moment(self, p: int) -> float:
         return float(np.dot(np.abs(self.values) ** p, self.probs))
 
+    def ridge_law(self, weights, offset: float):
+        """No exact route is implemented for weighted sums of atoms."""
+        return None
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "values": list(self.values), "probs": list(self.probs)}
 
@@ -211,6 +282,80 @@ def _law_from_dict(d: dict) -> Distribution:
 
 
 gaussian, uniform, student_t = Gaussian, Uniform, StudentT
+
+
+def _pow(x: float, p) -> float:
+    """x ** p for x >= 0; infinite where that overflows a float."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
+# ---------------------------------------------------------------------------
+# Laws of a ridge argument w.X + b, as quadratures
+# ---------------------------------------------------------------------------
+
+# A stated error above this means the rule cannot resolve the integrand.
+_QUADRATURE_TOL = 1e-6
+
+
+@dataclass(frozen=True, eq=False)
+class RidgeLaw:
+    """The law of a ridge argument w.X + b as ``nodes`` with probabilities ``probs``.
+
+    ``check`` is the same construction at a resolution lower by sqrt(2), or None
+    when the nodes are the law's exact atoms.  Its node spacing is an irrational
+    multiple of this rule's, so no integrand period divides both: an integrand
+    the rules cannot resolve makes them disagree instead of aliasing alike.
+    """
+
+    nodes: np.ndarray
+    probs: np.ndarray
+    check: RidgeLaw | None = None
+
+    def expect(self, g):
+        """(E g, stated error), the error being the gap to the check rule; None when
+        that error exceeds 1e-6 or is not a number."""
+        value = float(np.dot(self.probs, g(self.nodes)))
+        if self.check is None:
+            return value, 0.0
+        error = abs(value - float(np.dot(self.check.probs, g(self.check.nodes))))
+        return (value, error) if error <= _QUADRATURE_TOL else None
+
+
+def _symmetric_grid(step: float, half_width: float) -> np.ndarray:
+    """The multiples of ``step`` in [-half_width, half_width]."""
+    k = int(half_width / step)
+    return step * np.arange(-k, k + 1)
+
+
+def _normal_rule(step: float):
+    z = _symmetric_grid(step, 12.0)
+    return z, step * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+# Trapezoid rules in standard units z on [-12, 12].  For g analytic in the strip
+# |Im z| < a, the error at step h is of order exp(-2 pi a / h), and the tails
+# beyond 12 carry 4e-33 of the mass.
+_NORMAL_RULE = _normal_rule(0.1)
+_NORMAL_CHECK = _normal_rule(0.1 * math.sqrt(2.0))
+
+
+def normal_quadrature(mean: float, sd: float):
+    """N(mean, sd^2) as a ``RidgeLaw``; None unless both parameters are finite."""
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        return None
+    if sd == 0.0:
+        return RidgeLaw(np.array([mean]), np.ones(1))
+    (z, probs), (zc, probs_c) = _NORMAL_RULE, _NORMAL_CHECK
+    return RidgeLaw(mean + sd * z, probs, RidgeLaw(mean + sd * zc, probs_c))
+
+
+def _common_weight(weights):
+    """The weight shared by every coordinate, or None when they differ."""
+    w = np.asarray(weights, dtype=float)
+    return float(w[0]) if w.size and np.all(w == w[0]) else None
 
 
 def finite(values: Sequence[float], probs: Sequence[float] | None = None) -> Finite:
@@ -361,6 +506,14 @@ class MultisetPermutation:
     def abs_third_moment(self, i: int):
         return float(np.mean(np.abs(self.values) ** 3))
 
+    def ridge_law(self, weights, offset: float):
+        """One atom when every weight is equal, as every permutation has the same
+        sum; None otherwise."""
+        if _common_weight(weights) is None:
+            return None
+        atom = float(self.values @ np.asarray(weights, dtype=float)) + offset
+        return RidgeLaw(np.array([atom]), np.ones(1))
+
     def to_dict(self) -> dict:
         return {"variant": self.variant, "values": self.values.tolist()}
 
@@ -392,6 +545,9 @@ class IidFromDistribution:
 
     def abs_third_moment(self, i: int):
         return self.dist.abs_moment(3)
+
+    def ridge_law(self, weights, offset: float):
+        return self.dist.ridge_law(weights, offset)
 
     def to_dict(self) -> dict:
         return {"variant": self.variant, "dist": self.dist.to_dict(), "n": self.n}
@@ -488,6 +644,42 @@ class MarkovChain:
 
     def abs_third_moment(self, i: int):
         return float(np.dot(self._step_distribution(i), np.abs(self.states) ** 3))
+
+    def ridge_law(self, weights, offset: float):
+        """Exact atoms when every weight is equal: the sum is fixed by how often
+        each state is visited, and the law of those counts follows from a dynamic
+        program over (current state, counts).  None for unequal weights or when
+        the count table would exceed the enumeration budget.
+        """
+        w = _common_weight(weights)
+        k, n = len(self.states), self.n
+        if w is None or k * (n + 1) ** (k - 1) > _ENUMERATION_BUDGET:
+            return None
+        kernel = self._validated_kernel()
+
+        def visit(j, table):
+            """``table`` over the counts of states 0..k-2, after one more visit to j."""
+            if j == k - 1:  # the last state's count is n minus the others
+                return table
+            out = np.zeros_like(table)
+            src, dst = [slice(None)] * (k - 1), [slice(None)] * (k - 1)
+            src[j], dst[j] = slice(0, -1), slice(1, None)
+            out[tuple(dst)] = table[tuple(src)]
+            return out
+
+        start = np.zeros((n + 1,) * (k - 1))
+        start[(0,) * (k - 1)] = 1.0
+        mass = np.stack([p * visit(j, start) for j, p in enumerate(self.initial)])
+        for _ in range(n - 1):
+            mass = np.stack([visit(j, np.tensordot(kernel[:, j], mass, axes=1))
+                             for j in range(k)])
+        probs = mass.sum(axis=0).reshape(-1)
+        counts = np.indices(mass.shape[1:]).reshape(k - 1, probs.size)
+        keep = probs > 0.0
+        counts = counts[:, keep]
+        states = np.asarray(self.states, dtype=float)
+        totals = states[:-1] @ counts + states[-1] * (n - counts.sum(axis=0))
+        return RidgeLaw(offset + w * totals, probs[keep])
 
     def to_dict(self) -> dict:
         return {"variant": self.variant, "states": list(self.states),
@@ -653,6 +845,17 @@ class ConditionallyIid:
             post_mean[rows] = np.einsum("ij,ij->i", w, thetas)
             post_sq[rows] = np.einsum("ij,ij->i", w, thetas * thetas)
         return _ab_from_draws(np.abs(post_mean - y_mean), np.abs(post_sq + s2 - y_second))
+
+    def ridge_law(self, weights, offset: float):
+        """Under Gaussian mixing, b + w.X ~ N(b + m sum(w), tau^2 sum(w)^2 + scale^2 |w|^2);
+        None for other mixing laws."""
+        if not self._gaussian_mixing():
+            return None
+        w = np.asarray(weights, dtype=float)
+        total = float(w.sum())
+        return normal_quadrature(offset + self.mixing.mu * total,
+                                 math.hypot(self.mixing.sigma * total,
+                                            self.scale * float(np.linalg.norm(w))))
 
     def abs_third_moment(self, i: int):
         """Exact under Gaussian mixing (X_i ~ N(m, tau^2 + scale^2)); infinite

@@ -4,8 +4,9 @@ Compares Ef(X) against Ef(Y) for Y with independent components by replacing
 coordinates one at a time.  The bound needs the conditional-moment
 discrepancies A_i, B_i, a third-moment cap M3, and sup bounds on the first
 three unmixed partials of f; the discrepancies come from each spec's own
-oracle (exact whenever the spec admits enumeration) and the true difference
-is estimated by seeded Monte Carlo.
+oracle (exact whenever the spec admits enumeration).  The true difference is
+computed from the laws of the ridge argument w.X + b where both specs have
+one, and estimated by seeded Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -29,17 +30,24 @@ _MC_MOMENT_REPLICATES = 100_000
 
 @dataclass
 class BoundReport:
-    """A computed bound next to the Monte Carlo estimate it must dominate."""
+    """A computed bound next to the estimate of Ef(X) - Ef(Y) it must dominate.
+
+    ``kind`` is ``"exact"`` when the estimate comes from quadrature over the
+    laws of the ridge argument; ``stderr`` is then the stated quadrature error
+    and ``replicates`` is 0.  It is ``"mc"`` for a Monte Carlo mean over
+    ``replicates`` draws, with its standard error.
+    """
 
     bound: float
-    mc_estimate: float
-    mc_stderr: float
+    estimate: float
+    stderr: float
     replicates: int
+    kind: str
     components: dict = field(default_factory=dict)
 
     def dominates(self, k: float = 3.0) -> bool:
         """True when |estimate| <= bound + k * stderr."""
-        return abs(self.mc_estimate) <= self.bound + k * self.mc_stderr
+        return abs(self.estimate) <= self.bound + k * self.stderr
 
 
 def lindeberg_bound(A, B, M3: float, L1: float, L2: float, L3: float) -> float:
@@ -177,22 +185,58 @@ def telescoping_difference(f: SmoothFunction, x_spec, y_spec,
     )
 
 
-def swapping_report(f: SmoothFunction, x_spec, y_spec, replicates: int,
-                    seed: int, ab_replicates: int = 0) -> BoundReport:
-    """Full bound-versus-estimate report for one (X, Y, f) cell.
+def _exact_difference(f: SmoothFunction, x_spec, y_spec, laws: dict):
+    """(Ef(X) - Ef(Y), stated error) for a ridge f = g(w.x + b), by quadrature
+    over each spec's ``ridge_law``; None when either spec has no law for w or a
+    rule cannot resolve g.  ``laws`` caches the pair of laws per (w, b).
+    """
+    if not isinstance(f, RidgeFunction):
+        return None
+    if f.arity != x_spec.n or y_spec.n != x_spec.n:
+        raise ValueError("function arity and spec lengths must agree")
+    key = (f.weights.tobytes(), f.offset)
+    if key not in laws:
+        laws[key] = (x_spec.ridge_law(f.weights, f.offset),
+                     y_spec.ridge_law(f.weights, f.offset))
+    x_law, y_law = laws[key]
+    if x_law is None or y_law is None:
+        return None
+    x_mean, y_mean = x_law.expect(f.profile.value), y_law.expect(f.profile.value)
+    if x_mean is None or y_mean is None:
+        return None
+    return x_mean[0] - y_mean[0], x_mean[1] + y_mean[1]
 
-    Y must have independent components; its per-coordinate moments are taken
-    from the spec's closed forms.
+
+def swapping_report(functions, x_spec, y_spec, replicates: int, seeds,
+                    ab_replicates: int = 0) -> list:
+    """Bound-versus-estimate reports, one per function, for one (X, Y) pair.
+
+    A, B, the third-moment cap and the laws of the ridge arguments depend on
+    (X, Y) only, so they are computed once and shared; the A/B and moment
+    seeds derive from the first function's seed.  Each function's difference
+    is exact where both specs have a law for its ridge argument that resolves
+    it, else Monte Carlo with that function's seed.  Y must have independent
+    components; its per-coordinate moments are taken from the spec's closed
+    forms.
     """
     if not isinstance(y_spec, IidFromDistribution):
         raise ValueError("the comparison vector must have independent components")
+    if len(functions) != len(seeds) or not functions:
+        raise ValueError("give one seed per function, and at least one function")
     y_mean = y_spec.dist.mean()
     y_second = y_spec.dist.second_moment()
-    A, B = estimate_ab_all(x_spec, y_mean, y_second, ab_replicates, derive_child(seed, 2))
-    m3 = third_moment_bound(x_spec, y_spec, derive_child(seed, 3))
-    l1, l2, l3 = f.unmixed_bounds
-    components = bound_components(A, B, m3, l1, l2, l3)
-    bound = lindeberg_bound(A, B, m3, l1, l2, l3)
-    est, err = mean_difference(f, x_spec, y_spec, replicates, seed)
-    return BoundReport(bound=bound, mc_estimate=est, mc_stderr=err,
-                       replicates=replicates, components=components)
+    A, B = estimate_ab_all(x_spec, y_mean, y_second, ab_replicates, derive_child(seeds[0], 2))
+    m3 = third_moment_bound(x_spec, y_spec, derive_child(seeds[0], 3))
+    laws = {}
+    reports = []
+    for f, seed in zip(functions, seeds):
+        l1, l2, l3 = f.unmixed_bounds
+        components = bound_components(A, B, m3, l1, l2, l3)
+        bound = lindeberg_bound(A, B, m3, l1, l2, l3)
+        exact = _exact_difference(f, x_spec, y_spec, laws)
+        if exact is None:
+            est, err = mean_difference(f, x_spec, y_spec, replicates, seed)
+            reports.append(BoundReport(bound, est, err, replicates, "mc", components))
+        else:
+            reports.append(BoundReport(bound, *exact, 0, "exact", components))
+    return reports

@@ -150,10 +150,10 @@ def test_criterion_06_swapping_bound_domination(criterion_report):
     for spec_kind in SWAPPING_SPEC_KINDS:
         for n in SWAPPING_N_VALUES:
             for f_kind in SUITE_FUNCTION_KINDS:
-                rep = swapping_report(
-                    suite_function(f_kind, n), swapping_spec(spec_kind, n),
+                rep, = swapping_report(
+                    [suite_function(f_kind, n)], swapping_spec(spec_kind, n),
                     gaussian_comparison(n), replicates=100_000,
-                    seed=derive_child(MASTER_SEED, 600 + idx))
+                    seeds=[derive_child(MASTER_SEED, 600 + idx)])
                 idx += 1
                 if not rep.dominates(3.0):
                     failures.append((spec_kind, n, f_kind))

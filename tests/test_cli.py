@@ -64,13 +64,33 @@ def test_thm11_single_cell(tmp_path):
     rows = read_rows(out, "thm11-check")
     assert len(rows) == 1
     assert rows[0]["dominated"] == "True"
+    assert rows[0]["estimate_kind"] == "exact" and rows[0]["replicates"] == "0"
 
 
 def test_thm12_small(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["thm12-check", "--n", "10", "--replicates", "5000",
                     "--out", str(out)]) == 0
-    assert len(read_rows(out, "thm12-check")) == 2
+    rows = read_rows(out, "thm12-check")
+    assert len(rows) == 2
+    assert {(r["estimate_kind"], r["replicates"]) for r in rows} == {("mc", "5000")}
+
+
+def test_ab_runs_once_per_coordinate_of_each_spec_and_n(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from lindeberg import IidFromDistribution, MarkovChain, MultisetPermutation
+
+    calls = Counter()
+    for cls in (IidFromDistribution, MarkovChain, MultisetPermutation):
+        def spy(self, *args, _original=cls.ab, **kwargs):
+            calls[type(self).__name__, self.n] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "ab", spy)
+    assert run_cli(["thm11-check", "--n", "5,8", "--replicates", "200",
+                    "--out", str(tmp_path)]) == 0
+    assert calls == {(name, n): n for n in (5, 8) for name in
+                     ("IidFromDistribution", "MarkovChain", "MultisetPermutation")}
 
 
 def test_resolvent_check_small(tmp_path):
@@ -232,6 +252,32 @@ def test_infinite_third_moment_gives_infinite_bound(tmp_path):
     rows = read_rows(out, "thm11-check")
     assert [r["bound"] for r in rows] == ["inf"]
     assert rows[0]["third_moment"] == "inf" and rows[0]["dominated"] == "True"
+    assert rows[0]["estimate_kind"] == "mc" and rows[0]["replicates"] == "4000"
+
+
+@pytest.mark.parametrize("dist,second,third", [
+    ({"kind": "uniform", "params": [-1e80, 1e80]}, 1e160 / 3.0, 1e240 / 4.0),
+    ({"kind": "uniform", "params": [-1e160, 1e160]}, math.inf, math.inf),
+    ({"kind": "gaussian", "params": [0.0, 1e104]}, 1e208, math.inf),
+], ids=["uniform-1e80", "uniform-1e160", "gaussian-1e104"])
+def test_huge_law_parameters_give_a_finite_or_infinite_bound(tmp_path, capsys, dist, second,
+                                                             third):
+    # E X^2 and E|X|^3 of the law, against E Y^2 = 1 and E|Y|^3 = 2 sqrt(2 / pi)
+    from lindeberg.suites import suite_function
+
+    n = 5
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_iid(dist, n)))
+    out = tmp_path / "o"
+    assert run_cli(["thm11-check", "--spec-json", str(spec_path), "--functions", "cos",
+                    "--replicates", "2000", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, l2, l3 = suite_function("cos", n).unmixed_bounds
+    expected = (0.5 * n * (second - 1.0) * l2
+                + n * l3 * (third + 2.0 * math.sqrt(2.0 / math.pi)) / 6.0)
+    row, = read_rows(out, "thm11-check")
+    assert float(row["bound"]) == pytest.approx(expected, rel=1e-12)
+    assert row["estimate_kind"] == "mc" and row["dominated"] == "True"
 
 
 def _iid(dist, n=3):
@@ -289,6 +335,13 @@ def test_bad_spec_json_exits_2(tmp_path, capsys, doc):
 @pytest.mark.parametrize("command", ["identities", "thm12-check"])
 def test_nonfinite_multiset_exits_2(tmp_path, capsys, command):
     assert run_cli([command, "--multiset", "1,nan,2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_x_exits_2(tmp_path, capsys, value):
+    assert run_cli(["semicircle-table", "--x", value, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
 

@@ -273,3 +273,15 @@ def test_distribution_moments_against_sampling():
         assert m3 == pytest.approx(np.abs(draws**3).mean(), rel=3e-2)
     # the standard Gaussian absolute third moment in closed form
     assert gaussian().abs_moment(3) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("low,high", [(-math.sqrt(3.0), math.sqrt(3.0)), (-0.5, 2.0)])
+def test_uniform_cf_matches_sample_mean(low, high):
+    law = uniform(low, high)
+    draws = law.sample(np.random.default_rng(17), 200_000)
+    for t in (0.3, 1.0, 2.5, 7.0):
+        phases = np.exp(1j * t * draws)
+        cf = complex(law.cf(t))
+        for part in (np.real, np.imag):
+            stderr = part(phases).std(ddof=1) / math.sqrt(draws.size)
+            assert abs(part(cf) - part(phases).mean()) <= 4.0 * stderr + 1e-15

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindeberg import (
+    ConditionallyIid,
     IidFromDistribution,
     MarkovChain,
     MultisetPermutation,
@@ -15,14 +16,17 @@ from lindeberg import (
     gaussian,
     lindeberg_bound,
     mean_difference,
+    derive_child,
     standardized_multiset,
+    student_t,
     sum_ridge,
     swapping_report,
     telescoping_difference,
     third_moment_bound,
     uniform,
 )
-from lindeberg.functions import constant_function, logistic_step_profile
+from lindeberg.functions import (RidgeFunction, constant_function, cos_profile,
+                                 logistic_step_profile)
 from lindeberg.swap import bound_components
 from lindeberg.suites import gaussian_comparison, suite_function, swapping_spec
 
@@ -320,9 +324,9 @@ def test_swapping_bound_dominates_on_sample_cells():
         ("multiset-rademacher", 20, "inv_quad"),
         ("markov-two-state", 20, "logistic_step"),
     ]:
-        report = swapping_report(
-            suite_function(f_kind, n), swapping_spec(spec_kind, n),
-            gaussian_comparison(n), replicates=30_000, seed=1001)
+        report, = swapping_report(
+            [suite_function(f_kind, n)], swapping_spec(spec_kind, n),
+            gaussian_comparison(n), replicates=30_000, seeds=[1001])
         assert report.dominates(3.0)
         assert report.bound == pytest.approx(sum(report.components.values()), abs=1e-12)
 
@@ -342,3 +346,94 @@ def test_difference_shrinks_with_dimension():
             gaps.append(abs(est))
         medians.append(float(np.median(gaps)))
     assert medians[0] > medians[1] > medians[2]
+
+
+# ---------------------------------------------------------------------------
+# Exact differences from the laws of the ridge argument
+# ---------------------------------------------------------------------------
+
+_DEFAULT_CELLS = [(s, n) for s in ("iid-uniform", "multiset-rademacher", "markov-two-state")
+                  for n in (5, 20, 50)]
+_FUNCTIONS = ("cos", "inv_quad", "logistic_step")
+
+
+def _reports(spec_kind, n):
+    """The default cell's reports by function; 2 replicates if one fell back to MC."""
+    functions = [suite_function(k, n) for k in _FUNCTIONS]
+    reports = swapping_report(functions, swapping_spec(spec_kind, n), gaussian_comparison(n),
+                              2, [0, 1, 2])
+    return dict(zip(_FUNCTIONS, reports))
+
+
+_E_COS_Z = math.exp(-0.5)
+_E_INV_QUAD_Z = math.sqrt(math.pi / 2.0) * math.exp(0.5) * math.erfc(1.0 / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n", [5, 20, 50])
+def test_exact_differences_match_closed_forms(n):
+    multiset = _reports("multiset-rademacher", n)
+    assert multiset["cos"].estimate == pytest.approx(1.0 - _E_COS_Z, abs=1e-10)
+    assert multiset["inv_quad"].estimate == pytest.approx(1.0 - _E_INV_QUAD_Z, abs=1e-10)
+    assert multiset["logistic_step"].estimate == pytest.approx(0.0, abs=1e-10)
+    iid = _reports("iid-uniform", n)
+    a = math.sqrt(3.0) / math.sqrt(n)
+    assert iid["cos"].estimate == pytest.approx((math.sin(a) / a) ** n - _E_COS_Z, abs=1e-10)
+    assert iid["logistic_step"].estimate == pytest.approx(0.0, abs=1e-10)
+    for report in (*multiset.values(), *iid.values()):
+        assert report.kind == "exact" and report.replicates == 0
+
+
+@pytest.mark.parametrize("spec_kind,n", _DEFAULT_CELLS)
+def test_exact_default_cells_agree_with_monte_carlo(spec_kind, n):
+    functions = [suite_function(k, n) for k in _FUNCTIONS]
+    x, y = swapping_spec(spec_kind, n), gaussian_comparison(n)
+    for f, report in zip(functions, _reports(spec_kind, n).values()):
+        assert report.kind == "exact" and report.stderr <= 1e-9
+        est, err = mean_difference(f, x, y, replicates=100_000, seed=derive_child(n, 77))
+        assert abs(est - report.estimate) <= 4.0 * err
+
+
+def test_uniform_law_with_unequal_weights():
+    # E cos(sum w_j U_j) = prod_j sin(h w_j) / (h w_j) for U_j uniform on [-h, h]
+    weights = np.array([0.9, -0.4, 0.25, 0.6, 0.05, -0.3])
+    f = RidgeFunction(cos_profile(), weights, offset=0.0)
+    x = IidFromDistribution(uniform(-1.5, 1.5), weights.size)
+    y = IidFromDistribution(gaussian(), weights.size)
+    report, = swapping_report([f], x, y, 2, [0])
+    expected = np.prod(np.sinc(1.5 * weights / np.pi)) - math.exp(-0.5 * weights @ weights)
+    assert report.kind == "exact"
+    assert report.estimate == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("states,initial,kernel", [
+    ((-1.0, 2.0), (0.25, 0.75), ((0.7, 0.3), (0.4, 0.6))),
+    ((-1.0, 0.5, 3.0), (0.2, 0.5, 0.3), ((0.6, 0.3, 0.1), (0.2, 0.2, 0.6), (0.5, 0.0, 0.5))),
+])
+def test_markov_ridge_law_matches_path_enumeration(states, initial, kernel):
+    n, w, b = 6, 0.4, 0.3
+    spec = MarkovChain(states, initial, kernel, n)
+    expected = 0.0
+    for path in itertools.product(range(len(states)), repeat=n):
+        prob = initial[path[0]]
+        for s, t in zip(path, path[1:]):
+            prob *= kernel[s][t]
+        expected += prob * math.cos(w * sum(states[s] for s in path) + b)
+    value, error = spec.ridge_law(np.full(n, w), b).expect(np.cos)
+    assert value == pytest.approx(expected, abs=1e-13) and error == 0.0
+    assert spec.ridge_law(np.linspace(0.1, 0.6, n), b) is None
+
+
+@pytest.mark.parametrize("x_spec", [
+    IidFromDistribution(student_t(5.0), 4),
+    ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 0.5, 4),
+    IidFromDistribution(uniform(-1.0, 1.0), 1),  # a jump in the density: not resolved
+    # w.X ~ N(0, (20 pi)^2): cos reads 1 at every node of the step-0.1 grid in z
+    IidFromDistribution(gaussian(0.0, 20.0 * math.pi), 4),
+], ids=["student_t", "uniform-mixing", "single-uniform", "aliased-gaussian"])
+def test_specs_without_an_exact_route_keep_monte_carlo(x_spec):
+    n = x_spec.n
+    f = suite_function("cos", n)
+    y = gaussian_comparison(n)
+    report, = swapping_report([f], x_spec, y, 3_000, [5], ab_replicates=200)
+    assert report.kind == "mc" and report.replicates == 3_000
+    assert (report.estimate, report.stderr) == mean_difference(f, x_spec, y, 3_000, 5)
