@@ -23,6 +23,15 @@ from .swap import BoundReport
 
 _EXACT_ENUMERATION_LIMIT = 9
 
+# Elements per row block of end_to_end_check's draws: 2 MiB of float64.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block for vectors of length n: a multiple of 64, so BLAS kernels,
+    which unroll over rows in groups, treat every row as in one whole batch."""
+    return max(64, _BLOCK_ELEMENTS // n // 64 * 64)
+
 
 # ---------------------------------------------------------------------------
 # The prefix transform G and its inverse
@@ -449,6 +458,8 @@ def end_to_end_check(spec: MultisetPermutation, f: SmoothFunction,
     Carlo mean; Ef(Y) is exact where ``_summary_mean`` has a route (its stated
     error is added to the stderr) and sampled otherwise.  When sigma_hat = 0, Y
     is the constant vector mu_hat, built like X so that X = Y gives exactly 0.
+    X and the Gaussian Z behind Y are drawn in row blocks, each from one
+    generator, and only the f-values are kept: one float per replicate.
     Only genuinely exchangeable multiset specs are accepted here; weakly
     dependent chains belong to the swapping bound.
     """
@@ -463,15 +474,18 @@ def end_to_end_check(spec: MultisetPermutation, f: SmoothFunction,
     components = thm12_terms(m3, m4, f.mixed_bounds[1], f.mixed_bounds[2], n)
     bound = sum(components.values())
 
-    X = sample_batch(spec, derive_child(seed, 0), replicates)
-    fx = np.asarray(f(X), dtype=float)
     summary = _summary_mean(f, mu, sigma) if sigma > 0 else None
-    if summary is None:
-        z = rng_from(derive_child(seed, 1)).standard_normal((replicates, n))
-        diff = fx - np.asarray(f(build_y(mu, sigma, z)), dtype=float)
-        quad_error = 0.0
-    else:
-        diff = fx - summary[0]
+    x_rng, z_rng = rng_from(derive_child(seed, 0)), rng_from(derive_child(seed, 1))
+    diff = np.empty(replicates)
+    block = _block_rows(n)
+    for start in range(0, replicates, block):
+        part = diff[start:start + block]
+        part[:] = f(sample_batch(spec, x_rng, part.size))
+        if summary is None:
+            part -= f(build_y(mu, sigma, z_rng.standard_normal((part.size, n))))
+    quad_error = 0.0
+    if summary is not None:
+        diff -= summary[0]
         quad_error = summary[1]
     stderr = float(diff.std(ddof=1) / math.sqrt(replicates)) + quad_error if sigma > 0 else 0.0
     return BoundReport(bound, float(diff.mean()), stderr, replicates, "mc", components)

@@ -132,7 +132,7 @@ class Uniform(_ParamLaw):
         return rng.uniform(self.low, self.high, size)
 
     def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
+        return 0.5 * self.low + 0.5 * self.high  # finite whenever the mean is
 
     def second_moment(self) -> float:
         a, b = self.low, self.high
@@ -144,16 +144,23 @@ class Uniform(_ParamLaw):
         return m * (m * ((a * a + a * b + b * b) / 3.0))
 
     def abs_moment(self, p: int) -> float:
-        """(F(high) - F(low)) / (high - low) for F(x) = sign(x) |x|^(p+1) / (p+1),
-        in units of the larger |bound| when |bound|^(p+1) overflows; infinite when
-        the moment itself does."""
-        anti = lambda x: math.copysign(abs(x) ** (p + 1) / (p + 1), x)
+        """E|X|^p.  With both bounds of one sign, the sum of |low|^k |high|^(p-k) / (p+1)
+        over k = 0..p, which has no cancellation; otherwise (F(high) - F(low)) /
+        (high - low) for F(x) = sign(x) |x|^(p+1) / (p+1).  In units of the larger
+        |bound| when a power overflows; infinite when the moment itself does."""
+
+        def moment(a, b):
+            if a > 0 or b < 0:
+                a, b = abs(a), abs(b)
+                return math.fsum(a ** k * b ** (p - k) for k in range(p + 1)) / (p + 1)
+            anti = lambda x: math.copysign(abs(x) ** (p + 1) / (p + 1), x)
+            return (anti(b) - anti(a)) / (b - a)
+
         try:
-            return (anti(self.high) - anti(self.low)) / (self.high - self.low)
+            return moment(self.low, self.high)
         except OverflowError:
             m = max(abs(self.low), abs(self.high))
-            lo, hi = self.low / m, self.high / m
-            return _pow(m, p) * ((anti(hi) - anti(lo)) / (hi - lo))
+            return _pow(m, p) * moment(self.low / m, self.high / m)
 
     def cf(self, t):
         """E e^{itX} = e^{i (low + high) t / 2} sin(h t) / (h t), with h = (high - low) / 2."""
@@ -452,7 +459,7 @@ class MultisetPermutation:
 
     def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
         out = np.tile(self.values, (replicates, 1))
-        return rng.permuted(out, axis=1)
+        return rng.permuted(out, axis=1, out=out)
 
     def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
         remaining = Counter(float(v) for v in self.values)
@@ -881,9 +888,16 @@ ExchangeableSpec = Union[MultisetPermutation, IidFromDistribution, MarkovChain, 
 _SPEC_TYPES = {cls.variant: cls for cls in get_args(ExchangeableSpec)}
 
 
-def sample_batch(spec: ExchangeableSpec, seed: int, replicates: int) -> np.ndarray:
-    """Draw ``replicates`` independent vectors; shape (replicates, n)."""
-    return spec.sample(rng_from(seed), replicates)
+def sample_batch(spec: ExchangeableSpec, seed: int | np.random.Generator,
+                 replicates: int) -> np.ndarray:
+    """Draw ``replicates`` independent vectors; shape (replicates, n).
+
+    ``seed`` is a 64-bit seed or a Generator to keep drawing from.  For
+    multiset and i.i.d. specs, row blocks drawn in turn from one Generator
+    concatenate to the single batch of the same size.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
+    return spec.sample(rng, replicates)
 
 
 def sample_exchangeable(spec: ExchangeableSpec, seed: int) -> np.ndarray:

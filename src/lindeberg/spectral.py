@@ -27,17 +27,29 @@ from .sampling import (
 
 _SYMMETRY_TOL = 1e-12
 
+# Rows per block when comparing a matrix with its transpose.
+_SYMMETRY_BLOCK_ROWS = 64
+
 # Entropy stream for the frozen heavy-tail multisets; a module constant so
 # every run sees the same multiset for a given order N.
 _FROZEN_ENTRY_SEED = 0x5EED_D06F
 
 
 def _require_symmetric(a: np.ndarray, message: str) -> None:
-    """Raise ValueError(message) if some |a_ij - a_ji| exceeds 1e-12, and
-    ValueError for non-finite entries, which no eigensolver accepts."""
-    if np.max(np.abs(a - a.T), initial=0.0) > _SYMMETRY_TOL:
+    """Raise ValueError(message) if ``a`` is not square or some |a_ij - a_ji|
+    exceeds 1e-12, and ValueError for non-finite entries, which no eigensolver
+    accepts.  Row blocks are compared with the matching column blocks, so the
+    scratch space is a few rows, not a second matrix."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(message)
-    if not np.isfinite(a).all():
+    finite = True
+    for start in range(0, a.shape[0], _SYMMETRY_BLOCK_ROWS):
+        rows = a[start:start + _SYMMETRY_BLOCK_ROWS]
+        gap = rows - a[:, start:start + _SYMMETRY_BLOCK_ROWS].T
+        if np.max(np.abs(gap, out=gap), initial=0.0) > _SYMMETRY_TOL:
+            raise ValueError(message)
+        finite = finite and bool(np.isfinite(rows).all())
+    if not finite:
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -54,10 +66,14 @@ def wigner_matrix(x, N: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size != upper_triangle_size(N):
         raise ValueError("entry vector length must be N(N+1)/2")
-    a = np.zeros((N, N))
-    iu = np.triu_indices(N)
-    a[iu] = x / math.sqrt(N)
-    a.T[iu] = a[iu]
+    a = np.empty((N, N))
+    scale = math.sqrt(N)
+    start = 0
+    for i in range(N):
+        row = a[i, i:]
+        np.divide(x[start:start + row.size], scale, out=row)
+        a[i:, i] = row
+        start += row.size
     return a
 
 
@@ -319,9 +335,11 @@ def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
     if std.degenerate:
         raise ValueError("degenerate entries: sigma_hat must be positive")
     mu, sigma = std.mu_hat, std.sigma_hat
-    m4 = float(np.mean(std.x_tilde ** 4))
-    del std  # free the standardized copy before the eigensolve
-    a = wigner_matrix(x, spec.N) / sigma
+    m4 = float(np.mean(np.power(std.x_tilde, 4, out=std.x_tilde)))
+    del std  # free the standardized copy before the matrix is built
+    a = wigner_matrix(x, spec.N)
+    del x  # so the eigensolve holds only the matrix and LAPACK's copy of it
+    np.divide(a, sigma, out=a)
     eigs = eigenvalues(a).eigenvalues
     esd = EsdFunction(eigs)
     ks = ks_distance(esd, semicircle_cdf)

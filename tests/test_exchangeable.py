@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +30,15 @@ from lindeberg import (
     uniform,
 )
 from lindeberg.exchangeable import (
+    _block_rows,
     _gaussian_moment,
+    _summary_mean,
     harmonic_gap_closed_form,
     stein_exact_check,
     stein_mc_check,
 )
-from lindeberg.sampling import sample_batch
+from lindeberg.functions import CustomFunction, RidgeFunction
+from lindeberg.sampling import build_y, center_and_scale, derive_child, sample_batch
 from lindeberg.suites import ramp_multiset, summarization_function
 
 MULTISETS = {
@@ -391,3 +395,46 @@ def test_exact_gaussian_summary_agrees_with_sampled_summary():
     assert exact.stderr < sampled.stderr
     assert abs(exact.estimate - sampled.estimate) <= 4.0 * math.hypot(exact.stderr,
                                                                       sampled.stderr)
+
+
+def _whole_batch_reference(spec, f, replicates, seed, sampled_y):
+    """end_to_end_check's estimate and stderr from one whole batch of X (and Z)."""
+    n = spec.n
+    std = center_and_scale(spec.values)
+    x = rng_from(derive_child(seed, 0)).permuted(np.tile(spec.values, (replicates, 1)), axis=1)
+    if sampled_y:
+        z = rng_from(derive_child(seed, 1)).standard_normal((replicates, n))
+        diff, quad_error = f(x) - f(build_y(std.mu_hat, std.sigma_hat, z)), 0.0
+    else:
+        ey, quad_error = _summary_mean(f, std.mu_hat, std.sigma_hat)
+        diff = f(x) - ey
+    return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(replicates)) + quad_error
+
+
+# f reads x_0 - x_1 with weights +-1, whose products are exact, so its values
+# do not depend on how BLAS groups the rows of a batch.
+@pytest.mark.parametrize("sampled_y", [False, True], ids=["exact-y", "sampled-y"])
+def test_blocked_draws_match_one_whole_batch(sampled_y):
+    n = 50
+    spec = ramp_multiset(n)
+    w = np.zeros(n)
+    w[:2] = (1.0, -1.0)
+    f = RidgeFunction(cos_profile(), w)
+    if sampled_y:  # a generic f has no summary law, so Y is sampled
+        f = CustomFunction(n, f, unmixed_bounds=f.unmixed_bounds, mixed_bounds=f.mixed_bounds)
+    replicates = 3 * _block_rows(n) + 17
+    report = end_to_end_check(spec, f, replicates, seed=8)
+    estimate, stderr = _whole_batch_reference(spec, f, replicates, 8, sampled_y)
+    assert report.estimate == estimate and report.stderr == stderr
+    assert report.replicates == replicates
+
+
+def test_end_to_end_memory_does_not_grow_with_replicates():
+    spec, f = ramp_multiset(50), summarization_function("cos-alternating", 50)
+    tracemalloc.start()
+    try:
+        end_to_end_check(spec, f, 200_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20  # one whole batch of X alone is 76 MiB

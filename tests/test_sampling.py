@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from lindeberg import (
     derive_child,
     exact_conditional_moments,
     finite,
+    estimate_ab,
     gaussian,
+    lindeberg_bound,
     point_mass,
     sample_batch,
     sample_exchangeable,
@@ -285,3 +288,47 @@ def test_uniform_cf_matches_sample_mean(low, high):
         for part in (np.real, np.imag):
             stderr = part(phases).std(ddof=1) / math.sqrt(draws.size)
             assert abs(part(cf) - part(phases).mean()) <= 4.0 * stderr + 1e-15
+
+
+def test_multiset_sample_is_the_permuted_tile():
+    spec = MultisetPermutation((3.0, -1.0, -1.0, 0.5, 2.0, 0.0, -3.5))
+    reference = np.random.default_rng(41).permuted(np.tile(spec.values, (500, 1)), axis=1)
+    assert np.array_equal(spec.sample(np.random.default_rng(41), 500), reference)
+    assert np.array_equal(sample_batch(spec, 41, 500), reference)
+
+
+@pytest.mark.parametrize("spec", [
+    MultisetPermutation(tuple(np.linspace(-2.0, 2.0, 9))),
+    IidFromDistribution(gaussian(0.5, 2.0), 6),
+    IidFromDistribution(uniform(-1.0, 3.0), 6),
+    IidFromDistribution(student_t(5.0), 6),
+    IidFromDistribution(finite([-2.0, 1.0], [0.25, 0.75]), 6),
+], ids=["multiset", "gaussian", "uniform", "student_t", "finite"])
+def test_row_blocks_from_one_generator_concatenate_to_one_batch(spec):
+    rng = np.random.default_rng(7)
+    blocks = [sample_batch(spec, rng, rows) for rows in (1, 5, 17, 977)]
+    assert np.array_equal(np.concatenate(blocks), sample_batch(spec, 7, 1000))
+
+
+def _exact_abs_moment(low, high, p):
+    """E|X|^p for X uniform on [low, high] with both bounds of one sign, in rationals."""
+    a, b = sorted((abs(Fraction(low)), abs(Fraction(high))))
+    return (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
+
+
+@pytest.mark.parametrize("low,high", [(1e6, 1e6 + 1e-9), (1e4, 1e4 + 1e-11),
+                                      (-1e6 - 1e-9, -1e6), (2.0, 5.0)])
+@pytest.mark.parametrize("p", [3, 4])
+def test_uniform_abs_moment_of_a_narrow_one_signed_interval(low, high, p):
+    exact = _exact_abs_moment(low, high, p)
+    assert abs(Fraction(uniform(low, high).abs_moment(p)) - exact) <= 1e-12 * exact
+
+
+def test_uniform_mean_of_huge_bounds_is_finite():
+    law = uniform(1e308, 1.7e308)
+    assert law.mean() == pytest.approx(1.35e308, rel=1e-15)
+    # a linear f has L2 = L3 = 0, so A_1 alone sets the bound
+    ab = estimate_ab(IidFromDistribution(law, 1), 0.0, 1.0, 1)
+    assert ab.a == law.mean()
+    bound = lindeberg_bound([ab.a], [ab.b], law.abs_moment(3), 1.0, 0.0, 0.0)
+    assert bound == pytest.approx(1.35e308, rel=1e-15)

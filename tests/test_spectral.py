@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from lindeberg import (
     wigner_matrix,
 )
 from lindeberg.sampling import point_mass, IidFromDistribution
-from lindeberg.spectral import ENSEMBLES, contaminated_wigner, student_t_perm_wigner, upper_triangle_size
+from lindeberg.spectral import (
+    _SYMMETRY_BLOCK_ROWS,
+    ENSEMBLES,
+    _require_symmetric,
+    contaminated_wigner,
+    student_t_perm_wigner,
+    upper_triangle_size,
+)
 
 
 class TestWignerConstruction:
@@ -37,6 +45,15 @@ class TestWignerConstruction:
         a = wigner_matrix([1.0, 2.0, 3.0], 2)
         root2 = math.sqrt(2.0)
         assert np.allclose(a, np.array([[1.0, 2.0], [2.0, 3.0]]) / root2, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, _SYMMETRY_BLOCK_ROWS + 1])
+    def test_matches_the_triangle_index_construction(self, N):
+        x = np.random.default_rng(N).standard_normal(upper_triangle_size(N))
+        expected = np.zeros((N, N))
+        iu = np.triu_indices(N)
+        expected[iu] = x / math.sqrt(N)
+        expected.T[iu] = expected[iu]
+        assert np.array_equal(wigner_matrix(x, N), expected)
 
     def test_wrong_entry_count(self):
         with pytest.raises(ValueError):
@@ -249,6 +266,40 @@ class TestRankInequality:
             assert check.ok
 
 
+class TestSymmetryCheck:
+    N = 2 * _SYMMETRY_BLOCK_ROWS + 5  # the last row block is partial
+
+    def symmetric(self):
+        m = np.random.default_rng(12).standard_normal((self.N, self.N))
+        return m + m.T
+
+    def test_exactly_symmetric_accepted(self):
+        _require_symmetric(self.symmetric(), "asymmetric")
+
+    @pytest.mark.parametrize("i,j", [(0, N - 1), (N - 2, N - 1), (N - 1, 1)],
+                             ids=["corner", "last-block", "last-and-first-block"])
+    def test_one_perturbed_pair_rejected(self, i, j):
+        a = self.symmetric()
+        a[i, j] += 1e-9
+        with pytest.raises(ValueError, match="asymmetric"):
+            _require_symmetric(a, "asymmetric")
+
+    def test_gap_within_tolerance_accepted(self):
+        a = self.symmetric()
+        a[0, self.N - 1] += 5e-13
+        _require_symmetric(a, "asymmetric")
+
+    def test_nan_rejected(self):
+        a = self.symmetric()
+        a[self.N - 1, self.N - 1] = math.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _require_symmetric(a, "asymmetric")
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="asymmetric"):
+            _require_symmetric(np.zeros((3, 4)), "asymmetric")
+
+
 class TestConvergenceExperiment:
     def test_row_contents(self):
         row = thm13_experiment(rademacher_perm_wigner(30), [1j, 2j], seed=3)
@@ -284,3 +335,14 @@ class TestConvergenceExperiment:
             rows = [thm13_experiment(gaussian_wigner(N), [1j], seed=s) for s in range(8)]
             ks[N] = float(np.median([r.ks for r in rows]))
         assert ks[80] < ks[20]
+
+    def test_peak_memory_is_the_matrix_and_one_copy(self):
+        N = 1000
+        spec = rademacher_perm_wigner(N)
+        tracemalloc.start()
+        try:
+            thm13_experiment(spec, [1j], seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * N * N
