@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
@@ -28,9 +28,8 @@ _BLOCK_ELEMENTS = 1 << 18
 
 
 def _block_rows(n: int) -> int:
-    """Rows per block for vectors of length n: a multiple of 64, so BLAS kernels,
-    which unroll over rows in groups, treat every row as in one whole batch."""
-    return max(64, _BLOCK_ELEMENTS // n // 64 * 64)
+    """Rows per block for vectors of length n."""
+    return max(1, _BLOCK_ELEMENTS // n)
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +86,24 @@ def r_transform(x_tilde, tol: float = 1e-10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_prefixes(n: int, k: int):
-    return permutations(range(n), k)
+def _prefix_sets(n: int, k: int):
+    """Index sets of the first k coordinates.  Given the prefix, the rest of a
+    permuted multiset is uniform over the values left, so every conditional
+    moment depends only on which values form the prefix, not on their order."""
+    return combinations(range(n), k)
+
+
+def _repeated_mean(terms, repeats: int, count: int) -> float:
+    """math.fsum over a list holding each term ``repeats`` times, divided by
+    ``count``: the exact total times ``repeats``, rounded once."""
+    return float(sum(map(Fraction, terms)) * repeats) / count
 
 
 def conditional_mean_identity_check(spec: MultisetPermutation, i: int) -> float:
     """Max deviation between the enumerated conditional mean of coordinate i
     and its closed form -(sum of the prefix) / (n - i + 1).
 
-    Exhaustive over every ordered prefix; requires a standardized multiset
+    Exhaustive over every prefix set; requires a standardized multiset
     with n small enough to enumerate.
     """
     values = spec.values
@@ -104,7 +112,7 @@ def conditional_mean_identity_check(spec: MultisetPermutation, i: int) -> float:
         raise ValueError("multiset too large for exhaustive enumeration")
     rest = n - i + 1
     worst = 0.0
-    for prefix in _ordered_prefixes(n, i - 1):
+    for prefix in _prefix_sets(n, i - 1):
         taken = set(prefix)
         remaining = [values[j] for j in range(n) if j not in taken]
         enumerated = math.fsum(remaining) / rest
@@ -114,7 +122,7 @@ def conditional_mean_identity_check(spec: MultisetPermutation, i: int) -> float:
 
 
 def martingale_increment_check(spec: MultisetPermutation, i: int) -> float:
-    """Max |E(R_i | prefix)| over every ordered prefix; zero for centered input.
+    """Max |E(R_i | prefix)| over every prefix set; zero for centered input.
 
     R_i = x_i + (prefix sum) / (n - i + 1) is built for each possible next x_i.
     """
@@ -124,7 +132,7 @@ def martingale_increment_check(spec: MultisetPermutation, i: int) -> float:
         raise ValueError("multiset too large for exhaustive enumeration")
     rest = n - i + 1
     worst = 0.0
-    for prefix in _ordered_prefixes(n, i - 1):
+    for prefix in _prefix_sets(n, i - 1):
         taken = set(prefix)
         shift = math.fsum(values[list(prefix)]) / rest if prefix else 0.0
         increments = [values[j] + shift for j in range(n) if j not in taken]
@@ -164,7 +172,8 @@ def second_moment_identity_check(spec: MultisetPermutation, i: int) -> SecondMom
     sq_means = []
     cond_seconds = []
     r_devs = []
-    for prefix in _ordered_prefixes(n, i - 1):
+    r_cubes = []
+    for prefix in _prefix_sets(n, i - 1):
         taken = set(prefix)
         remaining = [values[j] for j in range(n) if j not in taken]
         m = math.fsum(remaining) / rest
@@ -172,16 +181,15 @@ def second_moment_identity_check(spec: MultisetPermutation, i: int) -> SecondMom
         sq_means.append(m * m)
         cond_seconds.append(m2)
         r_devs.append(abs(m2 - m * m - 1.0))
-    r_cubes = []
-    for prefix in _ordered_prefixes(n, i):
-        head = sum(values[j] for j in prefix[:-1])
-        r = values[prefix[-1]] + head / rest
-        r_cubes.append(abs(r) ** 3)
-    mean_square = math.fsum(sq_means) / len(sq_means)
-    second_mean = math.fsum(cond_seconds) / len(cond_seconds)
-    second_sq = math.fsum(v * v for v in cond_seconds) / len(cond_seconds)
-    deviation = math.fsum(r_devs) / len(r_devs)
-    third = math.fsum(r_cubes) / len(r_cubes)
+        shift = math.fsum(values[list(prefix)]) / rest
+        r_cubes += [abs(v + shift) ** 3 for v in remaining]
+    # Each prefix set stands for the (i-1)! ordered prefixes of its values.
+    repeats, count = math.factorial(i - 1), math.perm(n, i - 1)
+    mean_square = _repeated_mean(sq_means, repeats, count)
+    second_mean = _repeated_mean(cond_seconds, repeats, count)
+    second_sq = _repeated_mean([v * v for v in cond_seconds], repeats, count)
+    deviation = _repeated_mean(r_devs, repeats, count)
+    third = _repeated_mean(r_cubes, repeats, math.perm(n, i))
     variance = second_sq - second_mean ** 2
     return SecondMomentChecks(
         mean_square_lhs=mean_square,
@@ -345,7 +353,7 @@ def stein_mc_check(h: SmoothFunction, cov, replicates: int, seed: int):
     xi = rng_from(seed).standard_normal((replicates, cov.shape[0])) @ root.T
     hv = np.asarray(h(xi), dtype=float)
     if isinstance(h, RidgeFunction):
-        grads = np.asarray(h.profile.d1(xi @ h.weights + h.offset))[:, None] * h.weights
+        grads = np.asarray(h.profile.d1(h.argument(xi)))[:, None] * h.weights
     else:
         grads = np.array([h.gradient(row) for row in xi])
     resid = xi * hv[:, None] - grads @ cov.T

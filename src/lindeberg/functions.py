@@ -218,7 +218,9 @@ class RidgeFunction(SmoothFunction):
         self.mixed_bounds = bounds
 
     def argument(self, x):
-        return np.asarray(x, dtype=float) @ self.weights + self.offset
+        """w.x + b along the last axis.  einsum sums each row on its own, so a row's
+        value does not depend on the batch around it or on BLAS threads."""
+        return np.einsum("...j,j->...", np.asarray(x, dtype=float), self.weights) + self.offset
 
     def __call__(self, x):
         return self.profile.value(self.argument(x))
@@ -241,7 +243,7 @@ class RidgeFunction(SmoothFunction):
     def hessian_quad(self, rows, weight):
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         quad = float(self.weights @ weight @ self.weights)
-        return np.asarray(self.profile.d2(rows @ self.weights + self.offset)) * quad
+        return np.asarray(self.profile.d2(self.argument(rows))) * quad
 
     def compose_linear(self, matrix) -> "RidgeFunction":
         """The map x -> f(M x); a ridge with weights M^T w."""

@@ -437,7 +437,17 @@ class MultisetPermutation:
     variant: ClassVar[str] = "multiset"
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        self._adopt(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _from_fresh(cls, values: np.ndarray) -> "MultisetPermutation":
+        """The spec over ``values`` itself, without a copy: for a float64 array
+        that no caller holds."""
+        spec = object.__new__(cls)
+        spec._adopt(values)
+        return spec
+
+    def _adopt(self, values: np.ndarray) -> None:
         if values.ndim != 1 or values.size == 0:
             raise ValueError("multiset must be a nonempty sequence of values")
         if not np.isfinite(values).all():
@@ -924,14 +934,18 @@ def center_and_scale(x) -> StandardizedVector:
     """Standardize ``x`` to mean 0 and mean-square 1 (divisor n).
 
     A constant vector is a flagged success: the standardized coordinates are
-    returned as zeros with ``degenerate=True``, not an error.
+    returned as zeros with ``degenerate=True``, not an error.  One temporary
+    of x's size serves the squares and then the standardized coordinates.
     """
     x = np.asarray(x, dtype=float)
     mu = float(x.mean())
-    sigma = float(np.sqrt(np.mean(np.square(x - mu))))
+    d = x - mu
+    sigma = float(np.sqrt(np.mean(np.square(d, out=d))))
     if sigma <= _DEGENERATE_RTOL * (1.0 + abs(mu)):
-        return StandardizedVector(mu, 0.0, np.zeros_like(x), True)
-    return StandardizedVector(mu, sigma, (x - mu) / sigma, False)
+        d.fill(0.0)
+        return StandardizedVector(mu, 0.0, d, True)
+    np.subtract(x, mu, out=d)
+    return StandardizedVector(mu, sigma, np.divide(d, sigma, out=d), False)
 
 
 def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
@@ -980,4 +994,4 @@ def standardized_multiset(values: Sequence[float]) -> MultisetPermutation:
     std = center_and_scale(np.asarray(values, dtype=float))
     if std.degenerate:
         raise ValueError("cannot standardize a constant multiset")
-    return MultisetPermutation(std.x_tilde)
+    return MultisetPermutation._from_fresh(std.x_tilde)

@@ -57,16 +57,19 @@ def upper_triangle_size(N: int) -> int:
     return N * (N + 1) // 2
 
 
-def wigner_matrix(x, N: int) -> np.ndarray:
+def wigner_matrix(x, N: int, out: np.ndarray | None = None) -> np.ndarray:
     """Symmetric N x N matrix with N^{-1/2}-scaled upper-triangle entries.
 
     ``x`` lists the entries for positions (i, j), i <= j, in row-major
-    order; the lower triangle mirrors them.
+    order; the lower triangle mirrors them.  ``out``, an N x N float64
+    array, receives the matrix instead of a new one.
     """
     x = np.asarray(x, dtype=float)
     if x.size != upper_triangle_size(N):
         raise ValueError("entry vector length must be N(N+1)/2")
-    a = np.empty((N, N))
+    a = np.empty((N, N)) if out is None else out
+    if a.shape != (N, N) or a.dtype != np.float64:
+        raise ValueError("out must be an N x N float64 array")
     scale = math.sqrt(N)
     start = 0
     for i in range(N):
@@ -330,14 +333,18 @@ def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
     Stieltjes-transform gaps on the supplied grid, together with the
     empirical standardized fourth moment of the entries.
     """
+    # The matrix is allocated before the entries are drawn, so the entry
+    # vector and its standardized copy are freed at the top of the heap, where
+    # LAPACK's copy of the matrix reuses their space.
+    a = np.empty((spec.N, spec.N))
     x = sample_exchangeable(spec.entries, seed)
     std = center_and_scale(x)
     if std.degenerate:
         raise ValueError("degenerate entries: sigma_hat must be positive")
     mu, sigma = std.mu_hat, std.sigma_hat
     m4 = float(np.mean(np.power(std.x_tilde, 4, out=std.x_tilde)))
-    del std  # free the standardized copy before the matrix is built
-    a = wigner_matrix(x, spec.N)
+    del std
+    wigner_matrix(x, spec.N, out=a)
     del x  # so the eigensolve holds only the matrix and LAPACK's copy of it
     np.divide(a, sigma, out=a)
     eigs = eigenvalues(a).eigenvalues

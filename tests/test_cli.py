@@ -427,3 +427,20 @@ def test_cli_runs_without_importing_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+def test_thm12_bytes_do_not_depend_on_blas_threads(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    tables = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"blas{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "lindeberg", "thm12-check", "--n", "7,50",
+             "--replicates", "30001", "--seed", "3", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        tables.append((out / "thm12_check.csv").read_bytes())
+    assert tables[0] == tables[1]

@@ -148,6 +148,38 @@ def test_second_moment_inequalities_exact_mode(n):
             assert c.third_moment_lhs <= c.third_moment_rhs + 1e-12
 
 
+def _second_moments_over_ordered_prefixes(values, i):
+    """Every ordered prefix enumerated, each mean one fsum over the full list."""
+    n, rest = values.size, values.size - i + 1
+    sq_means, cond_seconds, r_devs, r_cubes = [], [], [], []
+    for prefix in itertools.permutations(range(n), i - 1):
+        remaining = [values[j] for j in range(n) if j not in prefix]
+        m = math.fsum(remaining) / rest
+        m2 = math.fsum(v * v for v in remaining) / rest
+        sq_means.append(m * m)
+        cond_seconds.append(m2)
+        r_devs.append(abs(m2 - m * m - 1.0))
+    for prefix in itertools.permutations(range(n), i):
+        r = values[prefix[-1]] + math.fsum(values[list(prefix[:-1])]) / rest
+        r_cubes.append(abs(r) ** 3)
+    mean = lambda terms: math.fsum(terms) / len(terms)
+    return (mean(sq_means), mean(cond_seconds) ** 2, mean([v * v for v in cond_seconds]),
+            mean(r_devs), mean(r_cubes))
+
+
+@pytest.mark.parametrize("n", sorted(MULTISETS))
+def test_prefix_sets_reproduce_the_ordered_enumeration(n):
+    for spec in MULTISETS[n]:
+        for i in range(1, n + 1):
+            c = second_moment_identity_check(spec, i)
+            mean_square, second_mean_sq, second_sq, deviation, third = (
+                _second_moments_over_ordered_prefixes(spec.values, i))
+            assert c.mean_square_lhs == mean_square
+            assert c.variance_lhs == second_sq - second_mean_sq
+            assert c.deviation_lhs == deviation
+            assert c.third_moment_lhs == third
+
+
 class TestCovariancePair:
     def test_three_by_three_values(self):
         pair = covariance_matrices(3)

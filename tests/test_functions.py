@@ -128,3 +128,16 @@ def test_ridge_mixed_partial_product_rule():
     u = float(x @ f.weights)
     expected = math.sin(u) * 0.5 * (-1.0) * 0.25  # third derivative of cos is sin
     assert f.mixed_partial(x, (0, 1, 2)) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 101])
+def test_ridge_rows_do_not_depend_on_the_batch(n):
+    rng = np.random.default_rng(n)
+    f = RidgeFunction(cos_profile(), rng.standard_normal(n), offset=0.3)
+    x = rng.standard_normal((1000, n))
+    whole = f.argument(x)
+    for block in (1, 3, 7, 64, 999):
+        parts = np.concatenate([f.argument(x[s:s + block]) for s in range(0, len(x), block)])
+        assert np.array_equal(parts, whole), block
+    assert all(f.argument(x[k]) == whole[k] for k in range(0, len(x), 37))
+    assert np.array_equal(f(x[1:]), np.cos(whole[1:]))  # a batch that starts one row in

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,48 @@ class TestCenterAndScale:
         n = len(values)
         assert abs(std.x_tilde.sum()) <= 1e-12 * n
         assert abs(np.square(std.x_tilde).sum() - n) <= 1e-12 * n
+
+    @pytest.mark.parametrize("kind", ["random", "huge-offset", "degenerate"])
+    def test_bit_identical_to_the_two_pass_formula(self, kind):
+        x = np.random.default_rng(4).standard_normal(10_001)
+        if kind == "huge-offset":
+            x += 1e12
+        elif kind == "degenerate":
+            x = np.full(101, 0.1)
+        mu = float(x.mean())
+        sigma = float(np.sqrt(np.mean(np.square(x - mu))))
+        std = center_and_scale(x)
+        assert std.mu_hat == mu
+        if kind == "degenerate":
+            assert std.degenerate and std.sigma_hat == 0.0
+            assert np.array_equal(std.x_tilde, np.zeros_like(x))
+        else:
+            assert not std.degenerate and std.sigma_hat == sigma
+            assert np.array_equal(std.x_tilde, (x - mu) / sigma)
+
+
+class TestStandardizedMultiset:
+    def test_values_are_a_read_only_copy(self):
+        values = np.arange(1.0, 8.0)
+        spec = standardized_multiset(values)
+        assert not np.shares_memory(spec.values, values)
+        kept = spec.values.copy()
+        values[:] = 0.0
+        assert np.array_equal(spec.values, kept)
+        assert not spec.values.flags.writeable
+        with pytest.raises(ValueError):
+            spec.values[0] = 1.0
+
+    def test_build_holds_one_temporary(self):
+        values = np.arange(1.0, 1e6 + 1.0)
+        tracemalloc.start()
+        try:
+            spec = standardized_multiset(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.n == values.size
+        assert peak < 1.5 * values.nbytes  # the standardized array and a bool mask
 
 
 class TestBuildY:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,3 +350,36 @@ class TestConvergenceExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 8 * N * N
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_rss_of_two_seeds_near_the_live_set(self):
+        # tracemalloc sees neither LAPACK's copy nor freed heap that stays
+        # resident, so the process's own resident high-water mark is read.  At
+        # the eigensolve the live set is 2.47 x 8N^2 bytes: the matrix,
+        # LAPACK's copy and the entry multiset.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", _RSS_SCRIPT], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert float(result.stdout.split()[-1]) < 3.3
+
+
+# VmHWM, not ru_maxrss: the latter keeps the launching process's high-water
+# mark across exec.
+_RSS_SCRIPT = """
+from lindeberg.spectral import rademacher_perm_wigner, thm13_experiment
+
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM"))
+
+N = 2000
+base = high_water()
+spec = rademacher_perm_wigner(N)
+for seed in (1, 2):
+    thm13_experiment(spec, [1j], seed)
+print((high_water() - base) / (8 * N * N))
+"""
