@@ -3,7 +3,8 @@
 Subcommands reproduce the library's verification suites and emit plot-ready
 CSV tables next to a JSON summary with one pass/fail entry per assertion.
 Exit status: 0 when every assertion passes, 1 when any fails (the failing
-checks are named on stderr), 2 for an unknown command or invalid config.
+checks are named on stderr), 2 for an unknown command, invalid input, a flag
+or config key the command does not read, or a run that makes no checks.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ import argparse
 import csv
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -52,7 +50,17 @@ from .spectral import (
 from .swap import swapping_report
 
 SCHEMA_VERSION = 1
-_THREADS_ENV = "LINDEBERG_THREADS"
+
+# The config fields each command reads beyond ``seed`` and ``out``; a command
+# takes a flag or config key only for a field listed here.
+_READS = {
+    "identities": ("n_list", "multiset"),
+    "thm11-check": ("replicates", "n_list", "specs", "functions", "custom_spec"),
+    "thm12-check": ("replicates", "n_list", "multiset"),
+    "resolvent-check": ("N_list", "z_grid", "trials", "tuples"),
+    "wigner-sweep": ("N_list", "ensemble", "seeds", "z_grid"),
+    "semicircle-table": ("x_values", "z_grid"),
+}
 
 
 @dataclass
@@ -62,7 +70,6 @@ class ExperimentConfig:
     command: str
     seed: int = 0
     out: str = "."
-    threads: int = 1
     replicates: int | None = None
     n_list: list[int] = field(default_factory=list)
     N_list: list[int] = field(default_factory=list)
@@ -78,7 +85,9 @@ class ExperimentConfig:
     custom_spec: dict | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """``command``, ``seed``, ``out`` and the fields this command reads."""
+        keys = ("command", "seed", "out", *_READS[self.command])
+        return {k: v for k, v in asdict(self).items() if k in keys}
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -89,6 +98,12 @@ class ExperimentConfig:
         for f in fields(ExperimentConfig):
             if f.name in d and not _has_type(d[f.name], hints[f.name]):
                 raise ValueError(f"config key {f.name!r} must be {f.type}; got {d[f.name]!r}")
+        command = d.get("command")
+        if command not in _READS:
+            raise ValueError(f"unknown command {command!r}")
+        ignored = sorted(set(d) - {"command", "seed", "out", *_READS[command]})
+        if ignored:
+            raise ValueError(f"config key(s) {command} does not read: {', '.join(ignored)}")
         return ExperimentConfig(**d)
 
 
@@ -115,31 +130,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, fieldnames, rows):
+def _write_csv(path: Path, rows):
+    """One line per row after ``schema_version``; the first row's keys are the header."""
+    assert rows, "a command with checks writes at least one row"
+    header = ["schema_version", *rows[0]]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+            writer.writerow({k: _fmt(v) for k, v in
+                             {"schema_version": SCHEMA_VERSION, **row}.items()})
 
 
 # ---------------------------------------------------------------------------
-# Command implementations; each returns (fieldnames, rows, checks)
+# Command implementations; each returns (rows, checks, summary_extra)
 # ---------------------------------------------------------------------------
 
 
-def _n_list(cfg: ExperimentConfig, default) -> list:
-    """Vector lengths to run: the explicit multiset's length, else --n, else ``default``."""
-    if cfg.multiset:
-        n_list = [len(cfg.multiset)]
-        if cfg.n_list and [int(n) for n in cfg.n_list] != n_list:
-            raise ValueError("--n disagrees with the explicit multiset length")
-        return n_list
+def _n_list(cfg: ExperimentConfig, default, fixed=None,
+            source="the explicit multiset length") -> list:
+    """Vector lengths to run: ``fixed`` when an explicit input sets the length
+    (a --n that disagrees is an error), else --n, else ``default``."""
+    if fixed is not None:
+        if cfg.n_list and [int(n) for n in cfg.n_list] != [fixed]:
+            raise ValueError(f"--n disagrees with {source}")
+        return [fixed]
     return [int(n) for n in (cfg.n_list or default)]
 
 
 def run_identities(cfg: ExperimentConfig):
-    n_list = _n_list(cfg, [3, 4, 5, 6, 7])
+    n_list = _n_list(cfg, [3, 4, 5, 6, 7], len(cfg.multiset) or None)
     rows = []
     checks = {}
     for n in n_list:
@@ -162,16 +182,14 @@ def run_identities(cfg: ExperimentConfig):
             worst_sq = max(worst_sq, dev_sq)
             worst_mart = max(worst_mart, dev_mart)
             rows.append({
-                "schema_version": SCHEMA_VERSION, "check": "conditional_moments",
-                "n": n, "i": i, "lhs": sm.mean_square_lhs, "rhs": sm.mean_square_rhs,
-                "deviation": dev_mean, "slack": slack_i,
+                "check": "conditional_moments", "n": n, "i": i, "lhs": sm.mean_square_lhs,
+                "rhs": sm.mean_square_rhs, "deviation": dev_mean, "slack": slack_i,
             })
         gap = covariance_gap_sum(n)
         gap_exact_dev = abs(float(covariance_gap_sum_exact(n) - harmonic_gap_closed_form(n)))
         rows.append({
-            "schema_version": SCHEMA_VERSION, "check": "covariance_gap", "n": n,
-            "i": 0, "lhs": gap, "rhs": 3.0 * math.sqrt(n), "deviation": gap_exact_dev,
-            "slack": 3.0 * math.sqrt(n) - gap,
+            "check": "covariance_gap", "n": n, "i": 0, "lhs": gap, "rhs": 3.0 * math.sqrt(n),
+            "deviation": gap_exact_dev, "slack": 3.0 * math.sqrt(n) - gap,
         })
         checks[f"conditional_mean_identity_n{n}"] = worst_mean <= 1e-12
         checks[f"conditional_mean_square_n{n}"] = worst_sq <= 1e-12
@@ -185,32 +203,23 @@ def run_identities(cfg: ExperimentConfig):
         cov = m @ m.T / 4.0
         worst_stein = max(worst_stein, stein_exact_check(cov))
     rows.append({
-        "schema_version": SCHEMA_VERSION, "check": "stein_polynomial", "n": 4,
+        "check": "stein_polynomial", "n": 4,
         "i": 0, "lhs": worst_stein, "rhs": 1e-10, "deviation": worst_stein,
         "slack": 1e-10 - worst_stein,
     })
     checks["stein_polynomial"] = worst_stein <= 1e-10
-    fields = ["schema_version", "check", "n", "i", "lhs", "rhs", "deviation", "slack"]
-    return fields, rows, checks
+    return rows, checks, {}
 
 
-def _swapping_group(args):
+def _swapping_group(spec, label, f_kinds, replicates, seeds):
     """Rows for every function of one (spec, n) pair, which share A, B and M3."""
-    spec_kind, n, f_kinds, replicates, seeds = args
-    if isinstance(spec_kind, dict):
-        spec = spec_from_dict(spec_kind)
-        n = spec.n
-        label = spec_kind.get("variant", "custom")
-    else:
-        spec = suites.swapping_spec(spec_kind, n)
-        label = spec_kind
+    n = spec.n
     y_spec = suites.gaussian_comparison(n)
     functions = [suites.suite_function(f_kind, n) for f_kind in f_kinds]
     reports = swapping_report(functions, spec, y_spec, replicates, seeds,
                               ab_replicates=20_000)
     return [{
-        "schema_version": SCHEMA_VERSION, "spec": label, "n": n,
-        "function": f_kind, "bound": report.bound,
+        "spec": label, "n": n, "function": f_kind, "bound": report.bound,
         "first_order": report.components["first_order"],
         "second_order": report.components["second_order"],
         "third_moment": report.components["third_moment"],
@@ -222,31 +231,26 @@ def _swapping_group(args):
 
 def run_thm11(cfg: ExperimentConfig):
     replicates = 100_000 if cfg.replicates is None else cfg.replicates
-    n_list = [int(n) for n in (cfg.n_list or suites.SWAPPING_N_VALUES)]
-    spec_kinds = [cfg.custom_spec] if cfg.custom_spec else list(cfg.specs)
-    groups = []
-    idx = 0
-    for spec_kind in spec_kinds:
-        for n in n_list if not cfg.custom_spec else [0]:
-            seeds = [derive_child(cfg.seed, idx + k) for k in range(len(cfg.functions))]
-            groups.append((spec_kind, n, list(cfg.functions), replicates, seeds))
-            idx += len(cfg.functions)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = [row for group in pool.map(_swapping_group, groups) for row in group]
+    if cfg.custom_spec:
+        spec = spec_from_dict(cfg.custom_spec)
+        _n_list(cfg, (), spec.n, "the spec's n")
+        cells = [(spec, cfg.custom_spec["variant"])]
     else:
-        rows = [row for group in groups for row in _swapping_group(group)]
+        n_list = _n_list(cfg, suites.SWAPPING_N_VALUES)
+        cells = ((suites.swapping_spec(kind, n), kind) for kind in cfg.specs for n in n_list)
+    rows = []
+    for idx, (spec, label) in enumerate(cells):
+        k0 = idx * len(cfg.functions)
+        seeds = [derive_child(cfg.seed, k0 + k) for k in range(len(cfg.functions))]
+        rows += _swapping_group(spec, label, cfg.functions, replicates, seeds)
     checks = {f"dominated_{r['spec']}_n{r['n']}_{r['function']}": bool(r["dominated"])
               for r in rows}
-    fields = ["schema_version", "spec", "n", "function", "bound", "first_order",
-              "second_order", "third_moment", "estimate", "stderr", "replicates",
-              "dominated", "estimate_kind"]
-    return fields, rows, checks
+    return rows, checks, {}
 
 
 def run_thm12(cfg: ExperimentConfig):
     replicates = 200_000 if cfg.replicates is None else cfg.replicates
-    n_list = _n_list(cfg, suites.SUMMARIZATION_N_VALUES)
+    n_list = _n_list(cfg, suites.SUMMARIZATION_N_VALUES, len(cfg.multiset) or None)
     rows = []
     checks = {}
     idx = 0
@@ -259,7 +263,7 @@ def run_thm12(cfg: ExperimentConfig):
             idx += 1
             ok = report.dominates(3.0)
             rows.append({
-                "schema_version": SCHEMA_VERSION, "n": n, "function": f_kind,
+                "n": n, "function": f_kind,
                 "bound": report.bound,
                 "second_order": report.components["second_order"],
                 "third_order": report.components["third_order"],
@@ -268,10 +272,7 @@ def run_thm12(cfg: ExperimentConfig):
                 "estimate_kind": report.kind,
             })
             checks[f"dominated_n{n}_{f_kind}"] = bool(ok)
-    fields = ["schema_version", "n", "function", "bound", "second_order",
-              "third_order", "estimate", "stderr", "replicates", "dominated",
-              "estimate_kind"]
-    return fields, rows, checks
+    return rows, checks, {}
 
 
 def run_resolvent_check(cfg: ExperimentConfig):
@@ -280,7 +281,7 @@ def run_resolvent_check(cfg: ExperimentConfig):
     rng = rng_from(derive_child(cfg.seed, 23))
     agreement = fd_agreement_check(N_list, cfg.tuples, z, rng)
     rows = [{
-        "schema_version": SCHEMA_VERSION, "N": N, "kind": "finite_difference",
+        "N": N, "kind": "finite_difference",
         "order": order, "value": analytic, "reference": fd, "rel_error": rel,
     } for N, order, analytic, fd, rel in agreement.cases]
     worst_ratio = 0.0
@@ -290,7 +291,7 @@ def run_resolvent_check(cfg: ExperimentConfig):
         ratios = trace_bound_check(x, N, z, 1, rng)
         worst_ratio = max(worst_ratio, ratios.order1, ratios.order2, ratios.order3)
     rows.append({
-        "schema_version": SCHEMA_VERSION, "N": 0, "kind": "trace_ratio",
+        "N": 0, "kind": "trace_ratio",
         "order": 0, "value": worst_ratio, "reference": 1.0, "rel_error": 0.0,
     })
     checks = {
@@ -299,15 +300,13 @@ def run_resolvent_check(cfg: ExperimentConfig):
         "finite_difference_order3": agreement.order3 <= 1e-6,
         "trace_bound_ratios": worst_ratio <= 1.0,
     }
-    fields = ["schema_version", "N", "kind", "order", "value", "reference",
-              "rel_error"]
-    return fields, rows, checks
+    return rows, checks, {}
 
 
 def _sweep_cell(spec, z_grid, seed):
     row = thm13_experiment(spec, z_grid, seed)
     out = {
-        "schema_version": SCHEMA_VERSION, "N": spec.N, "seed": seed,
+        "N": spec.N, "seed": seed,
         "ensemble": row.ensemble, "mu_hat": row.mu_hat,
         "sigma_hat": row.sigma_hat, "m4_tilde": row.m4_tilde, "ks": row.ks,
     }
@@ -323,21 +322,18 @@ def run_wigner_sweep(cfg: ExperimentConfig):
     N_list = [int(N) for N in (cfg.N_list or [50, 100, 200, 400])]
     z_grid = [complex(z) for z in cfg.z_grid]
     rows = []
-    with ThreadPoolExecutor(max_workers=max(cfg.threads, 1)) as pool:
-        run = pool.map if cfg.threads > 1 else map
-        for N in N_list:
-            # The ensemble is deterministic, so one build serves every seed of the order.
-            rows += run(partial(_sweep_cell, ENSEMBLES[cfg.ensemble](N), z_grid),
-                        [derive_child(cfg.seed, N * 100_003 + s) for s in range(cfg.seeds)])
+    for N in N_list:
+        # The ensemble is deterministic, so one build serves every seed of the order.
+        spec = ENSEMBLES[cfg.ensemble](N)
+        rows += [_sweep_cell(spec, z_grid, derive_child(cfg.seed, N * 100_003 + s))
+                 for s in range(cfg.seeds)]
+        del spec  # free this order's entries before the next, larger build
     medians = {N: float(np.median([r["ks"] for r in rows if r["N"] == N]))
                for N in N_list}
     checks = {"all_cells_finite": all(math.isfinite(r["ks"]) for r in rows)}
-    fields = ["schema_version", "N", "seed", "ensemble", "mu_hat", "sigma_hat",
-              "m4_tilde", "ks"]
-    fields += [f"{p}_gap_{k}" for k in range(len(z_grid)) for p in ("re", "im")]
     summary_extra = {"median_ks": {str(N): medians[N] for N in N_list},
                      "z_grid": [str(z) for z in z_grid]}
-    return fields, rows, checks, summary_extra
+    return rows, checks, summary_extra
 
 
 def run_semicircle_table(cfg: ExperimentConfig):
@@ -345,7 +341,7 @@ def run_semicircle_table(cfg: ExperimentConfig):
     xs = cfg.x_values if cfg.x_values else ([] if cfg.z_grid else [0.0])
     for x in xs:
         rows.append({
-            "schema_version": SCHEMA_VERSION, "kind": "x", "arg_re": float(x),
+            "kind": "x", "arg_re": float(x),
             "arg_im": 0.0, "density": float(semicircle_density(x)),
             "cdf": float(semicircle_cdf(x)), "m_re": "", "m_im": "",
         })
@@ -354,14 +350,12 @@ def run_semicircle_table(cfg: ExperimentConfig):
             z = complex(z_text)
             m = semicircle_stieltjes(z)
             rows.append({
-                "schema_version": SCHEMA_VERSION, "kind": "z", "arg_re": z.real,
+                "kind": "z", "arg_re": z.real,
                 "arg_im": z.imag, "density": "", "cdf": "",
                 "m_re": m.real, "m_im": m.imag,
             })
     checks = {"table_nonempty": bool(rows)}
-    fields = ["schema_version", "kind", "arg_re", "arg_im", "density", "cdf",
-              "m_re", "m_im"]
-    return fields, rows, checks
+    return rows, checks, {}
 
 
 _COMMANDS = {
@@ -391,6 +385,27 @@ def _split_strs(text: str):
     return [v for v in text.split(",") if v != ""]
 
 
+# The flag and argparse keywords for each config field a command can read.
+_FLAGS = {
+    "replicates": ("--replicates", {"type": int}),
+    "n_list": ("--n", {"type": _split_ints, "help": "comma-separated vector lengths"}),
+    "N_list": ("--N", {"type": _split_ints, "help": "comma-separated matrix orders"}),
+    "multiset": ("--multiset", {"type": _split_floats,
+                                "help": "comma-separated multiset values"}),
+    "ensemble": ("--ensemble", {"choices": sorted(ENSEMBLES)}),
+    "seeds": ("--seeds", {"type": int, "help": "replicate seeds per sweep cell"}),
+    "z_grid": ("--z", {"type": _split_strs,
+                       "help": "comma-separated complex evaluation points"}),
+    "x_values": ("--x", {"type": _split_floats,
+                         "help": "comma-separated real evaluation points"}),
+    "specs": ("--specs", {"type": _split_strs}),
+    "functions": ("--functions", {"type": _split_strs}),
+    "trials": ("--trials", {"type": int}),
+    "tuples": ("--tuples", {"type": int}),
+    "custom_spec": ("--spec-json", {"help": "path to an exchangeable-spec JSON document"}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lindeberg",
@@ -412,27 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--n", dest="n_list", type=_split_ints, default=None,
-                       help="comma-separated vector lengths")
-        p.add_argument("--N", dest="N_list", type=_split_ints, default=None,
-                       help="comma-separated matrix orders")
-        p.add_argument("--multiset", type=_split_floats, default=None,
-                       help="comma-separated multiset values")
-        p.add_argument("--ensemble", default=None, choices=sorted(ENSEMBLES))
-        p.add_argument("--seeds", type=int, default=None,
-                       help="replicate seeds per sweep cell")
-        p.add_argument("--z", dest="z_grid", type=_split_strs, default=None,
-                       help="comma-separated complex evaluation points")
-        p.add_argument("--x", dest="x_values", type=_split_floats, default=None,
-                       help="comma-separated real evaluation points")
-        p.add_argument("--specs", type=_split_strs, default=None)
-        p.add_argument("--functions", type=_split_strs, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--tuples", type=int, default=None)
-        p.add_argument("--spec-json", dest="spec_json", default=None,
-                       help="path to an exchangeable-spec JSON document")
+        for key in _READS[name]:
+            flag, kwargs = _FLAGS[key]
+            p.add_argument(flag, dest=key, **kwargs)
     return parser
 
 
@@ -467,25 +464,17 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         if data["command"] != args.command:
             raise ValueError("config file is for a different command")
         cfg = ExperimentConfig.from_dict(data)
-    env_threads = os.environ.get(_THREADS_ENV)
-    if env_threads and args.threads is None and not args.config:
-        cfg.threads = int(env_threads)
-    overrides = {
-        "seed": args.seed, "out": args.out, "threads": args.threads,
-        "replicates": args.replicates, "n_list": args.n_list,
-        "N_list": args.N_list, "multiset": args.multiset,
-        "ensemble": args.ensemble, "seeds": args.seeds, "z_grid": args.z_grid,
-        "x_values": args.x_values, "specs": args.specs,
-        "functions": args.functions, "trials": args.trials,
-        "tuples": args.tuples,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if args.spec_json:
-        with open(args.spec_json) as fh:
-            cfg.custom_spec = json.load(fh)
-        spec_from_dict(cfg.custom_spec)  # validate early
+    for key in ("seed", "out", *_READS[cfg.command]):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if value == []:
+            raise ValueError(f"{_FLAGS[key][0]} needs at least one value")
+        if key == "custom_spec":  # --spec-json names a file
+            with open(value) as fh:
+                value = json.load(fh)
+            spec_from_dict(value)  # validate early
+        setattr(cfg, key, value)
     if not all(math.isfinite(x) for x in cfg.x_values):
         raise ValueError("--x values must be finite")
     if cfg.replicates is not None and cfg.replicates < 2:
@@ -504,17 +493,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(argv))
     try:
         cfg = build_config(args)
-        result = _COMMANDS[cfg.command](cfg)
+        rows, checks, summary_extra = _COMMANDS[cfg.command](cfg)
+        if not checks:
+            raise ValueError(f"{cfg.command} produced no checks")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fields, rows, checks = result[:3]
-    summary_extra = result[3] if len(result) > 3 else {}
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg.command.replace("-", "_")
-    _write_csv(out_dir / f"{stem}.csv", fields, rows)
+    _write_csv(out_dir / f"{stem}.csv", rows)
     summary = {
         "command": cfg.command,
         "seed": cfg.seed,

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,26 +124,101 @@ def test_wigner_sweep_is_byte_deterministic(tmp_path):
     assert a == b
 
 
-def test_threads_do_not_change_output(tmp_path):
-    base = ["wigner-sweep", "--N", "20,30", "--seeds", "2", "--seed", "5"]
-    run_cli(base + ["--threads", "1", "--out", str(tmp_path / "one")])
-    run_cli(base + ["--threads", "4", "--out", str(tmp_path / "four")])
-    assert ((tmp_path / "one" / "wigner_sweep.csv").read_bytes()
-            == (tmp_path / "four" / "wigner_sweep.csv").read_bytes())
-
-
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-command"])
     assert exc.value.code == 2
 
 
-def test_help_exits_0():
-    for command in ("identities", "thm11-check", "thm12-check",
-                    "resolvent-check", "wigner-sweep", "semicircle-table"):
+# The flags each command reads besides --config, --seed and --out.
+_FLAGS_READ = {
+    "identities": {"--n", "--multiset"},
+    "thm11-check": {"--replicates", "--n", "--specs", "--functions", "--spec-json"},
+    "thm12-check": {"--replicates", "--n", "--multiset"},
+    "resolvent-check": {"--N", "--z", "--trials", "--tuples"},
+    "wigner-sweep": {"--N", "--ensemble", "--seeds", "--z"},
+    "semicircle-table": {"--x", "--z"},
+}
+
+
+def test_help_exits_0(capsys):
+    for command, flags in _FLAGS_READ.items():
         with pytest.raises(SystemExit) as exc:
             run_cli([command, "--help"])
         assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--config", "--seed", "--out"} | flags, command
+
+
+@pytest.mark.parametrize("args", [
+    ["identities", "--replicates", "5"],
+    ["thm11-check", "--multiset", "1,2,3"],
+    ["thm12-check", "--specs", "cos"],
+    ["resolvent-check", "--seeds", "3"],
+    ["wigner-sweep", "--threads", "2"],
+    ["semicircle-table", "--seeds", "3"],
+], ids=" ".join)
+def test_ignored_flag_exits_2(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_IGNORED_KEYS = [
+    ("identities", "ensemble", "gaussian"),
+    ("thm11-check", "multiset", [1.0, 2.0]),
+    ("thm12-check", "specs", ["iid-uniform"]),
+    ("resolvent-check", "seeds", 3),
+    ("wigner-sweep", "replicates", 100),
+    ("semicircle-table", "N_list", [5]),
+]
+
+
+@pytest.mark.parametrize("command,key,value", _IGNORED_KEYS,
+                         ids=[f"{command} {key}" for command, key, _ in _IGNORED_KEYS])
+def test_ignored_config_key_exits_2(tmp_path, capsys, command, key, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"command": command, key: value}))
+    assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS_READ))
+def test_to_dict_config_round_trip(tmp_path, command):
+    cfg = cli.ExperimentConfig(command=command, seed=7, out=str(tmp_path / "o"))
+    written = cfg.to_dict()
+    assert len(written) == 3 + len(_FLAGS_READ[command])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(written))
+    args = cli._build_parser().parse_args([command, "--config", str(path)])
+    assert cli.build_config(args) == cfg
+
+
+@pytest.mark.parametrize("args", [
+    ["identities", "--n", ""],
+    ["identities", "--multiset", ","],
+    ["thm11-check", "--specs", ""],
+    ["thm11-check", "--functions", ""],
+    ["wigner-sweep", "--N", ""],
+    ["semicircle-table", "--x", ""],
+    ["semicircle-table", "--z", ""],
+], ids=" ".join)
+def test_empty_list_flag_exits_2(tmp_path, capsys, args):
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {args[1]} needs at least one value\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_command_without_checks_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"command": "thm11-check", "specs": []}))
+    assert run_cli(["thm11-check", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: thm11-check produced no checks\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
@@ -158,18 +234,22 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     not_an_object.write_text(json.dumps(["identities"]))
     assert run_cli(["identities", "--config", str(not_an_object)]) == 2
 
-    # values of the wrong type for their field; json.dumps writes NaN and Infinity
-    for key, value in [("replicates", float("nan")), ("replicates", 2.5), ("threads", "2"),
-                       ("seeds", float("inf")), ("seed", 1.5), ("seed", True),
-                       ("functions", "cos"), ("n_list", [5, None]), ("z_grid", [None]),
-                       ("custom_spec", [1])]:
+    # values of the wrong type for their field, each sent to a command that reads
+    # the field; json.dumps writes NaN and Infinity
+    for command, key, value in [
+            ("thm11-check", "replicates", float("nan")), ("thm12-check", "replicates", 2.5),
+            ("resolvent-check", "tuples", "2"), ("wigner-sweep", "seeds", float("inf")),
+            ("identities", "seed", 1.5), ("identities", "seed", True),
+            ("thm11-check", "functions", "cos"), ("identities", "n_list", [5, None]),
+            ("semicircle-table", "z_grid", [None]), ("thm11-check", "custom_spec", [1])]:
+        assert key in cli.ExperimentConfig(command).to_dict(), (command, key)
         typed = tmp_path / "typed.json"
-        typed.write_text(json.dumps({"command": "identities", key: value}))
+        typed.write_text(json.dumps({"command": command, key: value}))
         capsys.readouterr()
-        assert run_cli(["identities", "--config", str(typed),
+        assert run_cli([command, "--config", str(typed),
                         "--out", str(tmp_path / "o")]) == 2, key
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+        assert err.startswith(f"error: config key {key!r} must be ") and err.count("\n") == 1
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -182,7 +262,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 def test_failing_check_exits_1(tmp_path, monkeypatch, capsys):
     def broken(cfg):
-        return ["schema_version", "v"], [{"schema_version": 1, "v": 0.0}], {"broken": False}
+        return [{"v": 0.0}], {"broken": False}, {}
 
     monkeypatch.setitem(cli._COMMANDS, "semicircle-table", broken)
     code = run_cli(["semicircle-table", "--out", str(tmp_path)])
@@ -227,18 +307,21 @@ def test_custom_spec_json_document(tmp_path):
     assert rows[0]["dominated"] == "True"
 
 
+@pytest.mark.parametrize("n_flag", ["7,9", "4"])
+def test_spec_json_length_mismatch_exits_2(tmp_path, capsys, n_flag):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_iid(_N01, 5)))
+    code = run_cli(["thm11-check", "--spec-json", str(spec_path), "--n", n_flag,
+                    "--functions", "cos", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "spec's n" in err
+
+
 def test_bad_ensemble_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["wigner-sweep", "--ensemble", "bogus", "--out", str(tmp_path)])
     assert exc.value.code == 2
-
-
-def test_env_var_sets_default_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("LINDEBERG_THREADS", "3")
-    parser_args = cli._build_parser().parse_args(
-        ["semicircle-table", "--x", "0", "--out", str(tmp_path)])
-    cfg = cli.build_config(parser_args)
-    assert cfg.threads == 3
 
 
 def test_infinite_third_moment_gives_infinite_bound(tmp_path):
