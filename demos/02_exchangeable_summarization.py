@@ -53,9 +53,9 @@ print(f"  integral estimate {res.integral:+.4f} +- {res.integral_stderr:.4f}")
 print(f"  exact value       -5/6 = {-5 / 6:+.4f}")
 
 print("\nend-to-end bound for a ramp multiset, n = 10:")
-report = end_to_end_check(ramp_multiset(10),
-                          summarization_function("cos-alternating", 10),
-                          replicates=100_000, seed=11)
+report, = end_to_end_check(ramp_multiset(10),
+                           [summarization_function("cos-alternating", 10)],
+                           replicates=100_000, seed=11)
 print(f"  bound    {report.bound:.4f}   (second order {report.components['second_order']:.4f}"
       f" + third order {report.components['third_order']:.4f})")
 print(f"  estimate {report.estimate:+.5f} +- {report.stderr:.5f} ({report.kind})")

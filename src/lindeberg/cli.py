@@ -51,6 +51,10 @@ from .swap import swapping_report
 
 SCHEMA_VERSION = 1
 
+# The evaluation points of wigner-sweep, and of semicircle-table without --x,
+# when neither --z nor the config names any.
+_DEFAULT_Z = ("1j", "2j", "1+1j")
+
 # The config fields each command reads beyond ``seed`` and ``out``; a command
 # takes a flag or config key only for a field listed here.
 _READS = {
@@ -76,7 +80,7 @@ class ExperimentConfig:
     multiset: list[float] = field(default_factory=list)
     ensemble: str = "rademacher-perm"
     seeds: int = 20
-    z_grid: list[str] = field(default_factory=lambda: ["1j", "2j", "1+1j"])
+    z_grid: list[str] | None = None  # None: the command's default points
     x_values: list[float] = field(default_factory=list)
     specs: list[str] = field(default_factory=lambda: list(suites.SWAPPING_SPEC_KINDS))
     functions: list[str] = field(default_factory=lambda: list(suites.SUITE_FUNCTION_KINDS))
@@ -253,14 +257,15 @@ def run_thm12(cfg: ExperimentConfig):
     n_list = _n_list(cfg, suites.SUMMARIZATION_N_VALUES, len(cfg.multiset) or None)
     rows = []
     checks = {}
-    idx = 0
-    for n in n_list:
+    kinds = suites.SUMMARIZATION_FUNCTION_KINDS
+    for idx, n in enumerate(n_list):
         spec = (standardized_multiset(cfg.multiset) if cfg.multiset
                 else suites.ramp_multiset(n))
-        for f_kind in suites.SUMMARIZATION_FUNCTION_KINDS:
-            f = suites.summarization_function(f_kind, n)
-            report = end_to_end_check(spec, f, replicates, derive_child(cfg.seed, idx))
-            idx += 1
+        functions = [suites.summarization_function(f_kind, n) for f_kind in kinds]
+        # the functions of one n share one draw of X, seeded from the first's slot
+        reports = end_to_end_check(spec, functions, replicates,
+                                   derive_child(cfg.seed, idx * len(kinds)))
+        for f_kind, report in zip(kinds, reports):
             ok = report.dominates(3.0)
             rows.append({
                 "n": n, "function": f_kind,
@@ -276,7 +281,9 @@ def run_thm12(cfg: ExperimentConfig):
 
 
 def run_resolvent_check(cfg: ExperimentConfig):
-    z = complex(cfg.z_grid[0]) if cfg.z_grid else 1j
+    if cfg.z_grid is not None and len(cfg.z_grid) != 1:
+        raise ValueError("resolvent-check takes exactly one --z value")
+    z = 1j if cfg.z_grid is None else complex(cfg.z_grid[0])
     N_list = [int(N) for N in (cfg.N_list or [2, 3, 4, 5, 6, 7, 8])]
     rng = rng_from(derive_child(cfg.seed, 23))
     agreement = fd_agreement_check(N_list, cfg.tuples, z, rng)
@@ -320,7 +327,7 @@ def run_wigner_sweep(cfg: ExperimentConfig):
     if cfg.ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {cfg.ensemble!r}")
     N_list = [int(N) for N in (cfg.N_list or [50, 100, 200, 400])]
-    z_grid = [complex(z) for z in cfg.z_grid]
+    z_grid = [complex(z) for z in (_DEFAULT_Z if cfg.z_grid is None else cfg.z_grid)]
     rows = []
     for N in N_list:
         # The ensemble is deterministic, so one build serves every seed of the order.
@@ -338,22 +345,22 @@ def run_wigner_sweep(cfg: ExperimentConfig):
 
 def run_semicircle_table(cfg: ExperimentConfig):
     rows = []
-    xs = cfg.x_values if cfg.x_values else ([] if cfg.z_grid else [0.0])
+    zs = cfg.z_grid if cfg.z_grid is not None else ([] if cfg.x_values else _DEFAULT_Z)
+    xs = cfg.x_values or ([] if zs else [0.0])
     for x in xs:
         rows.append({
             "kind": "x", "arg_re": float(x),
             "arg_im": 0.0, "density": float(semicircle_density(x)),
             "cdf": float(semicircle_cdf(x)), "m_re": "", "m_im": "",
         })
-    if not cfg.x_values:
-        for z_text in cfg.z_grid:
-            z = complex(z_text)
-            m = semicircle_stieltjes(z)
-            rows.append({
-                "kind": "z", "arg_re": z.real,
-                "arg_im": z.imag, "density": "", "cdf": "",
-                "m_re": m.real, "m_im": m.imag,
-            })
+    for z_text in zs:
+        z = complex(z_text)
+        m = semicircle_stieltjes(z)
+        rows.append({
+            "kind": "z", "arg_re": z.real,
+            "arg_im": z.imag, "density": "", "cdf": "",
+            "m_re": m.real, "m_im": m.imag,
+        })
     checks = {"table_nonempty": bool(rows)}
     return rows, checks, {}
 

@@ -18,18 +18,11 @@ import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
 from .sampling import (MultisetPermutation, build_y, center_and_scale, derive_child,
-                       normal_quadrature, rng_from, sample_batch)
+                       mean_and_stderr, normal_quadrature, rng_from, row_blocks,
+                       sample_batch)
 from .swap import BoundReport
 
 _EXACT_ENUMERATION_LIMIT = 9
-
-# Elements per row block of end_to_end_check's draws: 2 MiB of float64.
-_BLOCK_ELEMENTS = 1 << 18
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block for vectors of length n."""
-    return max(1, _BLOCK_ELEMENTS // n)
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +263,22 @@ def covariance_gap_sum(n: int) -> float:
 def covariance_gap_sum_exact(n: int) -> Fraction:
     """Exact rational covariance gap, built from first principles.
 
-    sigma_tilde is computed as G^{-1} (G^{-1})^T in rational arithmetic, so
-    this oracle is independent of the closed-form entries used elsewhere.
+    sigma_tilde = G^{-1} (G^{-1})^T is taken from G^{-1}'s own entries (1 on
+    the diagonal, -1/(n-1-k) below it in column k), so this oracle is
+    independent of the closed-form entries used elsewhere.  Below the diagonal,
+    column k of G^{-1} is constant, so with S(j) = sum_{k<j} 1/(n-1-k)^2 the
+    inner product of row j with each of the n-1-j rows below it is
+    S(j) - 1/(n-1-j), and the diagonal entry is S(i) + 1: O(n) rational
+    operations in all.
     """
-    ginv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        ginv[i][i] = Fraction(1)
-        for j in range(i):
-            ginv[i][j] = Fraction(-1, n - 1 - j)
     total = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            tilde = sum(ginv[i][k] * ginv[j][k] for k in range(min(i, j) + 1))
-            sig = Fraction(n - 1, n) if i == j else Fraction(-1, n)
-            total += abs(sig - tilde)
+    prefix = Fraction(0)  # S(j)
+    for j in range(n):
+        total += abs(Fraction(n - 1, n) - (prefix + 1))
+        if j < n - 1:
+            below = Fraction(-1, n - 1 - j)  # G^{-1}[i, j] for every i > j
+            total += 2 * (n - 1 - j) * abs(Fraction(-1, n) - (prefix + below))
+            prefix += below * below
     return total
 
 
@@ -457,43 +452,56 @@ def _summary_mean(f: SmoothFunction, mu: float, sigma: float):
     return None if law is None else law.expect(f.profile.value)
 
 
-def end_to_end_check(spec: MultisetPermutation, f: SmoothFunction,
-                     replicates: int = 100_000, seed: int = 0) -> BoundReport:
-    """Bound-versus-estimate report for a fixed multiset and smooth f.
+def end_to_end_check(spec: MultisetPermutation, functions,
+                     replicates: int = 100_000, seed: int = 0) -> list:
+    """Bound-versus-estimate reports, one per smooth f, for a fixed multiset.
 
     Fixing the multiset makes mu_hat, sigma_hat, and the centered absolute
-    moments deterministic, so the bound is a single number.  Ef(X) is a Monte
+    moments deterministic, so each bound is a single number.  Ef(X) is a Monte
     Carlo mean; Ef(Y) is exact where ``_summary_mean`` has a route (its stated
     error is added to the stderr) and sampled otherwise.  When sigma_hat = 0, Y
     is the constant vector mu_hat, built like X so that X = Y gives exactly 0.
-    X and the Gaussian Z behind Y are drawn in row blocks, each from one
-    generator, and only the f-values are kept: one float per replicate.
-    Only genuinely exchangeable multiset specs are accepted here; weakly
-    dependent chains belong to the swapping bound.
+    X, and the Gaussian Z behind Y when some f needs it, are drawn once for
+    all the functions, in row blocks, each from one generator; only each f's
+    differences are kept, one float per replicate.  So each report equals the
+    one-function call with the same seed, and the functions' estimates share
+    their Monte Carlo error.  Only genuinely exchangeable multiset specs are
+    accepted here; weakly dependent chains belong to the swapping bound.
     """
     if not isinstance(spec, MultisetPermutation):
         raise TypeError("end_to_end_check requires a MultisetPermutation spec")
+    if not functions:
+        raise ValueError("give at least one function")
     values = spec.values
     n = values.size
     std = center_and_scale(values)
     mu, sigma = std.mu_hat, std.sigma_hat
     m3 = float(np.mean(np.abs(values - mu) ** 3))
     m4 = float(np.mean((values - mu) ** 4))
-    components = thm12_terms(m3, m4, f.mixed_bounds[1], f.mixed_bounds[2], n)
-    bound = sum(components.values())
 
-    summary = _summary_mean(f, mu, sigma) if sigma > 0 else None
+    summaries = [_summary_mean(f, mu, sigma) if sigma > 0 else None for f in functions]
+    sample_z = any(summary is None for summary in summaries)
     x_rng, z_rng = rng_from(derive_child(seed, 0)), rng_from(derive_child(seed, 1))
-    diff = np.empty(replicates)
-    block = _block_rows(n)
-    for start in range(0, replicates, block):
-        part = diff[start:start + block]
-        part[:] = f(sample_batch(spec, x_rng, part.size))
-        if summary is None:
-            part -= f(build_y(mu, sigma, z_rng.standard_normal((part.size, n))))
-    quad_error = 0.0
-    if summary is not None:
-        diff -= summary[0]
-        quad_error = summary[1]
-    stderr = float(diff.std(ddof=1) / math.sqrt(replicates)) + quad_error if sigma > 0 else 0.0
-    return BoundReport(bound, float(diff.mean()), stderr, replicates, "mc", components)
+    diffs = np.empty((len(functions), replicates))
+    for block in row_blocks(replicates, n):
+        rows = block.stop - block.start
+        x = sample_batch(spec, x_rng, rows)
+        y = build_y(mu, sigma, z_rng.standard_normal((rows, n))) if sample_z else None
+        for diff, f, summary in zip(diffs, functions, summaries):
+            diff[block] = f(x)
+            if summary is None:
+                diff[block] -= f(y)
+        del x, y  # before the next block is drawn
+    reports = []
+    for diff, f, summary in zip(diffs, functions, summaries):
+        components = thm12_terms(m3, m4, f.mixed_bounds[1], f.mixed_bounds[2], n)
+        if summary is not None:
+            diff -= summary[0]
+        estimate, stderr = mean_and_stderr(diff)
+        if sigma == 0:
+            stderr = 0.0
+        elif summary is not None:
+            stderr += summary[1]
+        reports.append(BoundReport(sum(components.values()), estimate, stderr, replicates,
+                                   "mc", components))
+    return reports

@@ -174,9 +174,9 @@ class Uniform(_ParamLaw):
         The sum is centre + U with U supported on [-R, R], R = h sum|w_j|, and U's
         2R-periodic extension has Fourier coefficients psi(pi k / R) / (2R), where
         psi(t) = prod_j E e^{i w_j t (X_j - EX_j)} is real.  The density is summed
-        over k = 1..1024 at the points of [-R, R] spaced R / 400 apart, and
-        integrated by the trapezoid rule; the check rule takes 724 terms and a
-        spacing sqrt(2) times wider.
+        over k = 1..1024 at the points of [-R, R] spaced R / 400 apart, by
+        Clenshaw's recurrence, and integrated by the trapezoid rule; the check
+        rule takes 724 terms and a spacing sqrt(2) times wider.
         """
         w = np.asarray(weights, dtype=float)
         half = 0.5 * self.high - 0.5 * self.low
@@ -196,7 +196,7 @@ class Uniform(_ParamLaw):
                 psi *= centred.cf(scale * np.pi * k / radius).real ** count
             x = _symmetric_grid(step, 1.0)
             # the density vanishes at +-1, so the trapezoid weights are all equal
-            probs = 0.5 * step * (1.0 + 2.0 * (np.cos(np.pi * np.outer(x, k)) @ psi))
+            probs = 0.5 * step * (1.0 + 2.0 * _cosine_series(x, psi))
             return RidgeLaw(centre + radius * x, probs)
 
         step = 1.0 / 400.0
@@ -289,6 +289,19 @@ def _law_from_dict(d: dict) -> Distribution:
 
 
 gaussian, uniform, student_t = Gaussian, Uniform, StudentT
+
+
+def _cosine_series(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k-1] cos(pi k x) over k = 1..len(coefs), by Clenshaw's recurrence
+    b_k = coefs[k-1] + 2 cos(pi x) b_{k+1} - b_{k+2}: one pass over the
+    coefficients, with no table of cosines."""
+    c = np.cos(np.pi * x)
+    two_c = 2.0 * c
+    b1 = np.zeros_like(c)
+    b2 = np.zeros_like(c)
+    for a in coefs[::-1]:
+        b1, b2 = a + two_c * b1 - b2, b1
+    return c * b1 - b2
 
 
 def _pow(x: float, p) -> float:
@@ -896,6 +909,32 @@ class ConditionallyIid:
 ExchangeableSpec = Union[MultisetPermutation, IidFromDistribution, MarkovChain, ConditionallyIid]
 
 _SPEC_TYPES = {cls.variant: cls for cls in get_args(ExchangeableSpec)}
+
+
+# Elements per row block of Monte Carlo draws: 1 MiB of float64.
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def row_blocks(replicates: int, n: int):
+    """Slices that cover rows 0..replicates-1 in blocks of about 1 MiB of
+    float64 for vectors of length n."""
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    return (slice(start, min(start + rows, replicates))
+            for start in range(0, replicates, rows))
+
+
+def mean_and_stderr(values: np.ndarray) -> tuple:
+    """(mean, standard error of the mean) of a float64 vector, equal to
+    ``values.mean()`` and ``values.std(ddof=1) / sqrt(size)`` bit for bit.
+
+    Works in place, with no temporary of the vector's size: ``values`` is left
+    holding the squared deviations from the mean.
+    """
+    size = values.size
+    mean = values.mean()
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    return float(mean), math.sqrt(float(values.sum()) / (size - 1)) / math.sqrt(size)
 
 
 def sample_batch(spec: ExchangeableSpec, seed: int | np.random.Generator,

@@ -22,6 +22,9 @@ from .sampling import (
     ExchangeableSpec,
     IidFromDistribution,
     derive_child,
+    mean_and_stderr,
+    rng_from,
+    row_blocks,
     sample_batch,
 )
 
@@ -127,15 +130,28 @@ def third_moment_bound(x_spec, y_spec, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mean_difference(f: SmoothFunction, x_spec, y_spec, replicates: int, seed: int):
-    """Estimate Ef(X) - Ef(Y) from independent X and Y streams.
+def mean_difference(functions, x_spec, y_spec, replicates: int, seed: int) -> list:
+    """Estimate Ef(X) - Ef(Y) for each function from independent X and Y streams.
 
-    Returns (estimate, stderr).
+    X and Y are drawn once for all the functions, in row blocks, from
+    ``derive_child(seed, 0)`` and ``derive_child(seed, 1)``; only each f's
+    differences are kept, one float per replicate.  So each estimate equals the
+    one-function call with the same seed, and the functions' estimates share
+    their Monte Carlo error.  Returns one (estimate, stderr) per function.
     """
-    X = sample_batch(x_spec, derive_child(seed, 0), replicates)
-    Y = sample_batch(y_spec, derive_child(seed, 1), replicates)
-    diff = np.asarray(f(X), dtype=float) - np.asarray(f(Y), dtype=float)
-    return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(replicates))
+    if not functions:
+        raise ValueError("give at least one function")
+    x_rng, y_rng = rng_from(derive_child(seed, 0)), rng_from(derive_child(seed, 1))
+    diffs = np.empty((len(functions), replicates))
+    for block in row_blocks(replicates, x_spec.n):
+        rows = block.stop - block.start
+        x = sample_batch(x_spec, x_rng, rows)
+        y = sample_batch(y_spec, y_rng, rows)
+        for diff, f in zip(diffs, functions):
+            diff[block] = f(x)
+            diff[block] -= f(y)
+        del x, y  # before the next block is drawn
+    return [mean_and_stderr(diff) for diff in diffs]
 
 
 @dataclass
@@ -215,9 +231,10 @@ def swapping_report(functions, x_spec, y_spec, replicates: int, seeds,
     (X, Y) only, so they are computed once and shared; the A/B and moment
     seeds derive from the first function's seed.  Each function's difference
     is exact where both specs have a law for its ridge argument that resolves
-    it, else Monte Carlo with that function's seed.  Y must have independent
-    components; its per-coordinate moments are taken from the spec's closed
-    forms.
+    it, else Monte Carlo: the functions without an exact difference share one
+    ``mean_difference`` call, seeded with the first such function's seed.  Y
+    must have independent components; its per-coordinate moments are taken
+    from the spec's closed forms.
     """
     if not isinstance(y_spec, IidFromDistribution):
         raise ValueError("the comparison vector must have independent components")
@@ -228,15 +245,17 @@ def swapping_report(functions, x_spec, y_spec, replicates: int, seeds,
     A, B = estimate_ab_all(x_spec, y_mean, y_second, ab_replicates, derive_child(seeds[0], 2))
     m3 = third_moment_bound(x_spec, y_spec, derive_child(seeds[0], 3))
     laws = {}
+    exact = [_exact_difference(f, x_spec, y_spec, laws) for f in functions]
+    mc = [k for k, value in enumerate(exact) if value is None]
+    sampled = dict(zip(mc, mean_difference([functions[k] for k in mc], x_spec, y_spec,
+                                           replicates, seeds[mc[0]]))) if mc else {}
     reports = []
-    for f, seed in zip(functions, seeds):
+    for k, f in enumerate(functions):
         l1, l2, l3 = f.unmixed_bounds
         components = bound_components(A, B, m3, l1, l2, l3)
         bound = lindeberg_bound(A, B, m3, l1, l2, l3)
-        exact = _exact_difference(f, x_spec, y_spec, laws)
-        if exact is None:
-            est, err = mean_difference(f, x_spec, y_spec, replicates, seed)
-            reports.append(BoundReport(bound, est, err, replicates, "mc", components))
+        if k in sampled:
+            reports.append(BoundReport(bound, *sampled[k], replicates, "mc", components))
         else:
-            reports.append(BoundReport(bound, *exact, 0, "exact", components))
+            reports.append(BoundReport(bound, *exact[k], 0, "exact", components))
     return reports

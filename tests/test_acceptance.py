@@ -167,11 +167,11 @@ def test_criterion_07_summarization_bound_domination(criterion_report):
     start = time.perf_counter()
     failures = []
     for n in (10, 50):
-        spec = ramp_multiset(n)
-        for f_kind in SUMMARIZATION_FUNCTION_KINDS:
-            rep = end_to_end_check(spec, summarization_function(f_kind, n),
-                                   replicates=200_000,
+        functions = [summarization_function(f_kind, n)
+                     for f_kind in SUMMARIZATION_FUNCTION_KINDS]
+        reports = end_to_end_check(ramp_multiset(n), functions, replicates=200_000,
                                    seed=derive_child(MASTER_SEED, 700 + n))
+        for f_kind, rep in zip(SUMMARIZATION_FUNCTION_KINDS, reports):
             if not rep.dominates(3.0):
                 failures.append((n, f_kind))
     elapsed = time.perf_counter() - start

@@ -56,6 +56,40 @@ def test_semicircle_table_transform_rows(tmp_path):
     assert float(rows[0]["m_im"]) == pytest.approx(0.6180339887498949)
 
 
+def test_semicircle_table_writes_x_and_z_rows_when_both_are_given(tmp_path):
+    out = tmp_path / "t"
+    assert run_cli(["semicircle-table", "--x", "0", "--z", "1j,2j", "--out", str(out)]) == 0
+    rows = read_rows(out, "semicircle-table")
+    assert [r["kind"] for r in rows] == ["x", "z", "z"]
+    assert float(rows[0]["density"]) == pytest.approx(0.3183098861837907)
+    assert float(rows[1]["m_im"]) == pytest.approx(0.6180339887498949)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_resolvent_check_rejects_more_than_one_z(tmp_path, capsys, source):
+    if source == "flag":
+        args = ["resolvent-check", "--z", "1j,5+5j"]
+    else:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": "resolvent-check", "z_grid": ["1j", "5+5j"]}))
+        args = ["resolvent-check", "--config", str(path)]
+    assert run_cli(args + ["--N", "3", "--tuples", "2", "--trials", "5",
+                           "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: resolvent-check takes exactly one --z value\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_resolvent_check_reads_its_one_z(tmp_path):
+    tables = []
+    for z in ("1j", "5+5j"):
+        out = tmp_path / z
+        assert run_cli(["resolvent-check", "--z", z, "--N", "3", "--tuples", "2",
+                        "--trials", "5", "--seed", "4", "--out", str(out)]) == 0
+        tables.append((out / "resolvent_check.csv").read_bytes())
+    assert tables[0] != tables[1]
+
+
 def test_thm11_single_cell(tmp_path):
     out = tmp_path / "s"
     code = run_cli(["thm11-check", "--specs", "iid-uniform", "--n", "5",
@@ -527,3 +561,46 @@ def test_thm12_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert result.returncode == 0, result.stderr[-2000:]
         tables.append((out / "thm12_check.csv").read_bytes())
     assert tables[0] == tables[1]
+
+
+# VmHWM of a fresh interpreter, as in test_spectral: what one thm11-check run
+# adds to the resident high-water mark after the imports.
+_THM11_RSS_SCRIPT = """
+import io, sys, tempfile
+from contextlib import redirect_stdout
+from lindeberg import cli
+
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM"))
+
+base = high_water()
+with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()):
+    code = cli.main(["thm11-check", "--spec-json", sys.argv[1], "--replicates", sys.argv[2],
+                     "--out", out])
+assert code == 0, code
+print(high_water() - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_thm11_monte_carlo_peak_memory_is_flat_in_replicates(tmp_path):
+    # A Student-t X has no exact ridge law, so all three functions take the
+    # Monte Carlo route.  Drawn in row blocks, only their three difference
+    # vectors grow with the replicates: 24 bytes a replicate, where whole
+    # batches of X and Y took 800 at n = 50.
+    spec = tmp_path / "t.json"
+    spec.write_text(json.dumps({"variant": "iid", "dist": {"kind": "student_t",
+                                                           "params": [5.0]}, "n": 50}))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    grown = []
+    for replicates in (25_000, 100_000):
+        result = subprocess.run([sys.executable, "-c", _THM11_RSS_SCRIPT, str(spec),
+                                 str(replicates)], env=env, capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        grown.append(int(result.stdout.split()[-1]))
+    assert grown[1] - grown[0] < 3 * 8 * 75_000 + 2 ** 20

@@ -30,7 +30,6 @@ from lindeberg import (
     uniform,
 )
 from lindeberg.exchangeable import (
-    _block_rows,
     _gaussian_moment,
     _summary_mean,
     harmonic_gap_closed_form,
@@ -38,7 +37,8 @@ from lindeberg.exchangeable import (
     stein_mc_check,
 )
 from lindeberg.functions import CustomFunction, RidgeFunction
-from lindeberg.sampling import build_y, center_and_scale, derive_child, sample_batch
+from lindeberg.sampling import (build_y, center_and_scale, derive_child, row_blocks,
+                                sample_batch)
 from lindeberg.suites import ramp_multiset, summarization_function
 
 MULTISETS = {
@@ -230,6 +230,16 @@ class TestCovarianceGap:
         for n in range(2, 51):
             assert covariance_gap_sum_exact(n) == harmonic_gap_closed_form(n)
 
+    def test_oracle_matches_the_full_rational_product(self):
+        # every entry of G^{-1} (G^{-1})^T as its own inner product of rows
+        for n in range(1, 13):
+            ginv = [[Fraction(-1, n - 1 - j) if j < i else Fraction(int(i == j))
+                     for j in range(n)] for i in range(n)]
+            total = sum(abs((Fraction(n - 1, n) if i == j else Fraction(-1, n))
+                            - sum(ginv[i][k] * ginv[j][k] for k in range(n)))
+                        for i in range(n) for j in range(n))
+            assert covariance_gap_sum_exact(n) == total
+
     def test_float_path_agrees_with_rational(self):
         for n in (2, 3, 10, 40):
             assert covariance_gap_sum(n) == pytest.approx(
@@ -346,8 +356,8 @@ class TestSummarizationBound:
         from lindeberg.functions import identity_profile
 
         spec = ramp_multiset(8)
-        report = end_to_end_check(spec, sum_ridge(identity_profile(), 8),
-                                  replicates=2_000, seed=1)
+        report, = end_to_end_check(spec, [sum_ridge(identity_profile(), 8)],
+                                   replicates=2_000, seed=1)
         assert report.bound == 0.0
         # the sum of a permuted multiset differs from the reference sum only
         # by summation rounding
@@ -358,12 +368,12 @@ class TestSummarizationBound:
 
         chain = MarkovChain((-1.0, 1.0), (0.5, 0.5), ((0.7, 0.3), (0.4, 0.6)), 3)
         with pytest.raises(TypeError):
-            end_to_end_check(chain, summarization_function("cos-alternating", 3), 100, 0)
+            end_to_end_check(chain, [summarization_function("cos-alternating", 3)], 100, 0)
 
     def test_degenerate_multiset(self):
         spec = MultisetPermutation((3.0, 3.0, 3.0))
         f = summarization_function("cos-alternating", 3)
-        report = end_to_end_check(spec, f, replicates=500, seed=0)
+        report, = end_to_end_check(spec, [f], replicates=500, seed=0)
         assert report.bound == 0.0
         assert report.estimate == 0.0
 
@@ -371,8 +381,8 @@ class TestSummarizationBound:
         for n in (10, 50):
             spec = ramp_multiset(n)
             for kind in ("cos-alternating", "inv_quad-ramp"):
-                report = end_to_end_check(spec, summarization_function(kind, n),
-                                          replicates=40_000, seed=31)
+                report, = end_to_end_check(spec, [summarization_function(kind, n)],
+                                           replicates=40_000, seed=31)
                 assert report.dominates(3.0)
                 assert report.bound == pytest.approx(
                     sum(report.components.values()), abs=1e-12)
@@ -421,8 +431,8 @@ def test_exact_gaussian_summary_agrees_with_sampled_summary():
     n = 10
     f = summarization_function("inv_quad-ramp", n)
     generic = CustomFunction(n, f, unmixed_bounds=f.unmixed_bounds, mixed_bounds=f.mixed_bounds)
-    exact = end_to_end_check(ramp_multiset(n), f, replicates=20_000, seed=4)
-    sampled = end_to_end_check(ramp_multiset(n), generic, replicates=20_000, seed=4)
+    exact, sampled = end_to_end_check(ramp_multiset(n), [f, generic], replicates=20_000,
+                                      seed=4)
     assert exact.bound == sampled.bound
     assert exact.stderr < sampled.stderr
     assert abs(exact.estimate - sampled.estimate) <= 4.0 * math.hypot(exact.stderr,
@@ -454,18 +464,66 @@ def test_blocked_draws_match_one_whole_batch(sampled_y):
     f = RidgeFunction(cos_profile(), w)
     if sampled_y:  # a generic f has no summary law, so Y is sampled
         f = CustomFunction(n, f, unmixed_bounds=f.unmixed_bounds, mixed_bounds=f.mixed_bounds)
-    replicates = 3 * _block_rows(n) + 17
-    report = end_to_end_check(spec, f, replicates, seed=8)
+    replicates = 3 * next(row_blocks(1 << 30, n)).stop + 17  # three whole blocks and a part
+    report, = end_to_end_check(spec, [f], replicates, seed=8)
     estimate, stderr = _whole_batch_reference(spec, f, replicates, 8, sampled_y)
     assert report.estimate == estimate and report.stderr == stderr
     assert report.replicates == replicates
+
+
+def _summarization_group(n, sampled_y):
+    """The suite's ridge functions at n, plus a generic one whose Y is sampled."""
+    functions = [summarization_function(kind, n) for kind in ("cos-alternating",
+                                                               "inv_quad-ramp")]
+    if sampled_y:
+        f = functions[0]
+        functions.append(CustomFunction(n, f, unmixed_bounds=f.unmixed_bounds,
+                                        mixed_bounds=f.mixed_bounds))
+    return functions
+
+
+@pytest.mark.parametrize("sampled_y", [False, True], ids=["exact-y", "sampled-y"])
+def test_group_call_equals_one_function_calls(sampled_y):
+    n = 10
+    spec = ramp_multiset(n)
+    replicates = 2 * next(row_blocks(1 << 30, n)).stop + 5
+    functions = _summarization_group(n, sampled_y)
+    group = end_to_end_check(spec, functions, replicates, seed=6)
+    assert len(group) == len(functions)
+    for f, report in zip(functions, group):
+        assert end_to_end_check(spec, [f], replicates, seed=6) == [report]
+
+
+@pytest.mark.parametrize("sampled_y", [False, True], ids=["exact-y", "sampled-y"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_group_draws_each_input_once(monkeypatch, count, sampled_y):
+    from lindeberg import exchangeable
+
+    drawn = {"x": 0, "z": 0}
+
+    def counting_sample(spec, rng, rows):
+        out = sample_batch(spec, rng, rows)
+        drawn["x"] += out.size
+        return out
+
+    def counting_build_y(mu, sigma, z):
+        drawn["z"] += np.size(z)
+        return build_y(mu, sigma, z)
+
+    monkeypatch.setattr(exchangeable, "sample_batch", counting_sample)
+    monkeypatch.setattr(exchangeable, "build_y", counting_build_y)
+    n, replicates = 50, 7_000
+    functions = _summarization_group(n, sampled_y)
+    functions = functions[-count:] if sampled_y else (functions * 2)[:count]
+    end_to_end_check(ramp_multiset(n), functions, replicates, seed=2)
+    assert drawn == {"x": replicates * n, "z": replicates * n if sampled_y else 0}
 
 
 def test_end_to_end_memory_does_not_grow_with_replicates():
     spec, f = ramp_multiset(50), summarization_function("cos-alternating", 50)
     tracemalloc.start()
     try:
-        end_to_end_check(spec, f, 200_000, seed=1)
+        end_to_end_check(spec, [f], 200_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -375,3 +375,15 @@ def test_uniform_mean_of_huge_bounds_is_finite():
     assert ab.a == law.mean()
     bound = lindeberg_bound([ab.a], [ab.b], law.abs_moment(3), 1.0, 0.0, 0.0)
     assert bound == pytest.approx(1.35e308, rel=1e-15)
+
+
+def test_cosine_series_matches_the_table_of_cosines():
+    from lindeberg.sampling import _cosine_series, _symmetric_grid
+
+    # the coefficients of an equal-weight uniform law at n = 5, and a rougher set
+    for coefs in (np.sinc(np.arange(1, 1025) / 5.0) ** 5,
+                  np.random.default_rng(3).standard_normal(64)):
+        x = _symmetric_grid(1.0 / 400.0, 1.0)
+        table = np.cos(np.pi * np.outer(x, np.arange(1, coefs.size + 1))) @ coefs
+        scale = np.abs(coefs).sum()
+        assert np.max(np.abs(_cosine_series(x, coefs) - table)) <= 1e-13 * scale

@@ -27,6 +27,7 @@ from lindeberg import (
 )
 from lindeberg.functions import (RidgeFunction, constant_function, cos_profile,
                                  logistic_step_profile)
+from lindeberg.sampling import row_blocks, sample_batch
 from lindeberg.swap import bound_components
 from lindeberg.suites import gaussian_comparison, suite_function, swapping_spec
 
@@ -340,9 +341,9 @@ def test_difference_shrinks_with_dimension():
         f = sum_ridge(logistic_step_profile(0.0, 0.5), n)
         gaps = []
         for s in range(20):
-            est, _ = mean_difference(f, IidFromDistribution(skewed, n),
-                                     IidFromDistribution(gaussian(), n),
-                                     replicates=20_000, seed=9000 + s)
+            (est, _), = mean_difference([f], IidFromDistribution(skewed, n),
+                                        IidFromDistribution(gaussian(), n),
+                                        replicates=20_000, seed=9000 + s)
             gaps.append(abs(est))
         medians.append(float(np.median(gaps)))
     assert medians[0] > medians[1] > medians[2]
@@ -387,9 +388,9 @@ def test_exact_differences_match_closed_forms(n):
 def test_exact_default_cells_agree_with_monte_carlo(spec_kind, n):
     functions = [suite_function(k, n) for k in _FUNCTIONS]
     x, y = swapping_spec(spec_kind, n), gaussian_comparison(n)
-    for f, report in zip(functions, _reports(spec_kind, n).values()):
+    estimates = mean_difference(functions, x, y, replicates=100_000, seed=derive_child(n, 77))
+    for (est, err), report in zip(estimates, _reports(spec_kind, n).values()):
         assert report.kind == "exact" and report.stderr <= 1e-9
-        est, err = mean_difference(f, x, y, replicates=100_000, seed=derive_child(n, 77))
         assert abs(est - report.estimate) <= 4.0 * err
 
 
@@ -436,4 +437,54 @@ def test_specs_without_an_exact_route_keep_monte_carlo(x_spec):
     y = gaussian_comparison(n)
     report, = swapping_report([f], x_spec, y, 3_000, [5], ab_replicates=200)
     assert report.kind == "mc" and report.replicates == 3_000
-    assert (report.estimate, report.stderr) == mean_difference(f, x_spec, y, 3_000, 5)
+    assert [(report.estimate, report.stderr)] == mean_difference([f], x_spec, y, 3_000, 5)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo functions of one (X, Y) pair share one draw
+# ---------------------------------------------------------------------------
+
+_T_SPEC = IidFromDistribution(student_t(5.0), 20)  # no exact law: every function is MC
+
+
+def test_mean_difference_group_equals_one_function_calls():
+    n = _T_SPEC.n
+    functions = [suite_function(kind, n) for kind in _FUNCTIONS]
+    y = gaussian_comparison(n)
+    replicates = 2 * next(row_blocks(1 << 30, n)).stop + 9
+    group = mean_difference(functions, _T_SPEC, y, replicates, seed=12)
+    assert len(group) == len(functions)
+    for f, estimate in zip(functions, group):
+        assert mean_difference([f], _T_SPEC, y, replicates, seed=12) == [estimate]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_mean_difference_draws_each_input_once(monkeypatch, count):
+    from lindeberg import swap
+
+    drawn = []
+
+    def counting_sample(spec, rng, rows):
+        out = sample_batch(spec, rng, rows)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(swap, "sample_batch", counting_sample)
+    n, replicates = _T_SPEC.n, 9_000
+    functions = [suite_function(kind, n) for kind in _FUNCTIONS[:count]]
+    mean_difference(functions, _T_SPEC, gaussian_comparison(n), replicates, seed=3)
+    assert sum(drawn) == 2 * replicates * n  # X and Y, whatever the count
+
+
+def test_swapping_report_samples_its_monte_carlo_functions_together():
+    # Markov weights that differ have no exact law; the equal-weight sum has one
+    n = 6
+    chain = swapping_spec("markov-two-state", n)
+    y = gaussian_comparison(n)
+    ramp = RidgeFunction(cos_profile(), np.linspace(0.1, 0.6, n))
+    step = RidgeFunction(logistic_step_profile(0.0, 0.5), np.linspace(0.6, 0.1, n))
+    functions = [suite_function("cos", n), ramp, step]
+    reports = swapping_report(functions, chain, y, 4_000, [21, 22, 23])
+    assert [r.kind for r in reports] == ["exact", "mc", "mc"]
+    sampled = mean_difference(functions[1:], chain, y, 4_000, seed=22)
+    assert [(r.estimate, r.stderr) for r in reports[1:]] == sampled
