@@ -3,9 +3,6 @@ summarization, and semicircle-law experiments on symmetric random matrices.
 """
 
 from .exchangeable import (
-    CovariancePair,
-    GTransform,
-    InterpolationResult,
     build_g_transform,
     conditional_mean_identity_check,
     covariance_gap_sum,
@@ -14,29 +11,10 @@ from .exchangeable import (
     end_to_end_check,
     interpolation_difference,
     martingale_increment_check,
-    r_transform,
     second_moment_identity_check,
-    thm12_bound,
 )
-from .functions import (
-    CustomFunction,
-    GProfile,
-    QuadraticMean,
-    RidgeFunction,
-    SmoothFunction,
-    cos_profile,
-    finite_difference,
-    inv_quad_profile,
-    linear_form,
-    logistic_step_profile,
-    sum_ridge,
-    tanh_clamp_profile,
-    taylor_step_check,
-)
+from .functions import sum_ridge, tanh_clamp_profile
 from .resolvent import (
-    DerivativeBounds,
-    Lemma41Constants,
-    ResolventWorkspace,
     fd_agreement_check,
     lemma41_bound,
     lemma41_constants,
@@ -44,61 +22,14 @@ from .resolvent import (
     trace_bound_check,
     trace_bounds,
 )
-from .sampling import (
-    ABEstimate,
-    ConditionallyIid,
-    Distribution,
-    ExchangeableSpec,
-    Finite,
-    Gaussian,
-    IidFromDistribution,
-    MarkovChain,
-    MultisetPermutation,
-    StandardizedVector,
-    StudentT,
-    Uniform,
-    build_y,
-    center_and_scale,
-    derive_child,
-    exact_conditional_moments,
-    finite,
-    gaussian,
-    point_mass,
-    rng_from,
-    sample_batch,
-    sample_exchangeable,
-    standardized_multiset,
-    student_t,
-    uniform,
-)
+from .sampling import derive_child, rng_from, standardized_multiset
 from .spectral import (
-    EsdFunction,
-    ExperimentRow,
-    SpectralSummary,
-    WignerEnsembleSpec,
     build_wigner,
     eigenvalues,
-    gaussian_wigner,
-    ks_distance,
-    rademacher_perm_wigner,
     rank_inequality_check,
-    semicircle_cdf,
     semicircle_density,
-    semicircle_stieltjes,
-    stieltjes_esd,
     thm13_experiment,
-    wigner_matrix,
 )
-from .swap import (
-    BoundReport,
-    TelescopeResult,
-    estimate_ab,
-    estimate_ab_all,
-    lindeberg_bound,
-    mean_difference,
-    swapping_report,
-    telescoping_difference,
-    third_moment_bound,
-)
+from .swap import swapping_report, telescoping_difference
 
 __version__ = "0.1.0"

@@ -343,16 +343,34 @@ def run_wigner_sweep(cfg: ExperimentConfig):
     return rows, checks, summary_extra
 
 
+def _cdf_by_trapezoid(x: float) -> float:
+    """The integral of the semicircle density from -2 to x, by the trapezoid
+    rule with steps of at most 1e-5 (the density vanishes outside [-2, 2])."""
+    end = min(max(x, -2.0), 2.0)
+    grid = np.linspace(-2.0, end, math.ceil((end + 2.0) / 1e-5) + 1)
+    return float(np.trapezoid(semicircle_density(grid), grid))
+
+
+def _is_stieltjes_root(z: complex, m: complex) -> bool:
+    """m solves m^2 + z m + 1 = 0 on the branch that maps the upper and lower
+    half-planes to themselves, with |m| <= 1/|Im z|."""
+    return (abs(m * m + z * m + 1.0) <= 1e-12 * (1.0 + abs(z)) ** 2
+            and np.sign(m.imag) == np.sign(z.imag) and abs(m) <= 1.0 / abs(z.imag))
+
+
 def run_semicircle_table(cfg: ExperimentConfig):
     rows = []
     zs = cfg.z_grid if cfg.z_grid is not None else ([] if cfg.x_values else _DEFAULT_Z)
     xs = cfg.x_values or ([] if zs else [0.0])
+    cdf_ok, root_ok = [], []
     for x in xs:
+        cdf = float(semicircle_cdf(x))
         rows.append({
             "kind": "x", "arg_re": float(x),
             "arg_im": 0.0, "density": float(semicircle_density(x)),
-            "cdf": float(semicircle_cdf(x)), "m_re": "", "m_im": "",
+            "cdf": cdf, "m_re": "", "m_im": "",
         })
+        cdf_ok.append(0.0 <= cdf <= 1.0 and abs(cdf - _cdf_by_trapezoid(float(x))) <= 1e-6)
     for z_text in zs:
         z = complex(z_text)
         m = semicircle_stieltjes(z)
@@ -361,7 +379,10 @@ def run_semicircle_table(cfg: ExperimentConfig):
             "arg_im": z.imag, "density": "", "cdf": "",
             "m_re": m.real, "m_im": m.imag,
         })
-    checks = {"table_nonempty": bool(rows)}
+        root_ok.append(_is_stieltjes_root(z, m))
+    # a check runs only over rows of its kind, so none passes on no rows
+    checks = {name: all(ok) for name, ok in (("cdf_matches_density", cdf_ok),
+                                               ("stieltjes_root", root_ok)) if ok}
     return rows, checks, {}
 
 

@@ -66,14 +66,6 @@ def build_g_transform(n: int) -> GTransform:
     return GTransform(n, g, ginv)
 
 
-def r_transform(x_tilde, tol: float = 1e-10) -> np.ndarray:
-    """Apply G to a standardized vector (coordinates must sum to zero)."""
-    x = np.asarray(x_tilde, dtype=float)
-    if abs(x.sum()) > tol * max(1.0, np.abs(x).max()) * x.size:
-        raise ValueError("input must be centered: coordinates should sum to 0")
-    return build_g_transform(x.size).matrix @ x
-
-
 # ---------------------------------------------------------------------------
 # Enumerated conditional-moment identities for multiset specs
 # ---------------------------------------------------------------------------
@@ -336,21 +328,19 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def stein_mc_check(h: SmoothFunction, cov, replicates: int, seed: int):
-    """Monte Carlo check of the identity for a differentiable h.
+def stein_mc_check(h: RidgeFunction, cov, replicates: int, seed: int):
+    """Monte Carlo check of the identity for a ridge h = g(w.x + b).
 
     Returns (max |mean residual| over i, max allowed = 4 stderr).  The
-    residual per draw is xi_i h(xi) - sum_j cov_ij d_j h(xi), so the two
-    sides share randomness and the stderr accounts for their correlation.
+    residual per draw is xi_i h(xi) - sum_j cov_ij d_j h(xi), with
+    d_j h = g'(w.xi + b) w_j, so the two sides share randomness and the
+    stderr accounts for their correlation.
     """
     cov = np.asarray(cov, dtype=float)
     root = _psd_root(cov)
     xi = rng_from(seed).standard_normal((replicates, cov.shape[0])) @ root.T
     hv = np.asarray(h(xi), dtype=float)
-    if isinstance(h, RidgeFunction):
-        grads = np.asarray(h.profile.d1(h.argument(xi)))[:, None] * h.weights
-    else:
-        grads = np.array([h.gradient(row) for row in xi])
+    grads = np.asarray(h.profile.d1(h.argument(xi)))[:, None] * h.weights
     resid = xi * hv[:, None] - grads @ cov.T
     means = resid.mean(axis=0)
     errs = resid.std(axis=0, ddof=1) / math.sqrt(replicates)
@@ -414,8 +404,8 @@ def interpolation_difference(f0: SmoothFunction, n: int, replicates: int = 40_00
         w = math.sqrt(1.0 - t) * up + math.sqrt(t) * ztp
         path_mean += np.asarray(f0.hessian_quad(w, delta), dtype=float)
     path_mean /= t_grid_size
-    integral = 0.5 * float(path_mean.mean())
-    integral_err = 0.5 * float(path_mean.std(ddof=1) / math.sqrt(per_node))
+    path_avg, path_err = mean_and_stderr(path_mean)
+    integral, integral_err = 0.5 * path_avg, 0.5 * path_err
 
     bound = 0.5 * f0.mixed_bounds[1] * covariance_gap_sum(n)
     return InterpolationResult(direct, direct_err, integral, integral_err, bound)

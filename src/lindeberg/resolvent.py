@@ -99,14 +99,6 @@ def _checked_pair(alpha, N: int):
     return i, j
 
 
-def perturbation_matrix(alpha, N: int) -> np.ndarray:
-    """dA/dx_alpha: at most two entries of size N^{-1/2}, one on the diagonal."""
-    i, j = _checked_pair(alpha, N)
-    d = np.zeros((N, N))
-    d[i, j] = d[j, i] = 1.0 / math.sqrt(N)
-    return d
-
-
 def _trace(g: np.ndarray, pairs) -> complex:
     """Tr(G D_1 G D_2 ... D_k G) from entries of G, with D_m = dA/dx_{pairs[m]}.
 

@@ -385,10 +385,6 @@ def finite(values: Sequence[float], probs: Sequence[float] | None = None) -> Fin
     return Finite(values, probs)
 
 
-def point_mass(c: float) -> Finite:
-    return finite([c])
-
-
 # ---------------------------------------------------------------------------
 # Exchangeable / weakly dependent vector specs.  Each class owns its sampler
 # (``sample``), its oracles (``conditional_moment``, ``ab``,
@@ -408,9 +404,8 @@ class ABEstimate:
 
 
 def _ab_from_draws(da: np.ndarray, db: np.ndarray) -> ABEstimate:
-    root = math.sqrt(da.size)
-    return ABEstimate(float(da.mean()), float(da.std(ddof=1) / root),
-                      float(db.mean()), float(db.std(ddof=1) / root), False)
+    """Monte Carlo A_i, B_i from per-replicate discrepancies (overwritten)."""
+    return ABEstimate(*mean_and_stderr(da), *mean_and_stderr(db), False)
 
 
 def _prefix_count_distribution(counts: Sequence[int], k: int):
@@ -633,18 +628,18 @@ class MarkovChain:
         return dist
 
     def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
-        kernel = self._validated_kernel()
+        """Inverse-cdf draws from one row-major block of uniforms: column 0 goes
+        through the initial law, column t through the kernel row of state t-1.
+        Each column of uniforms is overwritten by its states once used."""
+        kernel_cum = np.cumsum(self._validated_kernel(), axis=1)
         states = np.asarray(self.states, dtype=float)
-        k = len(states)
-        cum = np.cumsum(kernel, axis=1)
-        out = np.empty((replicates, self.n))
-        idx = rng.choice(k, size=replicates, p=np.asarray(self.initial, dtype=float))
-        out[:, 0] = states[idx]
-        for t in range(1, self.n):
-            u = rng.random(replicates)
-            idx = np.minimum((u[:, None] >= cum[idx]).sum(axis=1), k - 1)
-            out[:, t] = states[idx]
-        return out
+        draws = rng.random((replicates, self.n))
+        cum = np.cumsum(self.initial)
+        for t in range(self.n):
+            idx = np.minimum((draws[:, t, None] >= cum).sum(axis=1), len(states) - 1)
+            draws[:, t] = states[idx]
+            cum = kernel_cum[idx]
+        return draws
 
     def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
         kernel = self._validated_kernel()
@@ -941,9 +936,10 @@ def sample_batch(spec: ExchangeableSpec, seed: int | np.random.Generator,
                  replicates: int) -> np.ndarray:
     """Draw ``replicates`` independent vectors; shape (replicates, n).
 
-    ``seed`` is a 64-bit seed or a Generator to keep drawing from.  For
-    multiset and i.i.d. specs, row blocks drawn in turn from one Generator
-    concatenate to the single batch of the same size.
+    ``seed`` is a 64-bit seed or a Generator to keep drawing from.  Row blocks
+    drawn in turn from one Generator concatenate to the single batch of the
+    same size, except for ``ConditionallyIid``: it draws a block's mixing
+    parameters before that block's noise.
     """
     rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
     return spec.sample(rng, replicates)
@@ -991,23 +987,6 @@ def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
     """Gaussian summary mu + sigma * (z - mean(z)) along the last axis; its mean is mu."""
     z = np.asarray(z, dtype=float)
     return mu_hat + sigma_hat * (z - z.mean(axis=-1, keepdims=True))
-
-
-# ---------------------------------------------------------------------------
-# Exact conditional-moment oracles
-# ---------------------------------------------------------------------------
-
-
-def exact_conditional_moments(spec: ExchangeableSpec, prefix: Sequence[float], order: int) -> float:
-    """Exact E(X_i | prefix) (order 1) or E(X_i^2 | prefix) (order 2).
-
-    Available in closed form for multiset permutations (uniformity over the
-    remaining elements), finite Markov chains (kernel row of the last state),
-    and i.i.d. specs (the marginal).  ``i`` is ``len(prefix) + 1``.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    return spec.conditional_moment(prefix, order)
 
 
 # ---------------------------------------------------------------------------

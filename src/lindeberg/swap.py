@@ -192,9 +192,10 @@ def telescoping_difference(f: SmoothFunction, x_spec, y_spec,
     steps = values[:, 1:] - values[:, :-1]
     totals = values[:, -1] - values[:, 0]
     identity_error = float(np.max(np.abs(steps.sum(axis=1) - totals)))
+    estimate, stderr = mean_and_stderr(totals)
     return TelescopeResult(
-        estimate=float(totals.mean()),
-        stderr=float(totals.std(ddof=1) / math.sqrt(replicates)),
+        estimate=estimate,
+        stderr=stderr,
         steps=steps.mean(axis=0),
         step_stderr=steps.std(axis=0, ddof=1) / math.sqrt(replicates),
         identity_error=identity_error,

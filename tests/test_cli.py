@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lindeberg import cli
@@ -63,6 +64,24 @@ def test_semicircle_table_writes_x_and_z_rows_when_both_are_given(tmp_path):
     assert [r["kind"] for r in rows] == ["x", "z", "z"]
     assert float(rows[0]["density"]) == pytest.approx(0.3183098861837907)
     assert float(rows[1]["m_im"]) == pytest.approx(0.6180339887498949)
+    assert read_summary(out, "semicircle-table")["checks"] == {
+        "cdf_matches_density": True, "stieltjes_root": True}
+
+
+@pytest.mark.parametrize("name, wrong, flags, check", [
+    # 4.1 pi where the cdf divides by 4 pi
+    ("semicircle_cdf",
+     lambda x: 0.5 + (x * np.sqrt(4.0 - x * x) + 4.0 * np.arcsin(x / 2.0)) / (4.1 * math.pi),
+     ["--x", "-2,-1,0,0.5,2"], "cdf_matches_density"),
+    # the root of m^2 + z m + 1 = 0 that grows at infinity
+    ("semicircle_stieltjes", lambda z: (-z - z * np.sqrt(1.0 - 4.0 / (z * z))) / 2.0,
+     ["--z", "1j,2j,1+1j"], "stieltjes_root"),
+], ids=["cdf", "stieltjes"])
+def test_semicircle_table_checks_catch_a_wrong_law(tmp_path, monkeypatch, capsys, name, wrong,
+                                                   flags, check):
+    monkeypatch.setattr(cli, name, wrong)
+    assert run_cli(["semicircle-table", *flags, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == f"FAILED: {check}"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -114,7 +133,7 @@ def test_thm12_small(tmp_path):
 def test_ab_runs_once_per_coordinate_of_each_spec_and_n(tmp_path, monkeypatch):
     from collections import Counter
 
-    from lindeberg import IidFromDistribution, MarkovChain, MultisetPermutation
+    from lindeberg.sampling import IidFromDistribution, MarkovChain, MultisetPermutation
 
     calls = Counter()
     for cls in (IidFromDistribution, MarkovChain, MultisetPermutation):
@@ -324,7 +343,7 @@ def test_config_round_trip():
 
 
 def test_custom_spec_json_document(tmp_path):
-    from lindeberg import MultisetPermutation
+    from lindeberg.sampling import MultisetPermutation
 
     spec_path = tmp_path / "spec.json"
     values = [-1.0, -1.0, 1.0, 1.0, 0.0]

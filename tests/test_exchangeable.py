@@ -6,40 +6,33 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lindeberg import (
-    IidFromDistribution,
-    MultisetPermutation,
-    QuadraticMean,
+from conftest import OpaqueFunction
+from lindeberg.exchangeable import (
+    _gaussian_moment,
+    _summary_mean,
     build_g_transform,
     conditional_mean_identity_check,
-    cos_profile,
     covariance_gap_sum,
     covariance_gap_sum_exact,
     covariance_matrices,
     end_to_end_check,
-    interpolation_difference,
-    inv_quad_profile,
-    linear_form,
-    martingale_increment_check,
-    r_transform,
-    rng_from,
-    second_moment_identity_check,
-    standardized_multiset,
-    sum_ridge,
-    thm12_bound,
-    uniform,
-)
-from lindeberg.exchangeable import (
-    _gaussian_moment,
-    _summary_mean,
     harmonic_gap_closed_form,
+    interpolation_difference,
+    martingale_increment_check,
+    second_moment_identity_check,
     stein_exact_check,
     stein_mc_check,
+    thm12_bound,
 )
-from lindeberg.functions import CustomFunction, RidgeFunction
-from lindeberg.sampling import (build_y, center_and_scale, derive_child, row_blocks,
-                                sample_batch)
+from lindeberg.functions import (GProfile, QuadraticMean, RidgeFunction, cos_profile,
+                                 inv_quad_profile, sum_ridge)
+from lindeberg.sampling import (IidFromDistribution, MultisetPermutation, build_y,
+                                center_and_scale, derive_child, rng_from, row_blocks,
+                                sample_batch, standardized_multiset, uniform)
 from lindeberg.suites import ramp_multiset, summarization_function
+
+IDENTITY = GProfile("identity", lambda u: u, np.ones_like, np.zeros_like, np.zeros_like,
+                    1.0, 0.0, 0.0)
 
 MULTISETS = {
     n: [standardized_multiset(np.arange(1.0, n + 1.0)),
@@ -75,22 +68,20 @@ class TestGTransform:
 
 
 class TestRTransform:
+    """R = G x for a standardized x."""
+
     def test_two_point(self):
-        assert r_transform([-1.0, 1.0]) == pytest.approx([-1.0, 0.0])
+        assert build_g_transform(2).matrix @ [-1.0, 1.0] == pytest.approx([-1.0, 0.0])
 
     def test_zero_vector(self):
-        assert np.array_equal(r_transform(np.zeros(4)), np.zeros(4))
+        assert np.array_equal(build_g_transform(4).matrix @ np.zeros(4), np.zeros(4))
 
     def test_hand_computed_three_point(self):
         # oracle: G(3) rows applied by hand to (-a, 0, a) with a = sqrt(3/2):
         # row2 gives 0 + a * 1/2 * (-1) = -a/2, row3 sums to zero
         a = math.sqrt(1.5)
-        r = r_transform([-a, 0.0, a])
+        r = build_g_transform(3).matrix @ [-a, 0.0, a]
         assert r == pytest.approx([-a, -a / 2.0, 0.0], abs=1e-14)
-
-    def test_uncentered_input_rejected(self):
-        with pytest.raises(ValueError, match="sum to 0"):
-            r_transform([1.0, 1.0])
 
 
 @pytest.mark.parametrize("n", sorted(MULTISETS))
@@ -309,7 +300,7 @@ class TestSteinIdentity:
 
 class TestInterpolation:
     def test_linear_function_gives_zero(self):
-        res = interpolation_difference(linear_form(np.full(4, 0.5)), 4,
+        res = interpolation_difference(RidgeFunction(IDENTITY, np.full(4, 0.5)), 4,
                                        replicates=30_000, seed=5)
         assert abs(res.direct) <= 4 * res.direct_stderr
         assert abs(res.integral) <= 4 * res.integral_stderr + 1e-12
@@ -353,10 +344,8 @@ class TestSummarizationBound:
             thm12_bound(-1.0, 1.0, 1.0, 1.0, 4)
 
     def test_linear_in_sum_function_is_exact_zero(self):
-        from lindeberg.functions import identity_profile
-
         spec = ramp_multiset(8)
-        report, = end_to_end_check(spec, [sum_ridge(identity_profile(), 8)],
+        report, = end_to_end_check(spec, [sum_ridge(IDENTITY, 8)],
                                    replicates=2_000, seed=1)
         assert report.bound == 0.0
         # the sum of a permuted multiset differs from the reference sum only
@@ -364,7 +353,7 @@ class TestSummarizationBound:
         assert abs(report.estimate) <= 1e-14
 
     def test_weakly_dependent_spec_rejected(self):
-        from lindeberg import MarkovChain
+        from lindeberg.sampling import MarkovChain
 
         chain = MarkovChain((-1.0, 1.0), (0.5, 0.5), ((0.7, 0.3), (0.4, 0.6)), 3)
         with pytest.raises(TypeError):
@@ -414,23 +403,23 @@ def test_chain_rule_bound_through_g_inverse():
         gt = build_g_transform(n)
         for profile in (cos_profile(), inv_quad_profile()):
             f0 = sum_ridge(profile, n)
-            f1 = f0.compose_linear(gt.inverse)
+            # x -> f0(G^{-1} x) is the ridge with weights G^{-T} w, whose r-th
+            # partial in x_j is g^(r)(u) times the j-th weight to the r
+            w1 = gt.inverse.T @ f0.weights
             for _ in range(40):
-                x = rng.uniform(-3, 3, n)
+                u = float(rng.uniform(-3, 3, n) @ w1)
                 j = int(rng.integers(n))
-                for r in (1, 2, 3):
-                    measured = abs(f1.partial(x, j, r))
+                for r, d in enumerate((profile.d1, profile.d2, profile.d3), start=1):
+                    measured = abs(d(u) * w1[j] ** r)
                     assert measured <= f0.mixed_bounds[r - 1] * 2.0 ** r + 1e-12
 
 
 def test_exact_gaussian_summary_agrees_with_sampled_summary():
     # the same X draws; Ef(Y) by quadrature for the ridge f, sampled for the
     # same map wrapped as a generic function
-    from lindeberg.functions import CustomFunction
-
     n = 10
     f = summarization_function("inv_quad-ramp", n)
-    generic = CustomFunction(n, f, unmixed_bounds=f.unmixed_bounds, mixed_bounds=f.mixed_bounds)
+    generic = OpaqueFunction(f)
     exact, sampled = end_to_end_check(ramp_multiset(n), [f, generic], replicates=20_000,
                                       seed=4)
     assert exact.bound == sampled.bound
@@ -463,7 +452,7 @@ def test_blocked_draws_match_one_whole_batch(sampled_y):
     w[:2] = (1.0, -1.0)
     f = RidgeFunction(cos_profile(), w)
     if sampled_y:  # a generic f has no summary law, so Y is sampled
-        f = CustomFunction(n, f, unmixed_bounds=f.unmixed_bounds, mixed_bounds=f.mixed_bounds)
+        f = OpaqueFunction(f)
     replicates = 3 * next(row_blocks(1 << 30, n)).stop + 17  # three whole blocks and a part
     report, = end_to_end_check(spec, [f], replicates, seed=8)
     estimate, stderr = _whole_batch_reference(spec, f, replicates, 8, sampled_y)
@@ -477,8 +466,7 @@ def _summarization_group(n, sampled_y):
                                                                "inv_quad-ramp")]
     if sampled_y:
         f = functions[0]
-        functions.append(CustomFunction(n, f, unmixed_bounds=f.unmixed_bounds,
-                                        mixed_bounds=f.mixed_bounds))
+        functions.append(OpaqueFunction(f))
     return functions
 
 

@@ -3,20 +3,56 @@ import math
 import numpy as np
 import pytest
 
-from lindeberg import (
-    CustomFunction,
+from lindeberg.functions import (
+    GProfile,
     QuadraticMean,
     RidgeFunction,
     cos_profile,
     finite_difference,
     inv_quad_profile,
-    linear_form,
     logistic_step_profile,
     sum_ridge,
     tanh_clamp_profile,
-    taylor_step_check,
 )
-from lindeberg.functions import derivative_bound_violation, finite_difference_agreement
+
+
+def _partials(f: RidgeFunction, x, order: int):
+    """Every d^order f / dx_i^order of a ridge f = g(w.x + b) at x, along a new
+    last axis: g^(order)(w.x + b) w_i^order, from the profile's derivative."""
+    d = (f.profile.d1, f.profile.d2, f.profile.d3)[order - 1]
+    return np.asarray(d(f.argument(x)))[..., None] * f.weights ** order
+
+
+def derivative_bound_violation(f: RidgeFunction, rng: np.random.Generator,
+                               trials: int = 100, box: float = 3.0) -> float:
+    """Worst excess of |unmixed partial| over its declared bound (<= 0 passes)."""
+    x = rng.uniform(-box, box, (trials, f.arity))
+    return max(float(np.max(np.abs(_partials(f, x, order)))) - f.unmixed_bounds[order - 1]
+               for order in (1, 2, 3))
+
+
+def finite_difference_agreement(f: RidgeFunction, rng: np.random.Generator,
+                                trials: int = 20, box: float = 2.0) -> float:
+    """Max relative error between the profile's analytic partials and central
+    differences of f.
+
+    Higher orders use wide Richardson-extrapolated stencils; the narrow
+    default steps would sit on the roundoff floor of a third difference.
+    Deviations are measured relative to max(|analytic|, 1e-3) so that near
+    roots of a derivative the comparison stays absolute at the same scale.
+    """
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.uniform(-box, box, f.arity)
+        i = int(rng.integers(f.arity))
+        hi = x.astype(np.longdouble)
+        for order, step in ((1, None), (2, 0.01), (3, 0.02)):
+            analytic = float(_partials(f, x, order)[i])
+            numeric = finite_difference(f, hi, (i,) * order, step=step,
+                                        richardson=0 if order == 1 else 2)
+            worst = max(worst, abs(analytic - numeric) / max(abs(analytic), 1e-3))
+    return worst
+
 
 ALL_PROFILES = [
     cos_profile(),
@@ -34,7 +70,6 @@ def test_declared_bounds_hold_at_random_points(profile):
     f = RidgeFunction(profile, rng.uniform(-1, 1, 5))
     assert derivative_bound_violation(f, rng, trials=100) <= 0.0
 
-
 @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
 def test_analytic_derivatives_match_finite_differences(profile):
     rng = np.random.default_rng(71)
@@ -46,19 +81,10 @@ def test_quadratic_mean_derivatives():
     f = QuadraticMean(5)
     x = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
     assert f(x) == pytest.approx(np.mean(x**2))
-    assert f.partial(x, 1, 1) == pytest.approx(-4.0 / 5.0)
-    assert f.partial(x, 1, 2) == pytest.approx(2.0 / 5.0)
-    assert f.partial(x, 1, 3) == 0.0
-    assert np.allclose(f.hessian(x), 0.4 * np.eye(5))
-
-
-def test_custom_function_falls_back_to_differences():
-    f = CustomFunction(3, lambda x: np.sin(x[..., 0]) * np.cos(x[..., 2]))
-    x = np.array([0.3, 9.9, -0.6])
-    assert f.partial(x, 0, 1) == pytest.approx(math.cos(0.3) * math.cos(-0.6), rel=1e-8)
-    assert f.partial(x, 2, 2) == pytest.approx(-math.sin(0.3) * math.cos(-0.6), rel=1e-5)
-    assert f.mixed_partial(x, (0, 2)) == pytest.approx(
-        -math.cos(0.3) * math.sin(-0.6), rel=1e-5)
+    assert f.unmixed_bounds == f.mixed_bounds == (math.inf, 0.4, 0.0)
+    # the Hessian is (2/n) I, so its contraction with a weight is 2 tr(weight) / n
+    weight = np.arange(25.0).reshape(5, 5)
+    assert f.hessian_quad(np.stack([x, 2.0 * x]), weight) == pytest.approx([24.0, 24.0])
 
 
 def test_vectorized_evaluation_matches_scalar():
@@ -69,50 +95,41 @@ def test_vectorized_evaluation_matches_scalar():
     assert vec[3] == pytest.approx(float(f(rows[3])))
 
 
+def _taylor_residual(f: RidgeFunction, base, delta: float, i: int) -> float:
+    """|f(base + delta e_i) - f(base) - delta f_i - delta^2/2 f_ii| for a ridge f;
+    a third-derivative bound L3 caps it at |delta|^3 L3 / 6."""
+    base = np.asarray(base, dtype=float)
+    shifted = base.copy()
+    shifted[i] += delta
+    expansion = (float(f(base)) + delta * float(_partials(f, base, 1)[i])
+                 + 0.5 * delta * delta * float(_partials(f, base, 2)[i]))
+    return abs(float(f(shifted)) - expansion)
+
+
 class TestTaylorStep:
     def test_linear_has_zero_residual(self):
-        f = linear_form([2.0, -1.0, 0.5])
+        identity = GProfile("identity", lambda u: u, np.ones_like, np.zeros_like,
+                            np.zeros_like, 1.0, 0.0, 0.0)
+        f = RidgeFunction(identity, [2.0, -1.0, 0.5])
         base = np.array([0.4, 1.0, 0.0])
-        assert taylor_step_check(f, base, 0.7, 1) <= 1e-14
-
-    def test_pure_square_is_exact(self):
-        f = QuadraticMean(2)
-        assert taylor_step_check(f, np.array([0.3, 0.0]), 1.0, 1) <= 1e-14
+        assert _taylor_residual(f, base, 0.7, 1) <= 1e-14
 
     def test_cubic_boundary_case(self):
         # oracle: (z + d)^3 - z^3 - 3 z^2 d - 3 z d^2 = d^3; at z=0, d=0.5
         # the residual is exactly 0.125 = |d|^3 * 6 / 6
-        f = CustomFunction(2, lambda x: x[..., 0] ** 3)
-        residual = taylor_step_check(f, np.array([0.0, 1.0]), 0.5, 0)
-        assert residual == pytest.approx(0.125, rel=1e-6)
-        assert residual <= 0.5**3 * 6.0 / 6.0 + 1e-9
+        cube = GProfile("cube", lambda u: u ** 3, lambda u: 3.0 * u * u, lambda u: 6.0 * u,
+                        lambda u: np.full_like(u, 6.0), math.inf, math.inf, 6.0)
+        f = RidgeFunction(cube, [1.0, 0.0])
+        residual = _taylor_residual(f, np.array([0.0, 1.0]), 0.5, 0)
+        assert residual == 0.125
+        assert residual <= 0.5**3 * f.unmixed_bounds[2] / 6.0
 
     def test_residual_bounded_by_third_derivative(self):
         f = sum_ridge(cos_profile(), 6)
         base = np.zeros(6)
         delta = 0.8
         bound = abs(delta) ** 3 * f.unmixed_bounds[2] / 6.0
-        assert taylor_step_check(f, base, delta, 2) <= bound + 1e-12
-
-
-def test_compose_linear_transforms_weights():
-    f0 = sum_ridge(cos_profile(), 3)
-    m = np.array([[1.0, 0.0, 0.0], [-0.5, 1.0, 0.0], [-0.5, -1.0, 1.0]])
-    f1 = f0.compose_linear(m)
-    x = np.array([0.2, -0.7, 1.1])
-    assert f1(x) == pytest.approx(float(f0(m @ x)), rel=1e-14)
-    assert np.allclose(f1.weights, m.T @ f0.weights)
-
-
-def test_shift_scale_matches_composition():
-    f = sum_ridge(inv_quad_profile(), 4)
-    g = f.shift_scale(mu=1.5, sigma=0.7)
-    x = np.array([0.1, -0.2, 0.4, 2.0])
-    assert g(x) == pytest.approx(float(f(1.5 + 0.7 * x)), rel=1e-14)
-    # sup bounds scale by sigma^r for the normalized-sum weights
-    for r in range(3):
-        assert g.mixed_bounds[r] == pytest.approx(
-            f.mixed_bounds[r] * 0.7 ** (r + 1), rel=1e-12)
+        assert _taylor_residual(f, base, delta, 2) <= bound + 1e-12
 
 
 def test_finite_difference_rejects_bad_order():
@@ -123,11 +140,15 @@ def test_finite_difference_rejects_bad_order():
 
 
 def test_ridge_mixed_partial_product_rule():
+    # a mixed partial of g(w.x) is g'''(w.x) times its weights, so the one
+    # bound b3 max|w|^3 covers mixed partials too
     f = RidgeFunction(cos_profile(), [0.5, -1.0, 0.25])
     x = np.array([0.1, 0.2, 0.3])
     u = float(x @ f.weights)
     expected = math.sin(u) * 0.5 * (-1.0) * 0.25  # third derivative of cos is sin
-    assert f.mixed_partial(x, (0, 1, 2)) == pytest.approx(expected, rel=1e-12)
+    numeric = finite_difference(f, x, (0, 1, 2), step=0.02, richardson=2)
+    assert numeric == pytest.approx(expected, rel=1e-6)
+    assert abs(expected) <= f.mixed_bounds[2]
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 101])

@@ -6,25 +6,31 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from lindeberg import (
+from lindeberg.functions import finite_difference, tanh_clamp_profile
+from lindeberg.resolvent import (
     ResolventWorkspace,
+    _checked_pair,
+    composed_partials,
     fd_agreement_check,
+    flat_index,
+    h_value_hp,
     lemma41_bound,
     lemma41_constants,
     resolvent_partials,
-    tanh_clamp_profile,
     trace_bound_check,
     trace_bounds,
-)
-from lindeberg.functions import finite_difference
-from lindeberg.resolvent import (
-    composed_partials,
-    flat_index,
-    h_value_hp,
-    perturbation_matrix,
     triu_pairs,
 )
 from lindeberg.spectral import upper_triangle_size, wigner_matrix
+
+
+def perturbation_matrix(alpha, N: int) -> np.ndarray:
+    """dA/dx_alpha: at most two entries of size N^{-1/2}, one on the diagonal;
+    the dense reference for the entry-level traces."""
+    i, j = _checked_pair(alpha, N)
+    d = np.zeros((N, N))
+    d[i, j] = d[j, i] = 1.0 / math.sqrt(N)
+    return d
 
 
 def _random_symmetric(rng, n):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindeberg import (
+from lindeberg.sampling import (
     ConditionallyIid,
     IidFromDistribution,
     MarkovChain,
@@ -17,19 +17,16 @@ from lindeberg import (
     build_y,
     center_and_scale,
     derive_child,
-    exact_conditional_moments,
     finite,
-    estimate_ab,
     gaussian,
-    lindeberg_bound,
-    point_mass,
     sample_batch,
     sample_exchangeable,
+    spec_from_dict,
     standardized_multiset,
     student_t,
     uniform,
 )
-from lindeberg.sampling import spec_from_dict
+from lindeberg.swap import estimate_ab, lindeberg_bound
 
 
 def test_singleton_multiset_returns_its_value():
@@ -37,7 +34,7 @@ def test_singleton_multiset_returns_its_value():
 
 
 def test_point_mass_iid_is_constant():
-    x = sample_exchangeable(IidFromDistribution(point_mass(0.0), 4), seed=9)
+    x = sample_exchangeable(IidFromDistribution(finite([0.0]), 4), seed=9)
     assert np.array_equal(x, np.zeros(4))
 
 
@@ -192,25 +189,25 @@ class TestBuildY:
 class TestConditionalMoments:
     def test_first_order(self):
         spec = MultisetPermutation((-1.0, 0.0, 1.0))
-        assert exact_conditional_moments(spec, [-1.0], 1) == 0.5
+        assert spec.conditional_moment([-1.0], 1) == 0.5
 
     def test_second_order(self):
         spec = MultisetPermutation((-1.0, 0.0, 1.0))
-        assert exact_conditional_moments(spec, [0.0], 2) == 1.0
+        assert spec.conditional_moment([0.0], 2) == 1.0
 
     def test_last_element_is_forced(self):
         spec = MultisetPermutation((2.0, 4.0, 8.0))
-        assert exact_conditional_moments(spec, [8.0, 2.0], 1) == 4.0
+        assert spec.conditional_moment([8.0, 2.0], 1) == 4.0
 
     def test_prefix_not_contained(self):
         spec = MultisetPermutation((-1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
-            exact_conditional_moments(spec, [3.0], 1)
+            spec.conditional_moment([3.0], 1)
 
     def test_markov_uses_kernel_row(self):
         spec = MarkovChain((0.0, 1.0), (1.0, 0.0), ((0.25, 0.75), (0.5, 0.5)), 4)
-        assert exact_conditional_moments(spec, [0.0, 1.0], 1) == 0.5
-        assert exact_conditional_moments(spec, [], 1) == 0.0
+        assert spec.conditional_moment([0.0, 1.0], 1) == 0.5
+        assert spec.conditional_moment([], 1) == 0.0
 
 
 def test_invalid_kernel_rows_raise():
@@ -265,9 +262,9 @@ def test_spec_variant(spec, n):
     assert spec.n == n
     if isinstance(spec, ConditionallyIid):
         with pytest.raises(ValueError, match="no exact conditional oracle"):
-            exact_conditional_moments(spec, [], 1)
+            spec.conditional_moment([], 1)
     else:
-        assert math.isfinite(exact_conditional_moments(spec, [], 1))
+        assert math.isfinite(spec.conditional_moment([], 1))
     if isinstance(spec, MultisetPermutation):
         assert isinstance(spec.values, np.ndarray) and spec.values.dtype == np.float64
         assert not spec.values.flags.writeable
@@ -346,7 +343,9 @@ def test_multiset_sample_is_the_permuted_tile():
     IidFromDistribution(uniform(-1.0, 3.0), 6),
     IidFromDistribution(student_t(5.0), 6),
     IidFromDistribution(finite([-2.0, 1.0], [0.25, 0.75]), 6),
-], ids=["multiset", "gaussian", "uniform", "student_t", "finite"])
+    MarkovChain((-1.0, 0.5, 2.0), (0.2, 0.3, 0.5),
+                ((0.6, 0.3, 0.1), (0.2, 0.2, 0.6), (0.5, 0.0, 0.5)), 6),
+], ids=["multiset", "gaussian", "uniform", "student_t", "finite", "markov"])
 def test_row_blocks_from_one_generator_concatenate_to_one_batch(spec):
     rng = np.random.default_rng(7)
     blocks = [sample_batch(spec, rng, rows) for rows in (1, 5, 17, 977)]

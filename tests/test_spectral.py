@@ -9,12 +9,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lindeberg import (
+from lindeberg.resolvent import ResolventWorkspace
+from lindeberg.sampling import IidFromDistribution, MultisetPermutation, finite
+from lindeberg.spectral import (
+    _SYMMETRY_BLOCK_ROWS,
+    ENSEMBLES,
     EsdFunction,
-    MultisetPermutation,
-    ResolventWorkspace,
     WignerEnsembleSpec,
+    _require_symmetric,
     build_wigner,
+    contaminated_wigner,
     eigenvalues,
     gaussian_wigner,
     ks_distance,
@@ -24,17 +28,10 @@ from lindeberg import (
     semicircle_density,
     semicircle_stieltjes,
     stieltjes_esd,
-    thm13_experiment,
-    wigner_matrix,
-)
-from lindeberg.sampling import point_mass, IidFromDistribution
-from lindeberg.spectral import (
-    _SYMMETRY_BLOCK_ROWS,
-    ENSEMBLES,
-    _require_symmetric,
-    contaminated_wigner,
     student_t_perm_wigner,
+    thm13_experiment,
     upper_triangle_size,
+    wigner_matrix,
 )
 
 
@@ -324,7 +321,7 @@ class TestConvergenceExperiment:
 
     def test_degenerate_entries_rejected(self):
         n = upper_triangle_size(4)
-        spec = WignerEnsembleSpec(4, IidFromDistribution(point_mass(1.0), n))
+        spec = WignerEnsembleSpec(4, IidFromDistribution(finite([1.0]), n))
         with pytest.raises(ValueError, match="degenerate"):
             thm13_experiment(spec, [1j], seed=0)
 

@@ -6,29 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindeberg import (
+from conftest import OpaqueFunction
+from lindeberg.functions import RidgeFunction, cos_profile, logistic_step_profile, sum_ridge
+from lindeberg.sampling import (
     ConditionallyIid,
     IidFromDistribution,
     MarkovChain,
     MultisetPermutation,
-    estimate_ab,
+    derive_child,
     finite,
     gaussian,
-    lindeberg_bound,
-    mean_difference,
-    derive_child,
+    row_blocks,
+    sample_batch,
     standardized_multiset,
     student_t,
-    sum_ridge,
+    uniform,
+)
+from lindeberg.swap import (
+    bound_components,
+    estimate_ab,
+    lindeberg_bound,
+    mean_difference,
     swapping_report,
     telescoping_difference,
     third_moment_bound,
-    uniform,
 )
-from lindeberg.functions import (RidgeFunction, constant_function, cos_profile,
-                                 logistic_step_profile)
-from lindeberg.sampling import row_blocks, sample_batch
-from lindeberg.swap import bound_components
 from lindeberg.suites import gaussian_comparison, suite_function, swapping_spec
 
 
@@ -158,7 +160,6 @@ class TestEstimateAB:
 
 class TestConditionallyIidOracle:
     def test_posterior_concentrates_on_mixture_component(self):
-        from lindeberg import ConditionallyIid
 
         # two well-separated means: after two observations the posterior
         # mean sits near the drawn component, so A_3 is close to E|theta|
@@ -168,7 +169,6 @@ class TestConditionallyIidOracle:
         assert est.a == pytest.approx(3.0, abs=0.3)
 
     def test_zero_budget_rejected(self):
-        from lindeberg import ConditionallyIid
 
         # uniform mixing has no closed-form posterior, so it still needs MC
         spec = ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 1.0, 4)
@@ -176,7 +176,6 @@ class TestConditionallyIidOracle:
             estimate_ab(spec, 0.0, 1.0, i=2, replicates=0)
 
     def test_first_coordinate_exact_for_any_mixing(self):
-        from lindeberg import ConditionallyIid
 
         mixing = finite([-1.0, 2.0], [0.6, 0.4])
         spec = ConditionallyIid(mixing, "gaussian_mean", 0.5, 4)
@@ -189,7 +188,6 @@ class TestConditionallyIidOracle:
     def test_gaussian_mixing_matches_quadrature(self, m):
         from scipy.integrate import quad
 
-        from lindeberg import ConditionallyIid
 
         def expect(g, mean, sd, kinks):
             # integrate g against N(mean, sd^2) piecewise between the kinks of g
@@ -218,7 +216,6 @@ class TestConditionallyIidOracle:
         assert signs == {True, False}
 
     def test_degenerate_mixing_or_noise(self):
-        from lindeberg import ConditionallyIid
 
         # tau = 0: theta = m, so E(X_3 | X_<3) = m and E(X_3^2 | X_<3) = m^2 + s^2
         est = estimate_ab(ConditionallyIid(gaussian(0.7, 0.0), "gaussian_mean", 0.5, 4),
@@ -239,7 +236,6 @@ class TestConditionallyIidOracle:
         assert abs(mc.b - 2 / 3) <= 4 * mc.b_stderr
 
     def test_nested_mc_agrees_with_exact_oracle(self):
-        from lindeberg import ConditionallyIid
 
         spec = ConditionallyIid(gaussian(0.2, 0.5), "gaussian_mean", 0.75**0.5, 5)
         for i in range(2, 6):
@@ -250,7 +246,6 @@ class TestConditionallyIidOracle:
             assert abs(mc.b - exact.b) <= 4 * mc.b_stderr
 
     def test_abs_third_moment(self):
-        from lindeberg import ConditionallyIid, sample_batch, student_t
 
         spec = ConditionallyIid(gaussian(0.0, 0.5), "gaussian_mean", 0.75**0.5, 3)
         draws = np.abs(sample_batch(spec, 4, 200_000)) ** 3
@@ -287,7 +282,7 @@ class TestTelescoping:
             assert abs(step) <= 5 * err + 1e-12
 
     def test_constant_function_is_exact_zero(self):
-        f = constant_function(4, c=2.5)
+        f = RidgeFunction(cos_profile(), np.zeros(4), offset=2.5)  # constant cos(2.5)
         x = standardized_multiset([-1.0, 0.0, 0.5, 3.0])
         y = IidFromDistribution(gaussian(), 4)
         res = telescoping_difference(f, x, y, replicates=500, seed=3)
@@ -306,8 +301,7 @@ class TestTelescoping:
         x = swapping_spec("iid-uniform", 5)
         y = gaussian_comparison(5)
         ridge = telescoping_difference(f, x, y, replicates=300, seed=9)
-        import lindeberg.functions as fn
-        generic = fn.CustomFunction(5, f)
+        generic = OpaqueFunction(f)
         plain = telescoping_difference(generic, x, y, replicates=300, seed=9)
         assert plain.estimate == pytest.approx(ridge.estimate, abs=1e-12)
         assert np.allclose(plain.steps, ridge.steps, atol=1e-12)
