@@ -221,20 +221,20 @@ def _swapping_group(spec, label, f_kinds, replicates, seeds):
     y_spec = suites.gaussian_comparison(n)
     functions = [suites.suite_function(f_kind, n) for f_kind in f_kinds]
     reports = swapping_report(functions, spec, y_spec, replicates, seeds,
-                              ab_replicates=20_000)
+                              ab_replicates=suites.AB_REPLICATES)
     return [{
         "spec": label, "n": n, "function": f_kind, "bound": report.bound,
         "first_order": report.components["first_order"],
         "second_order": report.components["second_order"],
         "third_moment": report.components["third_moment"],
         "estimate": report.estimate, "stderr": report.stderr,
-        "replicates": report.replicates, "dominated": report.dominates(3.0),
+        "replicates": report.replicates, "dominated": report.dominates(),
         "estimate_kind": report.kind,
     } for f_kind, report in zip(f_kinds, reports)]
 
 
 def run_thm11(cfg: ExperimentConfig):
-    replicates = 100_000 if cfg.replicates is None else cfg.replicates
+    replicates = suites.SWAPPING_REPLICATES if cfg.replicates is None else cfg.replicates
     if cfg.custom_spec:
         spec = spec_from_dict(cfg.custom_spec)
         _n_list(cfg, (), spec.n, "the spec's n")
@@ -253,7 +253,7 @@ def run_thm11(cfg: ExperimentConfig):
 
 
 def run_thm12(cfg: ExperimentConfig):
-    replicates = 200_000 if cfg.replicates is None else cfg.replicates
+    replicates = suites.SUMMARIZATION_REPLICATES if cfg.replicates is None else cfg.replicates
     n_list = _n_list(cfg, suites.SUMMARIZATION_N_VALUES, len(cfg.multiset) or None)
     rows = []
     checks = {}
@@ -266,7 +266,7 @@ def run_thm12(cfg: ExperimentConfig):
         reports = end_to_end_check(spec, functions, replicates,
                                    derive_child(cfg.seed, idx * len(kinds)))
         for f_kind, report in zip(kinds, reports):
-            ok = report.dominates(3.0)
+            ok = report.dominates()
             rows.append({
                 "n": n, "function": f_kind,
                 "bound": report.bound,

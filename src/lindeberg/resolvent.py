@@ -43,12 +43,6 @@ class ResolventWorkspace:
         self.eigenvalues, self.vectors = np.linalg.eigh(a)
         self.G = (self.vectors / (self.eigenvalues - self.z)) @ self.vectors.T
 
-    def residual(self) -> float:
-        """max |(G (A - zI) - I)_ij|, relative to 1/|Im z|."""
-        n = self.matrix.shape[0]
-        r = self.G @ (self.matrix - self.z * np.eye(n)) - np.eye(n)
-        return float(np.max(np.abs(r))) * abs(self.z.imag)
-
     def trace_mean(self) -> complex:
         return complex(np.trace(self.G)) / self.matrix.shape[0]
 

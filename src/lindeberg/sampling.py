@@ -3,17 +3,17 @@
 Every sampler is a pure function of ``(spec, seed)``: the same pair always
 reproduces the same vector, and replicate streams are derived with a
 counter-based splitter so parallel Monte Carlo stays reproducible.  Each
-spec class also carries its law's oracles: exact conditional moments where
-the conditional laws can be enumerated (value multisets, finite Markov
-chains, i.i.d. families), the A_i/B_i discrepancies of the swapping bound,
-the exact absolute third moment where a closed form exists, and the law of
-a ridge argument w.X + b as a quadrature where an exact route exists.
+vector spec states what the swapping bound needs of its law and nothing
+else: the A_i/B_i discrepancies where an exact route exists (a Monte Carlo
+route besides, where one is implemented), the absolute third moment where a
+closed form exists, and the law of a ridge argument w.X + b as a quadrature
+where an exact route exists.  Choosing between exact and Monte Carlo routes
+is left to ``swap``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import ClassVar, Sequence, Union, get_args
@@ -387,8 +387,9 @@ def finite(values: Sequence[float], probs: Sequence[float] | None = None) -> Fin
 
 # ---------------------------------------------------------------------------
 # Exchangeable / weakly dependent vector specs.  Each class owns its sampler
-# (``sample``), its oracles (``conditional_moment``, ``ab``,
-# ``abs_third_moment``, None without a closed form) and its JSON form.
+# (``sample``) and its law's oracles: ``ab_exact`` and ``abs_third_moment``
+# (None without an exact route or closed form), ``ridge_law``, and ``ab_mc``
+# where a Monte Carlo route for A_i/B_i exists.  Its JSON form is its fields.
 # ---------------------------------------------------------------------------
 
 
@@ -479,29 +480,8 @@ class MultisetPermutation:
         out = np.tile(self.values, (replicates, 1))
         return rng.permuted(out, axis=1, out=out)
 
-    def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
-        remaining = Counter(float(v) for v in self.values)
-        for p in prefix:
-            p = float(p)
-            if remaining[p] <= 0:
-                raise ValueError("prefix is not contained in the multiset")
-            remaining[p] -= 1
-        rest = [v for v, c in remaining.items() for _ in range(c)]
-        if not rest:
-            raise ValueError("prefix exhausts the multiset")
-        arr = np.asarray(rest)
-        return float(np.mean(arr if order == 1 else arr * arr))
-
-    def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
-        """Exact by prefix enumeration when it fits the budget, else Monte Carlo."""
-        exact = self._ab_exact(y_mean, y_second, i)
-        if exact is not None:
-            return exact
-        if replicates <= 0:
-            raise ValueError("prefix enumeration too large; provide a Monte Carlo budget")
-        return self.ab_mc(y_mean, y_second, i, replicates, seed)
-
-    def _ab_exact(self, y_mean, y_second, i):
+    def ab_exact(self, y_mean, y_second, i):
+        """By enumerating the prefix's value counts; None past the budget."""
         values, counts = np.unique(self.values, return_counts=True)
         budget = 1
         for c in counts:
@@ -539,13 +519,6 @@ class MultisetPermutation:
         atom = float(self.values @ np.asarray(weights, dtype=float)) + offset
         return RidgeLaw(np.array([atom]), np.ones(1))
 
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MultisetPermutation":
-        return cls(d["values"])
-
 
 @dataclass(frozen=True)
 class IidFromDistribution:
@@ -561,10 +534,7 @@ class IidFromDistribution:
     def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
         return np.asarray(self.dist.sample(rng, (replicates, self.n)), dtype=float)
 
-    def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
-        return self.dist.mean() if order == 1 else self.dist.second_moment()
-
-    def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
+    def ab_exact(self, y_mean, y_second, i) -> ABEstimate:
         return ABEstimate(abs(self.dist.mean() - y_mean), 0.0,
                           abs(self.dist.second_moment() - y_second), 0.0, True)
 
@@ -573,13 +543,6 @@ class IidFromDistribution:
 
     def ridge_law(self, weights, offset: float):
         return self.dist.ridge_law(weights, offset)
-
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "dist": self.dist.to_dict(), "n": self.n}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IidFromDistribution":
-        return cls(_law_from_dict(d["dist"]), d["n"])
 
 
 @dataclass(frozen=True)
@@ -641,19 +604,7 @@ class MarkovChain:
             cum = kernel_cum[idx]
         return draws
 
-    def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
-        kernel = self._validated_kernel()
-        states = np.asarray(self.states, dtype=float)
-        vals = states if order == 1 else states * states
-        if len(prefix) == 0:
-            return float(np.dot(self.initial, vals))
-        last = float(prefix[-1])
-        matches = np.nonzero(np.asarray(self.states) == last)[0]
-        if matches.size == 0:
-            raise ValueError("prefix value is not a chain state")
-        return float(np.dot(kernel[matches[0]], vals))
-
-    def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
+    def ab_exact(self, y_mean, y_second, i) -> ABEstimate:
         kernel = self._validated_kernel()
         states = np.asarray(self.states, dtype=float)
         if i == 1:
@@ -705,15 +656,6 @@ class MarkovChain:
         states = np.asarray(self.states, dtype=float)
         totals = states[:-1] @ counts + states[-1] * (n - counts.sum(axis=0))
         return RidgeLaw(offset + w * totals, probs[keep])
-
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "states": list(self.states),
-                "initial": list(self.initial),
-                "kernel": [list(r) for r in self.kernel], "n": self.n}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MarkovChain":
-        return cls(d["states"], d["initial"], d["kernel"], d["n"])
 
 
 def _normal_mass(lo: float, hi: float) -> float:
@@ -795,25 +737,11 @@ class ConditionallyIid:
             return theta[:, None] + self.scale * z
         return np.abs(theta)[:, None] * z
 
-    def conditional_moment(self, prefix: Sequence[float], order: int) -> float:
-        raise ValueError("no exact conditional oracle for this spec; use nested Monte Carlo")
-
     def _gaussian_mixing(self) -> bool:
         return self.conditional == "gaussian_mean" and isinstance(self.mixing, Gaussian)
 
-    def ab(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
-        """Exact at i = 1 and under Gaussian mixing, else nested Monte Carlo."""
-        if self.conditional != "gaussian_mean":
-            raise ValueError("A/B oracle implemented for gaussian_mean only")
-        exact = self._ab_exact(y_mean, y_second, i)
-        if exact is not None:
-            return exact
-        if replicates <= 0:
-            raise ValueError("nested Monte Carlo needs a positive replicate budget")
-        return self.ab_mc(y_mean, y_second, i, replicates, seed)
-
-    def _ab_exact(self, y_mean, y_second, i):
-        """Closed forms; None when the posterior has none.
+    def ab_exact(self, y_mean, y_second, i):
+        """Closed forms for ``gaussian_mean``; None when the posterior has none.
 
         With an empty prefix the conditional moments are the marginal ones,
         E X_1 = E theta and E X_1^2 = E theta^2 + scale^2, for any mixing.
@@ -822,6 +750,8 @@ class ConditionallyIid:
         (scale^2 + k tau^2), and E(X_i^2 | X_<i) = M^2 + v_k + scale^2 with
         the posterior variance v_k = tau^2 scale^2 / (scale^2 + k tau^2).
         """
+        if self.conditional != "gaussian_mean":
+            raise ValueError("A/B oracle implemented for gaussian_mean only")
         s2 = self.scale ** 2
         if i == 1:
             m1 = self.mixing.mean()
@@ -891,14 +821,6 @@ class ConditionallyIid:
         if self.mixing.abs_moment(3) == math.inf:
             return math.inf
         return None
-
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "mixing": self.mixing.to_dict(),
-                "conditional": self.conditional, "scale": self.scale, "n": self.n}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConditionallyIid":
-        return cls(_law_from_dict(d["mixing"]), d["conditional"], d["scale"], d["n"])
 
 
 ExchangeableSpec = Union[MultisetPermutation, IidFromDistribution, MarkovChain, ConditionallyIid]
@@ -995,14 +917,18 @@ def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
 
 
 def spec_from_dict(d: dict) -> ExchangeableSpec:
-    """Rebuild a spec from its ``to_dict`` form; a malformed one raises ValueError."""
+    """Build a spec from its JSON document: ``variant`` names the class, and each
+    dataclass field is read from the key of its name, a ``Distribution`` field in
+    its law form (``kind`` with ``params``, or ``values`` and ``probs``).  A
+    malformed document raises ValueError."""
     variant = d.get("variant") if isinstance(d, dict) else None
     cls = _SPEC_TYPES.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ValueError(f"spec variant must be one of {', '.join(_SPEC_TYPES)}; "
                          f"got {variant!r}")
     try:
-        return cls.from_dict(d)
+        return cls(**{f.name: _law_from_dict(d[f.name]) if f.type == "Distribution"
+                      else d[f.name] for f in fields(cls)})
     except (KeyError, TypeError, OverflowError) as exc:  # a missing or mistyped field
         raise ValueError(f"malformed {variant} spec ({type(exc).__name__}: {exc})") from None
 

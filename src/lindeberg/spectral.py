@@ -180,9 +180,9 @@ def eigenvalues(matrix) -> SpectralSummary:
         raise ValueError("matrix must be square")
     _require_symmetric(a, "matrix must be symmetric within 1e-12")
     eigs = np.linalg.eigvalsh(a)
-    amax = float(np.max(np.abs(a))) if N else 0.0
+    amax = float(max(a.max(), -a.min())) if N else 0.0  # max|a| with no N x N temporary
     trace_error = abs(float(eigs.sum()) - float(np.trace(a)))
-    frob_error = abs(float(np.square(eigs).sum()) - float(np.square(a).sum()))
+    frob_error = abs(float(np.square(eigs).sum()) - float(np.einsum("ij,ij->", a, a)))
     tol = 1e-8 * N ** 1.5
     if trace_error > tol * max(amax, 1e-300) or frob_error > tol * max(amax ** 2, 1e-300):
         raise AssertionError("eigensolver violated its trace identities")
@@ -244,13 +244,15 @@ def semicircle_cdf(x):
 def semicircle_stieltjes(z: complex) -> complex:
     """The root of m^2 + z m + 1 = 0 that decays at infinity.
 
-    Written as (-z + z sqrt(1 - 4/z^2)) / 2 with the principal square root,
-    which selects the branch with |m| <= 1/|Im z| on either half-plane.
+    That root is (-z + z s) / 2 with s = sqrt(1 - 4/z^2) the principal square
+    root, which selects the branch with |m| <= 1/|Im z| on either half-plane.
+    The two roots multiply to 1, so it is computed as the reciprocal of the
+    other, -2 / (z + z s), which does not cancel for large |z|.
     """
     z = complex(z)
     if z.imag == 0:
         raise ValueError("z must have a nonzero imaginary part")
-    return (-z + z * np.sqrt(1.0 - 4.0 / (z * z))) / 2.0
+    return -2.0 / (z + z * np.sqrt(1.0 - 4.0 / (z * z)))
 
 
 # ---------------------------------------------------------------------------

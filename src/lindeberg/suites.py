@@ -56,6 +56,9 @@ def suite_function(kind: str, n: int) -> RidgeFunction:
 SWAPPING_SPEC_KINDS = ("iid-uniform", "multiset-rademacher", "markov-two-state")
 SUITE_FUNCTION_KINDS = ("cos", "inv_quad", "logistic_step")
 SWAPPING_N_VALUES = (5, 20, 50)
+# Monte Carlo replicates per Thm 1.1 cell, and for A_i/B_i where no exact route exists.
+SWAPPING_REPLICATES = 100_000
+AB_REPLICATES = 20_000
 
 
 def ramp_multiset(n: int):
@@ -76,3 +79,4 @@ def summarization_function(kind: str, n: int) -> RidgeFunction:
 
 SUMMARIZATION_FUNCTION_KINDS = ("cos-alternating", "inv_quad-ramp")
 SUMMARIZATION_N_VALUES = (10, 50)
+SUMMARIZATION_REPLICATES = 200_000

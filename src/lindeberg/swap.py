@@ -3,10 +3,10 @@
 Compares Ef(X) against Ef(Y) for Y with independent components by replacing
 coordinates one at a time.  The bound needs the conditional-moment
 discrepancies A_i, B_i, a third-moment cap M3, and sup bounds on the first
-three unmixed partials of f; the discrepancies come from each spec's own
-oracle (exact whenever the spec admits enumeration).  The true difference is
-computed from the laws of the ridge argument w.X + b where both specs have
-one, and estimated by seeded Monte Carlo otherwise.
+three unmixed partials of f.  Each input takes the spec's exact route where
+it has one and seeded Monte Carlo otherwise: the discrepancies, the
+third-moment cap, and the true difference, which comes from the laws of the
+ridge argument w.X + b where both specs have one.
 """
 
 from __future__ import annotations
@@ -81,18 +81,20 @@ def bound_components(A, B, M3, L1, L2, L3) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def estimate_ab(spec: ExchangeableSpec, y_mean, y_second, i: int,
+def estimate_ab(spec: ExchangeableSpec, y_mean: float, y_second: float, i: int,
                 replicates: int = 0, seed: int = 0) -> ABEstimate:
     """Discrepancies A_i = E|E(X_i | X_<i) - EY_i| and the squared analogue B_i.
 
-    Exact (zero stderr) for multiset permutations with a small enough prefix
-    enumeration, finite Markov chains, and i.i.d. specs; Monte Carlo over
-    prefixes otherwise, with the inner conditional moment still exact where
-    an oracle exists.
+    The spec's ``ab_exact`` (zero stderr) where it has an exact route, else its
+    ``ab_mc`` over ``replicates`` draws seeded with ``seed``.
     """
-    y_mean = float(np.asarray(y_mean).reshape(-1)[i - 1]) if np.ndim(y_mean) else float(y_mean)
-    y_second = float(np.asarray(y_second).reshape(-1)[i - 1]) if np.ndim(y_second) else float(y_second)
-    return spec.ab(y_mean, y_second, i, replicates, seed)
+    exact = spec.ab_exact(y_mean, y_second, i)
+    if exact is not None:
+        return exact
+    if replicates <= 0:
+        raise ValueError(f"no exact A/B route for this {spec.variant} spec at i = {i}; "
+                         "give a Monte Carlo budget")
+    return spec.ab_mc(y_mean, y_second, i, replicates, seed)
 
 
 def estimate_ab_all(spec, y_mean, y_second, replicates: int = 0, seed: int = 0):

@@ -1,3 +1,6 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from lindeberg.functions import SmoothFunction
@@ -13,6 +16,20 @@ class OpaqueFunction(SmoothFunction):
 
     def __call__(self, x):
         return self._f(x)
+
+
+def spec_doc(spec) -> dict:
+    """The JSON document of a vector spec, as ``spec_from_dict`` reads it: its
+    variant and each field under its own name, a law in its law form."""
+    doc = {"variant": spec.variant}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if hasattr(value, "to_dict"):
+            value = value.to_dict()
+        elif isinstance(value, (tuple, np.ndarray)):
+            value = np.asarray(value).tolist()
+        doc[f.name] = value
+    return doc
 
 
 _criterion_lines = []

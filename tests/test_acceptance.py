@@ -41,9 +41,12 @@ from lindeberg.functions import QuadraticMean, cos_profile, inv_quad_profile
 from lindeberg.resolvent import composed_partials, triu_pairs, upper_triangle_size
 from lindeberg.spectral import ENSEMBLES
 from lindeberg.suites import (
+    AB_REPLICATES,
     SUITE_FUNCTION_KINDS,
     SUMMARIZATION_FUNCTION_KINDS,
+    SUMMARIZATION_REPLICATES,
     SWAPPING_N_VALUES,
+    SWAPPING_REPLICATES,
     SWAPPING_SPEC_KINDS,
     gaussian_comparison,
     ramp_multiset,
@@ -152,10 +155,11 @@ def test_criterion_06_swapping_bound_domination(criterion_report):
             for f_kind in SUITE_FUNCTION_KINDS:
                 rep, = swapping_report(
                     [suite_function(f_kind, n)], swapping_spec(spec_kind, n),
-                    gaussian_comparison(n), replicates=100_000,
-                    seeds=[derive_child(MASTER_SEED, 600 + idx)])
+                    gaussian_comparison(n), replicates=SWAPPING_REPLICATES,
+                    seeds=[derive_child(MASTER_SEED, 600 + idx)],
+                    ab_replicates=AB_REPLICATES)
                 idx += 1
-                if not rep.dominates(3.0):
+                if not rep.dominates():
                     failures.append((spec_kind, n, f_kind))
     elapsed = time.perf_counter() - start
     criterion_report(6, "swapping-bound-domination",
@@ -169,10 +173,11 @@ def test_criterion_07_summarization_bound_domination(criterion_report):
     for n in (10, 50):
         functions = [summarization_function(f_kind, n)
                      for f_kind in SUMMARIZATION_FUNCTION_KINDS]
-        reports = end_to_end_check(ramp_multiset(n), functions, replicates=200_000,
+        reports = end_to_end_check(ramp_multiset(n), functions,
+                                   replicates=SUMMARIZATION_REPLICATES,
                                    seed=derive_child(MASTER_SEED, 700 + n))
         for f_kind, rep in zip(SUMMARIZATION_FUNCTION_KINDS, reports):
-            if not rep.dominates(3.0):
+            if not rep.dominates():
                 failures.append((n, f_kind))
     elapsed = time.perf_counter() - start
     criterion_report(7, "summarization-bound-domination", not failures, elapsed,

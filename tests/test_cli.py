@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import spec_doc
 from lindeberg import cli
 
 
@@ -66,6 +67,13 @@ def test_semicircle_table_writes_x_and_z_rows_when_both_are_given(tmp_path):
     assert float(rows[1]["m_im"]) == pytest.approx(0.6180339887498949)
     assert read_summary(out, "semicircle-table")["checks"] == {
         "cdf_matches_density": True, "stieltjes_root": True}
+
+
+def test_semicircle_table_resolves_the_root_at_large_z(tmp_path):
+    # m(iy) = i (sqrt(y^2 + 4) - y) / 2, about i / y; written as (-z + z s) / 2 it cancels
+    assert run_cli(["semicircle-table", "--z", "1e8j,1e9j,1e12j", "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path, "semicircle-table")
+    assert [float(r["m_im"]) for r in rows] == pytest.approx([1e-8, 1e-9, 1e-12], rel=1e-15)
 
 
 @pytest.mark.parametrize("name, wrong, flags, check", [
@@ -137,10 +145,10 @@ def test_ab_runs_once_per_coordinate_of_each_spec_and_n(tmp_path, monkeypatch):
 
     calls = Counter()
     for cls in (IidFromDistribution, MarkovChain, MultisetPermutation):
-        def spy(self, *args, _original=cls.ab, **kwargs):
+        def spy(self, *args, _original=cls.ab_exact, **kwargs):
             calls[type(self).__name__, self.n] += 1
             return _original(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "ab", spy)
+        monkeypatch.setattr(cls, "ab_exact", spy)
     assert run_cli(["thm11-check", "--n", "5,8", "--replicates", "200",
                     "--out", str(tmp_path)]) == 0
     assert calls == {(name, n): n for n in (5, 8) for name in
@@ -347,7 +355,7 @@ def test_custom_spec_json_document(tmp_path):
 
     spec_path = tmp_path / "spec.json"
     values = [-1.0, -1.0, 1.0, 1.0, 0.0]
-    spec_path.write_text(json.dumps(MultisetPermutation(tuple(values)).to_dict()))
+    spec_path.write_text(json.dumps(spec_doc(MultisetPermutation(tuple(values)))))
     out = tmp_path / "o"
     code = run_cli(["thm11-check", "--spec-json", str(spec_path),
                     "--functions", "cos", "--replicates", "4000",

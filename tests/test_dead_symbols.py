@@ -1,9 +1,11 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function and class of the package, and every public
+method and property of its classes, has a caller.
 
 A caller is a reference outside the symbol's own definition: in the package
 itself (``__init__.py``'s re-exports do not count), in ``demos/``, or in the
-acceptance suite.  A symbol that only unit tests reach is dead weight; such a
-helper belongs in the tests.
+acceptance suite.  A method counts as called when its name is looked up as
+an attribute anywhere there, on whatever object.  A symbol that only unit
+tests reach is dead weight; such a helper belongs in the tests.
 """
 
 import ast
@@ -35,11 +37,15 @@ def _public_definitions(tree) -> dict:
             and not stmt.name.startswith("_")}
 
 
-def test_every_public_symbol_has_a_caller():
+def _caller_trees() -> dict:
     callers = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     callers += sorted((ROOT / "demos").glob("*.py"))
     callers.append(ROOT / "tests" / "test_acceptance.py")
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in callers}
+    return {path: ast.parse(path.read_text(), str(path)) for path in callers}
+
+
+def test_every_public_symbol_has_a_caller():
+    trees = _caller_trees()
     referenced = set()
     definitions = {}
     for path, tree in trees.items():
@@ -52,3 +58,15 @@ def test_every_public_symbol_has_a_caller():
     dead = sorted(f"{module}:{name}" for name, module in definitions.items()
                   if name not in referenced)
     assert not dead, f"public symbols with no caller outside unit tests: {dead}"
+
+
+def test_every_public_method_has_a_caller():
+    trees = _caller_trees()
+    attributes = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Attribute)}
+    dead = sorted(f"{path.name}:{cls.name}.{stmt.name}"
+                  for path, tree in trees.items() if path.parent == PACKAGE
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
+                  and not stmt.name.startswith("_") and stmt.name not in attributes)
+    assert not dead, f"public methods with no caller outside unit tests: {dead}"

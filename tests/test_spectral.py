@@ -182,6 +182,7 @@ class TestSemicircle:
     def test_transform_at_i_is_golden_ratio(self):
         m = semicircle_stieltjes(1j)
         assert m == pytest.approx(1j * (math.sqrt(5.0) - 1.0) / 2.0, abs=1e-14)
+        assert m.imag == 0.6180339887498948  # (sqrt 5 - 1) / 2, correctly rounded
 
     def test_transform_matches_quadrature(self):
         # oracle: numerical integration of density(x)/(x - z)
