@@ -8,7 +8,7 @@ w.Y is Gaussian.  Also walks through the per-coordinate hybrid decomposition,
 by Monte Carlo, whose steps sum, replicate by replicate, to f(X) - f(Y).
 """
 
-from lindeberg import swapping_report, telescoping_difference
+from lindeberg.swap import swapping_report, telescoping_difference
 from lindeberg.suites import gaussian_comparison, suite_function, swapping_spec
 
 n = 20

@@ -10,7 +10,7 @@ structures, and the final explicit bound with constants 9.5 and 13.
 
 import numpy as np
 
-from lindeberg import (
+from lindeberg.exchangeable import (
     build_g_transform,
     covariance_gap_sum,
     covariance_matrices,
@@ -18,9 +18,9 @@ from lindeberg import (
     interpolation_difference,
     martingale_increment_check,
     second_moment_identity_check,
-    standardized_multiset,
 )
 from lindeberg.functions import QuadraticMean
+from lindeberg.sampling import standardized_multiset
 from lindeberg.suites import ramp_multiset, summarization_function
 
 n = 6

@@ -9,14 +9,14 @@ distance, and Stieltjes-transform gaps on a small complex grid.
 
 import numpy as np
 
-from lindeberg import (
+from lindeberg.sampling import derive_child
+from lindeberg.spectral import (
+    ENSEMBLES,
     build_wigner,
-    derive_child,
     eigenvalues,
     semicircle_density,
     thm13_experiment,
 )
-from lindeberg.spectral import ENSEMBLES
 
 Z_GRID = (1j, 2j, 1 + 1j)
 

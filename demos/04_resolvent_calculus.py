@@ -7,17 +7,18 @@ extrapolated finite differences, shows the trace bounds in action, and
 assembles the derivative-bound constants used for spectral statistics.
 """
 
-from lindeberg import (
+from lindeberg.functions import tanh_clamp_profile
+from lindeberg.resolvent import (
     fd_agreement_check,
     lemma41_bound,
     lemma41_constants,
     resolvent_partials,
-    rng_from,
-    tanh_clamp_profile,
     trace_bound_check,
     trace_bounds,
+    triu_pairs,
+    upper_triangle_size,
 )
-from lindeberg.resolvent import triu_pairs, upper_triangle_size
+from lindeberg.sampling import rng_from
 
 z = 1j
 N = 6

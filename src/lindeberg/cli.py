@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import re
@@ -23,31 +24,50 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import suites
-from .exchangeable import (
-    conditional_mean_identity_check,
-    covariance_gap_sum,
-    covariance_gap_sum_exact,
-    end_to_end_check,
-    harmonic_gap_closed_form,
-    martingale_increment_check,
-    second_moment_identity_check,
-    stein_exact_check,
-)
-from .resolvent import fd_agreement_check, trace_bound_check
 from .sampling import (
     derive_child,
     rng_from,
     spec_from_dict,
     standardized_multiset,
 )
-from .spectral import (
-    ENSEMBLES,
-    semicircle_cdf,
-    semicircle_density,
-    semicircle_stieltjes,
-    thm13_experiment,
-)
-from .swap import swapping_report
+
+# The names the commands call from modules that argument handling does not
+# need, with the module that defines each.  A name is imported on its first
+# lookup on this module (PEP 562 ``__getattr__``), so a run loads only the
+# modules its subcommand calls.  The commands look the names up through
+# ``_cli`` at call time, which also lets a caller rebind them on this module.
+_LAZY = {
+    "conditional_mean_identity_check": "exchangeable",
+    "covariance_gap_sum": "exchangeable",
+    "covariance_gap_sum_exact": "exchangeable",
+    "end_to_end_check": "exchangeable",
+    "harmonic_gap_closed_form": "exchangeable",
+    "martingale_increment_check": "exchangeable",
+    "second_moment_identity_check": "exchangeable",
+    "stein_exact_check": "exchangeable",
+    "fd_agreement_check": "resolvent",
+    "trace_bound_check": "resolvent",
+    "ENSEMBLES": "spectral",
+    "semicircle_cdf": "spectral",
+    "semicircle_density": "spectral",
+    "semicircle_stieltjes": "spectral",
+    "thm13_experiment": "spectral",
+    "swapping_report": "swap",
+}
+# The sorted keys of ``spectral.ENSEMBLES``: ``--ensemble``'s choices, written
+# out so that building the parser does not import ``spectral``.
+_ENSEMBLE_NAMES = ("contaminated", "gaussian", "rademacher-perm", "student-t-perm")
+
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 SCHEMA_VERSION = 1
 
@@ -174,9 +194,9 @@ def run_identities(cfg: ExperimentConfig):
         worst_mean = worst_sq = worst_mart = 0.0
         slack = math.inf
         for i in range(1, n + 1):
-            dev_mean = conditional_mean_identity_check(spec, i)
-            dev_mart = martingale_increment_check(spec, i)
-            sm = second_moment_identity_check(spec, i)
+            dev_mean = _cli.conditional_mean_identity_check(spec, i)
+            dev_mart = _cli.martingale_increment_check(spec, i)
+            sm = _cli.second_moment_identity_check(spec, i)
             dev_sq = abs(sm.mean_square_lhs - sm.mean_square_rhs)
             slack_i = min(sm.variance_rhs - sm.variance_lhs,
                           sm.deviation_rhs - sm.deviation_lhs,
@@ -189,8 +209,9 @@ def run_identities(cfg: ExperimentConfig):
                 "check": "conditional_moments", "n": n, "i": i, "lhs": sm.mean_square_lhs,
                 "rhs": sm.mean_square_rhs, "deviation": dev_mean, "slack": slack_i,
             })
-        gap = covariance_gap_sum(n)
-        gap_exact_dev = abs(float(covariance_gap_sum_exact(n) - harmonic_gap_closed_form(n)))
+        gap = _cli.covariance_gap_sum(n)
+        gap_exact_dev = abs(float(_cli.covariance_gap_sum_exact(n)
+                                  - _cli.harmonic_gap_closed_form(n)))
         rows.append({
             "check": "covariance_gap", "n": n, "i": 0, "lhs": gap, "rhs": 3.0 * math.sqrt(n),
             "deviation": gap_exact_dev, "slack": 3.0 * math.sqrt(n) - gap,
@@ -205,7 +226,7 @@ def run_identities(cfg: ExperimentConfig):
     for t in range(5):
         m = rng.standard_normal((4, 4))
         cov = m @ m.T / 4.0
-        worst_stein = max(worst_stein, stein_exact_check(cov))
+        worst_stein = max(worst_stein, _cli.stein_exact_check(cov))
     rows.append({
         "check": "stein_polynomial", "n": 4,
         "i": 0, "lhs": worst_stein, "rhs": 1e-10, "deviation": worst_stein,
@@ -220,8 +241,8 @@ def _swapping_group(spec, label, f_kinds, replicates, seeds):
     n = spec.n
     y_spec = suites.gaussian_comparison(n)
     functions = [suites.suite_function(f_kind, n) for f_kind in f_kinds]
-    reports = swapping_report(functions, spec, y_spec, replicates, seeds,
-                              ab_replicates=suites.AB_REPLICATES)
+    reports = _cli.swapping_report(functions, spec, y_spec, replicates, seeds,
+                                   ab_replicates=suites.AB_REPLICATES)
     return [{
         "spec": label, "n": n, "function": f_kind, "bound": report.bound,
         "first_order": report.components["first_order"],
@@ -263,8 +284,8 @@ def run_thm12(cfg: ExperimentConfig):
                 else suites.ramp_multiset(n))
         functions = [suites.summarization_function(f_kind, n) for f_kind in kinds]
         # the functions of one n share one draw of X, seeded from the first's slot
-        reports = end_to_end_check(spec, functions, replicates,
-                                   derive_child(cfg.seed, idx * len(kinds)))
+        reports = _cli.end_to_end_check(spec, functions, replicates,
+                                        derive_child(cfg.seed, idx * len(kinds)))
         for f_kind, report in zip(kinds, reports):
             ok = report.dominates()
             rows.append({
@@ -286,7 +307,7 @@ def run_resolvent_check(cfg: ExperimentConfig):
     z = 1j if cfg.z_grid is None else complex(cfg.z_grid[0])
     N_list = [int(N) for N in (cfg.N_list or [2, 3, 4, 5, 6, 7, 8])]
     rng = rng_from(derive_child(cfg.seed, 23))
-    agreement = fd_agreement_check(N_list, cfg.tuples, z, rng)
+    agreement = _cli.fd_agreement_check(N_list, cfg.tuples, z, rng)
     rows = [{
         "N": N, "kind": "finite_difference",
         "order": order, "value": analytic, "reference": fd, "rel_error": rel,
@@ -295,7 +316,7 @@ def run_resolvent_check(cfg: ExperimentConfig):
     for t in range(cfg.trials):
         N = int(rng.choice(N_list))
         x = rng.uniform(-2.0, 2.0, N * (N + 1) // 2)
-        ratios = trace_bound_check(x, N, z, 1, rng)
+        ratios = _cli.trace_bound_check(x, N, z, 1, rng)
         worst_ratio = max(worst_ratio, ratios.order1, ratios.order2, ratios.order3)
     rows.append({
         "N": 0, "kind": "trace_ratio",
@@ -311,7 +332,7 @@ def run_resolvent_check(cfg: ExperimentConfig):
 
 
 def _sweep_cell(spec, z_grid, seed):
-    row = thm13_experiment(spec, z_grid, seed)
+    row = _cli.thm13_experiment(spec, z_grid, seed)
     out = {
         "N": spec.N, "seed": seed,
         "ensemble": row.ensemble, "mu_hat": row.mu_hat,
@@ -323,20 +344,28 @@ def _sweep_cell(spec, z_grid, seed):
     return out
 
 
+def _median(values) -> float:
+    """The median of a few floats, as ``np.median`` gives it, NaN included."""
+    values = sorted(values)
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    mid = len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+
+
 def run_wigner_sweep(cfg: ExperimentConfig):
-    if cfg.ensemble not in ENSEMBLES:
+    if cfg.ensemble not in _cli.ENSEMBLES:
         raise ValueError(f"unknown ensemble {cfg.ensemble!r}")
     N_list = [int(N) for N in (cfg.N_list or [50, 100, 200, 400])]
     z_grid = [complex(z) for z in (_DEFAULT_Z if cfg.z_grid is None else cfg.z_grid)]
     rows = []
     for N in N_list:
         # The ensemble is deterministic, so one build serves every seed of the order.
-        spec = ENSEMBLES[cfg.ensemble](N)
+        spec = _cli.ENSEMBLES[cfg.ensemble](N)
         rows += [_sweep_cell(spec, z_grid, derive_child(cfg.seed, N * 100_003 + s))
                  for s in range(cfg.seeds)]
         del spec  # free this order's entries before the next, larger build
-    medians = {N: float(np.median([r["ks"] for r in rows if r["N"] == N]))
-               for N in N_list}
+    medians = {N: _median([r["ks"] for r in rows if r["N"] == N]) for N in N_list}
     checks = {"all_cells_finite": all(math.isfinite(r["ks"]) for r in rows)}
     summary_extra = {"median_ks": {str(N): medians[N] for N in N_list},
                      "z_grid": [str(z) for z in z_grid]}
@@ -348,7 +377,7 @@ def _cdf_by_trapezoid(x: float) -> float:
     rule with steps of at most 1e-5 (the density vanishes outside [-2, 2])."""
     end = min(max(x, -2.0), 2.0)
     grid = np.linspace(-2.0, end, math.ceil((end + 2.0) / 1e-5) + 1)
-    return float(np.trapezoid(semicircle_density(grid), grid))
+    return float(np.trapezoid(_cli.semicircle_density(grid), grid))
 
 
 def _is_stieltjes_root(z: complex, m: complex) -> bool:
@@ -364,16 +393,16 @@ def run_semicircle_table(cfg: ExperimentConfig):
     xs = cfg.x_values or ([] if zs else [0.0])
     cdf_ok, root_ok = [], []
     for x in xs:
-        cdf = float(semicircle_cdf(x))
+        cdf = float(_cli.semicircle_cdf(x))
         rows.append({
             "kind": "x", "arg_re": float(x),
-            "arg_im": 0.0, "density": float(semicircle_density(x)),
+            "arg_im": 0.0, "density": float(_cli.semicircle_density(x)),
             "cdf": cdf, "m_re": "", "m_im": "",
         })
         cdf_ok.append(0.0 <= cdf <= 1.0 and abs(cdf - _cdf_by_trapezoid(float(x))) <= 1e-6)
     for z_text in zs:
         z = complex(z_text)
-        m = semicircle_stieltjes(z)
+        m = _cli.semicircle_stieltjes(z)
         rows.append({
             "kind": "z", "arg_re": z.real,
             "arg_im": z.imag, "density": "", "cdf": "",
@@ -420,7 +449,7 @@ _FLAGS = {
     "N_list": ("--N", {"type": _split_ints, "help": "comma-separated matrix orders"}),
     "multiset": ("--multiset", {"type": _split_floats,
                                 "help": "comma-separated multiset values"}),
-    "ensemble": ("--ensemble", {"choices": sorted(ENSEMBLES)}),
+    "ensemble": ("--ensemble", {"choices": _ENSEMBLE_NAMES}),
     "seeds": ("--seeds", {"type": int, "help": "replicate seeds per sweep cell"}),
     "z_grid": ("--z", {"type": _split_strs,
                        "help": "comma-separated complex evaluation points"}),
@@ -515,6 +544,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _check_value(name: str, value) -> bool:
+    """A check's pass/fail; anything but a bool (a NaN, say) is an error."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"check {name!r} is {value!r}, not a bool")
+    return bool(value)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -524,6 +560,16 @@ def main(argv=None) -> int:
         rows, checks, summary_extra = _COMMANDS[cfg.command](cfg)
         if not checks:
             raise ValueError(f"{cfg.command} produced no checks")
+        summary = {
+            "command": cfg.command,
+            "seed": cfg.seed,
+            "checks": {k: _check_value(k, v) for k, v in sorted(checks.items())},
+            "all_passed": all(checks.values()),
+            "rows": len(rows),
+            **summary_extra,
+        }
+        # a NaN or infinity raises ValueError here, before any file is written
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -532,18 +578,9 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg.command.replace("-", "_")
     _write_csv(out_dir / f"{stem}.csv", rows)
-    summary = {
-        "command": cfg.command,
-        "seed": cfg.seed,
-        "checks": {k: bool(v) for k, v in sorted(checks.items())},
-        "all_passed": all(checks.values()),
-        "rows": len(rows),
-        **summary_extra,
-    }
     with open(out_dir / f"{stem}_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+        fh.write(text + "\n")
+    print(text)
     if not summary["all_passed"]:
         failing = [k for k, v in checks.items() if not v]
         print("FAILED: " + ", ".join(sorted(failing)), file=sys.stderr)

@@ -20,10 +20,19 @@ from .functions import GProfile, finite_difference
 from .spectral import _require_symmetric, upper_triangle_size, wigner_matrix
 
 
+# Outside this range |Im z|^4 leaves the normal floats, and the trace bounds
+# overflow to inf (a check against them then cannot fail) or raise.
+_IM_Z_RANGE = (1e-75, 1e75)
+
+
 def _check_z(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0:
         raise ValueError("z must have a nonzero imaginary part")
+    lo, hi = _IM_Z_RANGE
+    if not lo <= abs(z.imag) <= hi:
+        raise ValueError(f"|Im z| must lie in [{lo:g}, {hi:g}] for finite trace bounds; "
+                         f"got {abs(z.imag):g}")
     return z
 
 
@@ -218,9 +227,7 @@ class DerivativeBounds:
 
 
 def trace_bounds(v: float, N: int) -> DerivativeBounds:
-    if v == 0:
-        raise ValueError("Im z must be nonzero")
-    av = abs(v)
+    av = abs(_check_z(complex(0.0, v)).imag)
     t1 = 2.0 / (av ** 2 * math.sqrt(N))
     t2 = 2.0 / (av ** 3 * N)
     t3 = 2.0 ** 1.5 / (av ** 4 * N ** 1.5)

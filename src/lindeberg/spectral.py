@@ -210,7 +210,9 @@ class EsdFunction:
 
     @property
     def jump_points(self) -> np.ndarray:
-        return np.unique(self.eigenvalues)
+        """The distinct eigenvalues, ascending (each differs from its left neighbour)."""
+        e = self.eigenvalues
+        return e[np.concatenate(([True], e[1:] != e[:-1]))]
 
 
 def stieltjes_esd(eigs, z: complex) -> complex:

@@ -10,36 +10,38 @@ import time
 import numpy as np
 import pytest
 
-from lindeberg import (
+from lindeberg import cli
+from lindeberg.exchangeable import (
     build_g_transform,
-    cli,
     conditional_mean_identity_check,
     covariance_gap_sum,
     covariance_gap_sum_exact,
-    derive_child,
     end_to_end_check,
-    fd_agreement_check,
-    interpolation_difference,
-    lemma41_constants,
-    martingale_increment_check,
-    rank_inequality_check,
-    rng_from,
-    second_moment_identity_check,
-    standardized_multiset,
-    sum_ridge,
-    swapping_report,
-    tanh_clamp_profile,
-    thm13_experiment,
-    trace_bound_check,
-)
-from lindeberg.exchangeable import (
     harmonic_gap_closed_form,
+    interpolation_difference,
+    martingale_increment_check,
+    second_moment_identity_check,
     stein_exact_check,
     stein_mc_check,
 )
-from lindeberg.functions import QuadraticMean, cos_profile, inv_quad_profile
-from lindeberg.resolvent import composed_partials, triu_pairs, upper_triangle_size
-from lindeberg.spectral import ENSEMBLES
+from lindeberg.functions import (
+    QuadraticMean,
+    cos_profile,
+    inv_quad_profile,
+    sum_ridge,
+    tanh_clamp_profile,
+)
+from lindeberg.resolvent import (
+    composed_partials,
+    fd_agreement_check,
+    lemma41_constants,
+    trace_bound_check,
+    triu_pairs,
+    upper_triangle_size,
+)
+from lindeberg.sampling import derive_child, rng_from, standardized_multiset
+from lindeberg.spectral import ENSEMBLES, rank_inequality_check, thm13_experiment
+from lindeberg.swap import swapping_report
 from lindeberg.suites import (
     AB_REPLICATES,
     SUITE_FUNCTION_KINDS,

@@ -117,6 +117,16 @@ def test_resolvent_check_reads_its_one_z(tmp_path):
     assert tables[0] != tables[1]
 
 
+@pytest.mark.parametrize("z", ["1e-100j", "1e-300j", "1e200j"])
+def test_resolvent_check_rejects_z_outside_the_trace_bound_range(tmp_path, capsys, z):
+    # |Im z|^4 under- or overflows there, so the trace bounds cannot be formed
+    assert run_cli(["resolvent-check", "--z", z, "--N", "3", "--tuples", "2",
+                    "--trials", "5", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: |Im z| must lie in [1e-75, 1e+75]") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_thm11_single_cell(tmp_path):
     out = tmp_path / "s"
     code = run_cli(["thm11-check", "--specs", "iid-uniform", "--n", "5",
@@ -331,6 +341,23 @@ def test_failing_check_exits_1(tmp_path, monkeypatch, capsys):
     assert "broken" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks, extra", [
+    ({"ok": True}, {"median_ks": {"50": math.nan}}),
+    ({"ok": True}, {"z_grid": [math.inf]}),
+    ({"ok": math.nan}, {}),
+], ids=["nan-extra", "inf-extra", "nan-check"])
+def test_nonfinite_summary_exits_2_before_writing(tmp_path, monkeypatch, capsys, checks, extra):
+    def nonfinite(cfg):
+        return [{"v": 0.0}], checks, extra
+
+    monkeypatch.setitem(cli._COMMANDS, "semicircle-table", nonfinite)
+    assert run_cli(["semicircle-table", "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = cli.ExperimentConfig(command="semicircle-table", seed=3,
                                x_values=[0.0, 1.0], out=str(tmp_path / "c"))
@@ -383,6 +410,12 @@ def test_bad_ensemble_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["wigner-sweep", "--ensemble", "bogus", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_ensemble_choices_are_the_spectral_ensembles():
+    from lindeberg.spectral import ENSEMBLES
+
+    assert cli._ENSEMBLE_NAMES == tuple(sorted(ENSEMBLES))
 
 
 def test_infinite_third_moment_gives_infinite_bound(tmp_path):
@@ -571,6 +604,51 @@ def test_cli_runs_without_importing_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+_MODULES_SCRIPT = """
+import json, sys
+from lindeberg import cli
+args = json.loads(sys.argv[1])
+code = cli.main(args) if args else 0
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+_TINY_THM11 = ["--functions", "cos", "--replicates", "200"]
+
+
+# Each run loads only the modules its subcommand calls; the rest are the
+# package modules (and numpy.ma) it must not load.
+@pytest.mark.parametrize("args, unused", [
+    ([], {"exchangeable", "spectral", "resolvent", "swap"}),
+    (["thm11-check", "--n", "5", "--specs", "iid-uniform", *_TINY_THM11],
+     {"exchangeable", "spectral", "resolvent"}),
+    (["thm11-check", "--spec-json", "{spec}", *_TINY_THM11],
+     {"exchangeable", "spectral", "resolvent"}),
+    (["identities", "--n", "3"], {"spectral", "resolvent"}),
+    (["thm12-check", "--n", "5", "--replicates", "200"], {"spectral", "resolvent"}),
+    (["wigner-sweep", "--N", "20", "--seeds", "2"], {"exchangeable", "resolvent", "numpy.ma"}),
+    (["semicircle-table"], {"exchangeable", "resolvent"}),
+], ids=["import", "thm11-check", "thm11-check-spec-json", "identities", "thm12-check",
+        "wigner-sweep", "semicircle-table"])
+def test_each_command_loads_only_the_modules_it_calls(tmp_path, args, unused):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variant": "conditionally_iid",
+                                "mixing": {"kind": "gaussian", "params": [0.0, 0.5]},
+                                "conditional": "gaussian_mean", "scale": 0.75 ** 0.5, "n": 2}))
+    if args:
+        args = [a.format(spec=spec) for a in args] + ["--out", str(tmp_path / "o")]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, json.dumps(args)],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    code, modules = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    names = {m.removeprefix("lindeberg.") for m in modules}
+    assert not names & unused
 
 
 def test_thm12_bytes_do_not_depend_on_blas_threads(tmp_path):
