@@ -351,6 +351,20 @@ class TestLemma41Constants:
         with pytest.raises(ValueError):
             lemma41_bound(-1.0, 1.0, 4, lemma41_constants(1, 1, 1, 1.0, 4))
 
+    @pytest.mark.parametrize("v", [1e-60, -1e-60, 1e-80, 1e80])
+    def test_constants_beyond_the_floats_raise_one_line(self, v):
+        with pytest.raises(ValueError) as err:
+            lemma41_constants(1.0, 1.0, 1.0, v, 10)
+        assert "\n" not in str(err.value)
+
+    def test_large_im_z_gives_tiny_finite_constants(self):
+        # |v|^6 overflows at v = 1e60, but the constants do not: K2 is
+        # 6 * 2^{3/2} B1 |v|^-4 to within the underflowed |v|^-5, |v|^-6 terms
+        c = lemma41_constants(1.0, 1.0, 1.0, 1e60, 10)
+        assert c.k1 == pytest.approx(4.0e-180 + 0.4e-240, rel=1e-15)
+        assert c.k2 == pytest.approx(6.0 * 2.0 ** 1.5 * 1e-240, rel=1e-15)
+        assert 0.0 < c.c2 < c.c1 < 1e-170
+
     @pytest.mark.parametrize("N", [4, 8])
     def test_measured_mixed_partials_respect_bounds(self, N):
         rng = np.random.default_rng(13)

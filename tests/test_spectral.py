@@ -9,14 +9,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lindeberg import spectral
 from lindeberg.resolvent import ResolventWorkspace
-from lindeberg.sampling import IidFromDistribution, MultisetPermutation, finite
+from lindeberg.sampling import (
+    IidFromDistribution,
+    MultisetPermutation,
+    center_and_scale,
+    finite,
+    sample_exchangeable,
+)
 from lindeberg.spectral import (
     _SYMMETRY_BLOCK_ROWS,
     ENSEMBLES,
     EsdFunction,
     WignerEnsembleSpec,
     _require_symmetric,
+    _two_stage_driver,
+    _two_stage_eigvalsh,
     build_wigner,
     contaminated_wigner,
     eigenvalues,
@@ -126,6 +135,103 @@ class TestEigenvalues:
         base = eigenvalues(a).eigenvalues
         scaled = eigenvalues(2.5 * a).eigenvalues
         assert np.max(np.abs(scaled - 2.5 * base)) <= 1e-8
+
+
+def _two_stage_solve():
+    driver = _two_stage_driver()
+    if driver is None:
+        pytest.skip("numpy's OpenBLAS is not bindable here")
+    return driver[0]
+
+
+def _random_symmetric(N, seed):
+    m = np.random.default_rng(seed).standard_normal((N, N))
+    return (m + m.T) / 2.0
+
+
+class TestTwoStageSolver:
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 300])
+    def test_agrees_with_eigvalsh(self, N):
+        a = _random_symmetric(N, N)
+        reference = np.linalg.eigvalsh(a)
+        eigs = _two_stage_eigvalsh(a, _two_stage_solve())
+        tol = 10 * N * np.finfo(float).eps * np.max(np.abs(reference))
+        assert np.all(np.diff(eigs) >= 0)
+        assert np.max(np.abs(eigs - reference)) <= tol
+
+    def test_diagonal_is_exact(self):
+        d = np.array([3.0, -1.0, 2.0, 0.5, -7.25])
+        assert np.array_equal(_two_stage_eigvalsh(np.diag(d), _two_stage_solve()), np.sort(d))
+
+    def test_reads_the_lower_triangle_of_any_layout(self):
+        # the same triangle as eigvalsh, whatever the input's memory order
+        a = _random_symmetric(40, 1)
+        a[np.triu_indices(40, 1)] += 1e-13
+        solve = _two_stage_solve()
+        lower = _two_stage_eigvalsh(np.tril(a) + np.tril(a, -1).T, solve)
+        assert np.array_equal(_two_stage_eigvalsh(a, solve), lower)
+        assert np.array_equal(_two_stage_eigvalsh(np.asfortranarray(a), solve), lower)
+
+    def test_input_is_left_alone(self):
+        a = _random_symmetric(30, 2)
+        before = a.copy()
+        _two_stage_eigvalsh(a, _two_stage_solve())
+        assert np.array_equal(a, before)
+
+    def test_nonzero_info_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+            _two_stage_eigvalsh(np.eye(3), lambda *args: 3)
+
+
+class TestSolverChoice:
+    """``eigenvalues`` takes the two-stage route only at one BLAS thread and
+    order at least ``_TWO_STAGE_MIN_ORDER``; otherwise ``eigvalsh``'s bytes."""
+
+    def _never(self, *args):
+        raise AssertionError("two-stage driver called")
+
+    def test_one_thread_takes_the_two_stage_route(self, monkeypatch):
+        solve = _two_stage_solve()
+        monkeypatch.setattr(spectral, "_two_stage_driver", lambda: (solve, lambda: 1))
+        monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
+        a = _random_symmetric(50, 3)
+        assert eigenvalues(a).eigenvalues.tobytes() == _two_stage_eigvalsh(a, solve).tobytes()
+
+    @pytest.mark.parametrize("driver", ["unbound", "two-threads", "small-order"])
+    def test_fallback_returns_eigvalsh_bytes(self, monkeypatch, driver):
+        monkeypatch.setattr(spectral, "_two_stage_driver", {
+            "unbound": lambda: None,
+            "two-threads": lambda: (self._never, lambda: 2),
+            "small-order": lambda: (self._never, lambda: 1),
+        }[driver])
+        if driver != "small-order":
+            monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
+        a = _random_symmetric(50, 4)
+        assert eigenvalues(a).eigenvalues.tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+    def test_empty_matrix(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 0)
+        for driver in (None, (_two_stage_solve(), lambda: 1)):
+            monkeypatch.setattr(spectral, "_two_stage_driver", lambda: driver)
+            summary = eigenvalues(np.empty((0, 0)))
+            assert summary.eigenvalues.shape == (0,)
+            assert summary.trace_error == summary.frobenius_error == 0.0
+
+    def test_binding_reads_the_blas_thread_count(self):
+        # a fresh interpreter per setting: OpenBLAS reads it when it loads
+        root = Path(__file__).resolve().parent.parent
+        script = ("from lindeberg.spectral import _two_stage_driver as d; "
+                  "print(d() and d()[1]())")
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr[-2000:]
+            if result.stdout.strip() == "None":
+                pytest.skip("numpy's OpenBLAS is not bindable here")
+            assert result.stdout.strip() == threads
 
 
 class TestEsdFunction:
@@ -319,6 +425,13 @@ class TestConvergenceExperiment:
             via_eigs = stieltjes_esd(eigs, z)
             via_trace = ResolventWorkspace(scaled, z).trace_mean()
             assert via_eigs == pytest.approx(via_trace, abs=1e-8)
+
+    def test_fourth_moment_matches_the_power(self):
+        spec = student_t_perm_wigner(40)
+        row = thm13_experiment(spec, [1j], seed=6)
+        x_tilde = center_and_scale(sample_exchangeable(spec.entries, 6)).x_tilde
+        reference = float(np.mean(np.power(x_tilde, 4)))
+        assert abs(row.m4_tilde - reference) <= 4 * np.spacing(reference)
 
     def test_degenerate_entries_rejected(self):
         n = upper_triangle_size(4)

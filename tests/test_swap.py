@@ -23,6 +23,7 @@ from lindeberg.sampling import (
     uniform,
 )
 from lindeberg.swap import (
+    BoundReport,
     bound_components,
     estimate_ab,
     lindeberg_bound,
@@ -66,6 +67,15 @@ class TestLindebergBound:
         parts = bound_components(a, b, m3, l1, l2, l3)
         assert lindeberg_bound(a, b, m3, l1, l2, l3) == pytest.approx(
             sum(parts.values()), abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dominates_allows_three_stderr_by_default(sign):
+    # bound 1, stderr 0.1: an estimate 4 stderr beyond the bound fails, 2 passes
+    def report(excess):
+        return BoundReport(1.0, sign * (1.0 + excess * 0.1), 0.1, 1000, "mc")
+    assert not report(4.0).dominates()
+    assert report(2.0).dominates()
 
 
 class TestEstimateAB:
