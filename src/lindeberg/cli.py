@@ -75,6 +75,10 @@ SCHEMA_VERSION = 1
 # when neither --z nor the config names any.
 _DEFAULT_Z = ("1j", "2j", "1+1j")
 
+# The cdf points of semicircle-table when neither --x nor --z names any: the
+# ends of the support and points off 0, where the cdf's denominator shows.
+_DEFAULT_X = (-2.0, -1.0, 0.0, 0.5, 2.0)
+
 # The config fields each command reads beyond ``seed`` and ``out``; a command
 # takes a flag or config key only for a field listed here.
 _READS = {
@@ -390,7 +394,7 @@ def _is_stieltjes_root(z: complex, m: complex) -> bool:
 def run_semicircle_table(cfg: ExperimentConfig):
     rows = []
     zs = cfg.z_grid if cfg.z_grid is not None else ([] if cfg.x_values else _DEFAULT_Z)
-    xs = cfg.x_values or ([] if zs else [0.0])
+    xs = cfg.x_values or ([] if cfg.z_grid else _DEFAULT_X)
     cdf_ok, root_ok = [], []
     for x in xs:
         cdf = float(_cli.semicircle_cdf(x))

@@ -378,13 +378,6 @@ def _common_weight(weights):
     return float(w[0]) if w.size and np.all(w == w[0]) else None
 
 
-def finite(values: Sequence[float], probs: Sequence[float] | None = None) -> Finite:
-    """Finite law; equal probabilities when ``probs`` is omitted."""
-    if probs is None:
-        probs = (1.0 / len(values),) * len(values)
-    return Finite(values, probs)
-
-
 # ---------------------------------------------------------------------------
 # Exchangeable / weakly dependent vector specs.  Each class owns its sampler
 # (``sample``) and its law's oracles: ``ab_exact`` and ``abs_third_moment``
@@ -476,8 +469,11 @@ class MultisetPermutation:
     def n(self) -> int:
         return self.values.size
 
-    def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
-        out = np.tile(self.values, (replicates, 1))
+    def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
+        if out is None:
+            out = np.tile(self.values, (replicates, 1))
+        else:
+            out[...] = self.values
         return rng.permuted(out, axis=1, out=out)
 
     def ab_exact(self, y_mean, y_second, i):
@@ -531,8 +527,8 @@ class IidFromDistribution:
     def __post_init__(self):
         _check_length(self.n)
 
-    def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
-        return np.asarray(self.dist.sample(rng, (replicates, self.n)), dtype=float)
+    def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
+        return _filled(out, np.asarray(self.dist.sample(rng, (replicates, self.n)), dtype=float))
 
     def ab_exact(self, y_mean, y_second, i) -> ABEstimate:
         return ABEstimate(abs(self.dist.mean() - y_mean), 0.0,
@@ -590,7 +586,7 @@ class MarkovChain:
             dist = dist @ kernel
         return dist
 
-    def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
         """Inverse-cdf draws from one row-major block of uniforms: column 0 goes
         through the initial law, column t through the kernel row of state t-1.
         Each column of uniforms is overwritten by its states once used."""
@@ -602,7 +598,7 @@ class MarkovChain:
             idx = np.minimum((draws[:, t, None] >= cum).sum(axis=1), len(states) - 1)
             draws[:, t] = states[idx]
             cum = kernel_cum[idx]
-        return draws
+        return _filled(out, draws)
 
     def ab_exact(self, y_mean, y_second, i) -> ABEstimate:
         kernel = self._validated_kernel()
@@ -730,12 +726,12 @@ class ConditionallyIid:
         if not 0.0 <= self.scale < math.inf:
             raise ValueError(f"scale must be finite and nonnegative; got {self.scale}")
 
-    def sample(self, rng: np.random.Generator, replicates: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
         theta = np.asarray(self.mixing.sample(rng, replicates), dtype=float)
         z = rng.standard_normal((replicates, self.n))
         if self.conditional == "gaussian_mean":
-            return theta[:, None] + self.scale * z
-        return np.abs(theta)[:, None] * z
+            return _filled(out, theta[:, None] + self.scale * z)
+        return _filled(out, np.abs(theta)[:, None] * z)
 
     def _gaussian_mixing(self) -> bool:
         return self.conditional == "gaussian_mean" and isinstance(self.mixing, Gaussian)
@@ -854,22 +850,34 @@ def mean_and_stderr(values: np.ndarray) -> tuple:
     return float(mean), math.sqrt(float(values.sum()) / (size - 1)) / math.sqrt(size)
 
 
+def _filled(out, draws: np.ndarray) -> np.ndarray:
+    """``draws``, or ``out`` holding a copy of them when ``out`` is given."""
+    if out is None:
+        return draws
+    out[...] = draws
+    return out
+
+
 def sample_batch(spec: ExchangeableSpec, seed: int | np.random.Generator,
-                 replicates: int) -> np.ndarray:
+                 replicates: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draw ``replicates`` independent vectors; shape (replicates, n).
 
     ``seed`` is a 64-bit seed or a Generator to keep drawing from.  Row blocks
     drawn in turn from one Generator concatenate to the single batch of the
     same size, except for ``ConditionallyIid``: it draws a block's mixing
-    parameters before that block's noise.
+    parameters before that block's noise.  ``out``, a float64 array of shape
+    (replicates, n), receives the same draws when given: a multiset is
+    permuted in place there, and every other law is drawn and copied in.
     """
     rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
-    return spec.sample(rng, replicates)
+    return spec.sample(rng, replicates, out)
 
 
-def sample_exchangeable(spec: ExchangeableSpec, seed: int) -> np.ndarray:
-    """One draw from the spec's law, shape (n,)."""
-    return sample_batch(spec, seed, 1)[0]
+def sample_exchangeable(spec: ExchangeableSpec, seed: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """One draw from the spec's law, shape (n,); written into ``out``, a
+    float64 array of that shape, when given."""
+    return sample_batch(spec, seed, 1, None if out is None else out[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -887,16 +895,17 @@ class StandardizedVector:
     degenerate: bool
 
 
-def center_and_scale(x) -> StandardizedVector:
+def center_and_scale(x, out: np.ndarray | None = None) -> StandardizedVector:
     """Standardize ``x`` to mean 0 and mean-square 1 (divisor n).
 
     A constant vector is a flagged success: the standardized coordinates are
     returned as zeros with ``degenerate=True``, not an error.  One temporary
-    of x's size serves the squares and then the standardized coordinates.
+    of x's size serves the squares and then the standardized coordinates:
+    ``out``, a float64 array of x's shape that does not overlap x, when given.
     """
     x = np.asarray(x, dtype=float)
     mu = float(x.mean())
-    d = x - mu
+    d = np.subtract(x, mu, out=out)
     sigma = float(np.sqrt(np.mean(np.square(d, out=d))))
     if sigma <= _DEGENERATE_RTOL * (1.0 + abs(mu)):
         d.fill(0.0)

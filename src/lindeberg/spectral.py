@@ -29,30 +29,43 @@ from .sampling import (
 
 _SYMMETRY_TOL = 1e-12
 
-# Rows per block when comparing a matrix with its transpose.
-_SYMMETRY_BLOCK_ROWS = 64
+# Side of the square tiles in which a matrix's upper triangle is compared
+# with, or copied onto, its lower one: two tiles of doubles take 1 MiB.
+_TILE = 256
 
 # Entropy stream for the frozen heavy-tail multisets; a module constant so
 # every run sees the same multiset for a given order N.
 _FROZEN_ENTRY_SEED = 0x5EED_D06F
 
 
-def _require_symmetric(a: np.ndarray, message: str) -> None:
+def _require_symmetric(a: np.ndarray, message: str) -> float:
     """Raise ValueError(message) if ``a`` is not square or some |a_ij - a_ji|
     exceeds 1e-12, and ValueError for non-finite entries, which no eigensolver
-    accepts.  Row blocks are compared with the matching column blocks, so the
-    scratch space is a few rows, not a second matrix."""
+    accepts; return max|a_ij| over the tiles on and above the diagonal.
+
+    Each such tile is compared with its mirror, in one tile of scratch space.
+    A NaN, or an inf facing an inf, leaves a NaN gap, and an inf facing a
+    finite entry an inf gap, so the gaps alone find every non-finite entry,
+    on either side of the diagonal.
+    """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(message)
-    finite = True
-    for start in range(0, a.shape[0], _SYMMETRY_BLOCK_ROWS):
-        rows = a[start:start + _SYMMETRY_BLOCK_ROWS]
-        gap = rows - a[:, start:start + _SYMMETRY_BLOCK_ROWS].T
-        if np.max(np.abs(gap, out=gap), initial=0.0) > _SYMMETRY_TOL:
-            raise ValueError(message)
-        finite = finite and bool(np.isfinite(rows).all())
-    if not finite:
-        raise ValueError("array must not contain infs or NaNs")
+    N = a.shape[0]
+    scratch = np.empty(min(N, _TILE) ** 2)
+    amax = 0.0
+    with np.errstate(invalid="ignore"):
+        for s in range(0, N, _TILE):
+            for t in range(s, N, _TILE):
+                upper = a[s:s + _TILE, t:t + _TILE]
+                gap = scratch[:upper.size].reshape(upper.shape)
+                np.subtract(upper, a[t:t + _TILE, s:s + _TILE].T, out=gap)
+                worst = np.abs(gap, out=gap).max()
+                if worst > _SYMMETRY_TOL:
+                    raise ValueError(message)
+                if worst != worst:
+                    raise ValueError("array must not contain infs or NaNs")
+                amax = max(amax, float(np.abs(upper, out=gap).max()))
+    return amax
 
 
 def upper_triangle_size(N: int) -> int:
@@ -64,7 +77,10 @@ def wigner_matrix(x, N: int, out: np.ndarray | None = None) -> np.ndarray:
 
     ``x`` lists the entries for positions (i, j), i <= j, in row-major
     order; the lower triangle mirrors them.  ``out``, an N x N float64
-    array, receives the matrix instead of a new one.
+    array, receives the matrix instead of a new one.  Every upper row is
+    written before the lower triangle, so ``x`` may lie in the tail of the
+    buffer behind a C-contiguous ``out``: row i ends before the entries of
+    row i + 1 start there, so no entry is overwritten before it is read.
     """
     x = np.asarray(x, dtype=float)
     if x.size != upper_triangle_size(N):
@@ -77,9 +93,21 @@ def wigner_matrix(x, N: int, out: np.ndarray | None = None) -> np.ndarray:
     for i in range(N):
         row = a[i, i:]
         np.divide(x[start:start + row.size], scale, out=row)
-        a[i:, i] = row
         start += row.size
+    _mirror_upper(a)
     return a
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the upper triangle of the square ``a`` onto its lower one, tile by
+    tile, so that each copy reads and writes cache-sized blocks."""
+    N = a.shape[0]
+    for s in range(0, N, _TILE):
+        e = min(s + _TILE, N)
+        diagonal = a[s:e, s:e]
+        diagonal[...] = np.where(np.tri(e - s, k=-1, dtype=bool), diagonal.T, diagonal)
+        for t in range(e, N, _TILE):
+            a[t:t + _TILE, s:e] = a[s:e, t:t + _TILE].T
 
 
 @dataclass(frozen=True)
@@ -208,15 +236,19 @@ def _two_stage_driver():
     return solve, threads
 
 
-def _two_stage_eigvalsh(a: np.ndarray, solve) -> np.ndarray:
+def _two_stage_eigvalsh(a: np.ndarray, solve, overwrite_a: bool = False) -> np.ndarray:
     """Ascending eigenvalues of the symmetric float64 matrix ``a`` by
-    ``dsyevd_2stage`` with JOBZ='N', on a C-order copy of ``a``.
+    ``dsyevd_2stage`` with JOBZ='N', on a C-order copy of ``a``, or on ``a``
+    itself when ``overwrite_a`` is set and it is a writable C-order float64
+    array (its contents are then undefined).
 
-    Read as column-major, the copy is a's transpose, so UPLO='U' reads a's
-    lower triangle: the one ``np.linalg.eigvalsh`` reads.
+    Read as column-major, the C-order matrix is a's transpose, so UPLO='U'
+    reads a's lower triangle: the one ``np.linalg.eigvalsh`` reads.
     """
     N = a.shape[0]
-    work = np.array(a, dtype=np.float64, order="C")
+    in_place = (overwrite_a and a.dtype == np.float64 and a.flags.c_contiguous
+                and a.flags.writeable)
+    work = a if in_place else np.array(a, dtype=np.float64, order="C")
     eigs = np.empty(N)
     info = solve(_LAPACK_COL_MAJOR, b"N", b"U", N, work, max(N, 1), eigs)
     if info != 0:
@@ -224,7 +256,7 @@ def _two_stage_eigvalsh(a: np.ndarray, solve) -> np.ndarray:
     return eigs
 
 
-def eigenvalues(matrix) -> SpectralSummary:
+def eigenvalues(matrix, overwrite_a: bool = False) -> SpectralSummary:
     """Spectrum of a symmetric matrix via a dense symmetric eigensolver.
 
     Two routes give the spectrum.  LAPACK's two-stage driver dsyevd_2stage,
@@ -234,6 +266,11 @@ def eigenvalues(matrix) -> SpectralSummary:
     every numpy build whose OpenBLAS cannot be bound, calls
     ``np.linalg.eigvalsh``.  The two agree to rounding.
 
+    ``overwrite_a=True`` (scipy's name for it) lets the two-stage route solve
+    in ``matrix`` itself, which saves a copy of it and leaves its contents
+    undefined; by default ``matrix`` is left unchanged.  ``eigvalsh`` always
+    works on a copy.
+
     Raises for asymmetric input or when the trace identities fail at the
     1e-8 * N^{3/2} * max|a| scale.
     """
@@ -241,15 +278,17 @@ def eigenvalues(matrix) -> SpectralSummary:
     N = a.shape[0]
     if a.shape != (N, N):
         raise ValueError("matrix must be square")
-    _require_symmetric(a, "matrix must be symmetric within 1e-12")
+    amax = _require_symmetric(a, "matrix must be symmetric within 1e-12")
+    # taken before a solve in place overwrites a
+    trace = float(np.trace(a))
+    frobenius = float(np.einsum("ij,ij->", a, a))
     driver = _two_stage_driver() if N >= _TWO_STAGE_MIN_ORDER else None
     if driver is not None and driver[1]() == 1:
-        eigs = _two_stage_eigvalsh(a, driver[0])
+        eigs = _two_stage_eigvalsh(a, driver[0], overwrite_a)
     else:
         eigs = np.linalg.eigvalsh(a)
-    amax = float(max(a.max(), -a.min())) if N else 0.0  # max|a| with no N x N temporary
-    trace_error = abs(float(eigs.sum()) - float(np.trace(a)))
-    frob_error = abs(float(np.square(eigs).sum()) - float(np.einsum("ij,ij->", a, a)))
+    trace_error = abs(float(eigs.sum()) - trace)
+    frob_error = abs(float(np.square(eigs).sum()) - frobenius)
     tol = 1e-8 * N ** 1.5
     if trace_error > tol * max(amax, 1e-300) or frob_error > tol * max(amax ** 2, 1e-300):
         raise AssertionError("eigensolver violated its trace identities")
@@ -404,22 +443,22 @@ def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
     Stieltjes-transform gaps on the supplied grid, together with the
     empirical standardized fourth moment of the entries.
     """
-    # The matrix is allocated before the entries are drawn, so the entry
-    # vector and its standardized copy are freed at the top of the heap, where
-    # LAPACK's copy of the matrix reuses their space.
-    a = np.empty((spec.N, spec.N))
-    x = sample_exchangeable(spec.entries, seed)
-    std = center_and_scale(x)
+    # One buffer of N(N+1) doubles, twice the entry count n: the entries are
+    # drawn into its tail and standardized into its head, and the matrix then
+    # fills its first N^2 doubles and is solved there, so the live set is the
+    # buffer and the spec's multiset.
+    N, n = spec.N, upper_triangle_size(spec.N)
+    buffer = np.empty(2 * n)
+    x = sample_exchangeable(spec.entries, seed, out=buffer[n:])
+    std = center_and_scale(x, out=buffer[:n])
     if std.degenerate:
         raise ValueError("degenerate entries: sigma_hat must be positive")
     mu, sigma = std.mu_hat, std.sigma_hat
     x4 = np.square(std.x_tilde, out=std.x_tilde)  # two squares: much faster than a 4th power
     m4 = float(np.mean(np.square(x4, out=x4)))
-    del std, x4
-    wigner_matrix(x, spec.N, out=a)
-    del x  # so the eigensolve holds only the matrix and LAPACK's copy of it
+    a = wigner_matrix(x, N, out=buffer[:N * N].reshape(N, N))
     np.divide(a, sigma, out=a)
-    eigs = eigenvalues(a).eigenvalues
+    eigs = eigenvalues(a, overwrite_a=True).eigenvalues
     esd = EsdFunction(eigs)
     ks = ks_distance(esd, semicircle_cdf)
     gaps = tuple(stieltjes_esd(eigs, z) - semicircle_stieltjes(z) for z in z_grid)

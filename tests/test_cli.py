@@ -76,15 +76,28 @@ def test_semicircle_table_resolves_the_root_at_large_z(tmp_path):
     assert [float(r["m_im"]) for r in rows] == pytest.approx([1e-8, 1e-9, 1e-12], rel=1e-15)
 
 
-@pytest.mark.parametrize("name, wrong, flags, check", [
+def test_default_semicircle_table_writes_x_and_z_rows(tmp_path):
+    assert run_cli(["semicircle-table", "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path, "semicircle-table")
+    assert [(r["kind"], float(r["arg_re"]), float(r["arg_im"])) for r in rows] == [
+        *(("x", x, 0.0) for x in (-2.0, -1.0, 0.0, 0.5, 2.0)),
+        ("z", 0.0, 1.0), ("z", 0.0, 2.0), ("z", 1.0, 1.0)]
+    assert read_summary(tmp_path, "semicircle-table")["checks"] == {
+        "cdf_matches_density": True, "stieltjes_root": True}
+
+
+def _wrong_cdf(x):
     # 4.1 pi where the cdf divides by 4 pi
-    ("semicircle_cdf",
-     lambda x: 0.5 + (x * np.sqrt(4.0 - x * x) + 4.0 * np.arcsin(x / 2.0)) / (4.1 * math.pi),
-     ["--x", "-2,-1,0,0.5,2"], "cdf_matches_density"),
+    return 0.5 + (x * np.sqrt(4.0 - x * x) + 4.0 * np.arcsin(x / 2.0)) / (4.1 * math.pi)
+
+
+@pytest.mark.parametrize("name, wrong, flags, check", [
+    ("semicircle_cdf", _wrong_cdf, ["--x", "-2,-1,0,0.5,2"], "cdf_matches_density"),
+    ("semicircle_cdf", _wrong_cdf, [], "cdf_matches_density"),
     # the root of m^2 + z m + 1 = 0 that grows at infinity
     ("semicircle_stieltjes", lambda z: (-z - z * np.sqrt(1.0 - 4.0 / (z * z))) / 2.0,
      ["--z", "1j,2j,1+1j"], "stieltjes_root"),
-], ids=["cdf", "stieltjes"])
+], ids=["cdf", "cdf-at-defaults", "stieltjes"])
 def test_semicircle_table_checks_catch_a_wrong_law(tmp_path, monkeypatch, capsys, name, wrong,
                                                    flags, check):
     monkeypatch.setattr(cli, name, wrong)

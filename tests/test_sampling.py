@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from conftest import spec_doc
 from lindeberg.sampling import (
     ConditionallyIid,
+    Finite,
     IidFromDistribution,
     MarkovChain,
     MultisetPermutation,
     build_y,
     center_and_scale,
     derive_child,
-    finite,
     gaussian,
     sample_batch,
     sample_exchangeable,
@@ -35,7 +35,7 @@ def test_singleton_multiset_returns_its_value():
 
 
 def test_point_mass_iid_is_constant():
-    x = sample_exchangeable(IidFromDistribution(finite([0.0]), 4), seed=9)
+    x = sample_exchangeable(IidFromDistribution(Finite((0.0,), (1.0,)), 4), seed=9)
     assert np.array_equal(x, np.zeros(4))
 
 
@@ -87,7 +87,7 @@ def test_exchangeability_pairwise_moments():
 
 
 def test_conditionally_iid_is_exchangeable():
-    spec = ConditionallyIid(finite([-1.0, 2.0], [0.6, 0.4]), "gaussian_mean", 1.0, 4)
+    spec = ConditionallyIid(Finite((-1.0, 2.0), (0.6, 0.4)), "gaussian_mean", 1.0, 4)
     batch = sample_batch(spec, seed=31, replicates=100_000)
     pair_means = []
     for i, j in itertools.combinations(range(4), 2):
@@ -145,6 +145,18 @@ class TestCenterAndScale:
         else:
             assert not std.degenerate and std.sigma_hat == sigma
             assert np.array_equal(std.x_tilde, (x - mu) / sigma)
+
+
+    @pytest.mark.parametrize("kind", ["random", "degenerate"])
+    def test_out_receives_the_same_bytes(self, kind):
+        x = np.random.default_rng(5).standard_normal(1001) if kind == "random" else np.ones(9)
+        out = np.full_like(x, np.nan)
+        std = center_and_scale(x, out=out)
+        reference = center_and_scale(x)
+        assert std.x_tilde is out
+        assert (std.mu_hat, std.sigma_hat, std.degenerate) == (
+            reference.mu_hat, reference.sigma_hat, reference.degenerate)
+        assert out.tobytes() == reference.x_tilde.tobytes()
 
 
 class TestStandardizedMultiset:
@@ -213,7 +225,7 @@ def test_spec_json_round_trip():
     (gaussian(0.0, 0.5), {"kind": "gaussian", "params": [0.0, 0.5]}),
     (uniform(-2.0, 3.0), {"kind": "uniform", "params": [-2.0, 3.0]}),
     (student_t(5.0), {"kind": "student_t", "params": [5.0]}),
-    (finite([-0.5, 2.0], [0.8, 0.2]), {"kind": "finite", "values": [-0.5, 2.0],
+    (Finite((-0.5, 2.0), (0.8, 0.2)), {"kind": "finite", "values": [-0.5, 2.0],
                                         "probs": [0.8, 0.2]}),
 ], ids=["gaussian", "uniform", "student_t", "finite"])
 def test_law_json_form(law, doc):
@@ -279,7 +291,7 @@ def test_gaussian_abs_third_moment_degenerate():
 
 def test_distribution_moments_against_sampling():
     rng = np.random.default_rng(3)
-    for dist in (gaussian(0, 2.0), uniform(-1.0, 3.0), finite([-2.0, 1.0], [0.25, 0.75])):
+    for dist in (gaussian(0, 2.0), uniform(-1.0, 3.0), Finite((-2.0, 1.0), (0.25, 0.75))):
         draws = dist.sample(rng, 200_000)
         assert dist.mean() == pytest.approx(draws.mean(), abs=5e-2)
         assert dist.second_moment() == pytest.approx(np.square(draws).mean(), rel=2e-2)
@@ -308,19 +320,37 @@ def test_multiset_sample_is_the_permuted_tile():
     assert np.array_equal(sample_batch(spec, 41, 500), reference)
 
 
-@pytest.mark.parametrize("spec", [
-    MultisetPermutation(tuple(np.linspace(-2.0, 2.0, 9))),
-    IidFromDistribution(gaussian(0.5, 2.0), 6),
-    IidFromDistribution(uniform(-1.0, 3.0), 6),
-    IidFromDistribution(student_t(5.0), 6),
-    IidFromDistribution(finite([-2.0, 1.0], [0.25, 0.75]), 6),
-    MarkovChain((-1.0, 0.5, 2.0), (0.2, 0.3, 0.5),
-                ((0.6, 0.3, 0.1), (0.2, 0.2, 0.6), (0.5, 0.0, 0.5)), 6),
-], ids=["multiset", "gaussian", "uniform", "student_t", "finite", "markov"])
+_SPECS = {
+    "multiset": MultisetPermutation(tuple(np.linspace(-2.0, 2.0, 9))),
+    "gaussian": IidFromDistribution(gaussian(0.5, 2.0), 6),
+    "uniform": IidFromDistribution(uniform(-1.0, 3.0), 6),
+    "student_t": IidFromDistribution(student_t(5.0), 6),
+    "finite": IidFromDistribution(Finite((-2.0, 1.0), (0.25, 0.75)), 6),
+    "markov": MarkovChain((-1.0, 0.5, 2.0), (0.2, 0.3, 0.5),
+                          ((0.6, 0.3, 0.1), (0.2, 0.2, 0.6), (0.5, 0.0, 0.5)), 6),
+}
+
+
+@pytest.mark.parametrize("spec", _SPECS.values(), ids=_SPECS.keys())
 def test_row_blocks_from_one_generator_concatenate_to_one_batch(spec):
     rng = np.random.default_rng(7)
     blocks = [sample_batch(spec, rng, rows) for rows in (1, 5, 17, 977)]
     assert np.array_equal(np.concatenate(blocks), sample_batch(spec, 7, 1000))
+
+
+@pytest.mark.parametrize("spec", [
+    *_SPECS.values(),
+    ConditionallyIid(Finite((-1.0, 2.0), (0.6, 0.4)), "gaussian_mean", 1.0, 6),
+    ConditionallyIid(gaussian(0.0, 1.0), "gaussian_scale", 0.0, 6),
+], ids=[*_SPECS.keys(), "mixture-mean", "mixture-scale"])
+def test_out_receives_the_same_draws(spec):
+    out = np.full((50, spec.n), np.nan)
+    drawn = sample_batch(spec, 12, 50, out=out)
+    assert drawn is out
+    assert drawn.tobytes() == sample_batch(spec, 12, 50).tobytes()
+    row = np.full(spec.n, np.nan)
+    assert sample_exchangeable(spec, 3, out=row).base is row
+    assert row.tobytes() == sample_exchangeable(spec, 3).tobytes()
 
 
 def _exact_abs_moment(low, high, p):

@@ -10,11 +10,11 @@ from conftest import OpaqueFunction
 from lindeberg.functions import RidgeFunction, cos_profile, logistic_step_profile, sum_ridge
 from lindeberg.sampling import (
     ConditionallyIid,
+    Finite,
     IidFromDistribution,
     MarkovChain,
     MultisetPermutation,
     derive_child,
-    finite,
     gaussian,
     row_blocks,
     sample_batch,
@@ -173,7 +173,7 @@ class TestConditionallyIidOracle:
 
         # two well-separated means: after two observations the posterior
         # mean sits near the drawn component, so A_3 is close to E|theta|
-        spec = ConditionallyIid(finite([-3.0, 3.0]), "gaussian_mean", 0.5, 5)
+        spec = ConditionallyIid(Finite((-3.0, 3.0), (0.5, 0.5)), "gaussian_mean", 0.5, 5)
         est = estimate_ab(spec, 0.0, 1.0, i=3, replicates=400, seed=12)
         assert not est.exact and est.a_stderr > 0
         assert est.a == pytest.approx(3.0, abs=0.3)
@@ -187,7 +187,7 @@ class TestConditionallyIidOracle:
 
     def test_first_coordinate_exact_for_any_mixing(self):
 
-        mixing = finite([-1.0, 2.0], [0.6, 0.4])
+        mixing = Finite((-1.0, 2.0), (0.6, 0.4))
         spec = ConditionallyIid(mixing, "gaussian_mean", 0.5, 4)
         est = estimate_ab(spec, 0.3, 1.0, i=1)
         assert est.exact and est.a_stderr == 0.0 and est.b_stderr == 0.0
@@ -339,7 +339,7 @@ def test_swapping_bound_dominates_on_sample_cells():
 def test_difference_shrinks_with_dimension():
     # smooth-cdf comparison of a skewed i.i.d. law against Gaussians: the
     # estimated gap must decay as the vector length grows
-    skewed = finite([-0.5, 2.0], [0.8, 0.2])
+    skewed = Finite((-0.5, 2.0), (0.8, 0.2))
     medians = []
     for n in (10, 40, 160):
         f = sum_ridge(logistic_step_profile(0.0, 0.5), n)
