@@ -534,8 +534,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         if key == "custom_spec":  # --spec-json names a file
             with open(value) as fh:
                 value = json.load(fh)
-            spec_from_dict(value)  # validate early
         setattr(cfg, key, value)
+    if cfg.custom_spec is not None:
+        spec_from_dict(cfg.custom_spec)  # validate early, from a flag or a config file
     if not all(math.isfinite(x) for x in cfg.x_values):
         raise ValueError("--x values must be finite")
     if cfg.replicates is not None and cfg.replicates < 2:

@@ -71,11 +71,19 @@ def build_g_transform(n: int) -> GTransform:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_sets(n: int, k: int):
-    """Index sets of the first k coordinates.  Given the prefix, the rest of a
-    permuted multiset is uniform over the values left, so every conditional
-    moment depends only on which values form the prefix, not on their order."""
-    return combinations(range(n), k)
+def _prefix_walk(spec: MultisetPermutation, i: int):
+    """(prefix values, remaining values) for every index set of the first i - 1
+    coordinates; the n - i + 1 remaining values form a list.  Given the prefix,
+    the rest of a permuted multiset is uniform over the values left, so every
+    conditional moment depends only on which values form the prefix, not on
+    their order.  Requires n small enough to enumerate."""
+    values = spec.values
+    n = values.size
+    if n > _EXACT_ENUMERATION_LIMIT:
+        raise ValueError("multiset too large for exhaustive enumeration")
+    for prefix in combinations(range(n), i - 1):
+        taken = set(prefix)
+        yield values[list(prefix)], [values[j] for j in range(n) if j not in taken]
 
 
 def _repeated_mean(terms, repeats: int, count: int) -> float:
@@ -91,18 +99,10 @@ def conditional_mean_identity_check(spec: MultisetPermutation, i: int) -> float:
     Exhaustive over every prefix set; requires a standardized multiset
     with n small enough to enumerate.
     """
-    values = spec.values
-    n = values.size
-    if n > _EXACT_ENUMERATION_LIMIT:
-        raise ValueError("multiset too large for exhaustive enumeration")
-    rest = n - i + 1
     worst = 0.0
-    for prefix in _prefix_sets(n, i - 1):
-        taken = set(prefix)
-        remaining = [values[j] for j in range(n) if j not in taken]
-        enumerated = math.fsum(remaining) / rest
-        closed = -math.fsum(values[list(prefix)]) / rest if prefix else 0.0
-        worst = max(worst, abs(enumerated - closed))
+    for prefix, remaining in _prefix_walk(spec, i):
+        rest = len(remaining)
+        worst = max(worst, abs(math.fsum(remaining) / rest + math.fsum(prefix) / rest))
     return worst
 
 
@@ -111,17 +111,11 @@ def martingale_increment_check(spec: MultisetPermutation, i: int) -> float:
 
     R_i = x_i + (prefix sum) / (n - i + 1) is built for each possible next x_i.
     """
-    values = spec.values
-    n = values.size
-    if n > _EXACT_ENUMERATION_LIMIT:
-        raise ValueError("multiset too large for exhaustive enumeration")
-    rest = n - i + 1
     worst = 0.0
-    for prefix in _prefix_sets(n, i - 1):
-        taken = set(prefix)
-        shift = math.fsum(values[list(prefix)]) / rest if prefix else 0.0
-        increments = [values[j] + shift for j in range(n) if j not in taken]
-        worst = max(worst, abs(math.fsum(increments) / rest))
+    for prefix, remaining in _prefix_walk(spec, i):
+        rest = len(remaining)
+        shift = math.fsum(prefix) / rest
+        worst = max(worst, abs(math.fsum([v + shift for v in remaining]) / rest))
     return worst
 
 
@@ -149,8 +143,6 @@ class SecondMomentChecks:
 def second_moment_identity_check(spec: MultisetPermutation, i: int) -> SecondMomentChecks:
     values = spec.values
     n = values.size
-    if n > _EXACT_ENUMERATION_LIMIT:
-        raise ValueError("multiset too large for exhaustive enumeration")
     rest = n - i + 1
     m4 = float(np.mean(values ** 4))
     m3_abs = float(np.mean(np.abs(values) ** 3))
@@ -158,15 +150,13 @@ def second_moment_identity_check(spec: MultisetPermutation, i: int) -> SecondMom
     cond_seconds = []
     r_devs = []
     r_cubes = []
-    for prefix in _prefix_sets(n, i - 1):
-        taken = set(prefix)
-        remaining = [values[j] for j in range(n) if j not in taken]
+    for prefix, remaining in _prefix_walk(spec, i):
         m = math.fsum(remaining) / rest
         m2 = math.fsum(v * v for v in remaining) / rest
         sq_means.append(m * m)
         cond_seconds.append(m2)
         r_devs.append(abs(m2 - m * m - 1.0))
-        shift = math.fsum(values[list(prefix)]) / rest
+        shift = math.fsum(prefix) / rest
         r_cubes += [abs(v + shift) ** 3 for v in remaining]
     # Each prefix set stands for the (i-1)! ordered prefixes of its values.
     repeats, count = math.factorial(i - 1), math.perm(n, i - 1)

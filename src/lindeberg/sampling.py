@@ -2,13 +2,14 @@
 
 Every sampler is a pure function of ``(spec, seed)``: the same pair always
 reproduces the same vector, and replicate streams are derived with a
-counter-based splitter so parallel Monte Carlo stays reproducible.  Each
+counter-based splitter so parallel Monte Carlo stays reproducible.  Every
+law and spec checks its fields where it is built, and nowhere else.  Each
 vector spec states what the swapping bound needs of its law and nothing
 else: the A_i/B_i discrepancies where an exact route exists (a Monte Carlo
 route besides, where one is implemented), the absolute third moment where a
 closed form exists, and the law of a ridge argument w.X + b as a quadrature
-where an exact route exists.  Choosing between exact and Monte Carlo routes
-is left to ``swap``.
+where one exists.  Choosing between exact and Monte Carlo routes is left to
+``swap``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import ClassVar, Sequence, Union, get_args
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_KERNEL_ROW_TOL = 1e-12
 
 # Relative threshold below which a sample standard deviation is treated as
 # an exact zero (constant vector up to rounding).
@@ -245,9 +245,8 @@ class Finite:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if not (self.values and len(self.probs) == len(self.values)
-                and all(map(math.isfinite, self.values + self.probs))
-                and min(self.probs) >= 0 and abs(sum(self.probs) - 1.0) <= 1e-12):
+        if not (self.values and all(map(math.isfinite, self.values))
+                and len(self.probs) == len(self.values) and _is_probability_vector(self.probs)):
             raise ValueError("finite law needs finite atoms, one probability per atom, "
                              "and probabilities that are nonnegative and sum to 1")
 
@@ -285,7 +284,11 @@ def _law_from_dict(d: dict) -> Distribution:
     cls = _LAW_TYPES.get(d["kind"])
     if cls is None:
         raise ValueError(f"law kind must be one of {', '.join(_LAW_TYPES)}; got {d['kind']!r}")
-    return cls.from_dict(d)
+    law = cls.from_dict(d)
+    unknown = sorted(set(d) - set(law.to_dict()))
+    if unknown:
+        raise ValueError(f"unknown key(s) in {cls.kind} law: {', '.join(unknown)}")
+    return law
 
 
 gaussian, uniform, student_t = Gaussian, Uniform, StudentT
@@ -302,6 +305,12 @@ def _cosine_series(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     for a in coefs[::-1]:
         b1, b2 = a + two_c * b1 - b2, b1
     return c * b1 - b2
+
+
+def _is_probability_vector(probs: tuple) -> bool:
+    """Whether nonempty ``probs`` are finite, nonnegative and sum to 1 within 1e-12."""
+    return (all(map(math.isfinite, probs)) and min(probs) >= 0
+            and abs(sum(probs) - 1.0) <= 1e-12)
 
 
 def _pow(x: float, p) -> float:
@@ -379,10 +388,11 @@ def _common_weight(weights):
 
 
 # ---------------------------------------------------------------------------
-# Exchangeable / weakly dependent vector specs.  Each class owns its sampler
-# (``sample``) and its law's oracles: ``ab_exact`` and ``abs_third_moment``
-# (None without an exact route or closed form), ``ridge_law``, and ``ab_mc``
-# where a Monte Carlo route for A_i/B_i exists.  Its JSON form is its fields.
+# Exchangeable / weakly dependent vector specs.  Each class checks its fields
+# in ``__post_init__`` and nowhere else, and owns its sampler (``sample``) and
+# its law's oracles: ``ab_exact`` and ``abs_third_moment`` (None without an
+# exact route or closed form), ``ridge_law``, and ``ab_mc`` where a Monte
+# Carlo route for A_i/B_i exists.  Its JSON form is its fields.
 # ---------------------------------------------------------------------------
 
 
@@ -395,6 +405,12 @@ class ABEstimate:
     b: float
     b_stderr: float
     exact: bool
+
+
+def _marginal_ab(m1: float, m2: float, y_mean: float, y_second: float) -> ABEstimate:
+    """A_i, B_i when X_i's conditional moments are its marginal ones, m1 = E X_i and
+    m2 = E X_i^2: for i = 1, whose prefix is empty, and for independent coordinates."""
+    return ABEstimate(abs(m1 - y_mean), 0.0, abs(m2 - y_second), 0.0, True)
 
 
 def _ab_from_draws(da: np.ndarray, db: np.ndarray) -> ABEstimate:
@@ -432,26 +448,20 @@ def _check_length(n) -> None:
 class MultisetPermutation:
     """Uniformly random permutation of a fixed value multiset (exchangeable).
 
-    ``values`` is stored once, at construction, as a read-only float64 array.
+    ``values`` is stored once, at construction, as a read-only float64 array:
+    one that owns its memory is kept as it is, anything else is copied.
     """
 
     values: np.ndarray
     variant: ClassVar[str] = "multiset"
 
     def __post_init__(self):
-        self._adopt(np.array(self.values, dtype=float))
-
-    @classmethod
-    def _from_fresh(cls, values: np.ndarray) -> "MultisetPermutation":
-        """The spec over ``values`` itself, without a copy: for a float64 array
-        that no caller holds."""
-        spec = object.__new__(cls)
-        spec._adopt(values)
-        return spec
-
-    def _adopt(self, values: np.ndarray) -> None:
+        values = self.values
+        if not (isinstance(values, np.ndarray) and values.dtype == float
+                and values.flags.owndata and not values.flags.writeable):
+            values = np.array(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
-            raise ValueError("multiset must be a nonempty sequence of values")
+            raise ValueError("multiset values must be a nonempty sequence of numbers")
         if not np.isfinite(values).all():
             raise ValueError("multiset values must be finite")
         values.setflags(write=False)
@@ -531,8 +541,7 @@ class IidFromDistribution:
         return _filled(out, np.asarray(self.dist.sample(rng, (replicates, self.n)), dtype=float))
 
     def ab_exact(self, y_mean, y_second, i) -> ABEstimate:
-        return ABEstimate(abs(self.dist.mean() - y_mean), 0.0,
-                          abs(self.dist.second_moment() - y_second), 0.0, True)
+        return _marginal_ab(self.dist.mean(), self.dist.second_moment(), y_mean, y_second)
 
     def abs_third_moment(self, i: int):
         return self.dist.abs_moment(3)
@@ -546,8 +555,7 @@ class MarkovChain:
     """Finite-state chain with real state values.
 
     Generally not exchangeable; admitted as a weakly dependent input for the
-    swapping bound, never for the exchangeable summarization bound.  The
-    kernel is validated when it is used, not at construction.
+    swapping bound, never for the exchangeable summarization bound.
     """
 
     states: tuple
@@ -559,28 +567,22 @@ class MarkovChain:
     def __post_init__(self):
         _check_length(self.n)
         object.__setattr__(self, "states", tuple(float(s) for s in self.states))
-        if not all(math.isfinite(s) for s in self.states):
-            raise ValueError("chain states must be finite")
         object.__setattr__(self, "initial", tuple(float(p) for p in self.initial))
         object.__setattr__(self, "kernel", tuple(tuple(float(p) for p in row) for row in self.kernel))
-
-    def _validated_kernel(self) -> np.ndarray:
-        kernel = np.asarray(self.kernel, dtype=float)
         k = len(self.states)
-        if kernel.shape != (k, k):
-            raise ValueError("kernel shape must match the number of states")
-        if not np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= _KERNEL_ROW_TOL:  # NaN fails too
-            raise ValueError("kernel rows must sum to 1 within 1e-12")
-        if kernel.min() < 0:
-            raise ValueError("kernel entries must be nonnegative")
-        init = np.asarray(self.initial, dtype=float)
-        if not (abs(init.sum() - 1.0) <= _KERNEL_ROW_TOL and init.min() >= 0):
-            raise ValueError("initial distribution must be a probability vector")
-        return kernel
+        if not (self.states and all(map(math.isfinite, self.states))):
+            raise ValueError(f"markov states must be finite, at least one; got {list(self.states)}")
+        if not (len(self.initial) == k and _is_probability_vector(self.initial)):
+            raise ValueError(f"markov initial must hold one probability per state ({k}), "
+                             f"nonnegative and summing to 1; got {list(self.initial)}")
+        if not (len(self.kernel) == k and all(len(row) == k and _is_probability_vector(row)
+                                              for row in self.kernel)):
+            raise ValueError(f"markov kernel must be {k} x {k}, each row nonnegative "
+                             "and summing to 1 within 1e-12")
 
     def _step_distribution(self, i: int) -> np.ndarray:
         """Law of the state at step i (1-based)."""
-        kernel = self._validated_kernel()
+        kernel = np.asarray(self.kernel)
         dist = np.asarray(self.initial, dtype=float)
         for _ in range(i - 1):
             dist = dist @ kernel
@@ -590,7 +592,7 @@ class MarkovChain:
         """Inverse-cdf draws from one row-major block of uniforms: column 0 goes
         through the initial law, column t through the kernel row of state t-1.
         Each column of uniforms is overwritten by its states once used."""
-        kernel_cum = np.cumsum(self._validated_kernel(), axis=1)
+        kernel_cum = np.cumsum(self.kernel, axis=1)
         states = np.asarray(self.states, dtype=float)
         draws = rng.random((replicates, self.n))
         cum = np.cumsum(self.initial)
@@ -601,12 +603,11 @@ class MarkovChain:
         return _filled(out, draws)
 
     def ab_exact(self, y_mean, y_second, i) -> ABEstimate:
-        kernel = self._validated_kernel()
-        states = np.asarray(self.states, dtype=float)
+        kernel = np.asarray(self.kernel)
+        states = np.asarray(self.states)
         if i == 1:
-            m1 = float(np.dot(self.initial, states))
-            m2 = float(np.dot(self.initial, states * states))
-            return ABEstimate(abs(m1 - y_mean), 0.0, abs(m2 - y_second), 0.0, True)
+            return _marginal_ab(float(np.dot(self.initial, states)),
+                                float(np.dot(self.initial, states * states)), y_mean, y_second)
         prev = self._step_distribution(i - 1)
         cond_mean = kernel @ states
         cond_sq = kernel @ (states * states)
@@ -627,7 +628,7 @@ class MarkovChain:
         k, n = len(self.states), self.n
         if w is None or k * (n + 1) ** (k - 1) > _ENUMERATION_BUDGET:
             return None
-        kernel = self._validated_kernel()
+        kernel = np.asarray(self.kernel)
 
         def visit(j, table):
             """``table`` over the counts of states 0..k-2, after one more visit to j."""
@@ -706,11 +707,8 @@ _MC_PRIOR_DRAWS = 512
 
 @dataclass(frozen=True)
 class ConditionallyIid:
-    """Mixture of i.i.d. laws: draw a parameter, then n conditional draws.
-
-    ``conditional`` selects the conditional family: ``gaussian_mean`` is
-    N(theta, scale^2); ``gaussian_scale`` is N(0, theta^2).
-    """
+    """Mixture of i.i.d. laws: theta from ``mixing``, then n conditional draws from
+    N(theta, scale^2), the one family there is, which ``conditional`` names."""
 
     mixing: Distribution
     conditional: str
@@ -720,8 +718,9 @@ class ConditionallyIid:
 
     def __post_init__(self):
         _check_length(self.n)
-        if self.conditional not in ("gaussian_mean", "gaussian_scale"):
-            raise ValueError(f"unknown conditional family {self.conditional!r}")
+        if self.conditional != "gaussian_mean":
+            raise ValueError("conditionally_iid conditional must be 'gaussian_mean'; "
+                             f"got {self.conditional!r}")
         object.__setattr__(self, "scale", float(self.scale))
         if not 0.0 <= self.scale < math.inf:
             raise ValueError(f"scale must be finite and nonnegative; got {self.scale}")
@@ -729,15 +728,10 @@ class ConditionallyIid:
     def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
         theta = np.asarray(self.mixing.sample(rng, replicates), dtype=float)
         z = rng.standard_normal((replicates, self.n))
-        if self.conditional == "gaussian_mean":
-            return _filled(out, theta[:, None] + self.scale * z)
-        return _filled(out, np.abs(theta)[:, None] * z)
-
-    def _gaussian_mixing(self) -> bool:
-        return self.conditional == "gaussian_mean" and isinstance(self.mixing, Gaussian)
+        return _filled(out, theta[:, None] + self.scale * z)
 
     def ab_exact(self, y_mean, y_second, i):
-        """Closed forms for ``gaussian_mean``; None when the posterior has none.
+        """Closed forms at i = 1 and under Gaussian mixing; None otherwise.
 
         With an empty prefix the conditional moments are the marginal ones,
         E X_1 = E theta and E X_1^2 = E theta^2 + scale^2, for any mixing.
@@ -746,14 +740,11 @@ class ConditionallyIid:
         (scale^2 + k tau^2), and E(X_i^2 | X_<i) = M^2 + v_k + scale^2 with
         the posterior variance v_k = tau^2 scale^2 / (scale^2 + k tau^2).
         """
-        if self.conditional != "gaussian_mean":
-            raise ValueError("A/B oracle implemented for gaussian_mean only")
         s2 = self.scale ** 2
         if i == 1:
-            m1 = self.mixing.mean()
-            m2 = self.mixing.second_moment() + s2
-            return ABEstimate(abs(m1 - y_mean), 0.0, abs(m2 - y_second), 0.0, True)
-        if not self._gaussian_mixing():
+            return _marginal_ab(self.mixing.mean(), self.mixing.second_moment() + s2,
+                                y_mean, y_second)
+        if not isinstance(self.mixing, Gaussian):
             return None
         m, tau = self.mixing.mu, self.mixing.sigma
         k = i - 1
@@ -768,8 +759,7 @@ class ConditionallyIid:
                           _abs_shifted_square_mean(m, sd, v_k + s2 - y_second), 0.0, True)
 
     def ab_mc(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
-        """Nested Monte Carlo for the ``gaussian_mean`` family: posterior
-        moments by self-normalized prior weights.
+        """Nested Monte Carlo: posterior moments by self-normalized prior weights.
 
         Each replicate draws theta and a prefix of k = i - 1 observations,
         then weights 512 fresh prior draws by the prefix likelihood.  That
@@ -800,7 +790,7 @@ class ConditionallyIid:
     def ridge_law(self, weights, offset: float):
         """Under Gaussian mixing, b + w.X ~ N(b + m sum(w), tau^2 sum(w)^2 + scale^2 |w|^2);
         None for other mixing laws."""
-        if not self._gaussian_mixing():
+        if not isinstance(self.mixing, Gaussian):
             return None
         w = np.asarray(weights, dtype=float)
         total = float(w.sum())
@@ -811,7 +801,7 @@ class ConditionallyIid:
     def abs_third_moment(self, i: int):
         """Exact under Gaussian mixing (X_i ~ N(m, tau^2 + scale^2)); infinite
         when the mixing law's third absolute moment is."""
-        if self._gaussian_mixing():
+        if isinstance(self.mixing, Gaussian):
             m, tau = self.mixing.mu, self.mixing.sigma
             return Gaussian(m, math.sqrt(tau * tau + self.scale ** 2)).abs_moment(3)
         if self.mixing.abs_moment(3) == math.inf:
@@ -892,14 +882,13 @@ class StandardizedVector:
     mu_hat: float
     sigma_hat: float
     x_tilde: np.ndarray
-    degenerate: bool
 
 
 def center_and_scale(x, out: np.ndarray | None = None) -> StandardizedVector:
     """Standardize ``x`` to mean 0 and mean-square 1 (divisor n).
 
-    A constant vector is a flagged success: the standardized coordinates are
-    returned as zeros with ``degenerate=True``, not an error.  One temporary
+    A constant vector is a success, not an error: sigma_hat is then exactly 0
+    and the standardized coordinates are returned as zeros.  One temporary
     of x's size serves the squares and then the standardized coordinates:
     ``out``, a float64 array of x's shape that does not overlap x, when given.
     """
@@ -909,9 +898,9 @@ def center_and_scale(x, out: np.ndarray | None = None) -> StandardizedVector:
     sigma = float(np.sqrt(np.mean(np.square(d, out=d))))
     if sigma <= _DEGENERATE_RTOL * (1.0 + abs(mu)):
         d.fill(0.0)
-        return StandardizedVector(mu, 0.0, d, True)
+        return StandardizedVector(mu, 0.0, d)
     np.subtract(x, mu, out=d)
-    return StandardizedVector(mu, sigma, np.divide(d, sigma, out=d), False)
+    return StandardizedVector(mu, sigma, np.divide(d, sigma, out=d))
 
 
 def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
@@ -929,12 +918,15 @@ def spec_from_dict(d: dict) -> ExchangeableSpec:
     """Build a spec from its JSON document: ``variant`` names the class, and each
     dataclass field is read from the key of its name, a ``Distribution`` field in
     its law form (``kind`` with ``params``, or ``values`` and ``probs``).  A
-    malformed document raises ValueError."""
+    malformed document, or one with a key that is not a field, raises ValueError."""
     variant = d.get("variant") if isinstance(d, dict) else None
     cls = _SPEC_TYPES.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ValueError(f"spec variant must be one of {', '.join(_SPEC_TYPES)}; "
                          f"got {variant!r}")
+    unknown = sorted(set(d) - {"variant", *(f.name for f in fields(cls))})
+    if unknown:
+        raise ValueError(f"unknown key(s) in {variant} spec: {', '.join(unknown)}")
     try:
         return cls(**{f.name: _law_from_dict(d[f.name]) if f.type == "Distribution"
                       else d[f.name] for f in fields(cls)})
@@ -942,9 +934,15 @@ def spec_from_dict(d: dict) -> ExchangeableSpec:
         raise ValueError(f"malformed {variant} spec ({type(exc).__name__}: {exc})") from None
 
 
+def balanced_signs(n: int) -> np.ndarray:
+    """The near-balanced +-1 multiset of size n: its first n // 2 values are -1."""
+    return np.repeat([-1.0, 1.0], [n // 2, n - n // 2])
+
+
 def standardized_multiset(values: Sequence[float]) -> MultisetPermutation:
     """Multiset spec whose values are standardized to mean 0, mean-square 1."""
     std = center_and_scale(np.asarray(values, dtype=float))
-    if std.degenerate:
+    if std.sigma_hat == 0.0:
         raise ValueError("cannot standardize a constant multiset")
-    return MultisetPermutation._from_fresh(std.x_tilde)
+    std.x_tilde.setflags(write=False)  # a fresh array: the spec keeps it without a copy
+    return MultisetPermutation(std.x_tilde)

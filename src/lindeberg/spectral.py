@@ -19,6 +19,7 @@ import numpy as np
 from .sampling import (
     ExchangeableSpec,
     IidFromDistribution,
+    balanced_signs,
     center_and_scale,
     derive_child,
     gaussian,
@@ -131,9 +132,7 @@ def gaussian_wigner(N: int) -> WignerEnsembleSpec:
 
 def rademacher_perm_wigner(N: int) -> WignerEnsembleSpec:
     """Random permutation of a fixed standardized near-balanced +-1 multiset."""
-    n = upper_triangle_size(N)
-    values = np.ones(n)
-    values[: n // 2] = -1.0
+    values = balanced_signs(upper_triangle_size(N))
     return WignerEnsembleSpec(N, standardized_multiset(values), "rademacher-perm")
 
 
@@ -154,8 +153,7 @@ def contaminated_wigner(N: int, outlier_exponent: float = 0.4,
     semicircle approximation degrades.
     """
     n = upper_triangle_size(N)
-    values = np.ones(n)
-    values[: n // 2] = -1.0
+    values = balanced_signs(n)
     k = max(int(n ** outlier_exponent), 1)
     values[:k] *= n ** scale_exponent
     return WignerEnsembleSpec(N, standardized_multiset(values), "contaminated")
@@ -451,7 +449,7 @@ def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
     buffer = np.empty(2 * n)
     x = sample_exchangeable(spec.entries, seed, out=buffer[n:])
     std = center_and_scale(x, out=buffer[:n])
-    if std.degenerate:
+    if std.sigma_hat == 0.0:
         raise ValueError("degenerate entries: sigma_hat must be positive")
     mu, sigma = std.mu_hat, std.sigma_hat
     x4 = np.square(std.x_tilde, out=std.x_tilde)  # two squares: much faster than a 4th power

@@ -16,6 +16,7 @@ from .functions import (
 from .sampling import (
     IidFromDistribution,
     MarkovChain,
+    balanced_signs,
     gaussian,
     standardized_multiset,
     uniform,
@@ -29,9 +30,7 @@ def swapping_spec(kind: str, n: int):
     if kind == "iid-uniform":
         return IidFromDistribution(uniform(-SQRT3, SQRT3), n)
     if kind == "multiset-rademacher":
-        values = np.ones(n)
-        values[: n // 2] = -1.0
-        return standardized_multiset(values)
+        return standardized_multiset(balanced_signs(n))
     if kind == "markov-two-state":
         return MarkovChain(states=(-1.0, 1.0), initial=(0.5, 0.5),
                            kernel=((0.7, 0.3), (0.4, 0.6)), n=n)

@@ -113,7 +113,9 @@ def third_moment_bound(x_spec, y_spec, seed: int = 0) -> float:
     """max_i (E|X_i|^3 + E|Y_i|^3), exact where closed forms exist.
 
     An infinite moment makes the cap infinite; Monte Carlo is used only
-    where a spec has no closed form.
+    where a spec has no closed form.  Its draws come in row blocks from one
+    generator, and each block's first row carries the column sums so far, so
+    the rows are summed in the order of one whole batch.
     """
     n = x_spec.n
 
@@ -121,8 +123,14 @@ def third_moment_bound(x_spec, y_spec, seed: int = 0) -> float:
         vals = [spec.abs_third_moment(i) for i in range(1, n + 1)]
         if all(v is not None for v in vals):
             return max(vals)
-        draws = np.abs(sample_batch(spec, derive_child(seed, 97), _MC_MOMENT_REPLICATES)) ** 3
-        return float(draws.mean(axis=0).max())
+        rng = rng_from(derive_child(seed, 97))
+        sums = np.zeros(n)
+        for block in row_blocks(_MC_MOMENT_REPLICATES, n):
+            cubes = np.abs(sample_batch(spec, rng, block.stop - block.start))
+            np.power(cubes, 3, out=cubes)
+            cubes[0] += sums
+            sums = cubes.sum(axis=0)
+        return float((sums / _MC_MOMENT_REPLICATES).max())
 
     return per_spec(x_spec) + per_spec(y_spec)
 

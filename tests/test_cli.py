@@ -479,6 +479,11 @@ def _mixed(mixing, conditional="gaussian_mean", scale=1.0):
             "scale": scale, "n": 3}
 
 
+def _markov(**fields):
+    return {"variant": "markov", "states": [-1.0, 1.0], "initial": [0.5, 0.5],
+            "kernel": [[0.7, 0.3], [0.4, 0.6]], "n": 3, **fields}
+
+
 _N01 = {"kind": "gaussian", "params": [0, 1]}
 
 
@@ -507,11 +512,20 @@ _N01 = {"kind": "gaussian", "params": [0, 1]}
      "kernel": [[0.5, 0.5], [0.5, 0.5]], "n": 3},
     {"variant": "markov", "states": [0.0, 1.0], "initial": [0.5, 0.5],
      "kernel": [[float("nan"), 0.5], [0.5, 0.5]], "n": 3},
+    _mixed(_N01, "gaussian_scale"),
+    _markov(initial=[0.5, 0.25, 0.25]),
+    _markov(kernel=[[0.6, 0.5], [0.5, 0.5]]),
+    _markov(kernel=[[1.0, 0.0]]),
+    _markov(initial=[1.5, -0.5]),
+    {**_iid(_N01), "seed": 3},
+    _iid({**_N01, "sigma": 2.0}),
 ], ids=["no-variant", "unknown-variant", "missing-field", "wrong-field-type", "not-an-object",
         "uniform-empty", "uniform-empty-mixing", "unknown-kind", "wrong-arity",
         "missing-params", "missing-probs", "negative-sigma", "zero-df", "probs-sum-1.1",
         "nan-param", "zero-n", "unknown-conditional", "negative-scale", "nan-scale",
-        "nan-multiset", "infinite-state", "nan-kernel"])
+        "nan-multiset", "infinite-state", "nan-kernel", "gaussian-scale",
+        "initial-wrong-length", "kernel-row-sum-1.1", "kernel-one-row", "negative-initial",
+        "unknown-key", "unknown-law-key"])
 def test_bad_spec_json_exits_2(tmp_path, capsys, doc):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(doc))
@@ -520,6 +534,27 @@ def test_bad_spec_json_exits_2(tmp_path, capsys, doc):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_mixed(_N01, "gaussian_scale"), "conditional"),
+    (_markov(initial=[0.5, 0.25, 0.25]), "initial"),
+    (_markov(kernel=[[0.6, 0.5], [0.5, 0.5]]), "kernel"),
+    ({**_iid(_N01), "seed": 3}, "seed"),
+    (_iid({**_N01, "sigma": 2.0}), "sigma"),
+], ids=["gaussian-scale", "initial-wrong-length", "kernel-row-sum-1.1", "unknown-key",
+        "unknown-law-key"])
+def test_bad_spec_is_rejected_at_config_time_naming_its_field(tmp_path, doc, field):
+    # from a --spec-json file and from a config file alike, before any command work
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"command": "thm11-check", "custom_spec": doc}))
+    parser = cli._build_parser()
+    for argv in (["--spec-json", str(spec_path)], ["--config", str(config_path)]):
+        with pytest.raises(ValueError, match=field):
+            cli.build_config(parser.parse_args(["thm11-check", *argv]))
 
 
 @pytest.mark.parametrize("command", ["identities", "thm12-check"])

@@ -16,18 +16,52 @@ PACKAGE = ROOT / "src" / "lindeberg"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
-def _references(node) -> set:
-    """Names that ``node`` reads: bare names, imported names, and attributes
-    looked up on a package module (``suites.swapping_spec``)."""
+# Nodes that open a scope of their own names.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound(scope) -> set:
+    """Names that a function or comprehension binds in its own scope: its
+    arguments, and the targets of its assignments, loops and comprehension
+    clauses.  Nested scopes keep their own."""
+    names = set()
+    if isinstance(scope, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        todo = list(scope.generators)
+    else:
+        args = scope.args
+        names.update(a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg] if a is not None)
+        todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node, local=frozenset()) -> set:
+    """Names that ``node`` reads: bare names that no enclosing function binds,
+    imported names, and attributes looked up on a package module
+    (``suites.swapping_spec``).  ``local`` holds the names bound by the
+    functions and comprehensions around ``node``."""
+    if isinstance(node, _SCOPES):
+        local = local | _bound(node)
     found = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            found.add(sub.id)
-        elif isinstance(sub, ast.ImportFrom):
-            found.update(alias.name for alias in sub.names)
-        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-              and sub.value.id in MODULES):
-            found.add(sub.attr)
+    if isinstance(node, ast.Name):
+        if node.id not in local:
+            found.add(node.id)
+    elif isinstance(node, ast.ImportFrom):
+        found.update(alias.name for alias in node.names)
+    elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+          and node.value.id in MODULES):
+        found.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        found |= _references(child, local)
     return found
 
 
@@ -70,3 +104,25 @@ def test_every_public_method_has_a_caller():
                   for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
                   and not stmt.name.startswith("_") and stmt.name not in attributes)
     assert not dead, f"public methods with no caller outside unit tests: {dead}"
+
+
+def test_a_local_of_a_public_name_is_not_a_caller():
+    planted = ast.parse(
+        "def helper():\n"
+        "    return 1\n"
+        "def shadows(items, *args, **kwargs):\n"
+        "    helper = len(items)\n"
+        "    for helper in items:\n"
+        "        pass\n"
+        "    squares = [helper * helper for helper in items]\n"
+        "    return helper, squares\n"
+        "def takes(helper):\n"
+        "    return (lambda helper: helper)(helper)\n"
+        "def calls():\n"
+        "    def inner(helper):\n"
+        "        return helper\n"
+        "    return inner(helper())\n")
+    helper, shadows, takes, calls = planted.body
+    assert "helper" not in _references(shadows) | _references(takes)
+    # a name bound only in a nested scope is still read from the module
+    assert "helper" in _references(calls)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,41 @@ def test_third_moment_bound_exact_for_multiset_vs_gaussian():
     y = IidFromDistribution(gaussian(), 4)
     expected = 1.0 + 2.0 * math.sqrt(2.0 / math.pi)
     assert third_moment_bound(spec, y) == pytest.approx(expected, rel=1e-14)
+
+
+class _NoClosedForm:
+    """An i.i.d. spec whose third moment has no closed form, so the cap is sampled."""
+
+    def __init__(self, spec):
+        self.n, self._spec = spec.n, spec
+
+    def abs_third_moment(self, i):
+        return None
+
+    def sample(self, rng, replicates, out=None):
+        return self._spec.sample(rng, replicates, out)
+
+
+@pytest.mark.parametrize("n", [1, 3, 20])
+def test_sampled_third_moment_equals_the_whole_batch(n):
+    # row blocks of an i.i.d. law concatenate to one batch, so the blocked cap
+    # equals the mean over one batch of 100 000 rows, bit for bit
+    spec = _NoClosedForm(IidFromDistribution(student_t(5.0), n))
+    whole = sample_batch(spec._spec, derive_child(4, 97), 100_000)
+    expected = float((np.abs(whole) ** 3).mean(axis=0).max())
+    assert third_moment_bound(spec, spec, seed=4) == 2.0 * expected
+
+
+def test_sampled_third_moment_is_drawn_in_blocks():
+    spec = ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 0.5, 200)
+    y = gaussian_comparison(200)
+    tracemalloc.start()
+    try:
+        third_moment_bound(spec, y, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20  # one whole batch of X alone is 153 MiB
 
 
 class TestTelescoping:
