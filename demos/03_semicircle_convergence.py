@@ -9,13 +9,13 @@ distance, and Stieltjes-transform gaps on a small complex grid.
 
 import numpy as np
 
-from lindeberg.sampling import derive_child
+from lindeberg.sampling import center_and_scale, derive_child, sample_exchangeable
 from lindeberg.spectral import (
     ENSEMBLES,
-    build_wigner,
     eigenvalues,
     semicircle_density,
     thm13_experiment,
+    wigner_matrix,
 )
 
 Z_GRID = (1j, 2j, 1 + 1j)
@@ -23,8 +23,9 @@ Z_GRID = (1j, 2j, 1 + 1j)
 print("ensemble: random permutation of a standardized +-1 multiset\n")
 
 spec = ENSEMBLES["rademacher-perm"](400)
-matrix, mu, sigma = build_wigner(spec, seed=2)
-eigs = eigenvalues(matrix / sigma).eigenvalues
+entries = sample_exchangeable(spec.entries, seed=2)
+sigma = center_and_scale(entries).sigma_hat
+eigs = eigenvalues(wigner_matrix(entries, spec.N) / sigma).eigenvalues
 
 print("eigenvalue histogram at N = 400 (* observed, | semicircle density):")
 edges = np.linspace(-2.4, 2.4, 25)

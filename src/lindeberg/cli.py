@@ -71,14 +71,6 @@ def __getattr__(name):
 
 SCHEMA_VERSION = 1
 
-# The evaluation points of wigner-sweep, and of semicircle-table without --x,
-# when neither --z nor the config names any.
-_DEFAULT_Z = ("1j", "2j", "1+1j")
-
-# The cdf points of semicircle-table when neither --x nor --z names any: the
-# ends of the support and points off 0, where the cdf's denominator shows.
-_DEFAULT_X = (-2.0, -1.0, 0.0, 0.5, 2.0)
-
 # The config fields each command reads beyond ``seed`` and ``out``; a command
 # takes a flag or config key only for a field listed here.
 _READS = {
@@ -103,13 +95,13 @@ class ExperimentConfig:
     N_list: list[int] = field(default_factory=list)
     multiset: list[float] = field(default_factory=list)
     ensemble: str = "rademacher-perm"
-    seeds: int = 20
+    seeds: int = suites.SWEEP_SEEDS
     z_grid: list[str] | None = None  # None: the command's default points
     x_values: list[float] = field(default_factory=list)
     specs: list[str] = field(default_factory=lambda: list(suites.SWAPPING_SPEC_KINDS))
     functions: list[str] = field(default_factory=lambda: list(suites.SUITE_FUNCTION_KINDS))
-    trials: int = 200
-    tuples: int = 50
+    trials: int = suites.RESOLVENT_TRIALS
+    tuples: int = suites.RESOLVENT_TUPLES
     custom_spec: dict | None = None
 
     def to_dict(self) -> dict:
@@ -187,7 +179,8 @@ def _n_list(cfg: ExperimentConfig, default, fixed=None,
 
 
 def run_identities(cfg: ExperimentConfig):
-    n_list = _n_list(cfg, [3, 4, 5, 6, 7], len(cfg.multiset) or None)
+    n_list = _n_list(cfg, suites.IDENTITY_N_VALUES, len(cfg.multiset) or None)
+    identity_limit = suites.LIMITS["identity"]
     rows = []
     checks = {}
     for n in n_list:
@@ -214,29 +207,29 @@ def run_identities(cfg: ExperimentConfig):
                 "rhs": sm.mean_square_rhs, "deviation": dev_mean, "slack": slack_i,
             })
         gap = _cli.covariance_gap_sum(n)
-        gap_exact_dev = abs(float(_cli.covariance_gap_sum_exact(n)
-                                  - _cli.harmonic_gap_closed_form(n)))
+        closed = _cli.harmonic_gap_closed_form(n)
+        gap_exact_dev = abs(float(_cli.covariance_gap_sum_exact(n) - closed))
+        gap_limit = suites.LIMITS["covariance_gap_over_sqrt_n"] * math.sqrt(n)
         rows.append({
-            "check": "covariance_gap", "n": n, "i": 0, "lhs": gap, "rhs": 3.0 * math.sqrt(n),
-            "deviation": gap_exact_dev, "slack": 3.0 * math.sqrt(n) - gap,
+            "check": "covariance_gap", "n": n, "i": 0, "lhs": gap, "rhs": gap_limit,
+            "deviation": gap_exact_dev, "slack": gap_limit - gap,
         })
-        checks[f"conditional_mean_identity_n{n}"] = worst_mean <= 1e-12
-        checks[f"conditional_mean_square_n{n}"] = worst_sq <= 1e-12
-        checks[f"martingale_increment_n{n}"] = worst_mart <= 1e-12
-        checks[f"moment_inequalities_n{n}"] = slack >= -1e-12
-        checks[f"covariance_gap_n{n}"] = gap_exact_dev == 0.0 and gap <= 3.0 * math.sqrt(n)
-    rng = rng_from(derive_child(cfg.seed, 11))
-    worst_stein = 0.0
-    for t in range(5):
-        m = rng.standard_normal((4, 4))
-        cov = m @ m.T / 4.0
-        worst_stein = max(worst_stein, _cli.stein_exact_check(cov))
+        checks[f"conditional_mean_identity_n{n}"] = worst_mean <= identity_limit
+        checks[f"conditional_mean_square_n{n}"] = worst_sq <= identity_limit
+        checks[f"martingale_increment_n{n}"] = worst_mart <= identity_limit
+        checks[f"moment_inequalities_n{n}"] = slack >= -identity_limit
+        checks[f"covariance_gap_n{n}"] = (
+            gap_exact_dev == 0.0 and gap <= gap_limit
+            and abs(gap - float(closed)) <= suites.LIMITS["covariance_gap_closed_form"])
+    covs = suites.stein_covariances(rng_from(derive_child(cfg.seed, 11)))
+    worst_stein = max(_cli.stein_exact_check(cov) for cov in covs)
+    stein_limit = suites.LIMITS["stein"]
     rows.append({
-        "check": "stein_polynomial", "n": 4,
-        "i": 0, "lhs": worst_stein, "rhs": 1e-10, "deviation": worst_stein,
-        "slack": 1e-10 - worst_stein,
+        "check": "stein_polynomial", "n": len(covs[0]),
+        "i": 0, "lhs": worst_stein, "rhs": stein_limit, "deviation": worst_stein,
+        "slack": stein_limit - worst_stein,
     })
-    checks["stein_polynomial"] = worst_stein <= 1e-10
+    checks["stein_polynomial"] = worst_stein <= stein_limit
     return rows, checks, {}
 
 
@@ -308,8 +301,8 @@ def run_thm12(cfg: ExperimentConfig):
 def run_resolvent_check(cfg: ExperimentConfig):
     if cfg.z_grid is not None and len(cfg.z_grid) != 1:
         raise ValueError("resolvent-check takes exactly one --z value")
-    z = 1j if cfg.z_grid is None else complex(cfg.z_grid[0])
-    N_list = [int(N) for N in (cfg.N_list or [2, 3, 4, 5, 6, 7, 8])]
+    z = suites.RESOLVENT_Z if cfg.z_grid is None else complex(cfg.z_grid[0])
+    N_list = [int(N) for N in (cfg.N_list or suites.RESOLVENT_N_VALUES)]
     rng = rng_from(derive_child(cfg.seed, 23))
     agreement = _cli.fd_agreement_check(N_list, cfg.tuples, z, rng)
     rows = [{
@@ -324,13 +317,15 @@ def run_resolvent_check(cfg: ExperimentConfig):
         worst_ratio = max(worst_ratio, ratios.order1, ratios.order2, ratios.order3)
     rows.append({
         "N": 0, "kind": "trace_ratio",
-        "order": 0, "value": worst_ratio, "reference": 1.0, "rel_error": 0.0,
+        "order": 0, "value": worst_ratio, "reference": suites.LIMITS["trace_ratio"],
+        "rel_error": 0.0,
     })
+    fd_limit = suites.LIMITS["finite_difference"]
     checks = {
-        "finite_difference_order1": agreement.order1 <= 1e-6,
-        "finite_difference_order2": agreement.order2 <= 1e-6,
-        "finite_difference_order3": agreement.order3 <= 1e-6,
-        "trace_bound_ratios": worst_ratio <= 1.0,
+        "finite_difference_order1": agreement.order1 <= fd_limit,
+        "finite_difference_order2": agreement.order2 <= fd_limit,
+        "finite_difference_order3": agreement.order3 <= fd_limit,
+        "trace_bound_ratios": worst_ratio <= suites.LIMITS["trace_ratio"],
     }
     return rows, checks, {}
 
@@ -360,8 +355,8 @@ def _median(values) -> float:
 def run_wigner_sweep(cfg: ExperimentConfig):
     if cfg.ensemble not in _cli.ENSEMBLES:
         raise ValueError(f"unknown ensemble {cfg.ensemble!r}")
-    N_list = [int(N) for N in (cfg.N_list or [50, 100, 200, 400])]
-    z_grid = [complex(z) for z in (_DEFAULT_Z if cfg.z_grid is None else cfg.z_grid)]
+    N_list = [int(N) for N in (cfg.N_list or suites.SWEEP_N_VALUES)]
+    z_grid = [complex(z) for z in (suites.Z_GRID if cfg.z_grid is None else cfg.z_grid)]
     rows = []
     for N in N_list:
         # The ensemble is deterministic, so one build serves every seed of the order.
@@ -387,14 +382,14 @@ def _cdf_by_trapezoid(x: float) -> float:
 def _is_stieltjes_root(z: complex, m: complex) -> bool:
     """m solves m^2 + z m + 1 = 0 on the branch that maps the upper and lower
     half-planes to themselves, with |m| <= 1/|Im z|."""
-    return (abs(m * m + z * m + 1.0) <= 1e-12 * (1.0 + abs(z)) ** 2
+    return (abs(m * m + z * m + 1.0) <= suites.LIMITS["stieltjes_root"] * (1.0 + abs(z)) ** 2
             and np.sign(m.imag) == np.sign(z.imag) and abs(m) <= 1.0 / abs(z.imag))
 
 
 def run_semicircle_table(cfg: ExperimentConfig):
     rows = []
-    zs = cfg.z_grid if cfg.z_grid is not None else ([] if cfg.x_values else _DEFAULT_Z)
-    xs = cfg.x_values or ([] if cfg.z_grid else _DEFAULT_X)
+    zs = cfg.z_grid if cfg.z_grid is not None else ([] if cfg.x_values else suites.Z_GRID)
+    xs = cfg.x_values or ([] if cfg.z_grid else suites.SEMICIRCLE_X)
     cdf_ok, root_ok = [], []
     for x in xs:
         cdf = float(_cli.semicircle_cdf(x))
@@ -403,7 +398,8 @@ def run_semicircle_table(cfg: ExperimentConfig):
             "arg_im": 0.0, "density": float(_cli.semicircle_density(x)),
             "cdf": cdf, "m_re": "", "m_im": "",
         })
-        cdf_ok.append(0.0 <= cdf <= 1.0 and abs(cdf - _cdf_by_trapezoid(float(x))) <= 1e-6)
+        cdf_ok.append(0.0 <= cdf <= 1.0 and abs(cdf - _cdf_by_trapezoid(float(x)))
+                      <= suites.LIMITS["semicircle_cdf"])
     for z_text in zs:
         z = complex(z_text)
         m = _cli.semicircle_stieltjes(z)

@@ -229,17 +229,11 @@ def covariance_matrices(n: int) -> CovariancePair:
 def covariance_gap_sum(n: int) -> float:
     """Elementwise sum of |sigma - sigma_tilde|.
 
-    Equals 3 + 2 * sum_{k=2}^{n-1} 1/k (confirmed exactly in rational
-    arithmetic for n up to 50) and is at most 3 sqrt(n).
+    Should equal 3 + 2 * sum_{k=2}^{n-1} 1/k (``harmonic_gap_closed_form``)
+    and be at most 3 sqrt(n); the ``identities`` command checks both.
     """
     pair = covariance_matrices(n)
-    total = float(np.abs(pair.sigma - pair.sigma_tilde).sum())
-    closed = 3.0 + 2.0 * math.fsum(1.0 / k for k in range(2, n))
-    if abs(total - closed) > 1e-10:
-        raise AssertionError("covariance gap does not match its closed form")
-    if total > 3.0 * math.sqrt(n) + 1e-12:
-        raise AssertionError("covariance gap exceeds 3 sqrt(n)")
-    return total
+    return float(np.abs(pair.sigma - pair.sigma_tilde).sum())
 
 
 def covariance_gap_sum_exact(n: int) -> Fraction:

@@ -100,16 +100,16 @@ def tanh_clamp_profile(scale: float = 1.0) -> GProfile:
 
 
 def finite_difference(f, x, indices: Sequence[int], step: float | None = None,
-                      richardson: int = 0) -> float:
+                      richardson: bool = False) -> float:
     """Mixed partial of ``f`` at ``x`` by nested central differences.
 
     ``indices`` lists the coordinates to differentiate in (repeats allowed,
     up to order 3).  The default step balances truncation against roundoff
     for the requested order: (1 + |x_i|) * eps^(1/(order+2)), the cube-root
-    rule at order 1.  ``richardson`` adds extrapolation levels (1 cancels
-    the h^2 truncation term, 2 also cancels h^4).  The evaluation dtype of
-    ``x`` is preserved, so long-double inputs run the whole stencil in
-    extended precision.
+    rule at order 1.  ``richardson`` extrapolates over the steps h, h/2 and
+    h/4, which cancels the h^2 and h^4 truncation terms.  The evaluation
+    dtype of ``x`` is preserved, so long-double inputs run the whole stencil
+    in extended precision.
     """
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
@@ -132,13 +132,8 @@ def finite_difference(f, x, indices: Sequence[int], step: float | None = None,
         xm[i] -= h
         return (nested(xp, rest, h) - nested(xm, rest, h)) / (2.0 * h)
 
-    levels = int(richardson)
-    if levels == 0:
+    if not richardson:
         return float(nested(x, indices, step))
-    if levels == 1:
-        coarse = nested(x, indices, step)
-        fine = nested(x, indices, step / 2.0)
-        return float((4.0 * fine - coarse) / 3.0)
     d1 = nested(x, indices, step)
     d2 = nested(x, indices, step / 2.0)
     d4 = nested(x, indices, step / 4.0)

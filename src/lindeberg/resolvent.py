@@ -192,9 +192,9 @@ def fd_agreement_check(N_values, tuples: int, z: complex, rng) -> FdAgreement:
         for part in (np.real, np.imag):
             f = lambda xx: part(h(xx))
             fd = (
-                finite_difference(f, x, (fa,), step=0.03125, richardson=2),
-                finite_difference(f, x, (fa, fb), step=0.0625, richardson=2),
-                finite_difference(f, x, (fa, fb, fc), step=0.0625, richardson=2),
+                finite_difference(f, x, (fa,), step=0.03125, richardson=True),
+                finite_difference(f, x, (fa, fb), step=0.0625, richardson=True),
+                finite_difference(f, x, (fa, fb, fc), step=0.0625, richardson=True),
             )
             analytic = (float(part(d1)), float(part(d2)), float(part(d3)))
             for k in range(3):

@@ -50,15 +50,29 @@ def rng_from(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _reals(name: str, values) -> np.ndarray:
+    """A list or tuple of finite real numbers, or a numeric array of them, as a float64
+    array (a float64 array is returned as it is, its items not checked one by one);
+    anything else, a string or a bool say, raises a ValueError naming ``name``."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"{name} must be a list of real numbers; got {values!r}")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name}: {v!r} is not a real number")
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 class _ParamLaw:
     """A law whose fields are finite floats that meet its ``domain`` (a rule and its
     test), listed in order as its JSON ``params``."""
 
     def __post_init__(self):
         for f in fields(self):
-            value = float(getattr(self, f.name))
-            if not math.isfinite(value):
-                raise ValueError(f"{self.kind} {f.name} must be finite; got {value}")
+            value = float(_reals(f"{self.kind} {f.name}", [getattr(self, f.name)])[0])
             object.__setattr__(self, f.name, value)
         rule, holds = self.domain
         if not holds(self):
@@ -243,11 +257,11 @@ class Finite:
     kind: ClassVar[str] = "finite"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if not (self.values and all(map(math.isfinite, self.values))
-                and len(self.probs) == len(self.values) and _is_probability_vector(self.probs)):
-            raise ValueError("finite law needs finite atoms, one probability per atom, "
+        object.__setattr__(self, "values", tuple(_reals("finite values", self.values).tolist()))
+        object.__setattr__(self, "probs", tuple(_reals("finite probs", self.probs).tolist()))
+        if not (self.values and len(self.probs) == len(self.values)
+                and _is_probability_vector(self.probs)):
+            raise ValueError("finite law needs at least one atom, one probability per atom, "
                              "and probabilities that are nonnegative and sum to 1")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -308,9 +322,8 @@ def _cosine_series(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 
 
 def _is_probability_vector(probs: tuple) -> bool:
-    """Whether nonempty ``probs`` are finite, nonnegative and sum to 1 within 1e-12."""
-    return (all(map(math.isfinite, probs)) and min(probs) >= 0
-            and abs(sum(probs) - 1.0) <= 1e-12)
+    """Whether nonempty finite ``probs`` are nonnegative and sum to 1 within 1e-12."""
+    return min(probs) >= 0 and abs(sum(probs) - 1.0) <= 1e-12
 
 
 def _pow(x: float, p) -> float:
@@ -456,14 +469,11 @@ class MultisetPermutation:
     variant: ClassVar[str] = "multiset"
 
     def __post_init__(self):
-        values = self.values
-        if not (isinstance(values, np.ndarray) and values.dtype == float
-                and values.flags.owndata and not values.flags.writeable):
-            values = np.array(values, dtype=float)
+        values = _reals("multiset values", self.values)
+        if values is self.values and (values.flags.writeable or not values.flags.owndata):
+            values = values.copy()
         if values.ndim != 1 or values.size == 0:
             raise ValueError("multiset values must be a nonempty sequence of numbers")
-        if not np.isfinite(values).all():
-            raise ValueError("multiset values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -566,12 +576,13 @@ class MarkovChain:
 
     def __post_init__(self):
         _check_length(self.n)
-        object.__setattr__(self, "states", tuple(float(s) for s in self.states))
-        object.__setattr__(self, "initial", tuple(float(p) for p in self.initial))
-        object.__setattr__(self, "kernel", tuple(tuple(float(p) for p in row) for row in self.kernel))
+        object.__setattr__(self, "states", tuple(_reals("markov states", self.states).tolist()))
+        object.__setattr__(self, "initial", tuple(_reals("markov initial", self.initial).tolist()))
+        object.__setattr__(self, "kernel", tuple(tuple(_reals("markov kernel", row).tolist())
+                                                 for row in self.kernel))
         k = len(self.states)
-        if not (self.states and all(map(math.isfinite, self.states))):
-            raise ValueError(f"markov states must be finite, at least one; got {list(self.states)}")
+        if not self.states:
+            raise ValueError("markov states must hold at least one state")
         if not (len(self.initial) == k and _is_probability_vector(self.initial)):
             raise ValueError(f"markov initial must hold one probability per state ({k}), "
                              f"nonnegative and summing to 1; got {list(self.initial)}")
@@ -721,9 +732,9 @@ class ConditionallyIid:
         if self.conditional != "gaussian_mean":
             raise ValueError("conditionally_iid conditional must be 'gaussian_mean'; "
                              f"got {self.conditional!r}")
-        object.__setattr__(self, "scale", float(self.scale))
-        if not 0.0 <= self.scale < math.inf:
-            raise ValueError(f"scale must be finite and nonnegative; got {self.scale}")
+        object.__setattr__(self, "scale", float(_reals("conditionally_iid scale", [self.scale])[0]))
+        if self.scale < 0.0:
+            raise ValueError(f"scale must be nonnegative; got {self.scale}")
 
     def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
         theta = np.asarray(self.mixing.sample(rng, replicates), dtype=float)

@@ -167,17 +167,6 @@ ENSEMBLES: dict[str, Callable[[int], WignerEnsembleSpec]] = {
 }
 
 
-def build_wigner(spec: WignerEnsembleSpec, seed: int):
-    """Draw one matrix; returns (matrix, mu_hat, sigma_hat).
-
-    The sample statistics are taken over the n = N(N+1)/2 raw upper-triangle
-    entries with divisor n.
-    """
-    x = sample_exchangeable(spec.entries, seed)
-    std = center_and_scale(x)
-    return wigner_matrix(x, spec.N), std.mu_hat, std.sigma_hat
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalues and the empirical spectral distribution
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Canonical experiment cells shared by the command-line harness and tests."""
+"""Each command's default cells and the limit each of its checks compares
+against, read by the command-line harness and the acceptance suite alike."""
 
 from __future__ import annotations
 
@@ -79,3 +80,37 @@ def summarization_function(kind: str, n: int) -> RidgeFunction:
 SUMMARIZATION_FUNCTION_KINDS = ("cos-alternating", "inv_quad-ramp")
 SUMMARIZATION_N_VALUES = (10, 50)
 SUMMARIZATION_REPLICATES = 200_000
+
+
+def stein_covariances(rng):
+    """The Stein cell: the covariances m m^T / 4 of five 4 x 4 standard Gaussian m."""
+    return [m @ m.T / 4.0 for m in (rng.standard_normal((4, 4)) for _ in range(5))]
+
+
+IDENTITY_N_VALUES = (3, 4, 5, 6, 7)
+RESOLVENT_N_VALUES = (2, 3, 4, 5, 6, 7, 8)
+RESOLVENT_Z = 1j
+RESOLVENT_TUPLES = 50  # finite-difference tuples
+RESOLVENT_TRIALS = 200  # trace-bound trials
+SWEEP_N_VALUES = (50, 100, 200, 400)
+SWEEP_SEEDS = 20  # per order
+Z_GRID = (1j, 2j, 1 + 1j)  # wigner-sweep's, and semicircle-table's without --x
+# semicircle-table's cdf points without --x or --z: the ends of the support
+# and points off 0, where the cdf's denominator shows.
+SEMICIRCLE_X = (-2.0, -1.0, 0.0, 0.5, 2.0)
+
+# Every limit a command's check compares against, and the acceptance suite's
+# calibrated Thm 1.3 thresholds.  Frozen in docs/calibration.md; never loosened.
+LIMITS = {
+    "identity": 1e-12,  # enumerated identity deviations; moment-inequality slack >= -this
+    "covariance_gap_closed_form": 1e-10,  # |float gap - harmonic closed form|
+    "covariance_gap_over_sqrt_n": 3.0,  # the gap is at most this times sqrt(n)
+    "stein": 1e-10,
+    "finite_difference": 1e-6,  # relative error of each derivative order
+    "trace_ratio": 1.0,
+    "semicircle_cdf": 1e-6,  # |closed-form cdf - trapezoid integral of the density|
+    "stieltjes_root": 1e-12,  # |m^2 + z m + 1| / (1 + |z|)^2
+    "ks_rademacher_perm_N400": 0.10,  # median KS to the semicircle at N = 400
+    "ks_gaussian_N400": 0.06,
+    "stieltjes_gap_N400": 0.05,  # median |m_esd - m_sc| per grid point at N = 400
+}

@@ -44,22 +44,30 @@ from lindeberg.spectral import ENSEMBLES, rank_inequality_check, thm13_experimen
 from lindeberg.swap import swapping_report
 from lindeberg.suites import (
     AB_REPLICATES,
+    IDENTITY_N_VALUES,
+    LIMITS,
+    RESOLVENT_N_VALUES,
+    RESOLVENT_TRIALS,
+    RESOLVENT_TUPLES,
+    RESOLVENT_Z,
     SUITE_FUNCTION_KINDS,
     SUMMARIZATION_FUNCTION_KINDS,
+    SUMMARIZATION_N_VALUES,
     SUMMARIZATION_REPLICATES,
     SWAPPING_N_VALUES,
     SWAPPING_REPLICATES,
     SWAPPING_SPEC_KINDS,
+    SWEEP_N_VALUES,
+    SWEEP_SEEDS,
+    Z_GRID,
     gaussian_comparison,
     ramp_multiset,
+    stein_covariances,
     suite_function,
     summarization_function,
     swapping_spec,
 )
 
-Z_GRID = (1j, 2j, 1 + 1j)
-SWEEP_N = (50, 100, 200, 400)
-SWEEP_SEEDS = 20
 MASTER_SEED = 20_240_817
 
 
@@ -71,7 +79,7 @@ def enumeration_specs(n):
 def test_criterion_01_exact_identities_by_enumeration(criterion_report):
     start = time.perf_counter()
     worst = 0.0
-    for n in range(3, 8):
+    for n in IDENTITY_N_VALUES:
         for spec in enumeration_specs(n):
             for i in range(1, n + 1):
                 worst = max(worst, conditional_mean_identity_check(spec, i))
@@ -80,13 +88,13 @@ def test_criterion_01_exact_identities_by_enumeration(criterion_report):
                 worst = max(worst, abs(checks.mean_square_lhs - checks.mean_square_rhs))
     elapsed = time.perf_counter() - start
     criterion_report(1, "exact-identities-by-enumeration",
-           worst <= 1e-12 and elapsed < 10.0, elapsed, f"max dev {worst:.2e}")
+           worst <= LIMITS["identity"] and elapsed < 10.0, elapsed, f"max dev {worst:.2e}")
 
 
 def test_criterion_02_moment_inequality_suite(criterion_report):
     start = time.perf_counter()
     slack = math.inf
-    for n in range(3, 8):
+    for n in IDENTITY_N_VALUES:
         for spec in enumeration_specs(n):
             for i in range(1, n + 1):
                 c = second_moment_identity_check(spec, i)
@@ -95,7 +103,7 @@ def test_criterion_02_moment_inequality_suite(criterion_report):
                             c.deviation_rhs - c.deviation_lhs,
                             c.third_moment_rhs - c.third_moment_lhs)
     elapsed = time.perf_counter() - start
-    criterion_report(2, "conditional-moment-inequalities", slack >= -1e-12, elapsed,
+    criterion_report(2, "conditional-moment-inequalities", slack >= -LIMITS["identity"], elapsed,
            f"min slack {slack:.2e}")
 
 
@@ -117,15 +125,15 @@ def test_criterion_04_covariance_gap_closed_form(criterion_report):
     start = time.perf_counter()
     rational_ok = all(covariance_gap_sum_exact(n) == harmonic_gap_closed_form(n)
                       for n in range(2, 51))
-    float_ok = all(abs(covariance_gap_sum(n) - float(harmonic_gap_closed_form(n))) <= 1e-10
-                   for n in range(2, 51))
+    float_ok = all(abs(covariance_gap_sum(n) - float(harmonic_gap_closed_form(n)))
+                   <= LIMITS["covariance_gap_closed_form"] for n in range(2, 51))
     value_ok = covariance_gap_sum(3) == pytest.approx(4.0, abs=1e-12)
     crude_ok = True
     total = 3.0
     for n in range(2, 10_001):
         if n > 2:
             total += 2.0 / (n - 1)
-        crude_ok &= total <= 3.0 * math.sqrt(n) + 1e-12
+        crude_ok &= total <= LIMITS["covariance_gap_over_sqrt_n"] * math.sqrt(n) + 1e-12
     elapsed = time.perf_counter() - start
     criterion_report(4, "covariance-gap-closed-form",
            rational_ok and float_ok and value_ok and crude_ok, elapsed)
@@ -134,17 +142,14 @@ def test_criterion_04_covariance_gap_closed_form(criterion_report):
 def test_criterion_05_gaussian_integration_by_parts(criterion_report):
     start = time.perf_counter()
     rng = rng_from(derive_child(MASTER_SEED, 5))
-    worst_exact = 0.0
-    for _ in range(5):
-        m = rng.standard_normal((4, 4))
-        worst_exact = max(worst_exact, stein_exact_check(m @ m.T / 4.0))
+    worst_exact = max(stein_exact_check(cov) for cov in stein_covariances(rng))
     h = sum_ridge(cos_profile(), 5)
     m = rng.standard_normal((5, 5))
     dev, allowed = stein_mc_check(h, m @ m.T / 5.0, replicates=200_000,
                                   seed=derive_child(MASTER_SEED, 51))
     elapsed = time.perf_counter() - start
     criterion_report(5, "gaussian-integration-by-parts",
-           worst_exact <= 1e-10 and dev <= allowed and elapsed < 30.0, elapsed,
+           worst_exact <= LIMITS["stein"] and dev <= allowed and elapsed < 30.0, elapsed,
            f"poly dev {worst_exact:.1e}, mc dev {dev:.1e} <= {allowed:.1e}")
 
 
@@ -172,7 +177,7 @@ def test_criterion_06_swapping_bound_domination(criterion_report):
 def test_criterion_07_summarization_bound_domination(criterion_report):
     start = time.perf_counter()
     failures = []
-    for n in (10, 50):
+    for n in SUMMARIZATION_N_VALUES:
         functions = [summarization_function(f_kind, n)
                      for f_kind in SUMMARIZATION_FUNCTION_KINDS]
         reports = end_to_end_check(ramp_multiset(n), functions,
@@ -210,16 +215,17 @@ def test_criterion_08_interpolation_consistency(criterion_report):
 def test_criterion_09_resolvent_derivative_formulas(criterion_report):
     start = time.perf_counter()
     rng = rng_from(derive_child(MASTER_SEED, 9))
-    agreement = fd_agreement_check(range(2, 9), 50, 1j, rng)
+    agreement = fd_agreement_check(RESOLVENT_N_VALUES, RESOLVENT_TUPLES, RESOLVENT_Z, rng)
     worst_ratio = 0.0
-    for _ in range(200):
-        N = int(rng.integers(2, 9))
+    for _ in range(RESOLVENT_TRIALS):
+        N = int(rng.choice(RESOLVENT_N_VALUES))
         x = rng.uniform(-2.0, 2.0, upper_triangle_size(N))
-        r = trace_bound_check(x, N, 1j, 1, rng)
+        r = trace_bound_check(x, N, RESOLVENT_Z, 1, rng)
         worst_ratio = max(worst_ratio, r.order1, r.order2, r.order3)
     elapsed = time.perf_counter() - start
-    ok = (max(agreement.order1, agreement.order2, agreement.order3) <= 1e-6
-          and worst_ratio <= 1.0 and elapsed < 60.0)
+    ok = (max(agreement.order1, agreement.order2, agreement.order3)
+          <= LIMITS["finite_difference"]
+          and worst_ratio <= LIMITS["trace_ratio"] and elapsed < 60.0)
     criterion_report(9, "resolvent-derivative-formulas", ok, elapsed,
            f"fd rel {agreement.order3:.1e}, ratio {worst_ratio:.3f}")
 
@@ -271,7 +277,7 @@ def test_criterion_11_rank_inequality(criterion_report):
 def sweep_rows():
     rows = {}
     for ensemble in ("rademacher-perm", "gaussian"):
-        for N in SWEEP_N:
+        for N in SWEEP_N_VALUES:
             rows[ensemble, N] = [
                 thm13_experiment(ENSEMBLES[ensemble](N), Z_GRID,
                                  derive_child(MASTER_SEED, N * 1000 + s + (ensemble == "gaussian") * 7))
@@ -283,12 +289,13 @@ def sweep_rows():
 def test_criterion_12_semicircle_ks_convergence(sweep_rows, criterion_report):
     start = time.perf_counter()
     medians = [float(np.median([r.ks for r in sweep_rows["rademacher-perm", N]]))
-               for N in SWEEP_N]
+               for N in SWEEP_N_VALUES]
     decreasing = all(a > b for a, b in zip(medians, medians[1:]))
-    exch_ok = medians[-1] <= 0.10
+    exch_ok = medians[-1] <= LIMITS["ks_rademacher_perm_N400"]
     gauss_median = float(np.median([r.ks for r in sweep_rows["gaussian", 400]]))
     elapsed = time.perf_counter() - start
-    ok = decreasing and exch_ok and gauss_median <= 0.06 and elapsed < 600.0
+    ok = (decreasing and exch_ok and gauss_median <= LIMITS["ks_gaussian_N400"]
+          and elapsed < 600.0)
     criterion_report(12, "semicircle-ks-convergence", ok, elapsed,
            "medians " + ", ".join(f"{m:.4f}" for m in medians)
            + f"; gaussian@400 {gauss_median:.4f}")
@@ -303,7 +310,7 @@ def test_criterion_13_stieltjes_convergence_proxy(sweep_rows, criterion_report):
         for k in range(len(Z_GRID)):
             med = float(np.median([abs(r.stieltjes_gaps[k]) for r in rows]))
             worst = max(worst, med)
-            ok &= med <= 0.05
+            ok &= med <= LIMITS["stieltjes_gap_N400"]
     elapsed = time.perf_counter() - start
     criterion_report(13, "stieltjes-convergence-proxy", ok, elapsed,
            f"worst median gap {worst:.4f}")

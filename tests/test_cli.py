@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import spec_doc
-from lindeberg import cli
+from lindeberg import cli, exchangeable, suites
 
 
 def run_cli(args):
@@ -354,6 +354,64 @@ def test_failing_check_exits_1(tmp_path, monkeypatch, capsys):
     assert "broken" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shift", [1e-3, 2.0], ids=["off-closed-form", "over-3-sqrt-n"])
+def test_wrong_covariance_gap_fails_its_check(tmp_path, monkeypatch, capsys, shift):
+    true_pair = exchangeable.covariance_matrices
+
+    def perturbed(n):
+        pair = true_pair(n)
+        pair.sigma_tilde[0, 0] += shift  # widens the gap by shift; 3 sqrt(3) - 4 = 1.2
+        return pair
+
+    monkeypatch.setattr(exchangeable, "covariance_matrices", perturbed)
+    assert run_cli(["identities", "--n", "3", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == "FAILED: covariance_gap_n3"
+
+
+def test_cells_and_limits_keep_their_frozen_values():
+    # The commands and the acceptance suite read these from suites.py alone, so
+    # one edit there would move both; docs/calibration.md freezes them.
+    assert suites.LIMITS == {
+        "identity": 1e-12, "covariance_gap_closed_form": 1e-10,
+        "covariance_gap_over_sqrt_n": 3.0, "stein": 1e-10, "finite_difference": 1e-6,
+        "trace_ratio": 1.0, "semicircle_cdf": 1e-6, "stieltjes_root": 1e-12,
+        "ks_rademacher_perm_N400": 0.10, "ks_gaussian_N400": 0.06,
+        "stieltjes_gap_N400": 0.05,
+    }
+    assert suites.IDENTITY_N_VALUES == (3, 4, 5, 6, 7)
+    assert suites.RESOLVENT_N_VALUES == (2, 3, 4, 5, 6, 7, 8)
+    assert (suites.RESOLVENT_Z, suites.RESOLVENT_TUPLES, suites.RESOLVENT_TRIALS) == (1j, 50, 200)
+    assert (suites.SWEEP_N_VALUES, suites.SWEEP_SEEDS) == ((50, 100, 200, 400), 20)
+    assert suites.Z_GRID == (1j, 2j, 1 + 1j)
+    assert suites.SEMICIRCLE_X == (-2.0, -1.0, 0.0, 0.5, 2.0)
+    covs, draws = suites.stein_covariances(np.random.default_rng(0)), np.random.default_rng(0)
+    assert len(covs) == 5
+    for cov in covs:
+        m = draws.standard_normal((4, 4))
+        assert np.array_equal(cov, m @ m.T / 4.0)
+
+
+def test_commands_take_their_limits_from_suites(tmp_path, monkeypatch, capsys):
+    # At -1 no deviation is small enough and no slack (every one here is below
+    # 1) large enough, so a check fails exactly when it reads its limit there;
+    # at 0 the identity checks would pass, their deviations being exactly 0.
+    for key in suites.LIMITS:
+        monkeypatch.setitem(suites.LIMITS, key, -1.0)
+    runs = {
+        "resolvent-check": (["--N", "3", "--tuples", "2", "--trials", "2"],
+                            ["finite_difference_order1", "finite_difference_order2",
+                             "finite_difference_order3", "trace_bound_ratios"]),
+        "identities": (["--n", "3"],
+                       ["conditional_mean_identity_n3", "conditional_mean_square_n3",
+                        "covariance_gap_n3", "martingale_increment_n3",
+                        "moment_inequalities_n3", "stein_polynomial"]),
+        "semicircle-table": ([], ["cdf_matches_density", "stieltjes_root"]),
+    }
+    for command, (flags, failing) in runs.items():
+        assert run_cli([command, *flags, "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err.strip() == "FAILED: " + ", ".join(failing)
+
+
 @pytest.mark.parametrize("checks, extra", [
     ({"ok": True}, {"median_ks": {"50": math.nan}}),
     ({"ok": True}, {"z_grid": [math.inf]}),
@@ -543,8 +601,18 @@ def test_bad_spec_json_exits_2(tmp_path, capsys, doc):
     (_markov(kernel=[[0.6, 0.5], [0.5, 0.5]]), "kernel"),
     ({**_iid(_N01), "seed": 3}, "seed"),
     (_iid({**_N01, "sigma": 2.0}), "sigma"),
+    (_markov(states=["a", "b"]), "markov states"),
+    (_markov(states=3), "markov states"),
+    (_iid({"kind": "gaussian", "params": ["x", 1]}), "gaussian mu"),
+    (_iid({"kind": "gaussian", "params": [0, [1]]}), "gaussian sigma"),
+    (_iid({"kind": "gaussian", "params": ["0", "1"]}), "gaussian mu"),
+    ({"variant": "multiset", "values": [1, 2, "c"]}, "multiset values"),
+    ({"variant": "multiset", "values": [True, False]}, "multiset values"),
+    (_iid({"kind": "finite", "values": ["x"], "probs": [1.0]}), "finite values"),
+    (_mixed(_N01, scale="x"), "scale"),
 ], ids=["gaussian-scale", "initial-wrong-length", "kernel-row-sum-1.1", "unknown-key",
-        "unknown-law-key"])
+        "unknown-law-key", "string-state", "number-for-states", "string-param", "list-param",
+        "numeric-strings", "string-value", "bool-values", "string-atom", "string-scale"])
 def test_bad_spec_is_rejected_at_config_time_naming_its_field(tmp_path, doc, field):
     # from a --spec-json file and from a config file alike, before any command work
     spec_path = tmp_path / "spec.json"

@@ -49,7 +49,7 @@ def finite_difference_agreement(f: RidgeFunction, rng: np.random.Generator,
         for order, step in ((1, None), (2, 0.01), (3, 0.02)):
             analytic = float(_partials(f, x, order)[i])
             numeric = finite_difference(f, hi, (i,) * order, step=step,
-                                        richardson=0 if order == 1 else 2)
+                                        richardson=order > 1)
             worst = max(worst, abs(analytic - numeric) / max(abs(analytic), 1e-3))
     return worst
 
@@ -146,7 +146,7 @@ def test_ridge_mixed_partial_product_rule():
     x = np.array([0.1, 0.2, 0.3])
     u = float(x @ f.weights)
     expected = math.sin(u) * 0.5 * (-1.0) * 0.25  # third derivative of cos is sin
-    numeric = finite_difference(f, x, (0, 1, 2), step=0.02, richardson=2)
+    numeric = finite_difference(f, x, (0, 1, 2), step=0.02, richardson=True)
     assert numeric == pytest.approx(expected, rel=1e-6)
     assert abs(expected) <= f.mixed_bounds[2]
 

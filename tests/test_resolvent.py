@@ -277,7 +277,7 @@ def test_composed_partials_match_finite_differences():
         f = lambda xx: g.value(np.real(h_value_hp(xx, N, 1j)))
         for k, step in ((1, 0.03125), (2, 0.0625), (3, 0.0625)):
             analytic = composed_partials(g, x.astype(float), N, 1j, *picks[:k])
-            fd = finite_difference(f, x, idx[:k], step=step, richardson=2)
+            fd = finite_difference(f, x, idx[:k], step=step, richardson=True)
             assert abs(analytic - fd) <= 1e-6 * abs(analytic)
 
 

@@ -26,7 +26,6 @@ from lindeberg.spectral import (
     _require_symmetric,
     _two_stage_driver,
     _two_stage_eigvalsh,
-    build_wigner,
     contaminated_wigner,
     eigenvalues,
     gaussian_wigner,
@@ -44,12 +43,18 @@ from lindeberg.spectral import (
 )
 
 
+def draw_wigner(spec, seed):
+    """One matrix of the ensemble and its raw entries' sample statistics."""
+    x = sample_exchangeable(spec.entries, seed)
+    return wigner_matrix(x, spec.N), center_and_scale(x)
+
+
 class TestWignerConstruction:
     def test_order_one(self):
         spec = WignerEnsembleSpec(1, MultisetPermutation((4.0,)))
-        a, mu, sigma = build_wigner(spec, seed=0)
+        a, std = draw_wigner(spec, seed=0)
         assert np.array_equal(a, [[4.0]])
-        assert mu == 4.0 and sigma == 0.0
+        assert std.mu_hat == 4.0 and std.sigma_hat == 0.0
 
     def test_order_two_entry_map(self):
         a = wigner_matrix([1.0, 2.0, 3.0], 2)
@@ -82,9 +87,9 @@ class TestWignerConstruction:
 
     def test_standardized_entries_have_unit_stats(self):
         spec = rademacher_perm_wigner(20)
-        a, mu, sigma = build_wigner(spec, seed=5)
-        assert abs(mu) <= 1e-12
-        assert sigma == pytest.approx(1.0, abs=1e-12)
+        a, std = draw_wigner(spec, seed=5)
+        assert abs(std.mu_hat) <= 1e-12
+        assert std.sigma_hat == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(a, a.T)
 
     def test_ensemble_registry(self):
@@ -92,7 +97,7 @@ class TestWignerConstruction:
             spec = builder(6)
             assert spec.label == name
             assert upper_triangle_size(6) == 21
-            build_wigner(spec, seed=1)
+            draw_wigner(spec, seed=1)
 
     def test_frozen_heavy_tail_multiset(self):
         assert student_t_perm_wigner(8).entries == student_t_perm_wigner(8).entries
@@ -561,8 +566,8 @@ class TestConvergenceExperiment:
 
     def test_esd_transform_matches_resolvent_trace(self):
         spec = gaussian_wigner(25)
-        a, _, sigma = build_wigner(spec, seed=9)
-        scaled = a / sigma
+        a, std = draw_wigner(spec, seed=9)
+        scaled = a / std.sigma_hat
         eigs = eigenvalues(scaled).eigenvalues
         for z in (1j, 1 + 1j):
             via_eigs = stieltjes_esd(eigs, z)
