@@ -134,7 +134,9 @@ def _has_type(value, tp) -> bool:
     if get_origin(tp) is list:
         return isinstance(value, list) and all(_has_type(v, get_args(tp)[0]) for v in value)
     if tp is float:
-        return _has_type(value, int) or isinstance(value, float) and math.isfinite(value)
+        # finite, and an int only where it converts to a float: JSON ints are unbounded
+        number = _has_type(value, int) or isinstance(value, float)
+        return number and abs(value) <= sys.float_info.max
     if tp is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, tp)
@@ -178,6 +180,14 @@ def _n_list(cfg: ExperimentConfig, default, fixed=None,
     return [int(n) for n in (cfg.n_list or default)]
 
 
+def _in_cell(flag: str, size: int, label: str, build, *args):
+    """``build(*args)``; a ValueError it raises names the cell's size flag and its spec."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {size} ({label}): {exc}") from None
+
+
 def run_identities(cfg: ExperimentConfig):
     n_list = _n_list(cfg, suites.IDENTITY_N_VALUES, len(cfg.multiset) or None)
     identity_limit = suites.LIMITS["identity"]
@@ -187,7 +197,7 @@ def run_identities(cfg: ExperimentConfig):
         if cfg.multiset:
             spec = standardized_multiset(cfg.multiset)
         else:
-            spec = suites.ramp_multiset(n)
+            spec = _in_cell("--n", n, "ramp multiset", suites.ramp_multiset, n)
         worst_mean = worst_sq = worst_mart = 0.0
         slack = math.inf
         for i in range(1, n + 1):
@@ -259,7 +269,8 @@ def run_thm11(cfg: ExperimentConfig):
         cells = [(spec, cfg.custom_spec["variant"])]
     else:
         n_list = _n_list(cfg, suites.SWAPPING_N_VALUES)
-        cells = ((suites.swapping_spec(kind, n), kind) for kind in cfg.specs for n in n_list)
+        cells = ((_in_cell("--n", n, f"spec {kind}", suites.swapping_spec, kind, n), kind)
+                 for kind in cfg.specs for n in n_list)
     rows = []
     for idx, (spec, label) in enumerate(cells):
         k0 = idx * len(cfg.functions)
@@ -278,7 +289,7 @@ def run_thm12(cfg: ExperimentConfig):
     kinds = suites.SUMMARIZATION_FUNCTION_KINDS
     for idx, n in enumerate(n_list):
         spec = (standardized_multiset(cfg.multiset) if cfg.multiset
-                else suites.ramp_multiset(n))
+                else _in_cell("--n", n, "ramp multiset", suites.ramp_multiset, n))
         functions = [suites.summarization_function(f_kind, n) for f_kind in kinds]
         # the functions of one n share one draw of X, seeded from the first's slot
         reports = _cli.end_to_end_check(spec, functions, replicates,
@@ -359,10 +370,11 @@ def run_wigner_sweep(cfg: ExperimentConfig):
     z_grid = [complex(z) for z in (suites.Z_GRID if cfg.z_grid is None else cfg.z_grid)]
     rows = []
     for N in N_list:
+        cell = ("--N", N, f"ensemble {cfg.ensemble}")
         # The ensemble is deterministic, so one build serves every seed of the order.
-        spec = _cli.ENSEMBLES[cfg.ensemble](N)
-        rows += [_sweep_cell(spec, z_grid, derive_child(cfg.seed, N * 100_003 + s))
-                 for s in range(cfg.seeds)]
+        spec = _in_cell(*cell, _cli.ENSEMBLES[cfg.ensemble], N)
+        rows += [_in_cell(*cell, _sweep_cell, spec, z_grid,
+                          derive_child(cfg.seed, N * 100_003 + s)) for s in range(cfg.seeds)]
         del spec  # free this order's entries before the next, larger build
     medians = {N: _median([r["ks"] for r in rows if r["N"] == N]) for N in N_list}
     checks = {"all_cells_finite": all(math.isfinite(r["ks"]) for r in rows)}

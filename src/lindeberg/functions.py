@@ -17,8 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-_EPS = float(np.finfo(float).eps)
-
 
 def _sigmoid(u):
     # dtype-preserving logistic; scipy's expit would downcast long doubles
@@ -99,17 +97,15 @@ def tanh_clamp_profile(scale: float = 1.0) -> GProfile:
 # ---------------------------------------------------------------------------
 
 
-def finite_difference(f, x, indices: Sequence[int], step: float | None = None,
-                      richardson: bool = False) -> float:
-    """Mixed partial of ``f`` at ``x`` by nested central differences.
+def finite_difference(f, x, indices: Sequence[int], step: float):
+    """Mixed partial of ``f`` at ``x`` along ``indices`` (repeats allowed, order
+    k = 1 to 3): nested central differences at the steps h, h/2 and h/4,
+    Richardson-extrapolated to cancel the h^2 and h^4 truncation terms.
 
-    ``indices`` lists the coordinates to differentiate in (repeats allowed,
-    up to order 3).  The default step balances truncation against roundoff
-    for the requested order: (1 + |x_i|) * eps^(1/(order+2)), the cube-root
-    rule at order 1.  ``richardson`` extrapolates over the steps h, h/2 and
-    h/4, which cancels the h^2 and h^4 truncation terms.  The evaluation
-    dtype of ``x`` is preserved, so long-double inputs run the whole stencil
-    in extended precision.
+    ``f`` maps a stack of points (m, n) to m values and is called once, on all
+    3 * 2^k stencil points, in the dtype of ``x``: long-double inputs run the
+    whole stencil in extended precision.  A complex ``f`` is differenced part
+    by part and gives a complex result; a real one gives a float.
     """
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
@@ -118,26 +114,24 @@ def finite_difference(f, x, indices: Sequence[int], step: float | None = None,
     order = len(indices)
     if order == 0 or order > 3:
         raise ValueError("order must be between 1 and 3")
-    if step is None:
-        scale = 1.0 + max(abs(float(x[i])) for i in indices)
-        step = scale * _EPS ** (1.0 / (order + 2))
+    # point (l, s_1, ..., s_k) is x + sum_m (-1)^s_m (step / 2^l) e_{i_m}, its
+    # shifts added one index at a time, as nested differences add them
+    shape = (3,) + (2,) * order
+    grid = np.indices(shape)
+    h = step / 2.0 ** grid[0]
+    points = np.repeat(x[None], h.size, axis=0)
+    for m, i in enumerate(indices):
+        points[:, i] += ((1 - 2 * grid[1 + m]) * h).ravel()
+    values = np.asarray(f(points)).reshape(shape)
 
-    def nested(base, idxs, h):
-        if not idxs:
-            return f(base)
-        i, rest = idxs[0], idxs[1:]
-        xp = base.copy()
-        xp[i] += h
-        xm = base.copy()
-        xm[i] -= h
-        return (nested(xp, rest, h) - nested(xm, rest, h)) / (2.0 * h)
+    def extrapolate(d, h=h):
+        for _ in indices:  # innermost index first, each level over its own 2h
+            d, h = (d[..., 0] - d[..., 1]) / (2.0 * h[..., 0]), h[..., 0]
+        return float((64.0 * d[2] - 20.0 * d[1] + d[0]) / 45.0)
 
-    if not richardson:
-        return float(nested(x, indices, step))
-    d1 = nested(x, indices, step)
-    d2 = nested(x, indices, step / 2.0)
-    d4 = nested(x, indices, step / 4.0)
-    return float((64.0 * d4 - 20.0 * d2 + d1) / 45.0)
+    if np.iscomplexobj(values):
+        return complex(extrapolate(values.real), extrapolate(values.imag))
+    return extrapolate(values)
 
 
 # ---------------------------------------------------------------------------

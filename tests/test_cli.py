@@ -325,7 +325,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
             ("resolvent-check", "tuples", "2"), ("wigner-sweep", "seeds", float("inf")),
             ("identities", "seed", 1.5), ("identities", "seed", True),
             ("thm11-check", "functions", "cos"), ("identities", "n_list", [5, None]),
-            ("semicircle-table", "z_grid", [None]), ("thm11-check", "custom_spec", [1])]:
+            ("semicircle-table", "z_grid", [None]), ("thm11-check", "custom_spec", [1]),
+            # integers beyond a float's range, which float() cannot convert
+            ("semicircle-table", "x_values", [10 ** 400]),
+            ("identities", "multiset", [1, 2 ** 1024])]:
         assert key in cli.ExperimentConfig(command).to_dict(), (command, key)
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps({"command": command, key: value}))
@@ -475,6 +478,22 @@ def test_spec_json_length_mismatch_exits_2(tmp_path, capsys, n_flag):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "spec's n" in err
+
+
+@pytest.mark.parametrize("args, cell", [
+    (["identities", "--n", "1"], "--n 1 (ramp multiset)"),
+    (["thm12-check", "--n", "1"], "--n 1 (ramp multiset)"),
+    (["thm11-check", "--n", "1"], "--n 1 (spec multiset-rademacher)"),
+    *((["wigner-sweep", "--N", "1", "--seeds", "1", "--ensemble", e], f"--N 1 (ensemble {e})")
+      for e in cli._ENSEMBLE_NAMES),
+], ids=["identities", "thm12-check", "thm11-check",
+        *(f"wigner-sweep-{e}" for e in cli._ENSEMBLE_NAMES)])
+def test_degenerate_cell_exits_2_naming_its_flag_and_cell(tmp_path, capsys, args, cell):
+    # one entry cannot be standardized; the message says which cell has one
+    assert run_cli([*args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cell}: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_ensemble_exits_2(tmp_path):
@@ -749,8 +768,9 @@ _TINY_THM11 = ["--functions", "cos", "--replicates", "200"]
     (["thm12-check", "--n", "5", "--replicates", "200"], {"spectral", "resolvent"}),
     (["wigner-sweep", "--N", "20", "--seeds", "2"], {"exchangeable", "resolvent", "numpy.ma"}),
     (["semicircle-table"], {"exchangeable", "resolvent"}),
+    (["resolvent-check", "--N", "3", "--tuples", "2", "--trials", "5"], {"exchangeable", "swap"}),
 ], ids=["import", "thm11-check", "thm11-check-spec-json", "identities", "thm12-check",
-        "wigner-sweep", "semicircle-table"])
+        "wigner-sweep", "semicircle-table", "resolvent-check"])
 def test_each_command_loads_only_the_modules_it_calls(tmp_path, args, unused):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"variant": "conditionally_iid",

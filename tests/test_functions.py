@@ -36,20 +36,19 @@ def finite_difference_agreement(f: RidgeFunction, rng: np.random.Generator,
     """Max relative error between the profile's analytic partials and central
     differences of f.
 
-    Higher orders use wide Richardson-extrapolated stencils; the narrow
-    default steps would sit on the roundoff floor of a third difference.
-    Deviations are measured relative to max(|analytic|, 1e-3) so that near
-    roots of a derivative the comparison stays absolute at the same scale.
+    The stencils are wide and extrapolated; narrow steps would sit on the
+    roundoff floor of a third difference.  Deviations are measured relative
+    to max(|analytic|, 1e-3) so that near roots of a derivative the
+    comparison stays absolute at the same scale.
     """
     worst = 0.0
     for _ in range(trials):
         x = rng.uniform(-box, box, f.arity)
         i = int(rng.integers(f.arity))
         hi = x.astype(np.longdouble)
-        for order, step in ((1, None), (2, 0.01), (3, 0.02)):
+        for order, step in ((1, 0.01), (2, 0.01), (3, 0.02)):
             analytic = float(_partials(f, x, order)[i])
-            numeric = finite_difference(f, hi, (i,) * order, step=step,
-                                        richardson=order > 1)
+            numeric = finite_difference(f, hi, (i,) * order, step)
             worst = max(worst, abs(analytic - numeric) / max(abs(analytic), 1e-3))
     return worst
 
@@ -134,9 +133,65 @@ class TestTaylorStep:
 
 def test_finite_difference_rejects_bad_order():
     with pytest.raises(ValueError):
-        finite_difference(lambda x: x[0], np.zeros(2), ())
+        finite_difference(lambda x: x[:, 0], np.zeros(2), (), 0.1)
     with pytest.raises(ValueError):
-        finite_difference(lambda x: x[0], np.zeros(2), (0, 0, 0, 0))
+        finite_difference(lambda x: x[:, 0], np.zeros(2), (0, 0, 0, 0), 0.1)
+
+
+def _nested_difference(f, x, indices, step):
+    """Richardson-extrapolated nested central differences, one point per call
+    of ``f``: the recursion the stacked stencil reproduces."""
+    def nested(base, idxs, h):
+        if not idxs:
+            return f(base)
+        xp, xm = base.copy(), base.copy()
+        xp[idxs[0]] += h
+        xm[idxs[0]] -= h
+        return (nested(xp, idxs[1:], h) - nested(xm, idxs[1:], h)) / (2.0 * h)
+
+    d1, d2, d4 = (nested(x, tuple(indices), step / k) for k in (1.0, 2.0, 4.0))
+    return float((64.0 * d4 - 20.0 * d2 + d1) / 45.0)
+
+
+@pytest.mark.parametrize("indices", [(1,), (2, 0), (1, 1), (0, 2, 1), (2, 2, 0), (1, 1, 1)])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_stacked_stencil_matches_the_nested_recursion(indices, dtype):
+    # elementwise and dtype-preserving: a row's value does not depend on the
+    # stack around it, and long-double inputs stay long double throughout
+    f = lambda x: (np.cos(0.7 * x[..., 0] - 1.3 * x[..., 1])
+                   + x[..., 1] ** 3 / (1.0 + x[..., 2] ** 2))
+    x = np.array([0.3, -0.9, 1.7], dtype=dtype)
+    for step in (0.01, 0.02, 0.0625):
+        assert finite_difference(f, x, indices, step) == _nested_difference(f, x, indices, step)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_finite_difference_calls_f_once_on_the_whole_stencil(order):
+    f = sum_ridge(cos_profile(), 4)
+    shapes = []
+
+    def spy(stack):
+        shapes.append(np.shape(stack))
+        return f(stack)
+
+    finite_difference(spy, np.full(4, 0.3), (0, 3, 1)[:order], 0.02)
+    assert shapes == [(3 * 2 ** order, 4)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_complex_f_is_differenced_part_by_part(order):
+    # exp(i w.x) has real and imaginary parts of equal size; a step that is
+    # not a power of two makes every division round
+    w = np.array([0.9, -0.4, 1.3])
+    f = lambda stack: (1.0 + 0.5j) * np.exp(1j * (stack @ w))
+    x = np.array([0.2, 1.1, -0.6], dtype=np.longdouble)
+    idx = (2, 0, 2)[:order]
+    got = finite_difference(f, x, idx, 0.01)
+    assert isinstance(got, complex)
+    assert got == complex(finite_difference(lambda s: f(s).real, x, idx, 0.01),
+                          finite_difference(lambda s: f(s).imag, x, idx, 0.01))
+    assert got == pytest.approx((1.0 + 0.5j) * np.exp(1j * float(x @ w))
+                                * np.prod(1j * w[list(idx)]), rel=1e-6)
 
 
 def test_ridge_mixed_partial_product_rule():
@@ -146,7 +201,7 @@ def test_ridge_mixed_partial_product_rule():
     x = np.array([0.1, 0.2, 0.3])
     u = float(x @ f.weights)
     expected = math.sin(u) * 0.5 * (-1.0) * 0.25  # third derivative of cos is sin
-    numeric = finite_difference(f, x, (0, 1, 2), step=0.02, richardson=True)
+    numeric = finite_difference(f, x, (0, 1, 2), 0.02)
     assert numeric == pytest.approx(expected, rel=1e-6)
     assert abs(expected) <= f.mixed_bounds[2]
 

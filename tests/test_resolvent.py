@@ -277,7 +277,7 @@ def test_composed_partials_match_finite_differences():
         f = lambda xx: g.value(np.real(h_value_hp(xx, N, 1j)))
         for k, step in ((1, 0.03125), (2, 0.0625), (3, 0.0625)):
             analytic = composed_partials(g, x.astype(float), N, 1j, *picks[:k])
-            fd = finite_difference(f, x, idx[:k], step=step, richardson=True)
+            fd = finite_difference(f, x, idx[:k], step)
             assert abs(analytic - fd) <= 1e-6 * abs(analytic)
 
 
@@ -295,18 +295,42 @@ def test_composed_partials_use_one_eigensolve(monkeypatch):
     assert len(calls) == 1
 
 
-def test_fd_agreement_solves_each_stencil_point_once(monkeypatch):
+def test_fd_agreement_makes_one_stacked_solve_per_order(monkeypatch):
     module = importlib.import_module("lindeberg.resolvent")
-    points = []
+    stacks = []
     solve = module.h_value_hp
 
     def spy(x, N, z):
-        points.append(tuple(x))
+        stacks.append(np.shape(x))
         return solve(x, N, z)
 
     monkeypatch.setattr(module, "h_value_hp", spy)
-    fd_agreement_check([3, 4], 3, 1j, np.random.default_rng(21))
-    assert points and len(points) == len(set(points))
+    agreement = fd_agreement_check([3, 4], 3, 1j, np.random.default_rng(21))
+    # six cases per tuple (three orders, two parts), each naming the tuple's N;
+    # 6 + 12 + 24 = 42 points, one more than the 41 distinct stencil points
+    widths = [N * (N + 1) // 2 for N, *_ in agreement.cases[::6]]
+    assert len(widths) == 3 and set(widths) == {6, 10}
+    assert stacks == [(rows, n) for n in widths for rows in (6, 12, 24)]
+
+
+def test_stacked_solve_matches_one_row_calls_bit_for_bit():
+    # the first row is diagonally dominant, so no column pivots; the second
+    # has a zero diagonal and swaps rows at column 0; the random rest pivot
+    # at other columns
+    N = 5
+    pairs = triu_pairs(N)
+    rng = np.random.default_rng(22)
+    diagonal = np.array([i == j for i, j in pairs])
+    x = np.stack([np.where(diagonal, 9.0, 0.1), np.where(diagonal, 0.0, 3.0),
+                  *rng.uniform(-2, 2, (6, len(pairs)))]).astype(np.longdouble)
+    for z in (1j, 0.4 - 0.7j):
+        stacked = h_value_hp(x, N, z)
+        assert stacked.shape == (len(x),) and stacked.dtype == np.clongdouble
+        for row, value in zip(x, stacked):
+            one = h_value_hp(row, N, z)
+            assert one == value and one == _h_value_hp_by_rows(row, N, z)
+            assert np.signbit([one.real, one.imag]).tolist() == \
+                np.signbit([value.real, value.imag]).tolist()
 
 
 def test_submodule_import_binds_the_module():

@@ -1,0 +1,137 @@
+"""Fuzzed input validation: malformed configs and spec documents raise only
+ValueError, which ``main`` prints as one ``error:`` line and exits 2 on.
+
+No command runs here.  A config goes through the path ``main`` takes up to
+the command: a JSON file read by ``build_config`` (``ExperimentConfig.from_dict``
+and its range checks).  A spec document goes through ``spec_from_dict``.
+"""
+
+import json
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lindeberg import cli
+from lindeberg.sampling import _LAW_TYPES, _SPEC_TYPES, spec_from_dict
+
+# JSON numbers: small counts, any int (beyond a float's range too), any float
+_NUMBERS = st.one_of(
+    st.integers(-3, 5),
+    st.integers(),
+    st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 1024, 2 ** 63, -0.0, 0.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=6),
+                     st.sampled_from(["1j", "0.3+0.8j", "nan", "inf", "2", "gaussian"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+
+_FUZZ = settings(max_examples=200, deadline=None)
+
+
+def _law():
+    """Law documents: mostly the right keys, with values of any JSON shape."""
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(sorted(_LAW_TYPES)) | _JSON,
+                               "params": st.lists(_NUMBERS, max_size=3) | _JSON}),
+        st.fixed_dictionaries({"kind": st.just("finite"),
+                               "values": st.lists(_NUMBERS, max_size=4) | _JSON,
+                               "probs": st.lists(_NUMBERS, max_size=4) | _JSON}),
+        _JSON,
+    )
+
+
+_FIELD_VALUES = st.one_of(_NUMBERS, st.lists(_NUMBERS, max_size=5),
+                          st.lists(st.lists(_NUMBERS, max_size=3), max_size=3), _law(), _JSON)
+
+
+@st.composite
+def _spec_docs(draw):
+    """A variant with some of its fields (any values) and now and then a stray key."""
+    variant = draw(st.sampled_from(sorted(_SPEC_TYPES)) | _JSON)
+    names = ([f.name for f in fields(_SPEC_TYPES[variant])]
+             if isinstance(variant, str) and variant in _SPEC_TYPES else ["n"])
+    doc = {"variant": variant}
+    for name in names:
+        if draw(st.integers(0, 9)):  # most fields are present
+            doc[name] = draw(_FIELD_VALUES)
+    if not draw(st.integers(0, 9)):
+        doc[draw(st.text(max_size=6))] = draw(_JSON)
+    return doc
+
+
+def _raises_only_value_error(call, *args) -> None:
+    try:
+        call(*args)
+    except ValueError:
+        pass
+
+
+@_FUZZ
+@given(_spec_docs())
+def test_spec_documents_raise_only_value_error(doc):
+    _raises_only_value_error(spec_from_dict, doc)
+
+
+@_FUZZ
+@given(_JSON)
+def test_any_json_value_as_a_spec_raises_only_value_error(doc):
+    _raises_only_value_error(spec_from_dict, doc)
+
+
+_CONFIG_FIELDS = {f.name: str(f.type) for f in fields(cli.ExperimentConfig)}
+
+
+def _config_value(annotation: str):
+    """Mostly a value of the field's JSON type, with any number in it; else any JSON."""
+    if "list[str]" in annotation:
+        typed = st.lists(st.sampled_from(["1j", "0.5+0.5j", "2", "nan", ""]) | st.text(max_size=4),
+                         max_size=3)
+    elif "list" in annotation:
+        typed = st.lists(_NUMBERS, min_size=1, max_size=4)
+    elif "dict" in annotation:
+        typed = _spec_docs()
+    elif "str" in annotation:
+        typed = st.sampled_from(["gaussian", "rademacher-perm", "bogus"]) | st.text(max_size=6)
+    else:
+        typed = _NUMBERS
+    return st.one_of(typed, typed, _JSON)
+
+
+@st.composite
+def _configs(draw, command):
+    """A config document for ``command``: some of the keys it reads, now and
+    then a key it does not read, and a ``command`` entry or none."""
+    reads = ["seed", "out", *cli._READS[command]]
+    doc = {key: draw(_config_value(_CONFIG_FIELDS[key]))
+           for key in draw(st.lists(st.sampled_from(reads), max_size=4, unique=True))}
+    if not draw(st.integers(0, 9)):
+        key = draw(st.sampled_from([*_CONFIG_FIELDS, "bogus"]))
+        doc[key] = draw(_config_value(_CONFIG_FIELDS.get(key, "")))
+    if draw(st.booleans()):
+        doc["command"] = draw(st.sampled_from([command, *sorted(cli._READS)]))
+    return doc
+
+
+_PARSER = cli._build_parser()
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+# 100 examples for each of the six commands
+@pytest.mark.parametrize("command", sorted(cli._READS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_documents_raise_only_value_error(config_path, command, data):
+    config_path.write_text(json.dumps(data.draw(_configs(command))))
+    args = _PARSER.parse_args([command, "--config", str(config_path)])
+    _raises_only_value_error(cli.build_config, args)
