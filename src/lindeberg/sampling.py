@@ -14,6 +14,7 @@ where one exists.  Choosing between exact and Monte Carlo routes is left to
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, fields, replace
 from itertools import product
@@ -402,10 +403,10 @@ def _common_weight(weights):
 
 # ---------------------------------------------------------------------------
 # Exchangeable / weakly dependent vector specs.  Each class checks its fields
-# in ``__post_init__`` and nowhere else, and owns its sampler (``sample``) and
+# where it is built and nowhere else, and owns its sampler (``sample``) and
 # its law's oracles: ``ab_exact`` and ``abs_third_moment`` (None without an
 # exact route or closed form), ``ridge_law``, and ``ab_mc`` where a Monte
-# Carlo route for A_i/B_i exists.  Its JSON form is its fields.
+# Carlo route for A_i/B_i exists.  Its JSON form is its constructor's parameters.
 # ---------------------------------------------------------------------------
 
 
@@ -455,27 +456,52 @@ _ENUMERATION_BUDGET = 200_000
 def _check_length(n) -> None:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer; got {n!r}")
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"n must be at most {np.iinfo(np.intp).max}, numpy's largest "
+                         f"array size; got {n}")
 
 
-@dataclass(frozen=True, eq=False)
 class MultisetPermutation:
     """Uniformly random permutation of a fixed value multiset (exchangeable).
 
-    ``values`` is stored once, at construction, as a read-only float64 array:
-    one that owns its memory is kept as it is, anything else is copied.
+    The values are stored once, at construction.  When they form few runs of
+    equal consecutive values (runs^2 <= n, equal meaning bit for bit), they are
+    stored as those runs: one value and one end offset per run, which
+    ``sample`` fills in one slice each.  Otherwise they
+    are stored as a read-only float64 array: one that owns its memory is kept
+    as it is, anything else is copied.  ``values`` gives that array either way.
     """
 
-    values: np.ndarray
+    __slots__ = ("_values", "_runs")
     variant: ClassVar[str] = "multiset"
 
-    def __post_init__(self):
-        values = _reals("multiset values", self.values)
-        if values is self.values and (values.flags.writeable or not values.flags.owndata):
-            values = values.copy()
-        if values.ndim != 1 or values.size == 0:
+    def __init__(self, values):
+        array = _reals("multiset values", values)
+        if array.ndim != 1 or array.size == 0:
             raise ValueError("multiset values must be a nonempty sequence of numbers")
+        bits = array.view(np.int64)
+        change = bits[1:] != bits[:-1]
+        self._values = self._runs = None
+        if (1 + np.count_nonzero(change)) ** 2 <= array.size:
+            ends = np.append(np.flatnonzero(change) + 1, array.size)
+            self._runs = (array[ends - 1], ends)
+            return
+        if array is values and (array.flags.writeable or not array.flags.owndata):
+            array = array.copy()
+        array.setflags(write=False)
+        self._values = array
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._runs is None:
+            return self._values
+        run_values, ends = self._runs
+        values = np.repeat(run_values, np.diff(ends, prepend=0))
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        return values
+
+    def __repr__(self):
+        return f"MultisetPermutation(values={self.values!r})"
 
     def __eq__(self, other):
         if not isinstance(other, MultisetPermutation):
@@ -487,13 +513,18 @@ class MultisetPermutation:
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return self._values.size if self._runs is None else int(self._runs[1][-1])
 
     def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
         if out is None:
-            out = np.tile(self.values, (replicates, 1))
+            out = np.empty((replicates, self.n))
+        if self._runs is None:
+            out[...] = self._values
         else:
-            out[...] = self.values
+            start = 0
+            for value, end in zip(*self._runs):
+                out[:, start:end] = value
+                start = end
         return rng.permuted(out, axis=1, out=out)
 
     def ab_exact(self, y_mean, y_second, i):
@@ -927,20 +958,21 @@ def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
 
 def spec_from_dict(d: dict) -> ExchangeableSpec:
     """Build a spec from its JSON document: ``variant`` names the class, and each
-    dataclass field is read from the key of its name, a ``Distribution`` field in
+    constructor parameter is read from the key of its name, a ``Distribution`` in
     its law form (``kind`` with ``params``, or ``values`` and ``probs``).  A
-    malformed document, or one with a key that is not a field, raises ValueError."""
+    malformed document, or one with a key that is not a parameter, raises ValueError."""
     variant = d.get("variant") if isinstance(d, dict) else None
     cls = _SPEC_TYPES.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ValueError(f"spec variant must be one of {', '.join(_SPEC_TYPES)}; "
                          f"got {variant!r}")
-    unknown = sorted(set(d) - {"variant", *(f.name for f in fields(cls))})
+    params = inspect.signature(cls).parameters
+    unknown = sorted(set(d) - {"variant", *params})
     if unknown:
         raise ValueError(f"unknown key(s) in {variant} spec: {', '.join(unknown)}")
     try:
-        return cls(**{f.name: _law_from_dict(d[f.name]) if f.type == "Distribution"
-                      else d[f.name] for f in fields(cls)})
+        return cls(**{name: _law_from_dict(d[name]) if p.annotation == "Distribution"
+                      else d[name] for name, p in params.items()})
     except (KeyError, TypeError, OverflowError) as exc:  # a missing or mistyped field
         raise ValueError(f"malformed {variant} spec ({type(exc).__name__}: {exc})") from None
 

@@ -433,7 +433,7 @@ def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
     # One buffer of N(N+1) doubles, twice the entry count n: the entries are
     # drawn into its tail and standardized into its head, and the matrix then
     # fills its first N^2 doubles and is solved there, so the live set is the
-    # buffer and the spec's multiset.
+    # buffer, plus the spec's multiset unless that is stored as a few runs.
     N, n = spec.N, upper_triangle_size(spec.N)
     buffer = np.empty(2 * n)
     x = sample_exchangeable(spec.entries, seed, out=buffer[n:])

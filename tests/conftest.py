@@ -1,4 +1,4 @@
-from dataclasses import fields
+import inspect
 
 import numpy as np
 import pytest
@@ -20,15 +20,15 @@ class OpaqueFunction(SmoothFunction):
 
 def spec_doc(spec) -> dict:
     """The JSON document of a vector spec, as ``spec_from_dict`` reads it: its
-    variant and each field under its own name, a law in its law form."""
+    variant and each constructor parameter under its own name, a law in its law form."""
     doc = {"variant": spec.variant}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
+    for name in inspect.signature(type(spec)).parameters:
+        value = getattr(spec, name)
         if hasattr(value, "to_dict"):
             value = value.to_dict()
         elif isinstance(value, (tuple, np.ndarray)):
             value = np.asarray(value).tolist()
-        doc[f.name] = value
+        doc[name] = value
     return doc
 
 

@@ -614,6 +614,16 @@ def test_bad_spec_json_exits_2(tmp_path, capsys, doc):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("doc", [_iid(_N01, 10**400), _markov(n=2**70)], ids=["iid", "markov"])
+def test_length_beyond_any_array_exits_2(tmp_path, capsys, doc):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    code = run_cli(["thm11-check", "--spec-json", str(spec_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n must be at most ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("doc, field", [
     (_mixed(_N01, "gaussian_scale"), "conditional"),
     (_markov(initial=[0.5, 0.25, 0.25]), "initial"),

@@ -16,6 +16,7 @@ from lindeberg.sampling import (
     IidFromDistribution,
     MarkovChain,
     MultisetPermutation,
+    balanced_signs,
     build_y,
     center_and_scale,
     derive_child,
@@ -27,6 +28,7 @@ from lindeberg.sampling import (
     student_t,
     uniform,
 )
+from lindeberg.spectral import contaminated_wigner
 from lindeberg.swap import estimate_ab, lindeberg_bound
 
 
@@ -322,11 +324,48 @@ def test_uniform_cf_matches_sample_mean(low, high):
             assert abs(part(cf) - part(phases).mean()) <= 4.0 * stderr + 1e-15
 
 
+# Few runs of equal values (runs^2 <= n) are stored as runs, the rest as an array.
+_FEW_RUNS = (-1.0,) * 4 + (2.0,) * 3 + (5.0,) * 2
+_SIGNED_ZERO_RUNS = (-0.0,) * 3 + (0.0,) * 3 + (1.0,) * 3
+
+
 def test_multiset_sample_is_the_permuted_tile():
-    spec = MultisetPermutation((3.0, -1.0, -1.0, 0.5, 2.0, 0.0, -3.5))
-    reference = np.random.default_rng(41).permuted(np.tile(spec.values, (500, 1)), axis=1)
-    assert np.array_equal(spec.sample(np.random.default_rng(41), 500), reference)
-    assert np.array_equal(sample_batch(spec, 41, 500), reference)
+    # Either storage form draws the bits the permuted tile of the values gives.
+    for values in [(3.0, -1.0, -1.0, 0.5, 2.0, 0.0, -3.5), _FEW_RUNS, _SIGNED_ZERO_RUNS,
+                   contaminated_wigner(14).entries.values]:
+        spec = MultisetPermutation(values)
+        for rows in (1, 500):
+            reference = np.random.default_rng(41).permuted(
+                np.tile(np.asarray(values, dtype=float), (rows, 1)), axis=1).view(np.int64)
+            assert np.array_equal(spec.sample(np.random.default_rng(41), rows).view(np.int64),
+                                  reference)
+            assert np.array_equal(sample_batch(spec, 41, rows).view(np.int64), reference)
+
+
+@pytest.mark.parametrize("values", [_FEW_RUNS, _SIGNED_ZERO_RUNS], ids=["few-runs", "signed-zero"])
+def test_run_stored_multiset_values(values):
+    spec = MultisetPermutation(values)
+    expected = np.asarray(values, dtype=float)
+    assert spec.values.dtype == np.float64 and not spec.values.flags.writeable
+    assert np.array_equal(spec.values.view(np.int64), expected.view(np.int64))
+    assert spec.n == len(values)
+    assert spec_doc(spec) == {"variant": "multiset", "values": list(values)}
+    assert spec_from_dict(spec_doc(spec)) == spec
+    assert hash(spec) == hash(expected.tobytes())
+    assert spec != MultisetPermutation(values[::-1])
+    with pytest.raises(ValueError):
+        spec.values[0] = 1.0
+
+
+def test_few_run_multiset_keeps_only_its_runs():
+    tracemalloc.start()
+    try:
+        spec = standardized_multiset(balanced_signs(10**6))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert spec.n == 10**6
+    assert kept < 10**6  # the array would be 8 MB
 
 
 _SPECS = {

@@ -6,6 +6,7 @@ the command: a JSON file read by ``build_config`` (``ExperimentConfig.from_dict`
 and its range checks).  A spec document goes through ``spec_from_dict``.
 """
 
+import inspect
 import json
 from dataclasses import fields
 
@@ -55,7 +56,7 @@ _FIELD_VALUES = st.one_of(_NUMBERS, st.lists(_NUMBERS, max_size=5),
 def _spec_docs(draw):
     """A variant with some of its fields (any values) and now and then a stray key."""
     variant = draw(st.sampled_from(sorted(_SPEC_TYPES)) | _JSON)
-    names = ([f.name for f in fields(_SPEC_TYPES[variant])]
+    names = (list(inspect.signature(_SPEC_TYPES[variant]).parameters)
              if isinstance(variant, str) and variant in _SPEC_TYPES else ["n"])
     doc = {"variant": variant}
     for name in names:
