@@ -17,9 +17,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
-from .sampling import (MultisetPermutation, build_y, center_and_scale, derive_child,
-                       mean_and_stderr, normal_quadrature, rng_from, row_blocks,
-                       sample_batch)
+from .sampling import (MultisetPermutation, RunningMean, build_y, center_and_scale,
+                       derive_child, normal_quadrature, rng_from, row_blocks, sample_batch)
 from .swap import BoundReport
 
 _EXACT_ENUMERATION_LIMIT = 9
@@ -388,7 +387,7 @@ def interpolation_difference(f0: SmoothFunction, n: int, replicates: int = 40_00
         w = math.sqrt(1.0 - t) * up + math.sqrt(t) * ztp
         path_mean += np.asarray(f0.hessian_quad(w, delta), dtype=float)
     path_mean /= t_grid_size
-    path_avg, path_err = mean_and_stderr(path_mean)
+    path_avg, path_err = RunningMean().add(path_mean).result()
     integral, integral_err = 0.5 * path_avg, 0.5 * path_err
 
     bound = 0.5 * f0.mixed_bounds[1] * covariance_gap_sum(n)
@@ -436,11 +435,12 @@ def end_to_end_check(spec: MultisetPermutation, functions,
     error is added to the stderr) and sampled otherwise.  When sigma_hat = 0, Y
     is the constant vector mu_hat, built like X so that X = Y gives exactly 0.
     X, and the Gaussian Z behind Y when some f needs it, are drawn once for
-    all the functions, in row blocks, each from one generator; only each f's
-    differences are kept, one float per replicate.  So each report equals the
-    one-function call with the same seed, and the functions' estimates share
-    their Monte Carlo error.  Only genuinely exchangeable multiset specs are
-    accepted here; weakly dependent chains belong to the swapping bound.
+    all the functions, in row blocks, each from one generator; each block's
+    differences go into each f's running mean, so memory does not grow with
+    ``replicates``.  Each report equals the one-function call with the same
+    seed, and the functions' estimates share their Monte Carlo error.  Only
+    genuinely exchangeable multiset specs are accepted here; weakly dependent
+    chains belong to the swapping bound.
     """
     if not isinstance(spec, MultisetPermutation):
         raise TypeError("end_to_end_check requires a MultisetPermutation spec")
@@ -456,22 +456,18 @@ def end_to_end_check(spec: MultisetPermutation, functions,
     summaries = [_summary_mean(f, mu, sigma) if sigma > 0 else None for f in functions]
     sample_z = any(summary is None for summary in summaries)
     x_rng, z_rng = rng_from(derive_child(seed, 0)), rng_from(derive_child(seed, 1))
-    diffs = np.empty((len(functions), replicates))
+    means = [RunningMean() for _ in functions]
     for block in row_blocks(replicates, n):
         rows = block.stop - block.start
         x = sample_batch(spec, x_rng, rows)
         y = build_y(mu, sigma, z_rng.standard_normal((rows, n))) if sample_z else None
-        for diff, f, summary in zip(diffs, functions, summaries):
-            diff[block] = f(x)
-            if summary is None:
-                diff[block] -= f(y)
+        for mean, f, summary in zip(means, functions, summaries):
+            mean.add(np.subtract(f(x), f(y) if summary is None else summary[0], dtype=float))
         del x, y  # before the next block is drawn
     reports = []
-    for diff, f, summary in zip(diffs, functions, summaries):
+    for mean, f, summary in zip(means, functions, summaries):
         components = thm12_terms(m3, m4, f.mixed_bounds[1], f.mixed_bounds[2], n)
-        if summary is not None:
-            diff -= summary[0]
-        estimate, stderr = mean_and_stderr(diff)
+        estimate, stderr = mean.result()
         if sigma == 0:
             stderr = 0.0
         elif summary is not None:

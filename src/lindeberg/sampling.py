@@ -100,8 +100,9 @@ class Gaussian(_ParamLaw):
     kind: ClassVar[str] = "gaussian"
     domain: ClassVar[tuple] = ("sigma >= 0", lambda law: law.sigma >= 0)
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.normal(self.mu, self.sigma, size)
+    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        """``rng.normal(mu, sigma, size)`` bit for bit, drawn into ``out`` when given."""
+        return _scaled(rng.standard_normal(size, out=out), self.sigma, self.mu)
 
     def mean(self) -> float:
         return self.mu
@@ -136,15 +137,18 @@ class Gaussian(_ParamLaw):
 
 @dataclass(frozen=True)
 class Uniform(_ParamLaw):
-    """Uniform on [low, high]."""
+    """Uniform on [low, high]; the width high - low must be a finite float, as
+    the draws are low + (high - low) u."""
 
     low: float
     high: float
     kind: ClassVar[str] = "uniform"
-    domain: ClassVar[tuple] = ("low < high", lambda law: law.low < law.high)
+    domain: ClassVar[tuple] = ("0 < high - low < inf",
+                               lambda law: 0 < law.high - law.low < math.inf)
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size)
+    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        """``rng.uniform(low, high, size)`` bit for bit, drawn into ``out`` when given."""
+        return _scaled(rng.random(size, out=out), self.high - self.low, self.low)
 
     def mean(self) -> float:
         return 0.5 * self.low + 0.5 * self.high  # finite whenever the mean is
@@ -226,8 +230,8 @@ class StudentT(_ParamLaw):
     kind: ClassVar[str] = "student_t"
     domain: ClassVar[tuple] = ("df > 0", lambda law: law.df > 0)
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.standard_t(self.df, size)
+    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        return _filled(out, rng.standard_t(self.df, size))
 
     def mean(self) -> float:
         return 0.0
@@ -265,9 +269,9 @@ class Finite:
             raise ValueError("finite law needs at least one atom, one probability per atom, "
                              "and probabilities that are nonnegative and sum to 1")
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.choice(np.asarray(self.values, dtype=float), size=size,
-                          p=np.asarray(self.probs, dtype=float))
+    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        return _filled(out, rng.choice(np.asarray(self.values, dtype=float), size=size,
+                                       p=np.asarray(self.probs, dtype=float)))
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
@@ -429,7 +433,7 @@ def _marginal_ab(m1: float, m2: float, y_mean: float, y_second: float) -> ABEsti
 
 def _ab_from_draws(da: np.ndarray, db: np.ndarray) -> ABEstimate:
     """Monte Carlo A_i, B_i from per-replicate discrepancies (overwritten)."""
-    return ABEstimate(*mean_and_stderr(da), *mean_and_stderr(db), False)
+    return ABEstimate(*RunningMean().add(da).result(), *RunningMean().add(db).result(), False)
 
 
 def _prefix_count_distribution(counts: Sequence[int], k: int):
@@ -548,11 +552,17 @@ class MultisetPermutation:
         return ABEstimate(a, 0.0, b, 0.0, True)
 
     def ab_mc(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
-        """Monte Carlo over prefixes; the inner conditional moments stay exact."""
-        prefixes = sample_batch(self, seed, replicates)[:, : i - 1]
+        """Monte Carlo over prefixes, drawn in row blocks from one generator and
+        kept as sums and sums of squares; the inner conditional moments stay exact."""
+        rng = rng_from(seed)
+        sums, squares = np.empty(replicates), np.empty(replicates)
+        for block in row_blocks(replicates, self.n):
+            prefixes = sample_batch(self, rng, block.stop - block.start)[:, : i - 1]
+            sums[block] = prefixes.sum(axis=1)
+            squares[block] = np.square(prefixes, out=prefixes).sum(axis=1)
         rest = self.n - (i - 1)
-        cond_mean = (self.values.sum() - prefixes.sum(axis=1)) / rest
-        cond_sq = (np.square(self.values).sum() - np.square(prefixes).sum(axis=1)) / rest
+        cond_mean = (self.values.sum() - sums) / rest
+        cond_sq = (np.square(self.values).sum() - squares) / rest
         return _ab_from_draws(np.abs(cond_mean - y_mean), np.abs(cond_sq - y_second))
 
     def abs_third_moment(self, i: int):
@@ -579,7 +589,7 @@ class IidFromDistribution:
         _check_length(self.n)
 
     def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
-        return _filled(out, np.asarray(self.dist.sample(rng, (replicates, self.n)), dtype=float))
+        return self.dist.sample(rng, (replicates, self.n), out)
 
     def ab_exact(self, y_mean, y_second, i) -> ABEstimate:
         return _marginal_ab(self.dist.mean(), self.dist.second_moment(), y_mean, y_second)
@@ -636,13 +646,13 @@ class MarkovChain:
         Each column of uniforms is overwritten by its states once used."""
         kernel_cum = np.cumsum(self.kernel, axis=1)
         states = np.asarray(self.states, dtype=float)
-        draws = rng.random((replicates, self.n))
+        draws = rng.random((replicates, self.n), out=out)
         cum = np.cumsum(self.initial)
         for t in range(self.n):
             idx = np.minimum((draws[:, t, None] >= cum).sum(axis=1), len(states) - 1)
             draws[:, t] = states[idx]
             cum = kernel_cum[idx]
-        return _filled(out, draws)
+        return draws
 
     def ab_exact(self, y_mean, y_second, i) -> ABEstimate:
         kernel = np.asarray(self.kernel)
@@ -741,9 +751,8 @@ def _abs_shifted_square_mean(mu: float, sigma: float, c: float) -> float:
     return mean - 2.0 * inside
 
 
-# Replicate rows per block of the nested Monte Carlo, so that each
-# (rows x prior draws) weight matrix stays at 4 MB.
-_MC_BLOCK_ROWS = 1024
+# Fresh prior draws per replicate of the nested Monte Carlo, which runs in
+# ``row_blocks``: each (rows x prior draws) weight matrix is 1 MiB.
 _MC_PRIOR_DRAWS = 512
 
 
@@ -769,8 +778,8 @@ class ConditionallyIid:
 
     def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
         theta = np.asarray(self.mixing.sample(rng, replicates), dtype=float)
-        z = rng.standard_normal((replicates, self.n))
-        return _filled(out, theta[:, None] + self.scale * z)
+        return _scaled(rng.standard_normal((replicates, self.n), out=out), self.scale,
+                       theta[:, None])
 
     def ab_exact(self, y_mean, y_second, i):
         """Closed forms at i = 1 and under Gaussian mixing; None otherwise.
@@ -818,9 +827,8 @@ class ConditionallyIid:
         inv_s2 = 1.0 / s2 if k else 0.0  # an empty prefix leaves the prior weights equal
         post_mean = np.empty(replicates)
         post_sq = np.empty(replicates)
-        for start in range(0, replicates, _MC_BLOCK_ROWS):
-            rows = slice(start, min(start + _MC_BLOCK_ROWS, replicates))
-            thetas = np.asarray(self.mixing.sample(rng, (rows.stop - start, _MC_PRIOR_DRAWS)),
+        for rows in row_blocks(replicates, _MC_PRIOR_DRAWS):
+            thetas = np.asarray(self.mixing.sample(rng, (rows.stop - rows.start, _MC_PRIOR_DRAWS)),
                                 dtype=float)
             logw = (thetas * sums[rows, None] - 0.5 * k * thetas * thetas) * inv_s2
             w = np.exp(logw - logw.max(axis=1, keepdims=True))
@@ -868,18 +876,39 @@ def row_blocks(replicates: int, n: int):
             for start in range(0, replicates, rows))
 
 
-def mean_and_stderr(values: np.ndarray) -> tuple:
-    """(mean, standard error of the mean) of a float64 vector, equal to
-    ``values.mean()`` and ``values.std(ddof=1) / sqrt(size)`` bit for bit.
-
-    Works in place, with no temporary of the vector's size: ``values`` is left
-    holding the squared deviations from the mean.
+class RunningMean:
+    """Mean and standard error of the mean of float64 blocks fed in turn, kept as
+    the count, the mean and M2, the sum of squared deviations from the mean.  A
+    first block gives ``v.mean()`` and ``v.std(ddof=1) / sqrt(v.size)`` bit for
+    bit; each later one is merged by Chan et al.'s pairwise update.  ``add``
+    overwrites its block with the squared deviations from the block's mean.
     """
-    size = values.size
-    mean = values.mean()
-    np.subtract(values, mean, out=values)
-    np.square(values, out=values)
-    return float(mean), math.sqrt(float(values.sum()) / (size - 1)) / math.sqrt(size)
+
+    count, mean, m2 = 0, 0.0, 0.0
+
+    def add(self, values):
+        mean = values.mean()
+        np.square(np.subtract(values, mean, out=values), out=values)
+        size, mean, m2 = values.size, float(mean), float(values.sum())
+        if self.count:
+            total = self.count + size
+            delta = mean - self.mean
+            mean = self.mean + delta * (size / total)
+            m2 = self.m2 + m2 + delta * delta * (self.count * size / total)
+            size = total
+        self.count, self.mean, self.m2 = size, mean, m2
+        return self
+
+    def result(self) -> tuple:
+        """(mean, standard error of the mean)."""
+        return self.mean, math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+
+
+def _scaled(x, scale, shift):
+    """``x * scale + shift``, computed in place in that order."""
+    x *= scale
+    x += shift
+    return x
 
 
 def _filled(out, draws: np.ndarray) -> np.ndarray:
@@ -899,7 +928,8 @@ def sample_batch(spec: ExchangeableSpec, seed: int | np.random.Generator,
     same size, except for ``ConditionallyIid``: it draws a block's mixing
     parameters before that block's noise.  ``out``, a float64 array of shape
     (replicates, n), receives the same draws when given: a multiset is
-    permuted in place there, and every other law is drawn and copied in.
+    permuted in place there, i.i.d. Student t and finite laws are drawn and
+    copied in, and every other law is drawn straight into it.
     """
     rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
     return spec.sample(rng, replicates, out)

@@ -21,8 +21,8 @@ from .sampling import (
     ABEstimate,
     ExchangeableSpec,
     IidFromDistribution,
+    RunningMean,
     derive_child,
-    mean_and_stderr,
     rng_from,
     row_blocks,
     sample_batch,
@@ -144,24 +144,24 @@ def mean_difference(functions, x_spec, y_spec, replicates: int, seed: int) -> li
     """Estimate Ef(X) - Ef(Y) for each function from independent X and Y streams.
 
     X and Y are drawn once for all the functions, in row blocks, from
-    ``derive_child(seed, 0)`` and ``derive_child(seed, 1)``; only each f's
-    differences are kept, one float per replicate.  So each estimate equals the
-    one-function call with the same seed, and the functions' estimates share
-    their Monte Carlo error.  Returns one (estimate, stderr) per function.
+    ``derive_child(seed, 0)`` and ``derive_child(seed, 1)``; each block's
+    differences go into each f's running mean, so memory does not grow with
+    ``replicates``.  Each estimate equals the one-function call with the same
+    seed, and the functions' estimates share their Monte Carlo error.  Returns
+    one (estimate, stderr) per function.
     """
     if not functions:
         raise ValueError("give at least one function")
     x_rng, y_rng = rng_from(derive_child(seed, 0)), rng_from(derive_child(seed, 1))
-    diffs = np.empty((len(functions), replicates))
+    means = [RunningMean() for _ in functions]
     for block in row_blocks(replicates, x_spec.n):
         rows = block.stop - block.start
         x = sample_batch(x_spec, x_rng, rows)
         y = sample_batch(y_spec, y_rng, rows)
-        for diff, f in zip(diffs, functions):
-            diff[block] = f(x)
-            diff[block] -= f(y)
+        for mean, f in zip(means, functions):
+            mean.add(np.subtract(f(x), f(y), dtype=float))
         del x, y  # before the next block is drawn
-    return [mean_and_stderr(diff) for diff in diffs]
+    return [mean.result() for mean in means]
 
 
 @dataclass
@@ -202,7 +202,7 @@ def telescoping_difference(f: SmoothFunction, x_spec, y_spec,
     steps = values[:, 1:] - values[:, :-1]
     totals = values[:, -1] - values[:, 0]
     identity_error = float(np.max(np.abs(steps.sum(axis=1) - totals)))
-    estimate, stderr = mean_and_stderr(totals)
+    estimate, stderr = RunningMean().add(totals).result()
     return TelescopeResult(
         estimate=estimate,
         stderr=stderr,

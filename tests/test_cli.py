@@ -571,6 +571,7 @@ _N01 = {"kind": "gaussian", "params": [0, 1]}
     _iid(_N01, None),
     [1.0, 2.0, 3.0],
     _iid({"kind": "uniform", "params": [1, 1]}),
+    _iid({"kind": "uniform", "params": [-1e308, 1e308]}),
     _mixed({"kind": "uniform", "params": [1, 1]}),
     _iid({"kind": "cauchy", "params": [0, 1]}),
     _iid({"kind": "gaussian", "params": [0, 1, 2]}),
@@ -597,10 +598,10 @@ _N01 = {"kind": "gaussian", "params": [0, 1]}
     {**_iid(_N01), "seed": 3},
     _iid({**_N01, "sigma": 2.0}),
 ], ids=["no-variant", "unknown-variant", "missing-field", "wrong-field-type", "not-an-object",
-        "uniform-empty", "uniform-empty-mixing", "unknown-kind", "wrong-arity",
-        "missing-params", "missing-probs", "negative-sigma", "zero-df", "probs-sum-1.1",
-        "nan-param", "zero-n", "unknown-conditional", "negative-scale", "nan-scale",
-        "nan-multiset", "infinite-state", "nan-kernel", "gaussian-scale",
+        "uniform-empty", "uniform-width-overflow", "uniform-empty-mixing", "unknown-kind",
+        "wrong-arity", "missing-params", "missing-probs", "negative-sigma", "zero-df",
+        "probs-sum-1.1", "nan-param", "zero-n", "unknown-conditional", "negative-scale",
+        "nan-scale", "nan-multiset", "infinite-state", "nan-kernel", "gaussian-scale",
         "initial-wrong-length", "kernel-row-sum-1.1", "kernel-one-row", "negative-initial",
         "unknown-key", "unknown-law-key"])
 def test_bad_spec_json_exits_2(tmp_path, capsys, doc):

@@ -26,7 +26,7 @@ from lindeberg.exchangeable import (
 )
 from lindeberg.functions import (GProfile, QuadraticMean, RidgeFunction, cos_profile,
                                  inv_quad_profile, sum_ridge)
-from lindeberg.sampling import (IidFromDistribution, MultisetPermutation, build_y,
+from lindeberg.sampling import (IidFromDistribution, MultisetPermutation, RunningMean, build_y,
                                 center_and_scale, derive_child, rng_from, row_blocks,
                                 sample_batch, standardized_multiset, uniform)
 from lindeberg.suites import ramp_multiset, summarization_function
@@ -429,7 +429,8 @@ def test_exact_gaussian_summary_agrees_with_sampled_summary():
 
 
 def _whole_batch_reference(spec, f, replicates, seed, sampled_y):
-    """end_to_end_check's estimate and stderr from one whole batch of X (and Z)."""
+    """end_to_end_check's estimate and stderr from one whole batch of X (and Z),
+    whose per-row differences are fed to the running mean in row blocks."""
     n = spec.n
     std = center_and_scale(spec.values)
     x = rng_from(derive_child(seed, 0)).permuted(np.tile(spec.values, (replicates, 1)), axis=1)
@@ -439,7 +440,11 @@ def _whole_batch_reference(spec, f, replicates, seed, sampled_y):
     else:
         ey, quad_error = _summary_mean(f, std.mu_hat, std.sigma_hat)
         diff = f(x) - ey
-    return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(replicates)) + quad_error
+    mean = RunningMean()
+    for block in row_blocks(replicates, n):  # the same blocks as end_to_end_check
+        mean.add(diff[block])
+    estimate, stderr = mean.result()
+    return estimate, stderr + quad_error
 
 
 # f reads x_0 - x_1 with weights +-1, whose products are exact, so its values
@@ -511,8 +516,8 @@ def test_end_to_end_memory_does_not_grow_with_replicates():
     spec, f = ramp_multiset(50), summarization_function("cos-alternating", 50)
     tracemalloc.start()
     try:
-        end_to_end_check(spec, [f], 200_000, seed=1)
+        end_to_end_check(spec, [f], 2_000_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20  # one whole batch of X alone is 76 MiB
+    assert peak < 4 * 2 ** 20  # one float per replicate alone is 15 MiB

@@ -16,6 +16,7 @@ from lindeberg.sampling import (
     IidFromDistribution,
     MarkovChain,
     MultisetPermutation,
+    RunningMean,
     balanced_signs,
     build_y,
     center_and_scale,
@@ -157,6 +158,35 @@ class TestCenterAndScale:
         assert std.x_tilde is out
         assert (std.mu_hat, std.sigma_hat) == (reference.mu_hat, reference.sigma_hat)
         assert out.tobytes() == reference.x_tilde.tobytes()
+
+
+class TestRunningMean:
+    @pytest.mark.parametrize("n", [2, 7, 10_001])
+    def test_one_block_is_the_two_pass_formula(self, n):
+        v = 3.0 * np.random.default_rng(n).standard_normal(n) + 1e3
+        expected = (v.mean(), v.std(ddof=1) / math.sqrt(n))
+        assert RunningMean().add(v.copy()).result() == expected
+
+    def test_blocks_agree_with_one_block(self):
+        rng = np.random.default_rng(11)
+        v = 2.0 * rng.standard_normal(50_000) + 5.0
+        whole = RunningMean().add(v.copy()).result()
+        splits = [[1, 2], [49_999]] + [
+            np.sort(rng.choice(np.arange(1, v.size), rng.integers(1, 40), replace=False))
+            for _ in range(20)]
+        for cuts in splits:
+            mean = RunningMean()
+            for block in np.split(v.copy(), cuts):
+                mean.add(block)
+            assert mean.count == v.size
+            for got, want in zip(mean.result(), whole):
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_zero_differences_give_exact_zeros(self):
+        mean = RunningMean()
+        for rows in (3, 1, 500):
+            mean.add(np.zeros(rows))
+        assert mean.result() == (0.0, 0.0)
 
 
 class TestStandardizedMultiset:
@@ -398,6 +428,31 @@ def test_out_receives_the_same_draws(spec):
     row = np.full(spec.n, np.nan)
     assert sample_exchangeable(spec, 3, out=row).base is row
     assert row.tobytes() == sample_exchangeable(spec, 3).tobytes()
+
+
+@pytest.mark.parametrize("law", [gaussian(0.5, 2.0), gaussian(-3.0, 0.0), uniform(-1.0, 3.0),
+                                 uniform(1e6, 1e6 + 1e-9)], ids=repr)
+def test_law_draws_are_numpys_bit_for_bit(law):
+    size = (40, 7)
+    method = {"gaussian": "normal", "uniform": "uniform"}[law.kind]
+    expected = getattr(np.random.default_rng(3), method)(*law.to_dict()["params"], size)
+    assert law.sample(np.random.default_rng(3), size).tobytes() == expected.tobytes()
+    out = np.full(size, np.nan)
+    assert law.sample(np.random.default_rng(3), size, out) is out
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_uniform_width_past_the_largest_float_is_rejected():
+    with pytest.raises(ValueError, match="high - low < inf"):
+        uniform(-1e308, 1e308)
+
+
+def test_mixture_draws_are_theta_plus_scaled_noise():
+    spec = ConditionallyIid(uniform(-1.0, 2.0), "gaussian_mean", 1.5, 6)
+    rng = np.random.default_rng(4)
+    theta = rng.uniform(-1.0, 2.0, 30)
+    expected = theta[:, None] + 1.5 * rng.standard_normal((30, 6))
+    assert sample_batch(spec, 4, 30).tobytes() == expected.tobytes()
 
 
 def _exact_abs_moment(low, high, p):

@@ -168,6 +168,31 @@ class TestEstimateAB:
         est = estimate_ab(spec, 0.0, 1.0, i=20, replicates=5_000, seed=2)
         assert not est.exact and est.a_stderr > 0
 
+    # 30 values, ten copies each: n = 300, far past the enumeration budget
+    _TENFOLD = MultisetPermutation(np.repeat(np.linspace(-1.5, 1.5, 30), 10))
+
+    @pytest.mark.parametrize("i", [1, 2, 150, 300])
+    def test_monte_carlo_prefixes_equal_one_whole_batch(self, i):
+        spec, replicates = self._TENFOLD, 2 * next(row_blocks(1 << 30, 300)).stop + 11
+        prefixes = sample_batch(spec, 9, replicates)[:, : i - 1]
+        rest = spec.n - (i - 1)
+        cond_mean = (spec.values.sum() - prefixes.sum(axis=1)) / rest
+        cond_sq = (np.square(spec.values).sum() - np.square(prefixes).sum(axis=1)) / rest
+        a, b = np.abs(cond_mean - 0.1), np.abs(cond_sq - 0.9)
+        expected = (a.mean(), a.std(ddof=1) / math.sqrt(replicates),
+                    b.mean(), b.std(ddof=1) / math.sqrt(replicates))
+        mc = spec.ab_mc(0.1, 0.9, i, replicates, seed=9)
+        assert (mc.a, mc.a_stderr, mc.b, mc.b_stderr) == expected
+
+    def test_monte_carlo_prefixes_are_drawn_in_blocks(self):
+        tracemalloc.start()
+        try:
+            self._TENFOLD.ab_mc(0.0, 1.0, 150, 20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20  # one whole batch of prefixes' rows is 46 MiB
+
 
 class TestConditionallyIidOracle:
     def test_posterior_concentrates_on_mixture_component(self):
@@ -514,6 +539,19 @@ def test_mean_difference_draws_each_input_once(monkeypatch, count):
     functions = [suite_function(kind, n) for kind in _FUNCTIONS[:count]]
     mean_difference(functions, _T_SPEC, gaussian_comparison(n), replicates, seed=3)
     assert sum(drawn) == 2 * replicates * n  # X and Y, whatever the count
+
+
+def test_mean_difference_memory_does_not_grow_with_replicates():
+    n = 10
+    f = OpaqueFunction(suite_function("cos", n))  # no exact law: the Monte Carlo path
+    x_spec = IidFromDistribution(uniform(-math.sqrt(3.0), math.sqrt(3.0)), n)
+    tracemalloc.start()
+    try:
+        mean_difference([f], x_spec, gaussian_comparison(n), 2_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20  # one float per replicate alone is 15 MiB
 
 
 def test_swapping_report_samples_its_monte_carlo_functions_together():
