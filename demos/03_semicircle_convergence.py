@@ -9,7 +9,7 @@ distance, and Stieltjes-transform gaps on a small complex grid.
 
 import numpy as np
 
-from lindeberg.sampling import center_and_scale, derive_child, sample_exchangeable
+from lindeberg.sampling import derive_child, sample_exchangeable
 from lindeberg.spectral import (
     ENSEMBLES,
     eigenvalues,
@@ -17,6 +17,7 @@ from lindeberg.spectral import (
     thm13_experiment,
     wigner_matrix,
 )
+from lindeberg.standardize import center_and_scale
 
 Z_GRID = (1j, 2j, 1 + 1j)
 

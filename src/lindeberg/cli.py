@@ -48,6 +48,7 @@ _LAZY = {
     "fd_agreement_check": "resolvent",
     "trace_bound_check": "resolvent",
     "ENSEMBLES": "spectral",
+    "check_z": "spectral",
     "semicircle_cdf": "spectral",
     "semicircle_density": "spectral",
     "semicircle_stieltjes": "spectral",
@@ -367,7 +368,7 @@ def run_wigner_sweep(cfg: ExperimentConfig):
     if cfg.ensemble not in _cli.ENSEMBLES:
         raise ValueError(f"unknown ensemble {cfg.ensemble!r}")
     N_list = [int(N) for N in (cfg.N_list or suites.SWEEP_N_VALUES)]
-    z_grid = [complex(z) for z in (suites.Z_GRID if cfg.z_grid is None else cfg.z_grid)]
+    z_grid = [_cli.check_z(z) for z in (suites.Z_GRID if cfg.z_grid is None else cfg.z_grid)]
     rows = []
     for N in N_list:
         cell = ("--N", N, f"ensemble {cfg.ensemble}")

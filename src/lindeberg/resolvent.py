@@ -16,23 +16,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .functions import GProfile, finite_difference
-from .spectral import _require_symmetric, upper_triangle_size, wigner_matrix
-
-
-# Outside this range |Im z|^4 leaves the normal floats, and the trace bounds
-# overflow to inf (a check against them then cannot fail) or raise.
-_IM_Z_RANGE = (1e-75, 1e75)
-
-
-def _check_z(z: complex) -> complex:
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("z must have a nonzero imaginary part")
-    lo, hi = _IM_Z_RANGE
-    if not lo <= abs(z.imag) <= hi:
-        raise ValueError(f"|Im z| must lie in [{lo:g}, {hi:g}] for finite trace bounds; "
-                         f"got {abs(z.imag):g}")
-    return z
+from .spectral import _require_symmetric, check_z, upper_triangle_size, wigner_matrix
 
 
 class ResolventWorkspace:
@@ -47,7 +31,7 @@ class ResolventWorkspace:
         a = np.asarray(matrix, dtype=float)
         _require_symmetric(a, "matrix must be symmetric")
         self.matrix = a
-        self.z = _check_z(z)
+        self.z = check_z(z)
         self.eigenvalues, self.vectors = np.linalg.eigh(a)
         self.G = (self.vectors / (self.eigenvalues - self.z)) @ self.vectors.T
 
@@ -169,7 +153,7 @@ def fd_agreement_check(N_values, tuples: int, z: complex, rng) -> FdAgreement:
     extended-precision solve per order.  Steps are powers of two so the
     perturbed points carry no representation error.
     """
-    z = _check_z(z)
+    z = check_z(z)
     worst = [0.0, 0.0, 0.0]
     cases = []
     for _ in range(tuples):
@@ -218,7 +202,7 @@ class DerivativeBounds:
 
 
 def trace_bounds(v: float, N: int) -> DerivativeBounds:
-    av = abs(_check_z(complex(0.0, v)).imag)
+    av = abs(check_z(complex(0.0, v)).imag)
     t1 = 2.0 / (av ** 2 * math.sqrt(N))
     t2 = 2.0 / (av ** 3 * N)
     t3 = 2.0 ** 1.5 / (av ** 4 * N ** 1.5)
@@ -278,9 +262,7 @@ class Lemma41Constants:
 def lemma41_constants(b1: float, b2: float, b3: float, v: float, N: int) -> Lemma41Constants:
     if min(b1, b2, b3) < 0:
         raise ValueError("derivative bounds must be nonnegative")
-    if v == 0:
-        raise ValueError("Im z must be nonzero")
-    r = 1.0 / abs(_check_z(complex(0.0, v)).imag)
+    r = 1.0 / abs(check_z(complex(0.0, v)).imag)
     # Powers of 1/|v| up to the sixth: for |v| = 1e-60 they overflow, and
     # for |v| = 1e60 they underflow toward 0, as the constants do.  C1 >= K1
     # and C2 >= K2, so two finite C's mean every constant is finite.

@@ -6,10 +6,10 @@ counter-based splitter so parallel Monte Carlo stays reproducible.  Every
 law and spec checks its fields where it is built, and nowhere else.  Each
 vector spec states what the swapping bound needs of its law and nothing
 else: the A_i/B_i discrepancies where an exact route exists (a Monte Carlo
-route besides, where one is implemented), the absolute third moment where a
-closed form exists, and the law of a ridge argument w.X + b as a quadrature
-where one exists.  Choosing between exact and Monte Carlo routes is left to
-``swap``.
+route besides, where one is implemented), the absolute third moment or a
+closed-form cap on it, and the law of a ridge argument w.X + b as a
+quadrature where one exists.  Choosing between exact and Monte Carlo routes
+is left to ``swap``.
 """
 
 from __future__ import annotations
@@ -17,16 +17,15 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import product
 from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .standardize import center_and_scale
 
-# Relative threshold below which a sample standard deviation is treated as
-# an exact zero (constant vector up to rounding).
-_DEGENERATE_RTOL = 1e-13
+_MASK64 = (1 << 64) - 1
 
 
 def derive_child(seed: int, index: int) -> int:
@@ -408,9 +407,9 @@ def _common_weight(weights):
 # ---------------------------------------------------------------------------
 # Exchangeable / weakly dependent vector specs.  Each class checks its fields
 # where it is built and nowhere else, and owns its sampler (``sample``) and
-# its law's oracles: ``ab_exact`` and ``abs_third_moment`` (None without an
-# exact route or closed form), ``ridge_law``, and ``ab_mc`` where a Monte
-# Carlo route for A_i/B_i exists.  Its JSON form is its constructor's parameters.
+# its law's oracles: ``ab_exact`` (None without an exact route), ``ridge_law``,
+# ``abs_third_moment`` (closed forms only), and ``ab_mc`` where a Monte Carlo
+# route for A_i/B_i exists.  Its JSON form is its constructor's parameters.
 # ---------------------------------------------------------------------------
 
 
@@ -632,13 +631,14 @@ class MarkovChain:
             raise ValueError(f"markov kernel must be {k} x {k}, each row nonnegative "
                              "and summing to 1 within 1e-12")
 
-    def _step_distribution(self, i: int) -> np.ndarray:
-        """Law of the state at step i (1-based)."""
+    @cached_property
+    def _step_laws(self) -> tuple:
+        """The laws of the state at steps 1..n, each the one before times the kernel."""
         kernel = np.asarray(self.kernel)
-        dist = np.asarray(self.initial, dtype=float)
-        for _ in range(i - 1):
-            dist = dist @ kernel
-        return dist
+        laws = [np.asarray(self.initial, dtype=float)]
+        for _ in range(self.n - 1):
+            laws.append(laws[-1] @ kernel)
+        return tuple(laws)
 
     def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
         """Inverse-cdf draws from one row-major block of uniforms: column 0 goes
@@ -660,15 +660,13 @@ class MarkovChain:
         if i == 1:
             return _marginal_ab(float(np.dot(self.initial, states)),
                                 float(np.dot(self.initial, states * states)), y_mean, y_second)
-        prev = self._step_distribution(i - 1)
-        cond_mean = kernel @ states
-        cond_sq = kernel @ (states * states)
-        a = float(np.dot(prev, np.abs(cond_mean - y_mean)))
-        b = float(np.dot(prev, np.abs(cond_sq - y_second)))
+        prev = self._step_laws[i - 2]
+        a = float(np.dot(prev, np.abs(kernel @ states - y_mean)))
+        b = float(np.dot(prev, np.abs(kernel @ (states * states) - y_second)))
         return ABEstimate(a, 0.0, b, 0.0, True)
 
     def abs_third_moment(self, i: int):
-        return float(np.dot(self._step_distribution(i), np.abs(self.states) ** 3))
+        return float(np.dot(self._step_laws[i - 1], np.abs(self.states) ** 3))
 
     def ridge_law(self, weights, offset: float):
         """Exact atoms when every weight is equal: the sum is fixed by how often
@@ -848,15 +846,20 @@ class ConditionallyIid:
                                  math.hypot(self.mixing.sigma * total,
                                             self.scale * float(np.linalg.norm(w))))
 
-    def abs_third_moment(self, i: int):
-        """Exact under Gaussian mixing (X_i ~ N(m, tau^2 + scale^2)); infinite
-        when the mixing law's third absolute moment is."""
-        if isinstance(self.mixing, Gaussian):
-            m, tau = self.mixing.mu, self.mixing.sigma
-            return Gaussian(m, math.sqrt(tau * tau + self.scale ** 2)).abs_moment(3)
-        if self.mixing.abs_moment(3) == math.inf:
-            return math.inf
-        return None
+    def abs_third_moment(self, i: int) -> float:
+        """Exact under Gaussian mixing (X_i ~ N(m, tau^2 + scale^2)), at scale 0 and
+        where E|theta|^3 = inf; else min((E X_i^4)^{3/4}, ((E|theta|^3)^{1/3} +
+        (E|scale Z|^3)^{1/3})^3), the Lyapunov and Minkowski caps (docs/derivations.md)."""
+        mixing, s = self.mixing, self.scale
+        if isinstance(mixing, Gaussian):
+            sd = math.sqrt(mixing.sigma * mixing.sigma + s ** 2)
+            return Gaussian(mixing.mu, sd).abs_moment(3)
+        m3 = mixing.abs_moment(3)
+        if s == 0.0 or m3 == math.inf:
+            return m3
+        minkowski = _pow(m3 ** (1 / 3) + Gaussian(0.0, s).abs_moment(3) ** (1 / 3), 3)
+        fourth = mixing.abs_moment(4) + s * s * (6.0 * mixing.second_moment() + 3.0 * s * s)
+        return min(minkowski, fourth ** 0.75)
 
 
 ExchangeableSpec = Union[MultisetPermutation, IidFromDistribution, MarkovChain, ConditionallyIid]
@@ -940,45 +943,6 @@ def sample_exchangeable(spec: ExchangeableSpec, seed: int,
     """One draw from the spec's law, shape (n,); written into ``out``, a
     float64 array of that shape, when given."""
     return sample_batch(spec, seed, 1, None if out is None else out[None])[0]
-
-
-# ---------------------------------------------------------------------------
-# Standardization and the Gaussian summary vector
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StandardizedVector:
-    """Sample mean, sample sd (divisor n), and the standardized coordinates."""
-
-    mu_hat: float
-    sigma_hat: float
-    x_tilde: np.ndarray
-
-
-def center_and_scale(x, out: np.ndarray | None = None) -> StandardizedVector:
-    """Standardize ``x`` to mean 0 and mean-square 1 (divisor n).
-
-    A constant vector is a success, not an error: sigma_hat is then exactly 0
-    and the standardized coordinates are returned as zeros.  One temporary
-    of x's size serves the squares and then the standardized coordinates:
-    ``out``, a float64 array of x's shape that does not overlap x, when given.
-    """
-    x = np.asarray(x, dtype=float)
-    mu = float(x.mean())
-    d = np.subtract(x, mu, out=out)
-    sigma = float(np.sqrt(np.mean(np.square(d, out=d))))
-    if sigma <= _DEGENERATE_RTOL * (1.0 + abs(mu)):
-        d.fill(0.0)
-        return StandardizedVector(mu, 0.0, d)
-    np.subtract(x, mu, out=d)
-    return StandardizedVector(mu, sigma, np.divide(d, sigma, out=d))
-
-
-def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
-    """Gaussian summary mu + sigma * (z - mean(z)) along the last axis; its mean is mu."""
-    z = np.asarray(z, dtype=float)
-    return mu_hat + sigma_hat * (z - z.mean(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from .sampling import (
     ExchangeableSpec,
     IidFromDistribution,
     balanced_signs,
-    center_and_scale,
     derive_child,
     gaussian,
     rng_from,
     sample_exchangeable,
     standardized_multiset,
 )
+from .standardize import center_and_scale
 
 _SYMMETRY_TOL = 1e-12
 
@@ -308,15 +308,29 @@ class EsdFunction:
         return e[np.concatenate(([True], e[1:] != e[:-1]))]
 
 
+# Outside this range |Im z|^4, and with it the resolvent's trace bounds, leaves
+# the normal floats; |z| <= 1e75 keeps z^2 and (1 + |z|)^2 well inside them.
+_IM_Z_RANGE = (1e-75, 1e75)
+
+
+def check_z(z: complex) -> complex:
+    """z as a complex number, when 1e-75 <= |Im z| and |z| <= 1e75; else ValueError."""
+    z = complex(z)
+    lo, hi = _IM_Z_RANGE
+    if not lo <= abs(z.imag) <= hi:
+        raise ValueError(f"|Im z| must lie in [{lo:g}, {hi:g}]; got {abs(z.imag):g}")
+    if not abs(z) <= hi:
+        raise ValueError(f"|z| must be at most {hi:g}; got {abs(z):g}")
+    return z
+
+
 def stieltjes_esd(eigs, z: complex) -> complex:
-    """mean(1 / (eig - z)) for z off the real axis.
+    """mean(1 / (eig - z)) for z in ``check_z``'s range.
 
     Its imaginary part shares the sign of Im z and its magnitude is capped
     by 1/|Im z|.
     """
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("z must have a nonzero imaginary part")
+    z = check_z(z)
     eigs = np.asarray(eigs, dtype=float)
     return complex(np.mean(1.0 / (eigs - z)))
 
@@ -327,8 +341,8 @@ def stieltjes_esd(eigs, z: complex) -> complex:
 
 
 def semicircle_density(x):
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2.0 * math.pi)
+    x = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)  # so that x * x cannot overflow
+    return np.sqrt(4.0 - x * x) / (2.0 * math.pi)
 
 
 def semicircle_cdf(x):
@@ -342,11 +356,10 @@ def semicircle_stieltjes(z: complex) -> complex:
     That root is (-z + z s) / 2 with s = sqrt(1 - 4/z^2) the principal square
     root, which selects the branch with |m| <= 1/|Im z| on either half-plane.
     The two roots multiply to 1, so it is computed as the reciprocal of the
-    other, -2 / (z + z s), which does not cancel for large |z|.
+    other, -2 / (z + z s), which does not cancel for large |z|.  z must lie in
+    ``check_z``'s range, where z^2 neither under- nor overflows.
     """
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("z must have a nonzero imaginary part")
+    z = check_z(z)
     return -2.0 / (z + z * np.sqrt(1.0 - 4.0 / (z * z)))
 
 

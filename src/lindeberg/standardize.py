@@ -1,0 +1,53 @@
+"""Sample standardization (``center_and_scale``) and the Gaussian summary
+vector (``build_y``) that the exchangeable summarization bound compares X with.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+# Relative threshold below which a sample standard deviation is treated as
+# an exact zero (constant vector up to rounding).
+_DEGENERATE_RTOL = 1e-13
+
+
+@dataclass(frozen=True)
+class StandardizedVector:
+    """Sample mean, sample sd (divisor n), and the standardized coordinates."""
+
+    mu_hat: float
+    sigma_hat: float
+    x_tilde: np.ndarray
+
+
+def center_and_scale(x, out: np.ndarray | None = None) -> StandardizedVector:
+    """Standardize ``x`` to mean 0 and mean-square 1 (divisor n).
+
+    A constant vector is a success, not an error: sigma_hat is then exactly 0
+    and the standardized coordinates are returned as zeros; a mean or sd that
+    overflows, or is not a number, raises ValueError.  One temporary of x's
+    size serves the squares and then the standardized coordinates: ``out``, a
+    float64 array of x's shape that does not overlap x, when given.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        mu = float(x.mean())
+        d = np.subtract(x, mu, out=out)
+        sigma = float(np.sqrt(np.mean(np.square(d, out=d))))
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ValueError(f"the sample mean and sd must be finite floats; "
+                         f"got mu_hat = {mu:g}, sigma_hat = {sigma:g}")
+    if sigma <= _DEGENERATE_RTOL * (1.0 + abs(mu)):
+        d.fill(0.0)
+        return StandardizedVector(mu, 0.0, d)
+    np.subtract(x, mu, out=d)
+    return StandardizedVector(mu, sigma, np.divide(d, sigma, out=d))
+
+
+def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
+    """Gaussian summary mu + sigma * (z - mean(z)) along the last axis; its mean is mu."""
+    z = np.asarray(z, dtype=float)
+    return mu_hat + sigma_hat * (z - z.mean(axis=-1, keepdims=True))

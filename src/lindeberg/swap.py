@@ -3,10 +3,10 @@
 Compares Ef(X) against Ef(Y) for Y with independent components by replacing
 coordinates one at a time.  The bound needs the conditional-moment
 discrepancies A_i, B_i, a third-moment cap M3, and sup bounds on the first
-three unmixed partials of f.  Each input takes the spec's exact route where
-it has one and seeded Monte Carlo otherwise: the discrepancies, the
-third-moment cap, and the true difference, which comes from the laws of the
-ridge argument w.X + b where both specs have one.
+three unmixed partials of f.  M3 is always taken from closed forms.  The
+discrepancies and the true difference take the spec's exact route where it
+has one and seeded Monte Carlo otherwise; the difference comes from the laws
+of the ridge argument w.X + b where both specs have one.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .sampling import (
     row_blocks,
     sample_batch,
 )
-
-_MC_MOMENT_REPLICATES = 100_000
 
 
 @dataclass
@@ -109,30 +107,13 @@ def estimate_ab_all(spec, y_mean, y_second, replicates: int = 0, seed: int = 0):
     return a, b
 
 
-def third_moment_bound(x_spec, y_spec, seed: int = 0) -> float:
-    """max_i (E|X_i|^3 + E|Y_i|^3), exact where closed forms exist.
-
-    An infinite moment makes the cap infinite; Monte Carlo is used only
-    where a spec has no closed form.  Its draws come in row blocks from one
-    generator, and each block's first row carries the column sums so far, so
-    the rows are summed in the order of one whole batch.
-    """
+def third_moment_bound(x_spec, y_spec) -> float:
+    """max_i E|X_i|^3 + max_i E|Y_i|^3, a cap on max_i (E|X_i|^3 + E|Y_i|^3) from
+    each spec's closed forms (exact, or a closed-form cap); infinite when a
+    moment is."""
     n = x_spec.n
-
-    def per_spec(spec):
-        vals = [spec.abs_third_moment(i) for i in range(1, n + 1)]
-        if all(v is not None for v in vals):
-            return max(vals)
-        rng = rng_from(derive_child(seed, 97))
-        sums = np.zeros(n)
-        for block in row_blocks(_MC_MOMENT_REPLICATES, n):
-            cubes = np.abs(sample_batch(spec, rng, block.stop - block.start))
-            np.power(cubes, 3, out=cubes)
-            cubes[0] += sums
-            sums = cubes.sum(axis=0)
-        return float((sums / _MC_MOMENT_REPLICATES).max())
-
-    return per_spec(x_spec) + per_spec(y_spec)
+    return sum(max(spec.abs_third_moment(i) for i in range(1, n + 1))
+               for spec in (x_spec, y_spec))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +220,10 @@ def swapping_report(functions, x_spec, y_spec, replicates: int, seeds,
     """Bound-versus-estimate reports, one per function, for one (X, Y) pair.
 
     A, B, the third-moment cap and the laws of the ridge arguments depend on
-    (X, Y) only, so they are computed once and shared; the A/B and moment
-    seeds derive from the first function's seed.  Each function's difference
-    is exact where both specs have a law for its ridge argument that resolves
-    it, else Monte Carlo: the functions without an exact difference share one
+    (X, Y) only, so they are computed once and shared; the A/B seeds derive
+    from the first function's seed.  Each function's difference is exact
+    where both specs have a law for its ridge argument that resolves it, else
+    Monte Carlo: the functions without an exact difference share one
     ``mean_difference`` call, seeded with the first such function's seed.  Y
     must have independent components; its per-coordinate moments are taken
     from the spec's closed forms.
@@ -254,7 +235,7 @@ def swapping_report(functions, x_spec, y_spec, replicates: int, seeds,
     y_mean = y_spec.dist.mean()
     y_second = y_spec.dist.second_moment()
     A, B = estimate_ab_all(x_spec, y_mean, y_second, ab_replicates, derive_child(seeds[0], 2))
-    m3 = third_moment_bound(x_spec, y_spec, derive_child(seeds[0], 3))
+    m3 = third_moment_bound(x_spec, y_spec)
     laws = {}
     exact = [_exact_difference(f, x_spec, y_spec, laws) for f in functions]
     mc = [k for k, value in enumerate(exact) if value is None]

@@ -140,6 +140,39 @@ def test_resolvent_check_rejects_z_outside_the_trace_bound_range(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["semicircle-table", "--z", "1e155j"], "|Im z| must lie in [1e-75, 1e+75]"),
+    (["semicircle-table", "--z", "1e300+1j"], "|z| must be at most 1e+75"),
+    (["semicircle-table", "--z", "1e-200j"], "|Im z| must lie in [1e-75, 1e+75]"),
+    (["semicircle-table", "--z", "1e-160j"], "|Im z| must lie in [1e-75, 1e+75]"),
+    (["wigner-sweep", "--N", "2", "--seeds", "1", "--z", "1e-320j"],
+     "|Im z| must lie in [1e-75, 1e+75]"),
+], ids=["huge-im", "huge-re", "tiny-im", "tiny-im-root", "sweep-subnormal-im"])
+def test_z_outside_the_float_range_exits_2(tmp_path, capsys, argv, message):
+    # these raised OverflowError or ZeroDivisionError, or failed stieltjes_root
+    assert run_cli([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm12-check", "--multiset", "1e308,-1e308", "--replicates", "10"],
+    ["identities", "--multiset", "1e308,-1e308,0"],
+], ids=["thm12-check", "identities"])
+def test_multiset_whose_sd_overflows_exits_2(tmp_path, capsys, argv):
+    # thm12-check once standardized it to zeros and passed with bound 0
+    assert run_cli([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: the sample mean and sd must be finite floats; "
+                                       "got mu_hat = 0, sigma_hat = inf\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_semicircle_table_accepts_the_ends_of_the_z_range(tmp_path):
+    zs = "1e75j,1e-75j,1e75+1e-75j,-1e75-1e-75j,-7e74+7e74j,3e-75-1e-75j"
+    assert run_cli(["semicircle-table", "--z", zs, "--out", str(tmp_path)]) == 0
+
+
 def test_thm11_single_cell(tmp_path):
     out = tmp_path / "s"
     code = run_cli(["thm11-check", "--specs", "iid-uniform", "--n", "5",

@@ -26,9 +26,10 @@ from lindeberg.exchangeable import (
 )
 from lindeberg.functions import (GProfile, QuadraticMean, RidgeFunction, cos_profile,
                                  inv_quad_profile, sum_ridge)
-from lindeberg.sampling import (IidFromDistribution, MultisetPermutation, RunningMean, build_y,
-                                center_and_scale, derive_child, rng_from, row_blocks,
-                                sample_batch, standardized_multiset, uniform)
+from lindeberg.sampling import (IidFromDistribution, MultisetPermutation, RunningMean,
+                                derive_child, rng_from, row_blocks, sample_batch,
+                                standardized_multiset, uniform)
+from lindeberg.standardize import build_y, center_and_scale
 from lindeberg.suites import ramp_multiset, summarization_function
 
 IDENTITY = GProfile("identity", lambda u: u, np.ones_like, np.zeros_like, np.zeros_like,

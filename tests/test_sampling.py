@@ -18,8 +18,6 @@ from lindeberg.sampling import (
     MultisetPermutation,
     RunningMean,
     balanced_signs,
-    build_y,
-    center_and_scale,
     derive_child,
     gaussian,
     sample_batch,
@@ -30,6 +28,7 @@ from lindeberg.sampling import (
     uniform,
 )
 from lindeberg.spectral import contaminated_wigner
+from lindeberg.standardize import build_y, center_and_scale
 from lindeberg.swap import estimate_ab, lindeberg_bound
 
 
@@ -148,6 +147,16 @@ class TestCenterAndScale:
             assert std.sigma_hat == sigma > 0.0
             assert np.array_equal(std.x_tilde, (x - mu) / sigma)
 
+
+    @pytest.mark.parametrize("values", [
+        [1e308, -1e308], [1e308, -1e308, 0.0], [1.7e308, 1.7e308], [1.0, math.nan],
+        [math.inf, 0.0],
+    ], ids=["sd-overflows", "sd-overflows-3", "mean-overflows", "nan", "inf"])
+    def test_nonfinite_mean_or_sd_raises(self, values, recwarn):
+        # an overflowing sd once standardized every value to 0 with no error
+        with pytest.raises(ValueError, match="must be finite floats"):
+            center_and_scale(values)
+        assert not recwarn.list  # no overflow warning reaches the caller
 
     @pytest.mark.parametrize("kind", ["random", "degenerate"])
     def test_out_receives_the_same_bytes(self, kind):

@@ -15,7 +15,6 @@ from lindeberg.sampling import (
     Finite,
     IidFromDistribution,
     MultisetPermutation,
-    center_and_scale,
     sample_exchangeable,
 )
 from lindeberg.spectral import (
@@ -41,6 +40,7 @@ from lindeberg.spectral import (
     upper_triangle_size,
     wigner_matrix,
 )
+from lindeberg.standardize import center_and_scale
 
 
 def draw_wigner(spec, seed):

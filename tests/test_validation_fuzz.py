@@ -1,20 +1,26 @@
 """Fuzzed input validation: malformed configs and spec documents raise only
 ValueError, which ``main`` prints as one ``error:`` line and exits 2 on.
 
-No command runs here.  A config goes through the path ``main`` takes up to
-the command: a JSON file read by ``build_config`` (``ExperimentConfig.from_dict``
-and its range checks).  A spec document goes through ``spec_from_dict``.
+A config goes through the path ``main`` takes up to the command: a JSON file
+read by ``build_config`` (``ExperimentConfig.from_dict`` and its range
+checks).  A spec document goes through ``spec_from_dict``.  Last, whole
+commands run through ``main`` on flags that ``build_config`` accepts, at tiny
+sizes and with extreme values, and must exit 0, 1 or 2 without raising or
+letting numpy warn of an overflow or an invalid value.
 """
 
+import contextlib
 import inspect
+import io
 import json
+import warnings
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindeberg import cli
+from lindeberg import cli, suites
 from lindeberg.sampling import _LAW_TYPES, _SPEC_TYPES, spec_from_dict
 
 # JSON numbers: small counts, any int (beyond a float's range too), any float
@@ -136,3 +142,79 @@ def test_config_documents_raise_only_value_error(config_path, command, data):
     config_path.write_text(json.dumps(data.draw(_configs(command))))
     args = _PARSER.parse_args([command, "--config", str(config_path)])
     _raises_only_value_error(cli.build_config, args)
+
+
+# Floats from the subnormals to the largest, of either sign, and the non-finite ones.
+_EXTREME_FLOATS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.builds(lambda m, k: float(f"{m}e{k}"), st.integers(-9, 9), st.integers(-324, 308)),
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -0.0,
+                     float("inf"), float("nan")]),
+)
+
+
+def _power(sign_choices):
+    return st.builds(lambda sign, m, k: f"{sign}{m}e{k}", st.sampled_from(sign_choices),
+                     st.integers(1, 9), st.integers(-320, 320))
+
+
+# z strings whose parts run from 1e-320 to 1e320, pure imaginary or not
+_Z_TEXT = st.one_of(
+    st.builds(lambda im: f"{im}j", _power(["", "-"])),
+    st.builds(lambda re, im: f"{re}{im}j", _power(["", "-"]), _power(["+", "-"])),
+    st.sampled_from(["1j", "2j", "1+1j", "0.5-0.5j"]),
+)
+
+
+def _joined(strategy, max_size):
+    return st.lists(strategy, min_size=1, max_size=max_size).map(
+        lambda values: ",".join(str(v) for v in values))
+
+
+# Every flag a command may read.  The sizing flags are given, at tiny sizes, as
+# a default size is far larger; only --n is left out now and then where
+# --multiset can set n.  The other flags are given now and then.
+_SIZES = {
+    "replicates": st.integers(2, 40).map(str),
+    "n_list": _joined(st.integers(1, 5), 2),
+    "N_list": _joined(st.integers(1, 5), 2),
+    "seeds": st.integers(1, 2).map(str),
+    "trials": st.integers(1, 3).map(str),
+    "tuples": st.integers(1, 2).map(str),
+}
+_OPTIONS = {
+    "multiset": _joined(_EXTREME_FLOATS, 4),
+    "x_values": _joined(_EXTREME_FLOATS, 3),
+    "z_grid": _joined(_Z_TEXT, 3),
+    "ensemble": st.sampled_from(cli._ENSEMBLE_NAMES),
+    "specs": _joined(st.sampled_from(suites.SWAPPING_SPEC_KINDS), 2),
+    "functions": _joined(st.sampled_from(suites.SUITE_FUNCTION_KINDS), 2),
+}
+
+
+@st.composite
+def _argv(draw, command, out):
+    argv = [command, f"--seed={draw(st.integers(0, 2 ** 64 - 1))}", f"--out={out}"]
+    for key in cli._READS[command]:
+        flag = cli._FLAGS[key][0]
+        if key in _SIZES and not (key == "n_list" and draw(st.booleans())
+                                  and "multiset" in cli._READS[command]):
+            argv.append(f"{flag}={draw(_SIZES[key])}")
+        elif key in _OPTIONS and draw(st.booleans()):
+            argv.append(f"{flag}={draw(_OPTIONS[key])}")
+    return argv
+
+
+# 100 runs of each of the six commands
+@pytest.mark.parametrize("command", sorted(cli._READS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_commands_on_accepted_flags_exit_0_1_or_2(tmp_path_factory, command, data):
+    argv = data.draw(_argv(command, tmp_path_factory.getbasetemp() / "runs"))
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        # numpy warns where a value leaves the floats: raise there instead, so a
+        # run that goes on with an inf or a NaN it did not check fails here
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
