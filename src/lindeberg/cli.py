@@ -249,8 +249,7 @@ def _swapping_group(spec, label, f_kinds, replicates, seeds):
     n = spec.n
     y_spec = suites.gaussian_comparison(n)
     functions = [suites.suite_function(f_kind, n) for f_kind in f_kinds]
-    reports = _cli.swapping_report(functions, spec, y_spec, replicates, seeds,
-                                   ab_replicates=suites.AB_REPLICATES)
+    reports = _cli.swapping_report(functions, spec, y_spec, replicates, seeds)
     return [{
         "spec": label, "n": n, "function": f_kind, "bound": report.bound,
         "first_order": report.components["first_order"],

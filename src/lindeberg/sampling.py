@@ -5,11 +5,10 @@ reproduces the same vector, and replicate streams are derived with a
 counter-based splitter so parallel Monte Carlo stays reproducible.  Every
 law and spec checks its fields where it is built, and nowhere else.  Each
 vector spec states what the swapping bound needs of its law and nothing
-else: the A_i/B_i discrepancies where an exact route exists (a Monte Carlo
-route besides, where one is implemented), the absolute third moment or a
-closed-form cap on it, and the law of a ridge argument w.X + b as a
-quadrature where one exists.  Choosing between exact and Monte Carlo routes
-is left to ``swap``.
+else: the A_i/B_i discrepancies where an exact route exists and closed-form
+caps on them where none does, the absolute third moment or a closed-form cap
+on it, and the law of a ridge argument w.X + b as a quadrature where one
+exists.  Choosing between exact routes and caps is left to ``swap``.
 """
 
 from __future__ import annotations
@@ -194,7 +193,10 @@ class Uniform(_ParamLaw):
         psi(t) = prod_j E e^{i w_j t (X_j - EX_j)} is real.  The density is summed
         over k = 1..1024 at the points of [-R, R] spaced R / 400 apart, by
         Clenshaw's recurrence, and integrated by the trapezoid rule; the check
-        rule takes 724 terms and a spacing sqrt(2) times wider.
+        rule takes 724 terms and a spacing sqrt(2) times wider.  With one nonzero
+        weight the sum is uniform on [centre - R, centre + R], whose density
+        jumps at the ends: Gauss-Legendre rules of 64 and 45 nodes on that
+        interval integrate it instead.
         """
         w = np.asarray(weights, dtype=float)
         half = 0.5 * self.high - 0.5 * self.low
@@ -204,6 +206,14 @@ class Uniform(_ParamLaw):
             return None
         if radius == 0.0:
             return RidgeLaw(np.array([centre]), np.ones(1))
+        if np.count_nonzero(w) == 1:
+            from numpy.polynomial.legendre import leggauss
+
+            def legendre(nodes: int) -> RidgeLaw:
+                x, weights = leggauss(nodes)
+                return RidgeLaw(centre + radius * x, 0.5 * weights)
+
+            return replace(legendre(64), check=legendre(45))
         centred = Uniform(-half, half)
         scales, counts = np.unique(np.abs(w), return_counts=True)
 
@@ -408,31 +418,31 @@ def _common_weight(weights):
 # Exchangeable / weakly dependent vector specs.  Each class checks its fields
 # where it is built and nowhere else, and owns its sampler (``sample``) and
 # its law's oracles: ``ab_exact`` (None without an exact route), ``ridge_law``,
-# ``abs_third_moment`` (closed forms only), and ``ab_mc`` where a Monte Carlo
-# route for A_i/B_i exists.  Its JSON form is its constructor's parameters.
+# ``abs_third_moment`` (closed forms only), and ``ab_cap`` (closed-form caps on
+# A_i/B_i) where ``ab_exact`` can return None.  Its JSON form is its
+# constructor's parameters.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ABEstimate:
-    """Discrepancies A_i, B_i with their Monte Carlo stderrs (zero when exact)."""
+    """Discrepancies A_i, B_i: their values when ``exact``, else closed-form caps on them."""
 
     a: float
-    a_stderr: float
     b: float
-    b_stderr: float
     exact: bool
 
 
 def _marginal_ab(m1: float, m2: float, y_mean: float, y_second: float) -> ABEstimate:
     """A_i, B_i when X_i's conditional moments are its marginal ones, m1 = E X_i and
     m2 = E X_i^2: for i = 1, whose prefix is empty, and for independent coordinates."""
-    return ABEstimate(abs(m1 - y_mean), 0.0, abs(m2 - y_second), 0.0, True)
+    return ABEstimate(abs(m1 - y_mean), abs(m2 - y_second), True)
 
 
-def _ab_from_draws(da: np.ndarray, db: np.ndarray) -> ABEstimate:
-    """Monte Carlo A_i, B_i from per-replicate discrepancies (overwritten)."""
-    return ABEstimate(*RunningMean().add(da).result(), *RunningMean().add(db).result(), False)
+def _jensen_cap(l1: float, shift: float, spread: float) -> float:
+    """min(l1, sqrt(shift^2 + spread)), the L1 and L2 caps on E|E(V | X_<i) - c|
+    (docs/derivations.md); inf where a moment is."""
+    return min(l1, math.sqrt(shift * shift + spread))
 
 
 def _prefix_count_distribution(counts: Sequence[int], k: int):
@@ -548,21 +558,19 @@ class MultisetPermutation:
             cond_sq = (total_sq - float(np.dot(values * values, combo))) / rest
             a += p * abs(cond_mean - y_mean)
             b += p * abs(cond_sq - y_second)
-        return ABEstimate(a, 0.0, b, 0.0, True)
+        return ABEstimate(a, b, True)
 
-    def ab_mc(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
-        """Monte Carlo over prefixes, drawn in row blocks from one generator and
-        kept as sums and sums of squares; the inner conditional moments stay exact."""
-        rng = rng_from(seed)
-        sums, squares = np.empty(replicates), np.empty(replicates)
-        for block in row_blocks(replicates, self.n):
-            prefixes = sample_batch(self, rng, block.stop - block.start)[:, : i - 1]
-            sums[block] = prefixes.sum(axis=1)
-            squares[block] = np.square(prefixes, out=prefixes).sum(axis=1)
-        rest = self.n - (i - 1)
-        cond_mean = (self.values.sum() - sums) / rest
-        cond_sq = (np.square(self.values).sum() - squares) / rest
-        return _ab_from_draws(np.abs(cond_mean - y_mean), np.abs(cond_sq - y_second))
+    def ab_cap(self, y_mean, y_second, i) -> ABEstimate:
+        """For V = X_i or X_i^2 against its target c: mean |v - c| over the values
+        of V, or the root of (mean - c)^2 plus the variance of the mean of the
+        n - k values a k-prefix leaves (k = i - 1), whichever is smaller."""
+        n, k = self.n, i - 1
+        share = k / ((n - 1) * (n - k)) if k else 0.0
+        values = self.values
+        a, b = (_jensen_cap(float(np.mean(np.abs(v - c))), float(np.mean(v)) - c,
+                            share * float(np.var(v)))
+                for v, c in ((values, y_mean), (values * values, y_second)))
+        return ABEstimate(a, b, False)
 
     def abs_third_moment(self, i: int):
         return float(np.mean(np.abs(self.values) ** 3))
@@ -663,7 +671,7 @@ class MarkovChain:
         prev = self._step_laws[i - 2]
         a = float(np.dot(prev, np.abs(kernel @ states - y_mean)))
         b = float(np.dot(prev, np.abs(kernel @ (states * states) - y_second)))
-        return ABEstimate(a, 0.0, b, 0.0, True)
+        return ABEstimate(a, b, True)
 
     def abs_third_moment(self, i: int):
         return float(np.dot(self._step_laws[i - 1], np.abs(self.states) ** 3))
@@ -749,9 +757,12 @@ def _abs_shifted_square_mean(mu: float, sigma: float, c: float) -> float:
     return mean - 2.0 * inside
 
 
-# Fresh prior draws per replicate of the nested Monte Carlo, which runs in
-# ``row_blocks``: each (rows x prior draws) weight matrix is 1 MiB.
-_MC_PRIOR_DRAWS = 512
+def _variance(mean: float, second: float) -> float:
+    """second - mean^2, plus 16 ulps of ``second`` for the rounding of the two
+    moments and the subtraction, which cancels when the spread is small."""
+    if not math.isfinite(second):
+        return math.inf
+    return max(second - mean * mean, 0.0) + 16.0 * np.finfo(float).eps * second
 
 
 @dataclass(frozen=True)
@@ -789,7 +800,7 @@ class ConditionallyIid:
         (scale^2 + k tau^2), and E(X_i^2 | X_<i) = M^2 + v_k + scale^2 with
         the posterior variance v_k = tau^2 scale^2 / (scale^2 + k tau^2).
         """
-        s2 = self.scale ** 2
+        s2 = self.scale * self.scale
         if i == 1:
             return _marginal_ab(self.mixing.mean(), self.mixing.second_moment() + s2,
                                 y_mean, y_second)
@@ -804,36 +815,20 @@ class ConditionallyIid:
             var_k = k * tau2 * tau2 / (s2 + k * tau2)
             v_k = tau2 * s2 / (s2 + k * tau2)
         sd = math.sqrt(var_k)
-        return ABEstimate(_folded_normal_mean(m - y_mean, sd), 0.0,
-                          _abs_shifted_square_mean(m, sd, v_k + s2 - y_second), 0.0, True)
+        return ABEstimate(_folded_normal_mean(m - y_mean, sd),
+                          _abs_shifted_square_mean(m, sd, v_k + s2 - y_second), True)
 
-    def ab_mc(self, y_mean, y_second, i, replicates, seed) -> ABEstimate:
-        """Nested Monte Carlo: posterior moments by self-normalized prior weights.
-
-        Each replicate draws theta and a prefix of k = i - 1 observations,
-        then weights 512 fresh prior draws by the prefix likelihood.  That
-        likelihood depends on the prefix only through its sum S, so the sum
-        is drawn directly and log w = (theta S - k theta^2 / 2) / scale^2.
-        """
-        k = i - 1
-        s2 = self.scale ** 2
-        rng = rng_from(seed)
-        theta0 = np.asarray(self.mixing.sample(rng, replicates), dtype=float)
-        if k and s2 == 0.0:  # noiseless observations reveal theta
-            return _ab_from_draws(np.abs(theta0 - y_mean), np.abs(theta0 * theta0 - y_second))
-        sums = k * theta0 + self.scale * math.sqrt(k) * rng.standard_normal(replicates)
-        inv_s2 = 1.0 / s2 if k else 0.0  # an empty prefix leaves the prior weights equal
-        post_mean = np.empty(replicates)
-        post_sq = np.empty(replicates)
-        for rows in row_blocks(replicates, _MC_PRIOR_DRAWS):
-            thetas = np.asarray(self.mixing.sample(rng, (rows.stop - rows.start, _MC_PRIOR_DRAWS)),
-                                dtype=float)
-            logw = (thetas * sums[rows, None] - 0.5 * k * thetas * thetas) * inv_s2
-            w = np.exp(logw - logw.max(axis=1, keepdims=True))
-            w /= w.sum(axis=1, keepdims=True)
-            post_mean[rows] = np.einsum("ij,ij->i", w, thetas)
-            post_sq[rows] = np.einsum("ij,ij->i", w, thetas * thetas)
-        return _ab_from_draws(np.abs(post_mean - y_mean), np.abs(post_sq + s2 - y_second))
+    def ab_cap(self, y_mean, y_second, i) -> ABEstimate:
+        """For any mixing law, as E(X_i | X_<i) = E(theta | X_<i) and E(X_i^2 | X_<i) =
+        E(theta^2 | X_<i) + scale^2: A_i <= min(E|theta| + |c|, sqrt(E(theta - c)^2))
+        with c = EY_i, and B_i <= min(E theta^2 + |a|, sqrt(E(theta^2 - a)^2)) with
+        a = EY_i^2 - scale^2.  A moment with no closed form counts as inf."""
+        law = self.mixing
+        m1, m2 = law.mean(), law.second_moment()
+        abs1, m4 = (math.inf if m is None else m for m in (law.abs_moment(1), law.abs_moment(4)))
+        a = y_second - self.scale * self.scale
+        return ABEstimate(_jensen_cap(abs1 + abs(y_mean), m1 - y_mean, _variance(m1, m2)),
+                          _jensen_cap(m2 + abs(a), m2 - a, _variance(m2, m4)), False)
 
     def ridge_law(self, weights, offset: float):
         """Under Gaussian mixing, b + w.X ~ N(b + m sum(w), tau^2 sum(w)^2 + scale^2 |w|^2);

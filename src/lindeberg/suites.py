@@ -56,9 +56,8 @@ def suite_function(kind: str, n: int) -> RidgeFunction:
 SWAPPING_SPEC_KINDS = ("iid-uniform", "multiset-rademacher", "markov-two-state")
 SUITE_FUNCTION_KINDS = ("cos", "inv_quad", "logistic_step")
 SWAPPING_N_VALUES = (5, 20, 50)
-# Monte Carlo replicates per Thm 1.1 cell, and for A_i/B_i where no exact route exists.
+# Monte Carlo replicates per Thm 1.1 cell without an exact difference.
 SWAPPING_REPLICATES = 100_000
-AB_REPLICATES = 20_000
 
 
 def ramp_multiset(n: int):

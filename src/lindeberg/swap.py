@@ -3,10 +3,11 @@
 Compares Ef(X) against Ef(Y) for Y with independent components by replacing
 coordinates one at a time.  The bound needs the conditional-moment
 discrepancies A_i, B_i, a third-moment cap M3, and sup bounds on the first
-three unmixed partials of f.  M3 is always taken from closed forms.  The
-discrepancies and the true difference take the spec's exact route where it
-has one and seeded Monte Carlo otherwise; the difference comes from the laws
-of the ridge argument w.X + b where both specs have one.
+three unmixed partials of f.  M3 is always taken from closed forms, and so
+are the discrepancies: their exact values where the spec has an exact route,
+closed-form caps on them otherwise.  The true difference comes from the laws
+of the ridge argument w.X + b where both specs have one, and from seeded
+Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -79,29 +80,23 @@ def bound_components(A, B, M3, L1, L2, L3) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def estimate_ab(spec: ExchangeableSpec, y_mean: float, y_second: float, i: int,
-                replicates: int = 0, seed: int = 0) -> ABEstimate:
+def estimate_ab(spec: ExchangeableSpec, y_mean: float, y_second: float, i: int) -> ABEstimate:
     """Discrepancies A_i = E|E(X_i | X_<i) - EY_i| and the squared analogue B_i.
 
-    The spec's ``ab_exact`` (zero stderr) where it has an exact route, else its
-    ``ab_mc`` over ``replicates`` draws seeded with ``seed``.
+    The spec's ``ab_exact`` where it has an exact route, else its ``ab_cap``,
+    closed-form upper bounds on both (``exact`` False).
     """
     exact = spec.ab_exact(y_mean, y_second, i)
-    if exact is not None:
-        return exact
-    if replicates <= 0:
-        raise ValueError(f"no exact A/B route for this {spec.variant} spec at i = {i}; "
-                         "give a Monte Carlo budget")
-    return spec.ab_mc(y_mean, y_second, i, replicates, seed)
+    return exact if exact is not None else spec.ab_cap(y_mean, y_second, i)
 
 
-def estimate_ab_all(spec, y_mean, y_second, replicates: int = 0, seed: int = 0):
-    """Arrays (A, B) over i = 1..n, using a derived seed per coordinate."""
+def estimate_ab_all(spec, y_mean, y_second):
+    """Arrays (A, B) over i = 1..n, exact or capped."""
     n = spec.n
     a = np.empty(n)
     b = np.empty(n)
     for i in range(1, n + 1):
-        est = estimate_ab(spec, y_mean, y_second, i, replicates, derive_child(seed, i))
+        est = estimate_ab(spec, y_mean, y_second, i)
         a[i - 1] = est.a
         b[i - 1] = est.b
     return a, b
@@ -215,18 +210,16 @@ def _exact_difference(f: SmoothFunction, x_spec, y_spec, laws: dict):
     return x_mean[0] - y_mean[0], x_mean[1] + y_mean[1]
 
 
-def swapping_report(functions, x_spec, y_spec, replicates: int, seeds,
-                    ab_replicates: int = 0) -> list:
+def swapping_report(functions, x_spec, y_spec, replicates: int, seeds) -> list:
     """Bound-versus-estimate reports, one per function, for one (X, Y) pair.
 
     A, B, the third-moment cap and the laws of the ridge arguments depend on
-    (X, Y) only, so they are computed once and shared; the A/B seeds derive
-    from the first function's seed.  Each function's difference is exact
-    where both specs have a law for its ridge argument that resolves it, else
-    Monte Carlo: the functions without an exact difference share one
-    ``mean_difference`` call, seeded with the first such function's seed.  Y
-    must have independent components; its per-coordinate moments are taken
-    from the spec's closed forms.
+    (X, Y) only, so they are computed once and shared.  Each function's
+    difference is exact where both specs have a law for its ridge argument
+    that resolves it, else Monte Carlo: the functions without an exact
+    difference share one ``mean_difference`` call, seeded with the first such
+    function's seed.  Y must have independent components; its per-coordinate
+    moments are taken from the spec's closed forms.
     """
     if not isinstance(y_spec, IidFromDistribution):
         raise ValueError("the comparison vector must have independent components")
@@ -234,7 +227,7 @@ def swapping_report(functions, x_spec, y_spec, replicates: int, seeds,
         raise ValueError("give one seed per function, and at least one function")
     y_mean = y_spec.dist.mean()
     y_second = y_spec.dist.second_moment()
-    A, B = estimate_ab_all(x_spec, y_mean, y_second, ab_replicates, derive_child(seeds[0], 2))
+    A, B = estimate_ab_all(x_spec, y_mean, y_second)
     m3 = third_moment_bound(x_spec, y_spec)
     laws = {}
     exact = [_exact_difference(f, x_spec, y_spec, laws) for f in functions]

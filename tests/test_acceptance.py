@@ -43,7 +43,6 @@ from lindeberg.sampling import derive_child, rng_from, standardized_multiset
 from lindeberg.spectral import ENSEMBLES, rank_inequality_check, thm13_experiment
 from lindeberg.swap import swapping_report
 from lindeberg.suites import (
-    AB_REPLICATES,
     IDENTITY_N_VALUES,
     LIMITS,
     RESOLVENT_N_VALUES,
@@ -163,8 +162,7 @@ def test_criterion_06_swapping_bound_domination(criterion_report):
                 rep, = swapping_report(
                     [suite_function(f_kind, n)], swapping_spec(spec_kind, n),
                     gaussian_comparison(n), replicates=SWAPPING_REPLICATES,
-                    seeds=[derive_child(MASTER_SEED, 600 + idx)],
-                    ab_replicates=AB_REPLICATES)
+                    seeds=[derive_child(MASTER_SEED, 600 + idx)])
                 idx += 1
                 if not rep.dominates():
                     failures.append((spec_kind, n, f_kind))

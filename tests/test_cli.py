@@ -30,6 +30,14 @@ def read_rows(out_dir: Path, command: str):
         return list(csv.DictReader(fh))
 
 
+def test_thm11_single_uniform_coordinate_is_exact(tmp_path):
+    # n = 1 rows were Monte Carlo with a 2-draw stderr, and this seed failed domination
+    code = run_cli(["thm11-check", "--n", "1,3", "--specs", "iid-uniform,iid-uniform",
+                    "--replicates", "2", "--seed", "10166366", "--out", str(tmp_path)])
+    assert code == 0
+    assert {row["estimate_kind"] for row in read_rows(tmp_path, "thm11-check")} == {"exact"}
+
+
 def test_identities_with_explicit_multiset(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["identities", "--n", "5", "--multiset", "-2,-1,0,1,2",

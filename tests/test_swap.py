@@ -15,8 +15,10 @@ from lindeberg.sampling import (
     IidFromDistribution,
     MarkovChain,
     MultisetPermutation,
+    Uniform,
     derive_child,
     gaussian,
+    rng_from,
     row_blocks,
     sample_batch,
     standardized_multiset,
@@ -27,13 +29,14 @@ from lindeberg.swap import (
     BoundReport,
     bound_components,
     estimate_ab,
+    estimate_ab_all,
     lindeberg_bound,
     mean_difference,
     swapping_report,
     telescoping_difference,
     third_moment_bound,
 )
-from lindeberg.suites import gaussian_comparison, suite_function, swapping_spec
+from lindeberg.suites import gaussian_comparison, ramp_multiset, suite_function, swapping_spec
 
 
 class TestLindebergBound:
@@ -96,7 +99,7 @@ class TestEstimateAB:
         assert oracle_b == pytest.approx(2.0 / 9.0, abs=1e-15)
 
         est = estimate_ab(MultisetPermutation(values), 0.0, 2.0 / 3.0, i=2)
-        assert est.exact and est.a_stderr == 0.0
+        assert est.exact
         assert est.a == pytest.approx(oracle_a, abs=1e-15)
         assert est.b == pytest.approx(oracle_b, abs=1e-15)
 
@@ -172,75 +175,138 @@ class TestEstimateAB:
         values = np.ones(50)
         values[:25] = -1.0
         est = estimate_ab(MultisetPermutation(tuple(values)), 0.0, 1.0, i=30)
-        assert est.exact and est.a_stderr == 0.0
+        assert est.exact
 
-    def test_monte_carlo_prefix_mode_agrees_with_enumeration(self):
-        rng_vals = tuple(np.random.default_rng(3).standard_normal(12))
-        spec = MultisetPermutation(rng_vals)
-        exact = estimate_ab(spec, 0.0, 1.0, i=7)
-        assert exact.exact
-        mc = spec.ab_mc(0.0, 1.0, 7, replicates=40_000, seed=5)
-        assert not mc.exact and mc.a_stderr > 0
-        assert abs(mc.a - exact.a) <= 4 * mc.a_stderr
-        assert abs(mc.b - exact.b) <= 4 * mc.b_stderr
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]) | st.floats(-3.0, 3.0),
+                    min_size=1, max_size=10),
+           st.floats(-1.0, 1.0), st.floats(0.0, 3.0))
+    def test_cap_dominates_enumeration_under_the_budget(self, values, y_mean, y_second):
+        spec = MultisetPermutation(values)
+        for i in range(1, spec.n + 1):
+            exact, cap = estimate_ab(spec, y_mean, y_second, i), spec.ab_cap(y_mean, y_second, i)
+            assert exact.exact and not cap.exact
+            # at i = n the L1 cap is A_n and B_n themselves, summed another way
+            assert cap.a >= exact.a * (1.0 - 1e-12) - 1e-15
+            assert cap.b >= exact.b * (1.0 - 1e-12) - 1e-15
 
-    def test_distinct_values_beyond_budget_need_replicates(self):
+    def test_distinct_values_beyond_budget_are_capped(self):
         values = tuple(np.random.default_rng(8).standard_normal(40))
         spec = MultisetPermutation(values)
-        with pytest.raises(ValueError, match="budget"):
-            estimate_ab(spec, 0.0, 1.0, i=20)
-        est = estimate_ab(spec, 0.0, 1.0, i=20, replicates=5_000, seed=2)
-        assert not est.exact and est.a_stderr > 0
+        assert spec.ab_exact(0.0, 1.0, 20) is None
+        est = estimate_ab(spec, 0.0, 1.0, i=20)
+        assert est == spec.ab_cap(0.0, 1.0, 20) and not est.exact
 
-    # 30 values, ten copies each: n = 300, far past the enumeration budget
-    _TENFOLD = MultisetPermutation(np.repeat(np.linspace(-1.5, 1.5, 30), 10))
-
-    @pytest.mark.parametrize("i", [1, 2, 150, 300])
+    @pytest.mark.parametrize("i", [2, 150, 300])
     def test_monte_carlo_prefixes_equal_one_whole_batch(self, i):
-        spec, replicates = self._TENFOLD, 2 * next(row_blocks(1 << 30, 300)).stop + 11
-        prefixes = sample_batch(spec, 9, replicates)[:, : i - 1]
+        # the prefix-sum reference at i is the mean over one whole batch of the
+        # drawn (i - 1)-prefixes; the cap of the tenfold multiset is checked against it
+        spec, rows = _TENFOLD, 4_000
+        prefixes = sample_batch(spec, 9, rows)[:, : i - 1]
         rest = spec.n - (i - 1)
         cond_mean = (spec.values.sum() - prefixes.sum(axis=1)) / rest
         cond_sq = (np.square(spec.values).sum() - np.square(prefixes).sum(axis=1)) / rest
-        a, b = np.abs(cond_mean - 0.1), np.abs(cond_sq - 0.9)
-        expected = (a.mean(), a.std(ddof=1) / math.sqrt(replicates),
-                    b.mean(), b.std(ddof=1) / math.sqrt(replicates))
-        mc = spec.ab_mc(0.1, 0.9, i, replicates, seed=9)
-        assert (mc.a, mc.a_stderr, mc.b, mc.b_stderr) == expected
+        a, a_se, b, b_se = _prefix_sum_reference(spec, 0.0, 1.0, rows, seed=9)
+        for d, mean, se in ((np.abs(cond_mean), a, a_se), (np.abs(cond_sq - 1.0), b, b_se)):
+            assert mean[i - 1] == pytest.approx(d.mean(), rel=1e-9, abs=1e-12)
+            assert se[i - 1] == pytest.approx(d.std(ddof=1) / math.sqrt(rows), rel=1e-9, abs=1e-12)
+        cap = estimate_ab(spec, 0.0, 1.0, i)
+        assert not cap.exact
+        assert a[i - 1] - 4 * a_se[i - 1] <= cap.a <= 2.5 * a[i - 1]
+        assert b[i - 1] - 4 * b_se[i - 1] <= cap.b <= 2.5 * b[i - 1]
 
-    def test_monte_carlo_prefixes_are_drawn_in_blocks(self):
-        tracemalloc.start()
-        try:
-            self._TENFOLD.ab_mc(0.0, 1.0, 150, 20_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20  # one whole batch of prefixes' rows is 46 MiB
+
+def _prefix_sum_reference(spec, y_mean, y_second, rows, seed):
+    """Monte Carlo A_i, B_i at every i, with their stderrs, from the prefix sums of
+    ``rows`` drawn permutations: the values left after a k-prefix have mean
+    (total - S_k) / (n - k), which is E(X_{k+1} | X_<k+1)."""
+    x = sample_batch(spec, seed, rows)
+    n = spec.n
+    rest = n - np.arange(n)
+    result = []
+    for v, c in ((x, y_mean), (x * x, y_second)):
+        prefix = np.zeros((rows, n))
+        np.cumsum(v[:, :-1], axis=1, out=prefix[:, 1:])
+        d = np.abs((v.sum(axis=1, keepdims=True) - prefix) / rest - c)
+        result += [d.mean(axis=0), d.std(axis=0, ddof=1) / math.sqrt(rows)]
+    return result
+
+
+# 30 values, ten copies each: n = 300, far past the enumeration budget
+_TENFOLD = MultisetPermutation(np.repeat(np.linspace(-1.5, 1.5, 30), 10))
+
+
+@pytest.mark.parametrize("spec, indices", [
+    (ramp_multiset(50), range(2, 51)),
+    (ramp_multiset(300), [*range(2, 301, 7), 300]),
+], ids=["ramp-50", "ramp-300"])
+def test_multiset_caps_against_prefix_sum_reference(spec, indices):
+    # measured: cap / reference 1.00-1.28 on the ramps; at i = n the L1 cap is
+    # exact, and the ratio is 1 up to the reference's Monte Carlo error
+    a, a_se, b, b_se = _prefix_sum_reference(spec, 0.0, 1.0, 4_000, seed=9)
+    for i in indices:
+        cap = estimate_ab(spec, 0.0, 1.0, i)
+        assert not cap.exact
+        assert a[i - 1] - 4 * a_se[i - 1] <= cap.a <= 2.5 * a[i - 1]
+        assert b[i - 1] - 4 * b_se[i - 1] <= cap.b <= 2.5 * b[i - 1]
+
+
+def test_estimate_ab_draws_nothing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("A and B come from closed forms")
+
+    for cls in (MultisetPermutation, ConditionallyIid):
+        monkeypatch.setattr(cls, "sample", no_draws)
+    for spec in (_TENFOLD, ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 0.5, 40)):
+        a, b = estimate_ab_all(spec, 0.0, 1.0)
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+
+
+def _posterior_reference(mixing, scale, k, y_mean, y_second, rows, seed):
+    """Monte Carlo A_{k+1}, B_{k+1} with their stderrs over the prefix sum
+    S = k theta + scale sqrt(k) Z, of the exact posterior moments of theta given S,
+    whose likelihood is exp((theta S - k theta^2 / 2) / scale^2): a sum over the
+    atoms of a finite law, else a trapezoid rule over theta (on the support of a
+    uniform law; on S / k +- 12 likelihood sds for Student t)."""
+    rng = rng_from(seed)
+    theta = mixing.sample(rng, rows)
+    sums = k * theta + scale * math.sqrt(k) * rng.standard_normal(rows)
+    if isinstance(mixing, Finite):
+        nodes = np.asarray(mixing.values)[None, :]
+        log_prior = np.log(mixing.probs)
+    elif isinstance(mixing, Uniform):
+        nodes = np.linspace(mixing.low, mixing.high, 801)[None, :]
+        log_prior = np.zeros(801)
+        log_prior[[0, -1]] = math.log(0.5)  # the trapezoid's end weights
+    else:
+        nodes = sums[:, None] / k + scale / math.sqrt(k) * np.linspace(-12.0, 12.0, 961)
+        log_prior = -0.5 * (mixing.df + 1.0) * np.log1p(nodes * nodes / mixing.df)
+    log_w = log_prior + (nodes * sums[:, None] - 0.5 * k * nodes * nodes) / scale ** 2
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    da = np.abs((w * nodes).sum(axis=1) - y_mean)
+    db = np.abs((w * nodes * nodes).sum(axis=1) + scale ** 2 - y_second)
+    root = math.sqrt(rows)
+    return da.mean(), da.std(ddof=1) / root, db.mean(), db.std(ddof=1) / root
 
 
 class TestConditionallyIidOracle:
     def test_posterior_concentrates_on_mixture_component(self):
-
-        # two well-separated means: after two observations the posterior
-        # mean sits near the drawn component, so A_3 is close to E|theta|
-        spec = ConditionallyIid(Finite((-3.0, 3.0), (0.5, 0.5)), "gaussian_mean", 0.5, 5)
-        est = estimate_ab(spec, 0.0, 1.0, i=3, replicates=400, seed=12)
-        assert not est.exact and est.a_stderr > 0
-        assert est.a == pytest.approx(3.0, abs=0.3)
-
-    def test_zero_budget_rejected(self):
-
-        # uniform mixing has no closed-form posterior, so it still needs MC
-        spec = ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 1.0, 4)
-        with pytest.raises(ValueError):
-            estimate_ab(spec, 0.0, 1.0, i=2, replicates=0)
+        # two well-separated means: after two observations the posterior mean
+        # sits near the drawn component, so A_3 is close to E|theta| = 3, and
+        # both caps are 3
+        mixing = Finite((-3.0, 3.0), (0.5, 0.5))
+        a, a_se, _, _ = _posterior_reference(mixing, 0.5, 2, 0.0, 1.0, 4_000, seed=12)
+        assert a == pytest.approx(3.0, abs=0.3)
+        cap = estimate_ab(ConditionallyIid(mixing, "gaussian_mean", 0.5, 5), 0.0, 1.0, i=3)
+        assert not cap.exact and cap.a == 3.0 and cap.a >= a - 4 * a_se
 
     def test_first_coordinate_exact_for_any_mixing(self):
 
         mixing = Finite((-1.0, 2.0), (0.6, 0.4))
         spec = ConditionallyIid(mixing, "gaussian_mean", 0.5, 4)
         est = estimate_ab(spec, 0.3, 1.0, i=1)
-        assert est.exact and est.a_stderr == 0.0 and est.b_stderr == 0.0
+        assert est.exact
         assert est.a == pytest.approx(abs(mixing.mean() - 0.3), abs=1e-15)
         assert est.b == pytest.approx(abs(mixing.second_moment() + 0.25 - 1.0), abs=1e-15)
 
@@ -268,7 +334,7 @@ class TestConditionallyIidOracle:
             signs.add(c > 0)
             sd = math.sqrt(var_k)
             r = math.sqrt(max(-c, 0.0))
-            assert est.exact and est.a_stderr == 0.0 and est.b_stderr == 0.0
+            assert est.exact
             assert est.a == pytest.approx(expect(lambda x: abs(x - y_mean), m, sd, [y_mean]),
                                           abs=1e-12)
             assert est.b == pytest.approx(expect(lambda x: abs(x * x + c), m, sd, [-r, r]),
@@ -288,22 +354,63 @@ class TestConditionallyIidOracle:
         est = estimate_ab(ConditionallyIid(gaussian(), "gaussian_mean", 0.0, 4), 0.0, 1.0, 3)
         assert est.a == pytest.approx(math.sqrt(2 / math.pi), abs=1e-15)
         assert est.b == pytest.approx(4 * math.exp(-0.5) / math.sqrt(2 * math.pi), abs=1e-15)
-        # the nested MC takes the same shortcut: theta ~ U(-1, 1), A = 1/2, B = 2/3
-        mc = estimate_ab(ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 0.0, 4),
-                         0.0, 1.0, 3, replicates=4_000, seed=6)
-        assert not mc.exact
-        assert abs(mc.a - 0.5) <= 4 * mc.a_stderr
-        assert abs(mc.b - 2 / 3) <= 4 * mc.b_stderr
+        # the same for theta ~ U(-1, 1), where A = E|theta| = 1/2 and B = E|theta^2 - 1|
+        # = 2/3: the L1 cap E|theta| + 0 is A itself, and the L2 cap on B is
+        # sqrt((1/3 - 1)^2 + Var theta^2) = sqrt(8/15)
+        cap = estimate_ab(ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 0.0, 4),
+                          0.0, 1.0, 3)
+        assert not cap.exact
+        assert cap.a == pytest.approx(0.5, rel=1e-15)
+        assert cap.b == pytest.approx(math.sqrt(8 / 15), rel=1e-14)
 
-    def test_nested_mc_agrees_with_exact_oracle(self):
+    @pytest.mark.parametrize("m", [0.0, 0.7])
+    def test_cap_dominates_the_conjugate_oracle(self, m):
+        # m != 0 has no closed form for E|theta| or E theta^4 here: those caps are inf
+        for tau, s, y_mean, y_second in itertools.product(
+                (0.0, 0.5, 1.2), (0.0, 0.3, 2.0), (0.0, 0.4, -1.0), (0.1, 1.0, 3.0)):
+            spec = ConditionallyIid(gaussian(m, tau), "gaussian_mean", s, 8)
+            for i in range(1, 9):
+                exact, cap = estimate_ab(spec, y_mean, y_second, i), spec.ab_cap(y_mean, y_second, i)
+                assert exact.exact and not cap.exact
+                # where s = 0 or a <= 0, a cap and the value are equal sums, rounded apart
+                assert cap.a >= exact.a * (1.0 - 1e-12) and cap.b >= exact.b * (1.0 - 1e-12)
 
-        spec = ConditionallyIid(gaussian(0.2, 0.5), "gaussian_mean", 0.75**0.5, 5)
-        for i in range(2, 6):
-            exact = estimate_ab(spec, 0.0, 1.0, i)
-            mc = spec.ab_mc(0.0, 1.0, i, replicates=4_000, seed=i)
-            assert exact.exact and not mc.exact and mc.a_stderr > 0
-            assert abs(mc.a - exact.a) <= 4 * mc.a_stderr
-            assert abs(mc.b - exact.b) <= 4 * mc.b_stderr
+    def test_cap_survives_cancellation_in_the_variance(self):
+        # E theta^2 - (E theta)^2 rounds to 0 at theta ~ N(1e8, 1e-4): the cap
+        # keeps a rounding allowance, so it stays above the exact A
+        spec = ConditionallyIid(gaussian(1e8, 1e-2), "gaussian_mean", 1.0, 3)
+        for i in (2, 3):
+            exact, cap = estimate_ab(spec, 1e8, 1.0, i), spec.ab_cap(1e8, 1.0, i)
+            assert exact.a > 0.0 and cap.a >= exact.a and cap.b >= exact.b
+
+    @pytest.mark.parametrize("mixing, scale", [
+        (Finite((-1.0, 2.0), (0.6, 0.4)), 1.0),
+        (uniform(-1.0, 1.0), 0.5),
+        (student_t(5.0), 1.0),
+        (student_t(5.0), 0.5),
+    ], ids=["finite", "uniform", "student_t5", "student_t5-s0.5"])
+    def test_mixture_caps_against_posterior_reference(self, mixing, scale):
+        # measured cap / reference: finite <= 1.16, uniform and t5 at s = 1 <= 1.31,
+        # t5 at s = 0.5 up to 1.83 (its B)
+        spec = ConditionallyIid(mixing, "gaussian_mean", scale, 9)
+        for i in (2, 3, 5, 9):
+            a, a_se, b, b_se = _posterior_reference(mixing, scale, i - 1, 0.0, 1.0, 2_000,
+                                                    seed=i)
+            cap = estimate_ab(spec, 0.0, 1.0, i)
+            assert not cap.exact
+            assert a - 4 * a_se <= cap.a <= 2.5 * a
+            assert b - 4 * b_se <= cap.b <= 2.5 * b
+
+    @pytest.mark.parametrize("df", [1.0, 2.0, 3.0, 4.0])
+    def test_heavy_tailed_mixing_caps_are_numbers(self, df):
+        # E|theta| = inf for df <= 1 and E theta^2 = inf for df <= 2; E theta^4 = inf
+        # for every df here, so only the L1 cap on B is finite, from df = 3 on
+        for s in (0.0, 0.5, 1.0):
+            spec = ConditionallyIid(student_t(df), "gaussian_mean", s, 4)
+            for i in range(2, 5):
+                est = estimate_ab(spec, 0.0, 1.0, i)
+                assert (est.a == math.inf) == (df <= 1.0) and est.a >= 0.0
+                assert (est.b == math.inf) == (df <= 2.0) and est.b >= 0.0
 
     def test_abs_third_moment(self):
 
@@ -536,6 +643,35 @@ def test_uniform_law_with_unequal_weights():
     assert report.estimate == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [20, 200, 2000])
+def test_second_order_term_is_nearly_the_whole_bound(n):
+    # X i.i.d. N(0, 1.2) against Y i.i.d. N(0, 1): A_i = 0 and B_i = 0.2 exactly, and
+    # f = cos(0.1 sum(x) / sqrt(n)) has L2 = 0.01 / n, so the B term is 0.001
+    # against |Ef(X) - Ef(Y)| = e^{-0.005} - e^{-0.006}.  The bound is 1.144, 1.049
+    # and 1.019 times that at n = 20, 200, 2000, so a halved B term fails it.
+    x = IidFromDistribution(gaussian(0.0, math.sqrt(1.2)), n)
+    f = RidgeFunction(cos_profile(), np.full(n, 0.1 / math.sqrt(n)))
+    report, = swapping_report([f], x, gaussian_comparison(n), 2, [0])
+    assert report.kind == "exact"
+    assert report.estimate == pytest.approx(math.exp(-0.006) - math.exp(-0.005), rel=1e-12)
+    assert report.components["first_order"] == 0.0
+    assert report.dominates()
+    assert report.bound <= 1.15 * abs(report.estimate)
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.0, -0.7, 0.0]], ids=["n1", "one-nonzero"])
+def test_uniform_law_with_one_nonzero_weight_is_exact(weights):
+    # w.U + b is uniform on [b - r, b + r], whose density jumps at the ends:
+    # E g = (G(b + r) - G(b - r)) / 2r for an antiderivative G of g
+    w, b, h = np.asarray(weights), 0.3, math.sqrt(3.0)
+    law = IidFromDistribution(uniform(-h, h), w.size).ridge_law(w, b)
+    r = h * np.abs(w).sum()
+    for g, antiderivative in ((np.cos, np.sin), (lambda u: 1.0 / (1.0 + u * u), np.arctan)):
+        value, error = law.expect(g)
+        expected = (antiderivative(b + r) - antiderivative(b - r)) / (2.0 * r)
+        assert value == pytest.approx(expected, abs=1e-14) and error <= 1e-14
+
+
 @pytest.mark.parametrize("states,initial,kernel", [
     ((-1.0, 2.0), (0.25, 0.75), ((0.7, 0.3), (0.4, 0.6))),
     ((-1.0, 0.5, 3.0), (0.2, 0.5, 0.3), ((0.6, 0.3, 0.1), (0.2, 0.2, 0.6), (0.5, 0.0, 0.5))),
@@ -557,15 +693,15 @@ def test_markov_ridge_law_matches_path_enumeration(states, initial, kernel):
 @pytest.mark.parametrize("x_spec", [
     IidFromDistribution(student_t(5.0), 4),
     ConditionallyIid(uniform(-1.0, 1.0), "gaussian_mean", 0.5, 4),
-    IidFromDistribution(uniform(-1.0, 1.0), 1),  # a jump in the density: not resolved
+    IidFromDistribution(Finite((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)), 4),
     # w.X ~ N(0, (20 pi)^2): cos reads 1 at every node of the step-0.1 grid in z
     IidFromDistribution(gaussian(0.0, 20.0 * math.pi), 4),
-], ids=["student_t", "uniform-mixing", "single-uniform", "aliased-gaussian"])
+], ids=["student_t", "uniform-mixing", "iid-finite", "aliased-gaussian"])
 def test_specs_without_an_exact_route_keep_monte_carlo(x_spec):
     n = x_spec.n
     f = suite_function("cos", n)
     y = gaussian_comparison(n)
-    report, = swapping_report([f], x_spec, y, 3_000, [5], ab_replicates=200)
+    report, = swapping_report([f], x_spec, y, 3_000, [5])
     assert report.kind == "mc" and report.replicates == 3_000
     assert [(report.estimate, report.stderr)] == mean_difference([f], x_spec, y, 3_000, 5)
 

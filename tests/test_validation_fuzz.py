@@ -6,7 +6,9 @@ read by ``build_config`` (``ExperimentConfig.from_dict`` and its range
 checks).  A spec document goes through ``spec_from_dict``.  Last, whole
 commands run through ``main`` on flags that ``build_config`` accepts, at tiny
 sizes and with extreme values, and must exit 0, 1 or 2 without raising or
-letting numpy warn of an overflow or an invalid value.
+letting numpy warn of an overflow or an invalid value; ``thm11-check`` also
+runs on accepted spec documents whose A/B are capped, and must reach its
+checks and write no NaN.
 """
 
 import contextlib
@@ -218,3 +220,48 @@ def test_commands_on_accepted_flags_exit_0_1_or_2(tmp_path_factory, command, dat
         warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(argv)
     assert code in (0, 1, 2)
+
+
+# Accepted spec documents of the kinds whose A/B are capped rather than exact: a
+# multiset of 18 to 30 distinct values, past the enumeration budget from i = 2
+# on, and conditionally i.i.d. specs with finite, uniform or Student t (df 1 to
+# 6) mixing.  Their numbers are of moderate size; values whose squares overflow
+# are a separate, recorded defect.
+_MODERATE = st.floats(-5.0, 5.0)
+_MIXING = st.one_of(
+    st.lists(st.tuples(_MODERATE, st.integers(1, 5)), min_size=1, max_size=4).map(
+        lambda atoms: {"kind": "finite", "values": [v for v, _ in atoms],
+                       "probs": [w / sum(w for _, w in atoms) for _, w in atoms]}),
+    st.tuples(_MODERATE, st.floats(1e-3, 5.0)).map(
+        lambda lw: {"kind": "uniform", "params": [lw[0], lw[0] + lw[1]]}),
+    st.floats(1.0, 6.0).map(lambda df: {"kind": "student_t", "params": [df]}),
+)
+_CAPPED_SPECS = st.one_of(
+    st.lists(st.floats(-1e3, 1e3), min_size=18, max_size=30, unique=True).map(
+        lambda values: {"variant": "multiset", "values": values}),
+    st.fixed_dictionaries({"variant": st.just("conditionally_iid"), "mixing": _MIXING,
+                           "conditional": st.just("gaussian_mean"),
+                           "scale": st.floats(0.0, 3.0), "n": st.integers(1, 6)}),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_CAPPED_SPECS, seed=st.integers(0, 2 ** 64 - 1), replicates=st.integers(2, 40),
+       functions=_joined(st.sampled_from(suites.SUITE_FUNCTION_KINDS), 3))
+def test_thm11_on_capped_spec_documents_runs_to_its_checks(tmp_path_factory, doc, seed,
+                                                           replicates, functions):
+    work = tmp_path_factory.getbasetemp() / "capped"
+    work.mkdir(exist_ok=True)
+    spec_path, out = work / "spec.json", work / "out"
+    spec_path.write_text(json.dumps(doc))
+    for stale in out.glob("*"):
+        stale.unlink()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["thm11-check", f"--seed={seed}", f"--out={out}",
+                         f"--spec-json={spec_path}", f"--replicates={replicates}",
+                         f"--functions={functions}"])
+    assert code in (0, 1)  # an accepted document never ends in an error line
+    for written in out.glob("*"):
+        assert "nan" not in written.read_text().lower()
