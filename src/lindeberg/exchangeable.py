@@ -17,8 +17,9 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
-from .sampling import (MultisetPermutation, RunningMean, derive_child, normal_quadrature,
-                       rng_from, row_blocks, sample_batch)
+from .laws import normal_quadrature
+from .sampling import RunningMean, derive_child, rng_from, row_blocks, sample_batch
+from .specs import MultisetPermutation
 from .standardize import build_y, center_and_scale
 from .swap import BoundReport
 

@@ -53,12 +53,33 @@ def cos_profile() -> GProfile:
                     np.sin, 1.0, 1.0, 1.0)
 
 
+# Up to this |u| no power of 1 + u^2 in inv_quad's derivatives overflows a
+# float (the fourth does past 3.7e38).
+_INV_QUAD_TAIL = 1e38
+
+
+def _with_tail(near, far):
+    """u -> near(u), or far(1 / u) where |u| > _INV_QUAD_TAIL."""
+
+    def h(u):
+        u = np.asarray(u)
+        tail = np.abs(u) > _INV_QUAD_TAIL
+        if not tail.any():
+            return near(u)
+        return np.where(tail, far(1.0 / np.where(tail, u, 1.0)), near(np.where(tail, 0.0, u)))
+
+    return h
+
+
 def inv_quad_profile() -> GProfile:
-    """g(u) = 1 / (1 + u^2), a smooth rational decay."""
-    g = lambda u: 1.0 / (1.0 + u * u)
-    d1 = lambda u: -2.0 * u / (1.0 + u * u) ** 2
-    d2 = lambda u: (6.0 * u * u - 2.0) / (1.0 + u * u) ** 3
-    d3 = lambda u: 24.0 * u * (1.0 - u * u) / (1.0 + u * u) ** 4
+    """g(u) = 1 / (1 + u^2), a smooth rational decay.  Past |u| = 1e38 each of
+    g, g', g'', g''' is its leading term in s = 1/u (exact to 1e-76 relative),
+    which goes to 0 without an overflow."""
+    g = _with_tail(lambda u: 1.0 / (1.0 + u * u), lambda s: s * s)
+    d1 = _with_tail(lambda u: -2.0 * u / (1.0 + u * u) ** 2, lambda s: -2.0 * s ** 3)
+    d2 = _with_tail(lambda u: (6.0 * u * u - 2.0) / (1.0 + u * u) ** 3, lambda s: 6.0 * s ** 4)
+    d3 = _with_tail(lambda u: 24.0 * u * (1.0 - u * u) / (1.0 + u * u) ** 4,
+                    lambda s: -24.0 * s ** 5)
     # sup|g'| = 3*sqrt(3)/8 at u = 1/sqrt(3); sup|g''| = 2 at u = 0;
     # sup|g'''| = 4.66856... at u^2 = 1 - 2/sqrt(5), rounded up.
     return GProfile("inv_quad", g, d1, d2, d3, 3.0 * math.sqrt(3.0) / 8.0, 2.0, 4.669)

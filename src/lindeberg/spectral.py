@@ -16,16 +16,16 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .laws import gaussian
 from .sampling import (
     ExchangeableSpec,
-    IidFromDistribution,
     balanced_signs,
     derive_child,
-    gaussian,
     rng_from,
     sample_exchangeable,
     standardized_multiset,
 )
+from .specs import IidFromDistribution
 from .standardize import center_and_scale
 
 _SYMMETRY_TOL = 1e-12

@@ -14,14 +14,9 @@ from .functions import (
     logistic_step_profile,
     sum_ridge,
 )
-from .sampling import (
-    IidFromDistribution,
-    MarkovChain,
-    balanced_signs,
-    gaussian,
-    standardized_multiset,
-    uniform,
-)
+from .laws import gaussian, uniform
+from .sampling import balanced_signs, standardized_multiset
+from .specs import IidFromDistribution, MarkovChain
 
 SQRT3 = math.sqrt(3.0)
 

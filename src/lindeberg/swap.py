@@ -19,15 +19,14 @@ import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
 from .sampling import (
-    ABEstimate,
     ExchangeableSpec,
-    IidFromDistribution,
     RunningMean,
     derive_child,
     rng_from,
     row_blocks,
     sample_batch,
 )
+from .specs import ABEstimate, IidFromDistribution
 
 
 @dataclass
@@ -65,14 +64,16 @@ def lindeberg_bound(A, B, M3: float, L1: float, L2: float, L3: float) -> float:
 
 def bound_components(A, B, M3, L1, L2, L3) -> dict:
     """The three terms of the bound.  A term whose derivative bound is zero
-    vanishes even when its moment is infinite (0 * inf counts as 0)."""
+    vanishes even when its moment is infinite (0 * inf counts as 0), and a
+    sum that overflows a float is infinite."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    return {
-        "first_order": 0.0 if L1 == 0 else float(A.sum() * L1),
-        "second_order": 0.0 if L2 == 0 else float(0.5 * B.sum() * L2),
-        "third_moment": 0.0 if L3 == 0 else float(A.size * L3 * M3 / 6.0),
-    }
+    with np.errstate(over="ignore"):
+        return {
+            "first_order": 0.0 if L1 == 0 else float(A.sum() * L1),
+            "second_order": 0.0 if L2 == 0 else float(0.5 * B.sum() * L2),
+            "third_moment": 0.0 if L3 == 0 else float(A.size * L3 * M3 / 6.0),
+        }
 
 
 # ---------------------------------------------------------------------------

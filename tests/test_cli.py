@@ -205,7 +205,7 @@ def test_thm12_small(tmp_path):
 def test_ab_runs_once_per_coordinate_of_each_spec_and_n(tmp_path, monkeypatch):
     from collections import Counter
 
-    from lindeberg.sampling import IidFromDistribution, MarkovChain, MultisetPermutation
+    from lindeberg.specs import IidFromDistribution, MarkovChain, MultisetPermutation
 
     calls = Counter()
     for cls in (IidFromDistribution, MarkovChain, MultisetPermutation):
@@ -493,7 +493,7 @@ def test_config_round_trip():
 
 
 def test_custom_spec_json_document(tmp_path):
-    from lindeberg.sampling import MultisetPermutation
+    from lindeberg.specs import MultisetPermutation
 
     spec_path = tmp_path / "spec.json"
     values = [-1.0, -1.0, 1.0, 1.0, 0.0]
@@ -627,6 +627,7 @@ _N01 = {"kind": "gaussian", "params": [0, 1]}
     _mixed(_N01, scale=-1.0),
     _mixed(_N01, scale=float("nan")),
     {"variant": "multiset", "values": [1.0, float("nan"), 2.0]},
+    {"variant": "multiset", "values": [1e200 * (k - 10) for k in range(20)]},
     {"variant": "markov", "states": [0.0, float("inf")], "initial": [0.5, 0.5],
      "kernel": [[0.5, 0.5], [0.5, 0.5]], "n": 3},
     {"variant": "markov", "states": [0.0, 1.0], "initial": [0.5, 0.5],
@@ -642,7 +643,7 @@ _N01 = {"kind": "gaussian", "params": [0, 1]}
         "uniform-empty", "uniform-width-overflow", "uniform-empty-mixing", "unknown-kind",
         "wrong-arity", "missing-params", "missing-probs", "negative-sigma", "zero-df",
         "probs-sum-1.1", "nan-param", "zero-n", "unknown-conditional", "negative-scale",
-        "nan-scale", "nan-multiset", "infinite-state", "nan-kernel", "gaussian-scale",
+        "nan-scale", "nan-multiset", "multiset-squares-overflow", "infinite-state", "nan-kernel", "gaussian-scale",
         "initial-wrong-length", "kernel-row-sum-1.1", "kernel-one-row", "negative-initial",
         "unknown-key", "unknown-law-key"])
 def test_bad_spec_json_exits_2(tmp_path, capsys, doc):
@@ -806,24 +807,33 @@ print(json.dumps([code, sorted(sys.modules), bound]))
 _TINY_THM11 = ["--functions", "cos", "--replicates", "200"]
 
 
-# Each run loads only the modules its subcommand calls; the rest are the
-# package modules (and numpy.ma) it must not load.  None of these runs solves
-# an order the two-stage eigensolver takes, so none binds OpenBLAS through
-# ctypes (numpy imports the ctypes module itself, so the binding is checked).
-@pytest.mark.parametrize("args, unused", [
-    ([], {"exchangeable", "spectral", "resolvent", "swap"}),
+# The package modules every run loads: argument handling, the laws and specs
+# that spec documents name, and the samplers.
+_ALWAYS_LOADED = {"cli", "suites", "functions", "sampling", "laws", "specs", "mixture",
+                  "standardize"}
+
+# Each run loads only the modules its subcommand calls: the package modules it
+# loads beyond ``_ALWAYS_LOADED``, and the package modules (and numpy.ma) it
+# must not load.  None of these runs solves an order the two-stage eigensolver
+# takes, so none binds OpenBLAS through ctypes (numpy imports the ctypes module
+# itself, so the binding is checked).
+@pytest.mark.parametrize("args, loads, unused", [
+    ([], set(), {"exchangeable", "spectral", "resolvent", "swap"}),
     (["thm11-check", "--n", "5", "--specs", "iid-uniform", *_TINY_THM11],
-     {"exchangeable", "spectral", "resolvent"}),
+     {"swap"}, {"exchangeable", "spectral", "resolvent"}),
     (["thm11-check", "--spec-json", "{spec}", *_TINY_THM11],
-     {"exchangeable", "spectral", "resolvent"}),
-    (["identities", "--n", "3"], {"spectral", "resolvent"}),
-    (["thm12-check", "--n", "5", "--replicates", "200"], {"spectral", "resolvent"}),
-    (["wigner-sweep", "--N", "20", "--seeds", "2"], {"exchangeable", "resolvent", "numpy.ma"}),
-    (["semicircle-table"], {"exchangeable", "resolvent"}),
-    (["resolvent-check", "--N", "3", "--tuples", "2", "--trials", "5"], {"exchangeable", "swap"}),
+     {"swap"}, {"exchangeable", "spectral", "resolvent"}),
+    (["identities", "--n", "3"], {"swap", "exchangeable"}, {"spectral", "resolvent"}),
+    (["thm12-check", "--n", "5", "--replicates", "200"], {"swap", "exchangeable"},
+     {"spectral", "resolvent"}),
+    (["wigner-sweep", "--N", "20", "--seeds", "2"], {"spectral"},
+     {"exchangeable", "resolvent", "numpy.ma"}),
+    (["semicircle-table"], {"spectral"}, {"exchangeable", "resolvent"}),
+    (["resolvent-check", "--N", "3", "--tuples", "2", "--trials", "5"],
+     {"spectral", "resolvent"}, {"exchangeable", "swap"}),
 ], ids=["import", "thm11-check", "thm11-check-spec-json", "identities", "thm12-check",
         "wigner-sweep", "semicircle-table", "resolvent-check"])
-def test_each_command_loads_only_the_modules_it_calls(tmp_path, args, unused):
+def test_each_command_loads_only_the_modules_it_calls(tmp_path, args, loads, unused):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"variant": "conditionally_iid",
                                 "mixing": {"kind": "gaussian", "params": [0.0, 0.5]},
@@ -840,6 +850,8 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, args, unused):
     code, modules, bound = json.loads(result.stdout.splitlines()[-1])
     assert code == 0
     names = {m.removeprefix("lindeberg.") for m in modules}
+    assert {m.removeprefix("lindeberg.") for m in modules
+            if m.startswith("lindeberg.")} == _ALWAYS_LOADED | loads
     assert not names & unused
     assert not bound
 

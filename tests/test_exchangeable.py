@@ -26,9 +26,10 @@ from lindeberg.exchangeable import (
 )
 from lindeberg.functions import (GProfile, QuadraticMean, RidgeFunction, cos_profile,
                                  inv_quad_profile, sum_ridge)
-from lindeberg.sampling import (IidFromDistribution, MultisetPermutation, RunningMean,
-                                derive_child, rng_from, row_blocks, sample_batch,
-                                standardized_multiset, uniform)
+from lindeberg.laws import uniform
+from lindeberg.sampling import (RunningMean, derive_child, rng_from, row_blocks, sample_batch,
+                                standardized_multiset)
+from lindeberg.specs import IidFromDistribution, MultisetPermutation
 from lindeberg.standardize import build_y, center_and_scale
 from lindeberg.suites import ramp_multiset, summarization_function
 
@@ -354,7 +355,7 @@ class TestSummarizationBound:
         assert abs(report.estimate) <= 1e-14
 
     def test_weakly_dependent_spec_rejected(self):
-        from lindeberg.sampling import MarkovChain
+        from lindeberg.specs import MarkovChain
 
         chain = MarkovChain((-1.0, 1.0), (0.5, 0.5), ((0.7, 0.3), (0.4, 0.6)), 3)
         with pytest.raises(TypeError):

@@ -94,6 +94,34 @@ def test_vectorized_evaluation_matches_scalar():
     assert vec[3] == pytest.approx(float(f(rows[3])))
 
 
+
+def test_inv_quad_goes_to_zero_past_the_tail_without_warning(recwarn):
+    profile = inv_quad_profile()
+    parts = (profile.value, profile.d1, profile.d2, profile.d3)
+    huge = np.array([1e162, -1e200, -1.7e308, np.inf])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is the point
+        for part in parts:
+            assert np.all(part(huge) == 0.0)
+            # where u^2 first overflows, g is a subnormal 1/u^2 and its derivatives are 0
+            assert np.all(np.abs(part(np.array([1.3e154, -1.4e154]))) < 1e-307)
+    # from 1e38 on, where the powers of 1 + u^2 would start to overflow, each part
+    # is its leading term in 1/u: the two forms agree to rounding either side of it
+    for part, leading in zip(parts, (lambda u: u ** -2.0, lambda u: -2.0 * u ** -3.0,
+                                     lambda u: 6.0 * u ** -4.0, lambda u: -24.0 * u ** -5.0)):
+        for u in (9e37, 1e38, 1.1e38, 1e60, -3e100):
+            assert float(part(u)) == pytest.approx(leading(u), rel=1e-14)
+    assert not recwarn.list
+
+
+def test_inv_quad_below_the_tail_is_the_plain_formula():
+    profile = inv_quad_profile()
+    scales = 10.0 ** np.arange(-3, 7).repeat(100)
+    u = np.concatenate([np.random.default_rng(3).standard_normal(1000) * scales,
+                        [0.0, -0.0, 1e38, -1e38, np.nan]])
+    assert np.array_equal(profile.value(u), 1.0 / (1.0 + u * u), equal_nan=True)
+    assert np.array_equal(profile.d3(u), 24.0 * u * (1.0 - u * u) / (1.0 + u * u) ** 4,
+                          equal_nan=True)
+
 def _taylor_residual(f: RidgeFunction, base, delta: float, i: int) -> float:
     """|f(base + delta e_i) - f(base) - delta f_i - delta^2/2 f_ii| for a ridge f;
     a third-derivative bound L3 caps it at |delta|^3 L3 / 6."""

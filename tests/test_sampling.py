@@ -10,23 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import spec_doc
+from lindeberg.laws import Finite, gaussian, student_t, uniform
+from lindeberg.mixture import ConditionallyIid
 from lindeberg.sampling import (
-    ConditionallyIid,
-    Finite,
-    IidFromDistribution,
-    MarkovChain,
-    MultisetPermutation,
     RunningMean,
     balanced_signs,
     derive_child,
-    gaussian,
     sample_batch,
     sample_exchangeable,
     spec_from_dict,
     standardized_multiset,
-    student_t,
-    uniform,
 )
+from lindeberg.specs import IidFromDistribution, MarkovChain, MultisetPermutation
 from lindeberg.spectral import contaminated_wigner
 from lindeberg.standardize import build_y, center_and_scale
 from lindeberg.swap import estimate_ab, lindeberg_bound
@@ -488,8 +483,49 @@ def test_uniform_mean_of_huge_bounds_is_finite():
     assert bound == pytest.approx(1.35e308, rel=1e-15)
 
 
+
+@pytest.mark.parametrize("values", [
+    [1e200 * (k - 10) for k in range(20)],  # stored as an array
+    [1e200] * 8 + [-1e200] * 8,  # stored as runs
+    [1.4e154, 1.4e154, 0.0],
+], ids=["array", "runs", "two-squares"])
+def test_multiset_whose_squares_overflow_is_rejected(values):
+    with pytest.raises(ValueError, match="the sum of their squares overflows a float"):
+        MultisetPermutation(values)
+
+
+def test_multiset_of_huge_values_has_moments_without_warning(recwarn):
+    spec = MultisetPermutation([1e150 * (k - 10) for k in range(20)])
+    assert spec.abs_third_moment(1) == math.inf  # the cubes overflow
+    exact = spec.ab_exact(0.0, 1.0, 1)
+    assert math.isfinite(exact.a) and math.isfinite(exact.b)
+    cap = spec.ab_cap(0.0, 1.0, 5)  # the squares of the squares' deviations overflow
+    assert math.isfinite(cap.a) and not math.isnan(cap.b) and cap.b >= exact.b
+    assert not recwarn.list
+
+
+def test_finite_law_moments_overflow_to_inf_without_warning(recwarn):
+    law = Finite((1e200, -1e200), (0.5, 0.5))
+    assert law.second_moment() == law.abs_moment(3) == math.inf
+    # an atom of probability 0 adds nothing, even where its power overflows
+    held = Finite((1e200, 2.0), (0.0, 1.0))
+    assert (held.second_moment(), held.abs_moment(3)) == (4.0, 8.0)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("tau, scale, a, b", [
+    (1e154, 0.0, 1e154 * math.sqrt(2.0 / math.pi), 1e308),  # tau^4 overflows, tau^2 does not
+    (1e200, 1.0, 1e200 * math.sqrt(2.0 / math.pi), math.inf),  # tau^2 overflows
+    (1.0, 1e200, 0.0, math.inf),  # scale^2 overflows: the data carry no weight
+])
+def test_gaussian_mixed_ab_where_powers_overflow(tau, scale, a, b, recwarn):
+    est = ConditionallyIid(gaussian(0.0, tau), "gaussian_mean", scale, 3).ab_exact(0.0, 1.0, 2)
+    assert est.exact
+    assert (est.a, est.b) == pytest.approx((a, b), rel=1e-12)
+    assert not recwarn.list
+
 def test_cosine_series_matches_the_table_of_cosines():
-    from lindeberg.sampling import _cosine_series, _symmetric_grid
+    from lindeberg.laws import _cosine_series, _symmetric_grid
 
     # the coefficients of an equal-weight uniform law at n = 5, and a rougher set
     for coefs in (np.sinc(np.arange(1, 1025) / 5.0) ** 5,

@@ -10,13 +10,10 @@ import pytest
 from scipy.integrate import quad
 
 from lindeberg import spectral
+from lindeberg.laws import Finite
 from lindeberg.resolvent import ResolventWorkspace
-from lindeberg.sampling import (
-    Finite,
-    IidFromDistribution,
-    MultisetPermutation,
-    sample_exchangeable,
-)
+from lindeberg.sampling import sample_exchangeable
+from lindeberg.specs import IidFromDistribution, MultisetPermutation
 from lindeberg.spectral import (
     _TILE,
     ENSEMBLES,

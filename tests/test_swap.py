@@ -9,22 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import OpaqueFunction
 from lindeberg.functions import RidgeFunction, cos_profile, logistic_step_profile, sum_ridge
+from lindeberg.laws import Finite, Uniform, gaussian, student_t, uniform
+from lindeberg.mixture import ConditionallyIid
 from lindeberg.sampling import (
-    ConditionallyIid,
-    Finite,
-    IidFromDistribution,
-    MarkovChain,
-    MultisetPermutation,
-    Uniform,
     derive_child,
-    gaussian,
     rng_from,
     row_blocks,
     sample_batch,
     standardized_multiset,
-    student_t,
-    uniform,
 )
+from lindeberg.specs import IidFromDistribution, MarkovChain, MultisetPermutation
 from lindeberg.swap import (
     BoundReport,
     bound_components,

@@ -7,14 +7,16 @@ checks).  A spec document goes through ``spec_from_dict``.  Last, whole
 commands run through ``main`` on flags that ``build_config`` accepts, at tiny
 sizes and with extreme values, and must exit 0, 1 or 2 without raising or
 letting numpy warn of an overflow or an invalid value; ``thm11-check`` also
-runs on accepted spec documents whose A/B are capped, and must reach its
-checks and write no NaN.
+runs on accepted spec documents, most with capped A/B: those of moderate
+numbers must reach its checks, those with numbers up to +-1e300 may instead
+be rejected with one ``error:`` line, and neither may write a NaN.
 """
 
 import contextlib
 import inspect
 import io
 import json
+import math
 import warnings
 from dataclasses import fields
 
@@ -23,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindeberg import cli, suites
-from lindeberg.sampling import _LAW_TYPES, _SPEC_TYPES, spec_from_dict
+from lindeberg.laws import _LAW_TYPES
+from lindeberg.sampling import _SPEC_TYPES, spec_from_dict
 
 # JSON numbers: small counts, any int (beyond a float's range too), any float
 _NUMBERS = st.one_of(
@@ -222,46 +225,80 @@ def test_commands_on_accepted_flags_exit_0_1_or_2(tmp_path_factory, command, dat
     assert code in (0, 1, 2)
 
 
-# Accepted spec documents of the kinds whose A/B are capped rather than exact: a
-# multiset of 18 to 30 distinct values, past the enumeration budget from i = 2
-# on, and conditionally i.i.d. specs with finite, uniform or Student t (df 1 to
-# 6) mixing.  Their numbers are of moderate size; values whose squares overflow
-# are a separate, recorded defect.
-_MODERATE = st.floats(-5.0, 5.0)
-_MIXING = st.one_of(
-    st.lists(st.tuples(_MODERATE, st.integers(1, 5)), min_size=1, max_size=4).map(
-        lambda atoms: {"kind": "finite", "values": [v for v, _ in atoms],
-                       "probs": [w / sum(w for _, w in atoms) for _, w in atoms]}),
-    st.tuples(_MODERATE, st.floats(1e-3, 5.0)).map(
-        lambda lw: {"kind": "uniform", "params": [lw[0], lw[0] + lw[1]]}),
-    st.floats(1.0, 6.0).map(lambda df: {"kind": "student_t", "params": [df]}),
-)
-_CAPPED_SPECS = st.one_of(
-    st.lists(st.floats(-1e3, 1e3), min_size=18, max_size=30, unique=True).map(
-        lambda values: {"variant": "multiset", "values": values}),
-    st.fixed_dictionaries({"variant": st.just("conditionally_iid"), "mixing": _MIXING,
-                           "conditional": st.just("gaussian_mean"),
-                           "scale": st.floats(0.0, 3.0), "n": st.integers(1, 6)}),
-)
+def _spec_documents(numbers):
+    """Accepted spec documents whose numbers ``numbers`` draws: a multiset of 18
+    to 30 distinct values, past the enumeration budget from i = 2 on (so its A/B
+    are capped), and conditionally i.i.d. specs with finite, uniform, Student t
+    (df 1 to 6; A/B capped) or Gaussian (A/B exact) mixing."""
+    positive = numbers.map(abs).filter(lambda v: v > 0.0)
+    mixing = st.one_of(
+        st.lists(st.tuples(numbers, st.integers(1, 5)), min_size=1, max_size=4).map(
+            lambda atoms: {"kind": "finite", "values": [v for v, _ in atoms],
+                           "probs": [w / sum(w for _, w in atoms) for _, w in atoms]}),
+        st.tuples(numbers, positive).map(lambda lw: [lw[0], lw[0] + lw[1]]).filter(
+            lambda params: 0.0 < params[1] - params[0] < math.inf).map(
+            lambda params: {"kind": "uniform", "params": params}),
+        st.floats(1.0, 6.0).map(lambda df: {"kind": "student_t", "params": [df]}),
+        st.tuples(numbers, positive).map(
+            lambda ms: {"kind": "gaussian", "params": [ms[0], ms[1]]}),
+    )
+    return st.one_of(
+        st.lists(numbers, min_size=18, max_size=30, unique=True).map(
+            lambda values: {"variant": "multiset", "values": values}),
+        st.fixed_dictionaries({"variant": st.just("conditionally_iid"), "mixing": mixing,
+                               "conditional": st.just("gaussian_mean"),
+                               "scale": st.just(0.0) | positive, "n": st.integers(1, 6)}),
+    )
 
 
-@settings(max_examples=100, deadline=None)
-@given(doc=_CAPPED_SPECS, seed=st.integers(0, 2 ** 64 - 1), replicates=st.integers(2, 40),
-       functions=_joined(st.sampled_from(suites.SUITE_FUNCTION_KINDS), 3))
-def test_thm11_on_capped_spec_documents_runs_to_its_checks(tmp_path_factory, doc, seed,
-                                                           replicates, functions):
-    work = tmp_path_factory.getbasetemp() / "capped"
+def _run_thm11(work, doc, seed, replicates, functions):
+    """(exit code, stderr, the texts of the files written) of ``thm11-check`` on
+    ``doc``, with numpy's RuntimeWarnings raised as errors."""
     work.mkdir(exist_ok=True)
     spec_path, out = work / "spec.json", work / "out"
     spec_path.write_text(json.dumps(doc))
     for stale in out.glob("*"):
         stale.unlink()
+    stderr = io.StringIO()
     with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
-          contextlib.redirect_stderr(io.StringIO())):
+          contextlib.redirect_stderr(stderr)):
         warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(["thm11-check", f"--seed={seed}", f"--out={out}",
                          f"--spec-json={spec_path}", f"--replicates={replicates}",
                          f"--functions={functions}"])
-    assert code in (0, 1)  # an accepted document never ends in an error line
-    for written in out.glob("*"):
-        assert "nan" not in written.read_text().lower()
+    return code, stderr.getvalue(), [written.read_text() for written in out.glob("*")]
+
+
+_THM11_RUNS = dict(seed=st.integers(0, 2 ** 64 - 1), replicates=st.integers(2, 40),
+                   functions=_joined(st.sampled_from(suites.SUITE_FUNCTION_KINDS), 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_spec_documents(st.floats(-5.0, 5.0)), **_THM11_RUNS)
+def test_thm11_on_capped_spec_documents_runs_to_its_checks(tmp_path_factory, doc, seed,
+                                                           replicates, functions):
+    code, _, texts = _run_thm11(tmp_path_factory.getbasetemp() / "capped", doc, seed,
+                                replicates, functions)
+    assert code in (0, 1)  # an accepted document of moderate numbers never ends in an error
+    assert not any("nan" in text.lower() for text in texts)
+
+
+# Numbers up to +-1e300: squares, fourth powers and sums that overflow a float
+_HUGE = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.builds(lambda m, k: float(f"{m}e{k}"), st.integers(-9, 9), st.integers(-300, 299)),
+    st.sampled_from([1e300, -1e300, 1e154, 2e154, 1e77]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_spec_documents(_HUGE), **_THM11_RUNS)
+def test_thm11_on_spec_documents_with_huge_numbers_writes_no_nan(tmp_path_factory, doc, seed,
+                                                                 replicates, functions):
+    code, stderr, texts = _run_thm11(tmp_path_factory.getbasetemp() / "huge", doc, seed,
+                                     replicates, functions)
+    assert code in (0, 1, 2)
+    if code == 2:  # rejected where the spec is built: one line, and nothing written
+        assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+        assert not texts
+    assert not any("nan" in text.lower() for text in texts)
