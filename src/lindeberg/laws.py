@@ -258,12 +258,9 @@ class Finite:
         return self._expect(lambda v: np.abs(v) ** p)
 
     def _expect(self, power) -> float:
-        """sum_j probs_j power(values_j) over the atoms of positive probability;
-        infinite where a power overflows a float."""
-        probs = np.asarray(self.probs)
-        held = probs > 0.0
+        """sum_j probs_j power(values_j); infinite where a power overflows a float."""
         with np.errstate(over="ignore"):
-            return float(np.dot(power(np.asarray(self.values)[held]), probs[held]))
+            return float(_expectation(self.probs, power(np.asarray(self.values))))
 
     def ridge_law(self, weights, offset: float):
         """No exact route is implemented for weighted sums of atoms."""
@@ -312,6 +309,15 @@ def _cosine_series(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 def _is_probability_vector(probs: tuple) -> bool:
     """Whether nonempty finite ``probs`` are nonnegative and sum to 1 within 1e-12."""
     return min(probs) >= 0 and abs(sum(probs) - 1.0) <= 1e-12
+
+
+def _expectation(probs, values):
+    """probs @ values over the last axis, with 0 * inf taken as 0: an outcome of
+    probability 0 adds nothing, even where its power overflows a float."""
+    probs = np.asarray(probs, dtype=float)
+    if np.isfinite(values).all():
+        return probs @ values
+    return (probs * np.where(probs > 0.0, values, 0.0)).sum(axis=-1)
 
 
 def _pow(x: float, p) -> float:

@@ -18,7 +18,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .laws import Distribution, RidgeLaw, _is_probability_vector, _reals
+from .laws import Distribution, RidgeLaw, _expectation, _is_probability_vector, _reals
 
 
 @dataclass(frozen=True)
@@ -280,18 +280,22 @@ class MarkovChain:
         return draws
 
     def ab_exact(self, y_mean, y_second, i) -> ABEstimate:
+        """From the step laws; infinite where a reachable state's square overflows a float."""
         kernel = np.asarray(self.kernel)
         states = np.asarray(self.states)
-        if i == 1:
-            return _marginal_ab(float(np.dot(self.initial, states)),
-                                float(np.dot(self.initial, states * states)), y_mean, y_second)
-        prev = self._step_laws[i - 2]
-        a = float(np.dot(prev, np.abs(kernel @ states - y_mean)))
-        b = float(np.dot(prev, np.abs(kernel @ (states * states) - y_second)))
+        with np.errstate(over="ignore"):
+            squares = states * states
+            if i == 1:
+                return _marginal_ab(float(np.dot(self.initial, states)),
+                                    float(_expectation(self.initial, squares)), y_mean, y_second)
+            prev = self._step_laws[i - 2]
+            a = float(_expectation(prev, np.abs(kernel @ states - y_mean)))
+            b = float(_expectation(prev, np.abs(_expectation(kernel, squares) - y_second)))
         return ABEstimate(a, b, True)
 
     def abs_third_moment(self, i: int):
-        return float(np.dot(self._step_laws[i - 1], np.abs(self.states) ** 3))
+        with np.errstate(over="ignore"):
+            return float(_expectation(self._step_laws[i - 1], np.abs(self.states) ** 3))
 
     def ridge_law(self, weights, offset: float):
         """Exact atoms when every weight is equal: the sum is fixed by how often

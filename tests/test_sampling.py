@@ -483,7 +483,6 @@ def test_uniform_mean_of_huge_bounds_is_finite():
     assert bound == pytest.approx(1.35e308, rel=1e-15)
 
 
-
 @pytest.mark.parametrize("values", [
     [1e200 * (k - 10) for k in range(20)],  # stored as an array
     [1e200] * 8 + [-1e200] * 8,  # stored as runs
@@ -523,6 +522,20 @@ def test_gaussian_mixed_ab_where_powers_overflow(tau, scale, a, b, recwarn):
     assert est.exact
     assert (est.a, est.b) == pytest.approx((a, b), rel=1e-12)
     assert not recwarn.list
+
+
+def test_markov_moments_overflow_to_inf_without_warning(recwarn):
+    chain = MarkovChain((1e300, -1e300), (0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)), 3)
+    assert [(est.a, est.b) for est in (chain.ab_exact(0.0, 1.0, i) for i in (1, 2, 3))] == [
+        (0.0, math.inf), (1e300, math.inf), (1e300, math.inf)]
+    assert chain.abs_third_moment(2) == math.inf
+    # a state of probability 0 adds nothing, even where its power overflows
+    held = MarkovChain((1e300, 2.0), (0.0, 1.0), ((0.5, 0.5), (0.0, 1.0)), 3)
+    assert [(est.a, est.b) for est in (held.ab_exact(0.0, 1.0, i) for i in (1, 2, 3))] == [
+        (2.0, 3.0)] * 3
+    assert held.abs_third_moment(3) == 8.0
+    assert not recwarn.list
+
 
 def test_cosine_series_matches_the_table_of_cosines():
     from lindeberg.laws import _cosine_series, _symmetric_grid

@@ -7,9 +7,10 @@ checks).  A spec document goes through ``spec_from_dict``.  Last, whole
 commands run through ``main`` on flags that ``build_config`` accepts, at tiny
 sizes and with extreme values, and must exit 0, 1 or 2 without raising or
 letting numpy warn of an overflow or an invalid value; ``thm11-check`` also
-runs on accepted spec documents, most with capped A/B: those of moderate
-numbers must reach its checks, those with numbers up to +-1e300 may instead
-be rejected with one ``error:`` line, and neither may write a NaN.
+runs on accepted spec documents of each variant, multisets and mixtures
+with capped A/B among them: those of moderate numbers must reach its
+checks, those with numbers up to +-1e300 may instead be rejected with one
+``error:`` line, and neither may write a NaN.
 """
 
 import contextlib
@@ -225,29 +226,42 @@ def test_commands_on_accepted_flags_exit_0_1_or_2(tmp_path_factory, command, dat
     assert code in (0, 1, 2)
 
 
-def _spec_documents(numbers):
-    """Accepted spec documents whose numbers ``numbers`` draws: a multiset of 18
-    to 30 distinct values, past the enumeration budget from i = 2 on (so its A/B
-    are capped), and conditionally i.i.d. specs with finite, uniform, Student t
-    (df 1 to 6; A/B capped) or Gaussian (A/B exact) mixing."""
-    positive = numbers.map(abs).filter(lambda v: v > 0.0)
-    mixing = st.one_of(
-        st.lists(st.tuples(numbers, st.integers(1, 5)), min_size=1, max_size=4).map(
+def _probabilities(k):
+    """k probabilities, some of them 0, that sum to 1."""
+    return st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any).map(
+        lambda w: [x / sum(w) for x in w])
+
+
+def _spec_documents(values, params):
+    """Accepted spec documents: a multiset of 18 to 30 distinct ``values``, past
+    the enumeration budget from i = 2 on (so its A/B are capped); a Markov chain
+    on 1 to 3 ``values``; and i.i.d. or conditionally i.i.d. specs whose law or
+    mixing law is finite, uniform, Student t (df 1 to 6; A/B capped when mixing)
+    or Gaussian, with ``params`` for their numbers."""
+    positive = params.map(abs).filter(lambda v: v > 0.0)
+    laws = st.one_of(
+        st.lists(st.tuples(params, st.integers(1, 5)), min_size=1, max_size=4).map(
             lambda atoms: {"kind": "finite", "values": [v for v, _ in atoms],
                            "probs": [w / sum(w for _, w in atoms) for _, w in atoms]}),
-        st.tuples(numbers, positive).map(lambda lw: [lw[0], lw[0] + lw[1]]).filter(
-            lambda params: 0.0 < params[1] - params[0] < math.inf).map(
-            lambda params: {"kind": "uniform", "params": params}),
+        st.tuples(params, positive).map(lambda lw: [lw[0], lw[0] + lw[1]]).filter(
+            lambda bounds: 0.0 < bounds[1] - bounds[0] < math.inf).map(
+            lambda bounds: {"kind": "uniform", "params": bounds}),
         st.floats(1.0, 6.0).map(lambda df: {"kind": "student_t", "params": [df]}),
-        st.tuples(numbers, positive).map(
+        st.tuples(params, positive).map(
             lambda ms: {"kind": "gaussian", "params": [ms[0], ms[1]]}),
     )
+    lengths = st.integers(1, 6)
     return st.one_of(
-        st.lists(numbers, min_size=18, max_size=30, unique=True).map(
-            lambda values: {"variant": "multiset", "values": values}),
-        st.fixed_dictionaries({"variant": st.just("conditionally_iid"), "mixing": mixing,
+        st.lists(values, min_size=18, max_size=30, unique=True).map(
+            lambda multiset: {"variant": "multiset", "values": multiset}),
+        st.integers(1, 3).flatmap(lambda k: st.fixed_dictionaries({
+            "variant": st.just("markov"), "states": st.lists(values, min_size=k, max_size=k),
+            "initial": _probabilities(k),
+            "kernel": st.lists(_probabilities(k), min_size=k, max_size=k), "n": lengths})),
+        st.fixed_dictionaries({"variant": st.just("iid"), "dist": laws, "n": lengths}),
+        st.fixed_dictionaries({"variant": st.just("conditionally_iid"), "mixing": laws,
                                "conditional": st.just("gaussian_mean"),
-                               "scale": st.just(0.0) | positive, "n": st.integers(1, 6)}),
+                               "scale": st.just(0.0) | positive, "n": lengths}),
     )
 
 
@@ -273,8 +287,8 @@ _THM11_RUNS = dict(seed=st.integers(0, 2 ** 64 - 1), replicates=st.integers(2, 4
                    functions=_joined(st.sampled_from(suites.SUITE_FUNCTION_KINDS), 3))
 
 
-@settings(max_examples=100, deadline=None)
-@given(doc=_spec_documents(st.floats(-5.0, 5.0)), **_THM11_RUNS)
+@settings(max_examples=200, deadline=None)
+@given(doc=_spec_documents(st.floats(-1e3, 1e3), st.floats(-5.0, 5.0)), **_THM11_RUNS)
 def test_thm11_on_capped_spec_documents_runs_to_its_checks(tmp_path_factory, doc, seed,
                                                            replicates, functions):
     code, _, texts = _run_thm11(tmp_path_factory.getbasetemp() / "capped", doc, seed,
@@ -291,8 +305,8 @@ _HUGE = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=_spec_documents(_HUGE), **_THM11_RUNS)
+@settings(max_examples=400, deadline=None)
+@given(doc=_spec_documents(_HUGE, _HUGE), **_THM11_RUNS)
 def test_thm11_on_spec_documents_with_huge_numbers_writes_no_nan(tmp_path_factory, doc, seed,
                                                                  replicates, functions):
     code, stderr, texts = _run_thm11(tmp_path_factory.getbasetemp() / "huge", doc, seed,
