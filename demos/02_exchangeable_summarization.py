@@ -59,4 +59,4 @@ report, = end_to_end_check(ramp_multiset(10),
 print(f"  bound    {report.bound:.4f}   (second order {report.components['second_order']:.4f}"
       f" + third order {report.components['third_order']:.4f})")
 print(f"  estimate {report.estimate:+.5f} +- {report.stderr:.5f} ({report.kind})")
-print(f"  dominated? {report.dominates(3.0)}")
+print(f"  dominated? {report.dominates()}")

@@ -195,14 +195,14 @@ def run_identities(cfg: ExperimentConfig):
     rows = []
     checks = {}
     for n in n_list:
-        if cfg.multiset:
-            spec = standardized_multiset(cfg.multiset)
-        else:
-            spec = _in_cell("--n", n, "ramp multiset", suites.ramp_multiset, n)
+        cell = ("--n", n, "explicit multiset" if cfg.multiset else "ramp multiset")
+        spec = (standardized_multiset(cfg.multiset) if cfg.multiset
+                else _in_cell(*cell, suites.ramp_multiset, n))
         worst_mean = worst_sq = worst_mart = 0.0
         slack = math.inf
         for i in range(1, n + 1):
-            dev_mean = _cli.conditional_mean_identity_check(spec, i)
+            # the cell's first walk refuses a multiset past the enumeration budget
+            dev_mean = _in_cell(*cell, _cli.conditional_mean_identity_check, spec, i)
             dev_mart = _cli.martingale_increment_check(spec, i)
             sm = _cli.second_moment_identity_check(spec, i)
             dev_sq = abs(sm.mean_square_lhs - sm.mean_square_rhs)

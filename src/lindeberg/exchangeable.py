@@ -13,17 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
 from .laws import normal_quadrature
 from .sampling import RunningMean, derive_child, rng_from, row_blocks, sample_batch
-from .specs import MultisetPermutation
+from .specs import _ENUMERATION_BUDGET, MultisetPermutation
 from .standardize import build_y, center_and_scale
 from .swap import BoundReport
 
-_EXACT_ENUMERATION_LIMIT = 9
+_CONSISTENCY_STDERRS = 4.0  # how far apart the two interpolation estimates may be
+_STEIN_DEGREE = 3
 
 
 # ---------------------------------------------------------------------------
@@ -73,47 +74,50 @@ def build_g_transform(n: int) -> GTransform:
 
 
 def _prefix_walk(spec: MultisetPermutation, i: int):
-    """(prefix values, remaining values) for every index set of the first i - 1
-    coordinates; the n - i + 1 remaining values form a list.  Given the prefix,
-    the rest of a permuted multiset is uniform over the values left, so every
-    conditional moment depends only on which values form the prefix, not on
-    their order.  Requires n small enough to enumerate."""
-    values = spec.values
-    n = values.size
-    if n > _EXACT_ENUMERATION_LIMIT:
-        raise ValueError("multiset too large for exhaustive enumeration")
-    for prefix in combinations(range(n), i - 1):
-        taken = set(prefix)
-        yield values[list(prefix)], [values[j] for j in range(n) if j not in taken]
+    """(prefix values, remaining values, number of index sets) for each value-count
+    composition of the first i - 1 coordinates.  Given the prefix, the rest of a
+    permuted multiset is uniform over the values left, so every conditional moment
+    depends only on which values form the prefix.  A multiset is refused when its
+    longest prefix, the one with the most candidates, is past the budget."""
+    if spec.prefix_law(spec.n - 1) is None:
+        raise ValueError(f"multiset too large for exhaustive enumeration (more than "
+                         f"{_ENUMERATION_BUDGET} candidate value counts)")
+    values, counts, compositions = spec.prefix_law(i - 1)
+    for combo, weight in compositions:
+        combo = np.asarray(combo)
+        yield np.repeat(values, combo), np.repeat(values, counts - combo), weight
 
 
-def _repeated_mean(terms, repeats: int, count: int) -> float:
-    """math.fsum over a list holding each term ``repeats`` times, divided by
-    ``count``: the exact total times ``repeats``, rounded once."""
-    return float(sum(map(Fraction, terms)) * repeats) / count
+def _ordered_mean(total: Fraction, repeats: int, count: int) -> float:
+    """total * repeats / count as math.fsum over ``count`` ordered prefixes gives it:
+    their exact total rounded once, then divided by their number.  Both are first
+    scaled by the same power of two, which moves neither rounding and keeps them
+    inside the floats however many prefixes there are."""
+    scale = 1 << count.bit_length()
+    return float(total * repeats / scale) / (count / scale)
 
 
 def conditional_mean_identity_check(spec: MultisetPermutation, i: int) -> float:
     """Max deviation between the enumerated conditional mean of coordinate i
     and its closed form -(sum of the prefix) / (n - i + 1).
 
-    Exhaustive over every prefix set; requires a standardized multiset
-    with n small enough to enumerate.
+    Exhaustive over every value-count composition of the prefix; requires a
+    standardized multiset whose prefix law is within the enumeration budget.
     """
     worst = 0.0
-    for prefix, remaining in _prefix_walk(spec, i):
+    for prefix, remaining, _ in _prefix_walk(spec, i):
         rest = len(remaining)
         worst = max(worst, abs(math.fsum(remaining) / rest + math.fsum(prefix) / rest))
     return worst
 
 
 def martingale_increment_check(spec: MultisetPermutation, i: int) -> float:
-    """Max |E(R_i | prefix)| over every prefix set; zero for centered input.
+    """Max |E(R_i | prefix)| over every prefix composition; zero for centered input.
 
     R_i = x_i + (prefix sum) / (n - i + 1) is built for each possible next x_i.
     """
     worst = 0.0
-    for prefix, remaining in _prefix_walk(spec, i):
+    for prefix, remaining, _ in _prefix_walk(spec, i):
         rest = len(remaining)
         shift = math.fsum(prefix) / rest
         worst = max(worst, abs(math.fsum([v + shift for v in remaining]) / rest))
@@ -147,25 +151,21 @@ def second_moment_identity_check(spec: MultisetPermutation, i: int) -> SecondMom
     rest = n - i + 1
     m4 = float(np.mean(values ** 4))
     m3_abs = float(np.mean(np.abs(values) ** 3))
-    sq_means = []
-    cond_seconds = []
-    r_devs = []
-    r_cubes = []
-    for prefix, remaining in _prefix_walk(spec, i):
+    # exact totals over index sets of E(X_i|.)^2, E(X_i^2|.), its square, the
+    # deviation of E(R_i^2|.) from 1, and the sum of |R_i|^3 over each next x_i
+    totals = [Fraction(0)] * 5
+    for prefix, remaining, weight in _prefix_walk(spec, i):
         m = math.fsum(remaining) / rest
         m2 = math.fsum(v * v for v in remaining) / rest
-        sq_means.append(m * m)
-        cond_seconds.append(m2)
-        r_devs.append(abs(m2 - m * m - 1.0))
         shift = math.fsum(prefix) / rest
-        r_cubes += [abs(v + shift) ** 3 for v in remaining]
+        cubes = sum(Fraction(abs(v + shift) ** 3) for v in remaining)
+        for k, term in enumerate((m * m, m2, m2 * m2, abs(m2 - m * m - 1.0), cubes)):
+            totals[k] += Fraction(term) * weight
     # Each prefix set stands for the (i-1)! ordered prefixes of its values.
     repeats, count = math.factorial(i - 1), math.perm(n, i - 1)
-    mean_square = _repeated_mean(sq_means, repeats, count)
-    second_mean = _repeated_mean(cond_seconds, repeats, count)
-    second_sq = _repeated_mean([v * v for v in cond_seconds], repeats, count)
-    deviation = _repeated_mean(r_devs, repeats, count)
-    third = _repeated_mean(r_cubes, repeats, math.perm(n, i))
+    mean_square, second_mean, second_sq, deviation = (
+        _ordered_mean(total, repeats, count) for total in totals[:4])
+    third = _ordered_mean(totals[4], repeats, count * rest)
     variance = second_sq - second_mean ** 2
     return SecondMomentChecks(
         mean_square_lhs=mean_square,
@@ -189,8 +189,9 @@ class CovariancePair:
     """Covariances of the centered Gaussian vector and of the G-inverse image.
 
     ``sigma`` is Cov(Z_i - Zbar): (n-1)/n on the diagonal, -1/n off it.
-    ``sigma_tilde`` is Cov(U) for U = G^{-1} V with V standard Gaussian,
-    built from its closed form (never by inverting G numerically).
+    ``sigma_tilde`` is Cov(U) for U = G^{-1} V with V standard Gaussian, the
+    product G^{-1} G^{-T} of ``build_g_transform``'s explicit inverse (never
+    inverting G numerically).
     """
 
     n: int
@@ -204,27 +205,8 @@ def covariance_matrices(n: int) -> CovariancePair:
     sigma = np.full((n, n), -1.0 / n)
     np.fill_diagonal(sigma, (n - 1.0) / n)
 
-    # cum[j] = sum_{k=1..j} (n-k)^{-2}, 1-based j
-    inv_sq = np.array([1.0 / (n - k) ** 2 for k in range(1, n)])
-    cum = np.concatenate(([0.0], np.cumsum(inv_sq)))
-    tilde = np.empty((n, n))
-    for j in range(1, n + 1):
-        tilde[j - 1, j - 1] = 1.0 + cum[j - 1]
-        for i in range(j + 1, n + 1):
-            tilde[i - 1, j - 1] = -1.0 / (n - j) + cum[j - 1]
-            tilde[j - 1, i - 1] = tilde[i - 1, j - 1]
-
-    # telescoped rewrite of the off-diagonal entries; the two closed forms
-    # must agree to rounding
-    tel_terms = np.array([1.0 / ((n - k) ** 2 * (n - k - 1)) for k in range(1, n - 1)])
-    tel_cum = np.concatenate(([0.0], np.cumsum(tel_terms)))
-    worst = 0.0
-    for j in range(1, n):
-        alt = -1.0 / (n - 1) - tel_cum[j - 1]
-        worst = max(worst, abs(alt - tilde[j, j - 1]))
-    if worst > 1e-12:
-        raise AssertionError(f"covariance closed forms disagree by {worst:.3e}")
-    return CovariancePair(n, sigma, tilde)
+    ginv = build_g_transform(n).inverse
+    return CovariancePair(n, sigma, ginv @ ginv.T)
 
 
 def covariance_gap_sum(n: int) -> float:
@@ -240,9 +222,10 @@ def covariance_gap_sum(n: int) -> float:
 def covariance_gap_sum_exact(n: int) -> Fraction:
     """Exact rational covariance gap, built from first principles.
 
-    sigma_tilde = G^{-1} (G^{-1})^T is taken from G^{-1}'s own entries (1 on
-    the diagonal, -1/(n-1-k) below it in column k), so this oracle is
-    independent of the closed-form entries used elsewhere.  Below the diagonal,
+    sigma_tilde = G^{-1} (G^{-1})^T is taken from G^{-1}'s entries as written
+    here in rationals (1 on the diagonal, -1/(n-1-k) below it in column k), so
+    this oracle is independent of the float ``build_g_transform`` that
+    ``covariance_matrices`` multiplies out.  Below the diagonal,
     column k of G^{-1} is constant, so with S(j) = sum_{k<j} 1/(n-1-k)^2 the
     inner product of row j with each of the n-1-j rows below it is
     S(j) - 1/(n-1-j), and the diagonal entry is S(i) + 1: O(n) rational
@@ -281,8 +264,8 @@ def _gaussian_moment(cov: np.ndarray, idx: tuple) -> float:
     return float(cov[a, b] * cov[c, d] + cov[a, c] * cov[b, d] + cov[a, d] * cov[b, c])
 
 
-def stein_exact_check(cov, degree: int = 3) -> float:
-    """Worst identity error over monomials up to ``degree`` and coordinates i.
+def stein_exact_check(cov) -> float:
+    """Worst identity error over monomials up to ``_STEIN_DEGREE`` and coordinates i.
 
     Both sides of E(xi_i h(xi)) = sum_j Cov(xi_i, xi_j) E(d_j h) are
     evaluated in closed form through moment pairings, so the result is pure
@@ -291,7 +274,7 @@ def stein_exact_check(cov, degree: int = 3) -> float:
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
     worst = 0.0
-    for deg in range(degree + 1):
+    for deg in range(_STEIN_DEGREE + 1):
         for mono in combinations_with_replacement(range(n), deg):
             for i in range(n):
                 lhs = _gaussian_moment(cov, (i,) + mono)
@@ -346,9 +329,9 @@ class InterpolationResult:
     integral_stderr: float
     bound: float
 
-    def consistent(self, k: float = 4.0) -> bool:
+    def consistent(self) -> bool:
         gap = abs(self.direct - self.integral)
-        return gap <= k * math.hypot(self.direct_stderr, self.integral_stderr)
+        return gap <= _CONSISTENCY_STDERRS * math.hypot(self.direct_stderr, self.integral_stderr)
 
 
 def interpolation_difference(f0: SmoothFunction, n: int, replicates: int = 40_000,
@@ -370,7 +353,7 @@ def interpolation_difference(f0: SmoothFunction, n: int, replicates: int = 40_00
 
     rng = rng_from(derive_child(seed, 0))
     z = rng.standard_normal((replicates, n))
-    zt = z - z.mean(axis=1, keepdims=True)
+    zt = build_y(0.0, 1.0, z)
     v = rng.standard_normal((replicates, n))
     u = v @ ginv.T
     fz = np.asarray(f0(zt), dtype=float)
@@ -381,7 +364,7 @@ def interpolation_difference(f0: SmoothFunction, n: int, replicates: int = 40_00
     per_node = max(min(replicates // 4, 20_000), 256)
     rng_path = rng_from(derive_child(seed, 1))
     zp = rng_path.standard_normal((per_node, n))
-    ztp = zp - zp.mean(axis=1, keepdims=True)
+    ztp = build_y(0.0, 1.0, zp)
     up = rng_path.standard_normal((per_node, n)) @ ginv.T
     path_mean = np.zeros(per_node)
     for m in range(t_grid_size):

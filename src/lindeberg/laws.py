@@ -182,6 +182,8 @@ class Uniform(_ParamLaw):
             return replace(legendre(64), check=legendre(45))
         centred = Uniform(-half, half)
         scales, counts = np.unique(np.abs(w), return_counts=True)
+        if not math.isfinite(float(scales[-1]) * math.pi * 1024 / radius):
+            return None  # the rule's top frequency overflows a float for so narrow a law
 
         def rule(terms: int, step: float) -> RidgeLaw:
             k = np.arange(1, terms + 1)

@@ -262,21 +262,18 @@ class Lemma41Constants:
 def lemma41_constants(b1: float, b2: float, b3: float, v: float, N: int) -> Lemma41Constants:
     if min(b1, b2, b3) < 0:
         raise ValueError("derivative bounds must be nonnegative")
-    r = 1.0 / abs(check_z(complex(0.0, v)).imag)
-    # Powers of 1/|v| up to the sixth: for |v| = 1e-60 they overflow, and
-    # for |v| = 1e60 they underflow toward 0, as the constants do.  C1 >= K1
-    # and C2 >= K2, so two finite C's mean every constant is finite.
-    try:
-        k1 = 4.0 * b2 * r ** 4 / N + 4.0 * b1 * r ** 3
-        k2 = (8.0 * b3 * r ** 6 / N ** 2 + 24.0 * b2 * r ** 5 / N
-              + 6.0 * 2.0 ** 1.5 * b1 * r ** 4)
-        c1 = 9.5 * k1 * math.sqrt((N + 1) / (2.0 * N))
-        c2 = 6.5 * k2 * (N + 1) / N
-    except OverflowError:
-        c1 = c2 = math.inf
+    h = trace_bounds(v, N)
+    # Products, not powers, of the H_r: for |v| = 1e-60 they overflow to inf (nan
+    # against a zero B_r), for |v| = 1e60 they underflow toward 0, as the constants
+    # do.  C1 >= K1 and C2 >= K2, so two finite C's mean every constant is finite.
+    l2p = b2 * h.h1 * h.h1 + b1 * h.h2
+    l3p = b3 * h.h1 * h.h1 * h.h1 + 3.0 * b2 * h.h1 * h.h2 + b1 * h.h3
+    k1, k2 = l2p * N ** 2, l3p * N ** 2.5
+    c1 = 9.5 * k1 * math.sqrt((N + 1) / (2.0 * N))
+    c2 = 6.5 * k2 * (N + 1) / N
     if not (math.isfinite(c1) and math.isfinite(c2)):
-        raise ValueError(f"Lemma 4.1 constants overflow a float at |Im z| = {1.0 / r:g}")
-    return Lemma41Constants(k1, k2, k1 / N ** 2, k2 / N ** 2.5, c1, c2)
+        raise ValueError(f"Lemma 4.1 constants overflow a float at |Im z| = {abs(v):g}")
+    return Lemma41Constants(k1, k2, l2p, l3p, c1, c2)
 
 
 def lemma41_bound(m3_tilde: float, m4_tilde: float, N: int,

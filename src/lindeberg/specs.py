@@ -5,7 +5,8 @@ Each class checks its fields where it is built and nowhere else, and owns its
 sampler (``sample``) and its law's oracles: ``ab_exact`` (None without an
 exact route), ``ridge_law``, ``abs_third_moment`` (closed forms only), and
 ``ab_cap`` (closed-form caps on A_i/B_i) where ``ab_exact`` can return None.
-Its JSON form is its constructor's parameters.
+A multiset's ``prefix_law`` serves its ``ab_exact`` and the enumerated
+identities of ``exchangeable``.  Its JSON form is its constructor's parameters.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,24 +41,6 @@ def _jensen_cap(l1: float, shift: float, spread: float) -> float:
     """min(l1, sqrt(shift^2 + spread)), the L1 and L2 caps on E|E(V | X_<i) - c|
     (docs/derivations.md); inf where a moment is."""
     return min(l1, math.sqrt(shift * shift + spread))
-
-
-def _prefix_count_distribution(counts: Sequence[int], k: int):
-    """Joint law of per-value draw counts after k draws without replacement.
-
-    Yields (count_vector, probability); the weights are multivariate
-    hypergeometric.
-    """
-    n = sum(counts)
-    total = math.comb(n, k)
-    ranges = [range(0, min(c, k) + 1) for c in counts]
-    for combo in product(*ranges):
-        if sum(combo) != k:
-            continue
-        weight = 1
-        for c, kk in zip(counts, combo):
-            weight *= math.comb(c, kk)
-        yield combo, weight / total
 
 
 _ENUMERATION_BUDGET = 200_000
@@ -154,19 +137,37 @@ class MultisetPermutation:
                 start = end
         return rng.permuted(out, axis=1, out=out)
 
-    def ab_exact(self, y_mean, y_second, i):
-        """By enumerating the prefix's value counts; None past the budget."""
+    def prefix_law(self, size: int):
+        """The distinct values, their counts, and an iterator over each composition c
+        that a uniform ``size``-subset of the coordinates can hold (c_j of the
+        counts[j] copies of value j, in lexicographic order) with its number of index
+        sets, a product of binomials; the numbers sum to C(n, size).  None when the
+        search, prod_j (min(counts[j], size) + 1) candidates, exceeds the budget."""
         values, counts = np.unique(self.values, return_counts=True)
+        counts = counts.tolist()
         budget = 1
         for c in counts:
-            budget *= min(int(c), i - 1) + 1
+            budget *= min(c, size) + 1
             if budget > _ENUMERATION_BUDGET:
                 return None
+        compositions = ((combo, math.prod(math.comb(c, k) for c, k in zip(counts, combo)))
+                        for combo in product(*(range(min(c, size) + 1) for c in counts))
+                        if sum(combo) == size)
+        return values, counts, compositions
+
+    def ab_exact(self, y_mean, y_second, i):
+        """By walking the prefix law; None past the budget."""
+        law = self.prefix_law(i - 1)
+        if law is None:
+            return None
+        values, counts, compositions = law
         total_sum = float(np.dot(values, counts))
         total_sq = float(np.dot(values * values, counts))
         rest = self.n - (i - 1)
+        sets = math.comb(self.n, i - 1)
         a = b = 0.0
-        for combo, p in _prefix_count_distribution([int(c) for c in counts], i - 1):
+        for combo, weight in compositions:
+            p = weight / sets
             combo = np.asarray(combo)
             cond_mean = (total_sum - float(np.dot(values, combo))) / rest
             cond_sq = (total_sq - float(np.dot(values * values, combo))) / rest

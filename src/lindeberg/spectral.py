@@ -29,6 +29,7 @@ from .specs import IidFromDistribution
 from .standardize import center_and_scale
 
 _SYMMETRY_TOL = 1e-12
+_RANK_RTOL = 1e-10  # see rank_inequality_check
 
 # Side of the square tiles in which a matrix's upper triangle is compared
 # with, or copied onto, its lower one: two tiles of doubles take 1 MiB.
@@ -394,10 +395,10 @@ class RankCheck:
     ok: bool
 
 
-def rank_inequality_check(a, b, threshold: float = 1e-10) -> RankCheck:
+def rank_inequality_check(a, b) -> RankCheck:
     """Verify ks(F_A, F_B) <= rank(A - B) / N.
 
-    The rank counts singular values of A - B above ``threshold`` times the
+    The rank counts singular values of A - B above ``_RANK_RTOL`` times the
     largest one.
     """
     a = np.asarray(a, dtype=float)
@@ -410,7 +411,7 @@ def rank_inequality_check(a, b, threshold: float = 1e-10) -> RankCheck:
                      EsdFunction(eigenvalues(b).eigenvalues))
     sv = np.linalg.svd(a - b, compute_uv=False)
     top = float(sv.max(initial=0.0))
-    rank = int(np.count_nonzero(sv > threshold * top)) if top > 0 else 0
+    rank = int(np.count_nonzero(sv > _RANK_RTOL * top)) if top > 0 else 0
     bound = rank / N
     return RankCheck(ks, rank, bound, ks <= bound + 1e-12)
 

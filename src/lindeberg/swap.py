@@ -28,6 +28,8 @@ from .sampling import (
 )
 from .specs import ABEstimate, IidFromDistribution
 
+_DOMINANCE_STDERRS = 3.0
+
 
 @dataclass
 class BoundReport:
@@ -46,9 +48,9 @@ class BoundReport:
     kind: str
     components: dict = field(default_factory=dict)
 
-    def dominates(self, k: float = 3.0) -> bool:
-        """True when |estimate| <= bound + k * stderr."""
-        return abs(self.estimate) <= self.bound + k * self.stderr
+    def dominates(self) -> bool:
+        """True when |estimate| <= bound + 3 stderr."""
+        return abs(self.estimate) <= self.bound + _DOMINANCE_STDERRS * self.stderr
 
 
 def lindeberg_bound(A, B, M3: float, L1: float, L2: float, L3: float) -> float:

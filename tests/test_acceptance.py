@@ -197,14 +197,14 @@ def test_criterion_08_interpolation_consistency(criterion_report):
                   (sum_ridge(inv_quad_profile(), 4), 4)):
         res = interpolation_difference(f0, n, replicates=80_000,
                                        seed=derive_child(MASTER_SEED, 80 + n))
-        ok &= res.consistent(4.0)
+        ok &= res.consistent()
         ok &= abs(res.direct) <= res.bound + 4 * res.direct_stderr
         ok &= abs(res.integral) <= res.bound + 4 * res.integral_stderr
     quad_res = interpolation_difference(QuadraticMean(3), 3, replicates=120_000,
                                         seed=derive_child(MASTER_SEED, 83))
     gap = abs(quad_res.direct - (-5.0 / 6.0))
     ok &= gap <= 4 * quad_res.direct_stderr
-    ok &= quad_res.consistent(4.0)
+    ok &= quad_res.consistent()
     details.append(f"quadratic case dev {gap:.1e}")
     elapsed = time.perf_counter() - start
     criterion_report(8, "interpolation-consistency", ok, elapsed, "; ".join(details))

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import spec_doc
 from lindeberg import cli, exchangeable, suites
+from lindeberg.specs import MultisetPermutation
 
 
 def run_cli(args):
@@ -410,6 +411,57 @@ def test_wrong_covariance_gap_fails_its_check(tmp_path, monkeypatch, capsys, shi
     monkeypatch.setattr(exchangeable, "covariance_matrices", perturbed)
     assert run_cli(["identities", "--n", "3", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.strip() == "FAILED: covariance_gap_n3"
+
+
+def test_wrong_g_inverse_entry_fails_the_covariance_gap(tmp_path, monkeypatch, capsys):
+    # sigma_tilde is multiplied out from build_g_transform's inverse, so a wrong
+    # entry there (-1/(n - j) in place of -1/(n - 1 - j)) moves the float gap
+    # off the harmonic closed form, which the rational oracle still meets
+    true_transform = exchangeable.build_g_transform
+
+    def perturbed(n):
+        gt = true_transform(n)
+        inverse = gt.inverse.copy()
+        inverse[n - 1, 0] = -1.0 / n
+        return exchangeable.GTransform(n, gt.matrix, inverse)
+
+    monkeypatch.setattr(exchangeable, "build_g_transform", perturbed)
+    assert run_cli(["identities", "--n", "3", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == "FAILED: covariance_gap_n3"
+
+
+def test_wrong_composition_weight_fails_the_identities(tmp_path, monkeypatch, capsys):
+    # the identity means weight each value-count composition by its number of
+    # index sets; one extra index set moves the enumerated mean square
+    true_law = MultisetPermutation.prefix_law
+
+    def perturbed(spec, size):
+        law = true_law(spec, size)
+        if law is None or size == 0:
+            return law
+        values, counts, compositions = law
+        first, *rest = compositions
+        return values, counts, iter([(first[0], first[1] + 1), *rest])
+
+    monkeypatch.setattr(MultisetPermutation, "prefix_law", perturbed)
+    assert run_cli(["identities", "--n", "4", "--out", str(tmp_path)]) == 1
+    failed = capsys.readouterr().err.strip().removeprefix("FAILED: ").split(", ")
+    assert "conditional_mean_square_n4" in failed
+
+
+def test_identities_run_past_nine_values(tmp_path):
+    assert run_cli(["identities", "--n", "10", "--out", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path, "identities")
+    assert summary["all_passed"] and len(summary["checks"]) == 6
+
+
+def test_identities_past_the_enumeration_budget_exit_2(tmp_path, capsys):
+    # 18 distinct values give 2^18 candidate value counts, past the 200,000 budget
+    assert run_cli(["identities", "--n", "18", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n 18 (ramp multiset): ") and err.count("\n") == 1
+    assert "200000" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cells_and_limits_keep_their_frozen_values():

@@ -173,6 +173,68 @@ def test_prefix_sets_reproduce_the_ordered_enumeration(n):
             assert c.third_moment_lhs == third
 
 
+def _index_set_walk(values, i):
+    """(prefix values, remaining values) for every index set of the first i - 1
+    coordinates: the walk over positions, one step per index set."""
+    n = values.size
+    for prefix in itertools.combinations(range(n), i - 1):
+        taken = set(prefix)
+        yield values[list(prefix)], [values[j] for j in range(n) if j not in taken]
+
+
+def _repeated_mean(terms, repeats, count):
+    """math.fsum over a list holding each term ``repeats`` times, divided by ``count``."""
+    return float(sum(map(Fraction, terms)) * repeats) / count
+
+
+def _identity_checks_over_index_sets(values, i):
+    """The conditional-mean and martingale deviations and the four enumerated
+    second-moment left-hand sides, each from the walk over index sets."""
+    n, rest = values.size, values.size - i + 1
+    worst_mean = worst_mart = 0.0
+    sq_means, cond_seconds, r_devs, r_cubes = [], [], [], []
+    for prefix, remaining in _index_set_walk(values, i):
+        shift = math.fsum(prefix) / rest
+        worst_mean = max(worst_mean, abs(math.fsum(remaining) / rest + shift))
+        worst_mart = max(worst_mart, abs(math.fsum([v + shift for v in remaining]) / rest))
+        m = math.fsum(remaining) / rest
+        m2 = math.fsum(v * v for v in remaining) / rest
+        sq_means.append(m * m)
+        cond_seconds.append(m2)
+        r_devs.append(abs(m2 - m * m - 1.0))
+        r_cubes += [abs(v + shift) ** 3 for v in remaining]
+    repeats, count = math.factorial(i - 1), math.perm(n, i - 1)
+    second_mean = _repeated_mean(cond_seconds, repeats, count)
+    second_sq = _repeated_mean([v * v for v in cond_seconds], repeats, count)
+    return (worst_mean, worst_mart, _repeated_mean(sq_means, repeats, count),
+            second_sq - second_mean ** 2, _repeated_mean(r_devs, repeats, count),
+            _repeated_mean(r_cubes, repeats, math.perm(n, i)))
+
+
+@pytest.mark.parametrize("spec", [
+    MultisetPermutation([1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0]),
+    ramp_multiset(9),
+], ids=["repeats", "standardized-ramp"])
+def test_prefix_law_walk_is_bit_identical_to_the_index_set_walk(spec):
+    # the value-count compositions, each weighted by its number of index sets,
+    # give every result to the bit, as fsum and rational totals ignore order
+    for i in range(1, spec.n + 1):
+        c = second_moment_identity_check(spec, i)
+        got = (conditional_mean_identity_check(spec, i), martingale_increment_check(spec, i),
+               c.mean_square_lhs, c.variance_lhs, c.deviation_lhs, c.third_moment_lhs)
+        expected = _identity_checks_over_index_sets(spec.values, i)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+def test_second_moments_past_a_float_count_of_ordered_prefixes():
+    # perm(180, 174) ordered prefixes: their count and total overflow a float
+    spec = standardized_multiset([-1.0] * 90 + [1.0] * 90)
+    c = second_moment_identity_check(spec, 175)
+    assert c.mean_square_lhs == pytest.approx(c.mean_square_rhs, rel=1e-12)
+    assert c.variance_lhs <= c.variance_rhs and c.deviation_lhs <= c.deviation_rhs
+    assert c.third_moment_lhs <= c.third_moment_rhs
+
+
 class TestCovariancePair:
     def test_three_by_three_values(self):
         pair = covariance_matrices(3)
@@ -189,12 +251,16 @@ class TestCovariancePair:
         assert np.allclose(pair.sigma_tilde, [[1.0, -1.0], [-1.0, 2.0]], atol=1e-15)
 
     def test_closed_form_matches_first_principles(self):
-        # oracle: U = G^{-1} V for standard Gaussian V has covariance
-        # G^{-1} (G^{-1})^T, no closed form needed
+        # sigma_tilde is G^{-1} (G^{-1})^T multiplied out; oracle: its closed form,
+        # with S(j) = sum_{k=1..j} (n-k)^{-2} (1-based), 1 + S(j-1) on the
+        # diagonal and -1/(n-j) + S(j-1) at (i, j) for i > j
         for n in (2, 5, 23):
-            ginv = build_g_transform(n).inverse
-            assert np.allclose(covariance_matrices(n).sigma_tilde, ginv @ ginv.T,
-                               atol=1e-13)
+            cum = np.concatenate(([0.0], np.cumsum([1.0 / (n - k) ** 2 for k in range(1, n)])))
+            closed = np.empty((n, n))
+            for j in range(1, n + 1):
+                closed[j - 1, j - 1] = 1.0 + cum[j - 1]
+                closed[j:, j - 1] = closed[j - 1, j:] = -1.0 / max(n - j, 1) + cum[j - 1]
+            assert np.allclose(covariance_matrices(n).sigma_tilde, closed, atol=1e-13)
 
     def test_empirical_covariance_of_u(self):
         n, reps = 5, 400_000
@@ -316,12 +382,12 @@ class TestInterpolation:
         res = interpolation_difference(QuadraticMean(3), 3, replicates=120_000, seed=11)
         assert abs(res.direct - expected) <= 4 * res.direct_stderr
         assert res.integral == pytest.approx(expected, abs=1e-9)
-        assert res.consistent(4.0)
+        assert res.consistent()
 
     def test_estimates_agree_and_respect_bound(self):
         f0 = sum_ridge(cos_profile(), 6)
         res = interpolation_difference(f0, 6, replicates=80_000, seed=2)
-        assert res.consistent(4.0)
+        assert res.consistent()
         assert abs(res.direct) <= res.bound + 4 * res.direct_stderr
         assert abs(res.integral) <= res.bound + 4 * res.integral_stderr
 
@@ -374,7 +440,7 @@ class TestSummarizationBound:
             for kind in ("cos-alternating", "inv_quad-ramp"):
                 report, = end_to_end_check(spec, [summarization_function(kind, n)],
                                            replicates=40_000, seed=31)
-                assert report.dominates(3.0)
+                assert report.dominates()
                 assert report.bound == pytest.approx(
                     sum(report.components.values()), abs=1e-12)
 

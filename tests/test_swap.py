@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -559,7 +560,7 @@ def test_swapping_bound_dominates_on_sample_cells():
         report, = swapping_report(
             [suite_function(f_kind, n)], swapping_spec(spec_kind, n),
             gaussian_comparison(n), replicates=30_000, seeds=[1001])
-        assert report.dominates(3.0)
+        assert report.dominates()
         assert report.bound == pytest.approx(sum(report.components.values()), abs=1e-12)
 
 
@@ -651,6 +652,17 @@ def test_second_order_term_is_nearly_the_whole_bound(n):
     assert report.components["first_order"] == 0.0
     assert report.dominates()
     assert report.bound <= 1.15 * abs(report.estimate)
+
+
+def test_uniform_law_too_narrow_for_the_rule_has_no_exact_route():
+    # pi * 1024 * w / R overflows for a width of 2.6e-307, which warned of an
+    # overflow and gave nan frequencies; the difference is sampled instead
+    x = IidFromDistribution(uniform(0.0, 2.6258269130844917e-307), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert x.ridge_law(np.full(2, math.sqrt(0.5)), 0.0) is None
+        report, = swapping_report([suite_function("cos", 2)], x, gaussian_comparison(2), 2, [0])
+    assert report.kind == "mc" and math.isfinite(report.estimate)
 
 
 @pytest.mark.parametrize("weights", [[1.0], [0.0, -0.7, 0.0]], ids=["n1", "one-nonzero"])
