@@ -16,6 +16,7 @@ from lindeberg.exchangeable import (
     covariance_matrices,
     end_to_end_check,
     interpolation_difference,
+    PrefixWalk,
     martingale_increment_check,
     second_moment_identity_check,
 )
@@ -32,14 +33,15 @@ print("prefix transform G (rows rescale running prefix sums):")
 print(np.round(build_g_transform(n).matrix, 4))
 
 print("\nenumerated conditional-moment identities at i = 3:")
-checks = second_moment_identity_check(spec, 3)
+walk = PrefixWalk(spec, 3)  # the prefix compositions, walked once for both checks
+checks = second_moment_identity_check(walk)
 print(f"  E[(E(X_3|prefix))^2]      = {checks.mean_square_lhs:.6f}"
       f"  closed form {checks.mean_square_rhs:.6f}")
 print(f"  Var(E(X_3^2|prefix))      = {checks.variance_lhs:.6f}"
       f"  <= {checks.variance_rhs:.6f}")
 print(f"  E|E(R_3^2|prefix) - 1|    = {checks.deviation_lhs:.6f}"
       f"  <= {checks.deviation_rhs:.6f}")
-print(f"  martingale increment dev  = {martingale_increment_check(spec, 3):.2e}")
+print(f"  martingale increment dev  = {martingale_increment_check(walk):.2e}")
 
 pair = covariance_matrices(n)
 gap = covariance_gap_sum(n)

@@ -43,6 +43,7 @@ _LAZY = {
     "end_to_end_check": "exchangeable",
     "harmonic_gap_closed_form": "exchangeable",
     "martingale_increment_check": "exchangeable",
+    "prefix_walks": "exchangeable",
     "second_moment_identity_check": "exchangeable",
     "stein_exact_check": "exchangeable",
     "fd_agreement_check": "resolvent",
@@ -200,11 +201,12 @@ def run_identities(cfg: ExperimentConfig):
                 else _in_cell(*cell, suites.ramp_multiset, n))
         worst_mean = worst_sq = worst_mart = 0.0
         slack = math.inf
-        for i in range(1, n + 1):
-            # the cell's first walk refuses a multiset past the enumeration budget
-            dev_mean = _in_cell(*cell, _cli.conditional_mean_identity_check, spec, i)
-            dev_mart = _cli.martingale_increment_check(spec, i)
-            sm = _cli.second_moment_identity_check(spec, i)
+        # refuses a multiset past the enumeration budget before any walk
+        walks = _in_cell(*cell, _cli.prefix_walks, spec)
+        for i, walk in enumerate(walks, start=1):
+            dev_mean = _cli.conditional_mean_identity_check(walk)
+            dev_mart = _cli.martingale_increment_check(walk)
+            sm = _cli.second_moment_identity_check(walk)
             dev_sq = abs(sm.mean_square_lhs - sm.mean_square_rhs)
             slack_i = min(sm.variance_rhs - sm.variance_lhs,
                           sm.deviation_rhs - sm.deviation_lhs,

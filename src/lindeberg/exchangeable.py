@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 import numpy as np
 
@@ -73,19 +74,39 @@ def build_g_transform(n: int) -> GTransform:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_walk(spec: MultisetPermutation, i: int):
-    """(prefix values, remaining values, number of index sets) for each value-count
-    composition of the first i - 1 coordinates.  Given the prefix, the rest of a
-    permuted multiset is uniform over the values left, so every conditional moment
-    depends only on which values form the prefix.  A multiset is refused when its
-    longest prefix, the one with the most candidates, is past the budget."""
+class PrefixWalk:
+    """Every value-count composition of the first i - 1 coordinates of a permuted
+    multiset, as ``cells``: (prefix values, remaining values, number of index
+    sets) for each, walked once on first use and shared by the identity checks.
+    Given the prefix, the rest of a permuted multiset is uniform over the values
+    left, so every conditional moment depends only on which values form the
+    prefix.  ``prefix_walks`` builds one for each i."""
+
+    def __init__(self, spec: MultisetPermutation, i: int):
+        self.spec, self.i = spec, i
+
+    @cached_property
+    def cells(self) -> tuple:
+        law = self.spec.prefix_law(self.i - 1)
+        if law is None:
+            raise _past_budget()
+        values, counts, compositions = law
+        return tuple((np.repeat(values, combo), np.repeat(values, counts - np.asarray(combo)),
+                      weight) for combo, weight in compositions)
+
+
+def _past_budget() -> ValueError:
+    return ValueError(f"multiset too large for exhaustive enumeration (more than "
+                      f"{_ENUMERATION_BUDGET} candidate value counts)")
+
+
+def prefix_walks(spec: MultisetPermutation):
+    """``PrefixWalk(spec, i)`` for i = 1..n, built one at a time.  Refuses at once
+    a multiset whose longest prefix, the one with the most candidates, is past
+    the budget."""
     if spec.prefix_law(spec.n - 1) is None:
-        raise ValueError(f"multiset too large for exhaustive enumeration (more than "
-                         f"{_ENUMERATION_BUDGET} candidate value counts)")
-    values, counts, compositions = spec.prefix_law(i - 1)
-    for combo, weight in compositions:
-        combo = np.asarray(combo)
-        yield np.repeat(values, combo), np.repeat(values, counts - combo), weight
+        raise _past_budget()
+    return (PrefixWalk(spec, i) for i in range(1, spec.n + 1))
 
 
 def _ordered_mean(total: Fraction, repeats: int, count: int) -> float:
@@ -97,7 +118,7 @@ def _ordered_mean(total: Fraction, repeats: int, count: int) -> float:
     return float(total * repeats / scale) / (count / scale)
 
 
-def conditional_mean_identity_check(spec: MultisetPermutation, i: int) -> float:
+def conditional_mean_identity_check(walk: PrefixWalk) -> float:
     """Max deviation between the enumerated conditional mean of coordinate i
     and its closed form -(sum of the prefix) / (n - i + 1).
 
@@ -105,19 +126,19 @@ def conditional_mean_identity_check(spec: MultisetPermutation, i: int) -> float:
     standardized multiset whose prefix law is within the enumeration budget.
     """
     worst = 0.0
-    for prefix, remaining, _ in _prefix_walk(spec, i):
+    for prefix, remaining, _ in walk.cells:
         rest = len(remaining)
         worst = max(worst, abs(math.fsum(remaining) / rest + math.fsum(prefix) / rest))
     return worst
 
 
-def martingale_increment_check(spec: MultisetPermutation, i: int) -> float:
+def martingale_increment_check(walk: PrefixWalk) -> float:
     """Max |E(R_i | prefix)| over every prefix composition; zero for centered input.
 
     R_i = x_i + (prefix sum) / (n - i + 1) is built for each possible next x_i.
     """
     worst = 0.0
-    for prefix, remaining, _ in _prefix_walk(spec, i):
+    for prefix, remaining, _ in walk.cells:
         rest = len(remaining)
         shift = math.fsum(prefix) / rest
         worst = max(worst, abs(math.fsum([v + shift for v in remaining]) / rest))
@@ -145,8 +166,8 @@ class SecondMomentChecks:
     third_moment_rhs: float
 
 
-def second_moment_identity_check(spec: MultisetPermutation, i: int) -> SecondMomentChecks:
-    values = spec.values
+def second_moment_identity_check(walk: PrefixWalk) -> SecondMomentChecks:
+    values, i = walk.spec.values, walk.i
     n = values.size
     rest = n - i + 1
     m4 = float(np.mean(values ** 4))
@@ -154,7 +175,7 @@ def second_moment_identity_check(spec: MultisetPermutation, i: int) -> SecondMom
     # exact totals over index sets of E(X_i|.)^2, E(X_i^2|.), its square, the
     # deviation of E(R_i^2|.) from 1, and the sum of |R_i|^3 over each next x_i
     totals = [Fraction(0)] * 5
-    for prefix, remaining, weight in _prefix_walk(spec, i):
+    for prefix, remaining, weight in walk.cells:
         m = math.fsum(remaining) / rest
         m2 = math.fsum(v * v for v in remaining) / rest
         shift = math.fsum(prefix) / rest
@@ -410,22 +431,54 @@ def _summary_mean(f: SmoothFunction, mu: float, sigma: float):
     return None if law is None else law.expect(f.profile.value)
 
 
+def _ridge_moments(f: SmoothFunction, mu: float, sigma: float, n: int):
+    """(E S, Var S) of the ridge argument S = w.X + b of a ridge f, for X a uniform
+    permutation of n values with mean mu and spread sigma (divisor n): mu sum(w) + b
+    and sigma^2 n / (n - 1) |w - mean(w)|^2 (docs/derivations.md, "Control
+    variates").  None for other f, and where sigma is 0."""
+    if not isinstance(f, RidgeFunction) or sigma == 0:
+        return None
+    w = f.weights
+    spread = float(np.sum(np.square(w - w.mean())))
+    return mu * float(w.sum()) + f.offset, sigma * sigma * n / (n - 1) * spread
+
+
+def _add_block(mean: RunningMean, f: SmoothFunction, x, ey, moment) -> None:
+    """Feed one block's differences f(x) - ey to ``mean``, with the controls
+    S - E S and (S - E S)^2 - Var S of a ridge f where ``moment`` = (E S, Var S).
+    S is computed once, for g and for both controls; the block's columns are
+    freed on return, before the next function is evaluated."""
+    if moment is None:
+        mean.add(np.subtract(f(x), ey, dtype=float))
+        return
+    s = f.argument(x)
+    diff = np.subtract(f.profile.value(s), ey, dtype=float)
+    s -= moment[0]  # S - E S, in place once g has read S
+    square = np.square(s)
+    square -= moment[1]
+    mean.add(diff, s, square)
+
+
 def end_to_end_check(spec: MultisetPermutation, functions,
                      replicates: int = 100_000, seed: int = 0) -> list:
     """Bound-versus-estimate reports, one per smooth f, for a fixed multiset.
 
     Fixing the multiset makes mu_hat, sigma_hat, and the centered absolute
-    moments deterministic, so each bound is a single number.  Ef(X) is a Monte
-    Carlo mean; Ef(Y) is exact where ``_summary_mean`` has a route (its stated
-    error is added to the stderr) and sampled otherwise.  When sigma_hat = 0, Y
-    is the constant vector mu_hat, built like X so that X = Y gives exactly 0.
-    X, and the Gaussian Z behind Y when some f needs it, are drawn once for
-    all the functions, in row blocks, each from one generator; each block's
-    differences go into each f's running mean, so memory does not grow with
-    ``replicates``.  Each report equals the one-function call with the same
-    seed, and the functions' estimates share their Monte Carlo error.  Only
-    genuinely exchangeable multiset specs are accepted here; weakly dependent
-    chains belong to the swapping bound.
+    moments deterministic, so each bound is a single number.  Ef(X) - Ef(Y) is
+    a Monte Carlo mean with control variates: for a ridge f = g(S), S = w.X + b,
+    the differences are regressed on S - E S and (S - E S)^2 - Var S, whose exact
+    means are zero (``_ridge_moments``), and the estimate is their mean less the
+    fitted part (``RunningMean``); any other f gets no controls.  Ef(Y) is exact
+    where ``_summary_mean`` has a route (its stated error is added to the
+    stderr) and sampled otherwise.  When sigma_hat = 0, Y is the constant vector
+    mu_hat, built like X so that X = Y gives exactly 0.  X, and the Gaussian Z
+    behind Y when some f needs it, are drawn once for all the functions, in row
+    blocks, each from one generator; each block's differences and controls go
+    into each f's accumulator, so memory does not grow with ``replicates``.
+    Each report equals the one-function call with the same seed, and the
+    functions' estimates share their Monte Carlo error.  Only genuinely
+    exchangeable multiset specs are accepted here; weakly dependent chains
+    belong to the swapping bound.
     """
     if not isinstance(spec, MultisetPermutation):
         raise TypeError("end_to_end_check requires a MultisetPermutation spec")
@@ -439,15 +492,16 @@ def end_to_end_check(spec: MultisetPermutation, functions,
     m4 = float(np.mean((values - mu) ** 4))
 
     summaries = [_summary_mean(f, mu, sigma) if sigma > 0 else None for f in functions]
+    moments = [_ridge_moments(f, mu, sigma, n) for f in functions]
     sample_z = any(summary is None for summary in summaries)
     x_rng, z_rng = rng_from(derive_child(seed, 0)), rng_from(derive_child(seed, 1))
-    means = [RunningMean() for _ in functions]
+    means = [RunningMean(0 if moment is None else 2) for moment in moments]
     for block in row_blocks(replicates, n):
         rows = block.stop - block.start
         x = sample_batch(spec, x_rng, rows)
         y = build_y(mu, sigma, z_rng.standard_normal((rows, n))) if sample_z else None
-        for mean, f, summary in zip(means, functions, summaries):
-            mean.add(np.subtract(f(x), f(y) if summary is None else summary[0], dtype=float))
+        for mean, f, summary, moment in zip(means, functions, summaries, moments):
+            _add_block(mean, f, x, f(y) if summary is None else summary[0], moment)
         del x, y  # before the next block is drawn
     reports = []
     for mean, f, summary in zip(means, functions, summaries):

@@ -58,32 +58,87 @@ def row_blocks(replicates: int, n: int):
             for start in range(0, replicates, rows))
 
 
+# A control is skipped when what the controls before it leave of its spread is
+# at most this fraction of the spread: a constant control, one collinear with
+# those before it, and one whose spread overflowed to inf or NaN alike.
+_COLLINEAR = 1e-9
+
+
 class RunningMean:
-    """Mean and standard error of the mean of float64 blocks fed in turn, kept as
-    the count, the mean and M2, the sum of squared deviations from the mean.  A
-    first block gives ``v.mean()`` and ``v.std(ddof=1) / sqrt(v.size)`` bit for
-    bit; each later one is merged by Chan et al.'s pairwise update.  ``add``
-    overwrites its block with the squared deviations from the block's mean.
+    """Mean and standard error of the mean of float64 blocks fed in turn, each
+    with ``controls`` control columns of known mean zero that the values are
+    regressed on (docs/derivations.md, "Control variates").  Kept as the count,
+    the means of the values and the controls, and M2, the sums of products of
+    their deviations from those means, summed without BLAS so that no bit
+    depends on its threads.  Without controls a first block gives ``v.mean()``
+    and ``v.std(ddof=1) / sqrt(v.size)`` bit for bit; each later block is merged
+    by Chan et al.'s pairwise update.  ``add`` overwrites its columns with
+    their squared deviations.
     """
 
-    count, mean, m2 = 0, 0.0, 0.0
+    def __init__(self, controls: int = 0):
+        self.count = 0
+        self.means = [0.0] * (1 + controls)
+        self.m2 = [[0.0] * (1 + controls) for _ in range(1 + controls)]
 
-    def add(self, values):
-        mean = values.mean()
-        np.square(np.subtract(values, mean, out=values), out=values)
-        size, mean, m2 = values.size, float(mean), float(values.sum())
+    def add(self, values, *controls):
+        columns = (values, *controls)
+        if len(columns) != len(self.means):
+            raise ValueError(f"give {len(self.means) - 1} control column(s)")
+        means = [float(c.mean()) for c in columns]
+        m2 = [[0.0] * len(columns) for _ in columns]
+        for i, (a, mean) in enumerate(zip(columns, means)):
+            np.subtract(a, mean, out=a)
+            for j in range(i):
+                m2[i][j] = m2[j][i] = float(np.einsum("i,i->", a, columns[j]))
+        for i, a in enumerate(columns):
+            m2[i][i] = float(np.square(a, out=a).sum())
+        size = values.size
         if self.count:
             total = self.count + size
-            delta = mean - self.mean
-            mean = self.mean + delta * (size / total)
-            m2 = self.m2 + m2 + delta * delta * (self.count * size / total)
+            delta = [new - old for new, old in zip(means, self.means)]
+            weight = self.count * size / total
+            means = [old + d * (size / total) for old, d in zip(self.means, delta)]
+            m2 = [[old + new + di * dj * weight for old, new, dj in zip(row_old, row_new, delta)]
+                  for row_old, row_new, di in zip(self.m2, m2, delta)]
             size = total
-        self.count, self.mean, self.m2 = size, mean, m2
+        self.count, self.means, self.m2 = size, means, m2
         return self
 
     def result(self) -> tuple:
-        """(mean, standard error of the mean)."""
-        return self.mean, math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+        """(mean of the values less beta . (mean of the controls), its standard
+        error): beta by least squares on the controls that keep a residual degree
+        of freedom and are not collinear with those before them, the error from
+        the residual sum of squares over count - 1 - (controls used)."""
+        a = [row[:] for row in self.m2]
+        used = []
+        for k in range(1, len(a)):
+            if len(used) + 2 < self.count and a[k][k] > _COLLINEAR * self.m2[k][k]:
+                _sweep(a, k)
+                used.append(k)
+        estimate = self.means[0]
+        for k in used:
+            estimate -= a[0][k] * self.means[k]
+        rss = max(a[0][0], 0.0)  # a fit can round the residual below 0
+        dof = self.count - 1 - len(used)
+        return estimate, math.sqrt(rss / dof) / math.sqrt(self.count)
+
+
+def _sweep(a: list, k: int) -> None:
+    """Sweep the symmetric matrix ``a`` (nested lists) on pivot k in place:
+    afterwards a[0][k] is the least-squares coefficient of column 0 on the
+    pivots swept so far and a[0][0] its residual sum of squares."""
+    pivot = a[k][k]
+    size = len(a)
+    for i in range(size):
+        for j in range(size):
+            if i != k and j != k:
+                a[i][j] -= a[i][k] * a[k][j] / pivot
+    for i in range(size):
+        if i != k:
+            a[i][k] /= pivot
+            a[k][i] /= pivot
+    a[k][k] = -1.0 / pivot
 
 
 def sample_batch(spec: ExchangeableSpec, seed: int | np.random.Generator,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import ClassVar
 
 import numpy as np
@@ -44,6 +43,24 @@ def _jensen_cap(l1: float, shift: float, spread: float) -> float:
 
 
 _ENUMERATION_BUDGET = 200_000
+
+
+def _compositions(counts: list, size: int):
+    """Each tuple c with 0 <= c_j <= counts[j] and sum(c) = size, in lexicographic
+    order: c_j runs only over the values that the counts after j can complete."""
+    room = [0] * (len(counts) + 1)  # room[j] = sum(counts[j:])
+    for j in range(len(counts) - 1, -1, -1):
+        room[j] = room[j + 1] + counts[j]
+
+    def walk(j: int, left: int):
+        if left == 0:
+            yield (0,) * (len(counts) - j)
+            return
+        for k in range(max(0, left - room[j + 1]), min(counts[j], left) + 1):
+            for rest in walk(j + 1, left - k):
+                yield (k, *rest)
+
+    return walk(0, size) if size <= room[0] else iter(())
 
 
 def _check_length(n) -> None:
@@ -151,8 +168,7 @@ class MultisetPermutation:
             if budget > _ENUMERATION_BUDGET:
                 return None
         compositions = ((combo, math.prod(math.comb(c, k) for c, k in zip(counts, combo)))
-                        for combo in product(*(range(min(c, size) + 1) for c in counts))
-                        if sum(combo) == size)
+                        for combo in _compositions(counts, size))
         return values, counts, compositions
 
     def ab_exact(self, y_mean, y_second, i):

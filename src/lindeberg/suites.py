@@ -73,7 +73,7 @@ def summarization_function(kind: str, n: int) -> RidgeFunction:
 
 SUMMARIZATION_FUNCTION_KINDS = ("cos-alternating", "inv_quad-ramp")
 SUMMARIZATION_N_VALUES = (10, 50)
-SUMMARIZATION_REPLICATES = 200_000
+SUMMARIZATION_REPLICATES = 25_000
 
 
 def stein_covariances(rng):

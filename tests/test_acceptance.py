@@ -20,6 +20,7 @@ from lindeberg.exchangeable import (
     harmonic_gap_closed_form,
     interpolation_difference,
     martingale_increment_check,
+    prefix_walks,
     second_moment_identity_check,
     stein_exact_check,
     stein_mc_check,
@@ -80,10 +81,10 @@ def test_criterion_01_exact_identities_by_enumeration(criterion_report):
     worst = 0.0
     for n in IDENTITY_N_VALUES:
         for spec in enumeration_specs(n):
-            for i in range(1, n + 1):
-                worst = max(worst, conditional_mean_identity_check(spec, i))
-                worst = max(worst, martingale_increment_check(spec, i))
-                checks = second_moment_identity_check(spec, i)
+            for walk in prefix_walks(spec):
+                worst = max(worst, conditional_mean_identity_check(walk))
+                worst = max(worst, martingale_increment_check(walk))
+                checks = second_moment_identity_check(walk)
                 worst = max(worst, abs(checks.mean_square_lhs - checks.mean_square_rhs))
     elapsed = time.perf_counter() - start
     criterion_report(1, "exact-identities-by-enumeration",
@@ -95,8 +96,8 @@ def test_criterion_02_moment_inequality_suite(criterion_report):
     slack = math.inf
     for n in IDENTITY_N_VALUES:
         for spec in enumeration_specs(n):
-            for i in range(1, n + 1):
-                c = second_moment_identity_check(spec, i)
+            for walk in prefix_walks(spec):
+                c = second_moment_identity_check(walk)
                 slack = min(slack,
                             c.variance_rhs - c.variance_lhs,
                             c.deviation_rhs - c.deviation_lhs,

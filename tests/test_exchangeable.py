@@ -8,7 +8,9 @@ import pytest
 
 from conftest import OpaqueFunction
 from lindeberg.exchangeable import (
+    PrefixWalk,
     _gaussian_moment,
+    _ridge_moments,
     _summary_mean,
     build_g_transform,
     conditional_mean_identity_check,
@@ -90,14 +92,14 @@ class TestRTransform:
 def test_conditional_mean_identity_exhaustive(n):
     for spec in MULTISETS[n]:
         for i in range(1, n + 1):
-            assert conditional_mean_identity_check(spec, i) <= 1e-12
+            assert conditional_mean_identity_check(PrefixWalk(spec, i)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", sorted(MULTISETS))
 def test_martingale_increments_vanish(n):
     for spec in MULTISETS[n]:
         for i in range(1, n + 1):
-            assert martingale_increment_check(spec, i) <= 1e-12
+            assert martingale_increment_check(PrefixWalk(spec, i)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -116,16 +118,17 @@ def test_martingale_increments_match_g_transform(n):
                 r = g @ spec.values[list(perm)]
                 groups.setdefault(perm[: i - 1], []).append(r[i - 1])
             reference = max(abs(np.mean(rs)) for rs in groups.values())
-            assert martingale_increment_check(spec, i) == pytest.approx(reference, abs=1e-12)
+            assert martingale_increment_check(PrefixWalk(spec, i)) == pytest.approx(reference,
+                                                                                    abs=1e-12)
 
 
 def test_conditional_mean_square_value():
     # at n=3, i=2 the closed form (i-1)/((n-i+1)(n-1)) is 1/4
     spec = MULTISETS[3][0]
-    checks = second_moment_identity_check(spec, 2)
+    checks = second_moment_identity_check(PrefixWalk(spec, 2))
     assert checks.mean_square_rhs == 0.25
     assert checks.mean_square_lhs == pytest.approx(0.25, abs=1e-13)
-    empty = second_moment_identity_check(spec, 1)
+    empty = second_moment_identity_check(PrefixWalk(spec, 1))
     assert empty.mean_square_rhs == 0.0
     assert empty.mean_square_lhs == pytest.approx(0.0, abs=1e-13)
 
@@ -134,7 +137,7 @@ def test_conditional_mean_square_value():
 def test_second_moment_inequalities_exact_mode(n):
     for spec in MULTISETS[n]:
         for i in range(1, n + 1):
-            c = second_moment_identity_check(spec, i)
+            c = second_moment_identity_check(PrefixWalk(spec, i))
             assert abs(c.mean_square_lhs - c.mean_square_rhs) <= 1e-12
             assert c.variance_lhs <= c.variance_rhs + 1e-12
             assert c.deviation_lhs <= c.deviation_rhs + 1e-12
@@ -164,7 +167,7 @@ def _second_moments_over_ordered_prefixes(values, i):
 def test_prefix_sets_reproduce_the_ordered_enumeration(n):
     for spec in MULTISETS[n]:
         for i in range(1, n + 1):
-            c = second_moment_identity_check(spec, i)
+            c = second_moment_identity_check(PrefixWalk(spec, i))
             mean_square, second_mean_sq, second_sq, deviation, third = (
                 _second_moments_over_ordered_prefixes(spec.values, i))
             assert c.mean_square_lhs == mean_square
@@ -219,8 +222,9 @@ def test_prefix_law_walk_is_bit_identical_to_the_index_set_walk(spec):
     # the value-count compositions, each weighted by its number of index sets,
     # give every result to the bit, as fsum and rational totals ignore order
     for i in range(1, spec.n + 1):
-        c = second_moment_identity_check(spec, i)
-        got = (conditional_mean_identity_check(spec, i), martingale_increment_check(spec, i),
+        walk = PrefixWalk(spec, i)
+        c = second_moment_identity_check(walk)
+        got = (conditional_mean_identity_check(walk), martingale_increment_check(walk),
                c.mean_square_lhs, c.variance_lhs, c.deviation_lhs, c.third_moment_lhs)
         expected = _identity_checks_over_index_sets(spec.values, i)
         assert [v.hex() for v in got] == [v.hex() for v in expected]
@@ -229,7 +233,7 @@ def test_prefix_law_walk_is_bit_identical_to_the_index_set_walk(spec):
 def test_second_moments_past_a_float_count_of_ordered_prefixes():
     # perm(180, 174) ordered prefixes: their count and total overflow a float
     spec = standardized_multiset([-1.0] * 90 + [1.0] * 90)
-    c = second_moment_identity_check(spec, 175)
+    c = second_moment_identity_check(PrefixWalk(spec, 175))
     assert c.mean_square_lhs == pytest.approx(c.mean_square_rhs, rel=1e-12)
     assert c.variance_lhs <= c.variance_rhs and c.deviation_lhs <= c.deviation_rhs
     assert c.third_moment_lhs <= c.third_moment_rhs
@@ -496,9 +500,52 @@ def test_exact_gaussian_summary_agrees_with_sampled_summary():
                                                                       sampled.stderr)
 
 
+@pytest.mark.parametrize("kind", ["cos-alternating", "inv_quad-ramp"])
+def test_control_variate_estimate_against_every_order(kind):
+    # Ef(X) over all 720 orders of the ramp at n = 6, Ef(Y) by quadrature; the
+    # plain stderr is that of the same draws of X without the controls
+    n, replicates = 6, 2_000
+    spec, f = ramp_multiset(n), summarization_function(kind, n)
+    std = center_and_scale(spec.values)
+    ey, quad_error = _summary_mean(f, std.mu_hat, std.sigma_hat)
+    exact = math.fsum(f(np.array(list(itertools.permutations(spec.values))))) / 720 - ey
+    for seed in range(20):
+        report, = end_to_end_check(spec, [f], replicates, seed)
+        assert abs(report.estimate - exact) <= 4.0 * report.stderr
+        x = rng_from(derive_child(seed, 0)).permuted(np.tile(spec.values, (replicates, 1)),
+                                                     axis=1)
+        plain = f(x).std(ddof=1) / math.sqrt(replicates) + quad_error
+        assert report.stderr <= plain
+
+
+def test_two_point_ridge_argument_leaves_one_control():
+    # n = 2: S takes two values, so (S - E S)^2 is constant up to rounding and
+    # collinear with S - E S; f(X) is then exactly fitted and the estimate exact
+    spec = MultisetPermutation([0.0, 3.0])
+    f = RidgeFunction(inv_quad_profile(), [0.7, 0.0], 0.2)
+    std = center_and_scale(spec.values)
+    ey, _ = _summary_mean(f, std.mu_hat, std.sigma_hat)
+    exact = 0.5 * (f(np.array([0.0, 3.0])) + f(np.array([3.0, 0.0]))) - ey
+    report, = end_to_end_check(spec, [f], 1_001, seed=3)
+    assert report.estimate == pytest.approx(exact, abs=1e-15) and report.stderr <= 1e-15
+
+
+def test_ridge_moments_are_those_of_every_order():
+    # mean and variance of w.X + b over all 5040 orders of a multiset with repeats
+    spec = MultisetPermutation([0.5, 0.5, 2.0, -1.0, 3.0, 3.0, 3.0])
+    f = RidgeFunction(cos_profile(), [0.3, -1.2, 0.0, 2.0, 0.7, 0.7, -0.4], 0.25)
+    s = f.argument(np.array(list(itertools.permutations(spec.values))))
+    std = center_and_scale(spec.values)
+    mean, var = _ridge_moments(f, std.mu_hat, std.sigma_hat, spec.n)
+    assert mean == pytest.approx(s.mean(), rel=1e-13)
+    assert var == pytest.approx(s.var(), rel=1e-13)
+    assert _ridge_moments(OpaqueFunction(f), std.mu_hat, std.sigma_hat, spec.n) is None
+
+
 def _whole_batch_reference(spec, f, replicates, seed, sampled_y):
     """end_to_end_check's estimate and stderr from one whole batch of X (and Z),
-    whose per-row differences are fed to the running mean in row blocks."""
+    whose per-row differences, with the controls S - E S and (S - E S)^2 - Var S
+    of a ridge f, are fed to the accumulator in row blocks."""
     n = spec.n
     std = center_and_scale(spec.values)
     x = rng_from(derive_child(seed, 0)).permuted(np.tile(spec.values, (replicates, 1)), axis=1)
@@ -508,9 +555,14 @@ def _whole_batch_reference(spec, f, replicates, seed, sampled_y):
     else:
         ey, quad_error = _summary_mean(f, std.mu_hat, std.sigma_hat)
         diff = f(x) - ey
-    mean = RunningMean()
+    moments = _ridge_moments(f, std.mu_hat, std.sigma_hat, n)
+    columns = [diff]
+    if moments is not None:
+        d = f.argument(x) - moments[0]
+        columns += [d, d * d - moments[1]]
+    mean = RunningMean(len(columns) - 1)
     for block in row_blocks(replicates, n):  # the same blocks as end_to_end_check
-        mean.add(diff[block])
+        mean.add(*(column[block] for column in columns))
     estimate, stderr = mean.result()
     return estimate, stderr + quad_error
 

@@ -192,6 +192,75 @@ class TestRunningMean:
             mean.add(np.zeros(rows))
         assert mean.result() == (0.0, 0.0)
 
+    def _regression(self, y, controls):
+        """(intercept, its residual stderr) of y on [1, controls] by lstsq: the
+        fitted value at controls 0, and sqrt(RSS / (R - 1 - p) / R)."""
+        design = np.column_stack([np.ones(y.size), *controls])
+        coef, rss, _, _ = np.linalg.lstsq(design, y, rcond=None)
+        return coef[0], math.sqrt(rss[0] / (y.size - design.shape[1]) / y.size)
+
+    def test_controls_give_the_least_squares_intercept(self):
+        rng = np.random.default_rng(3)
+        c1 = rng.standard_normal(40_000)
+        c2 = c1 * c1 - 1.0
+        y = 2.0 + 3.0 * c1 - 0.5 * c2 + 0.1 * rng.standard_normal(c1.size)
+        expected = self._regression(y, [c1, c2])
+        for cuts in ([], [1, 7], [17_000, 39_990]):
+            mean = RunningMean(2)
+            for block in zip(*(np.split(v.copy(), cuts) for v in (y, c1, c2))):
+                mean.add(*block)
+            for got, want in zip(mean.result(), expected):
+                assert got == pytest.approx(want, rel=1e-10)
+
+    def test_a_constant_or_overflowing_control_is_no_control(self):
+        v = np.random.default_rng(5).standard_normal(1_000)
+        plain = RunningMean().add(v.copy()).result()
+        assert RunningMean(1).add(v.copy(), np.full(v.size, 2.5)).result() == plain
+        assert RunningMean(2).add(v.copy(), np.zeros(v.size), np.zeros(v.size)).result() == plain
+        huge = np.where(np.arange(v.size) % 2 == 0, 1e200, -1e200)
+        with np.errstate(over="ignore"):  # its squared deviations are inf
+            assert RunningMean(1).add(v.copy(), huge).result() == plain
+
+    def test_controls_keep_a_residual_degree_of_freedom(self):
+        y, c1 = np.array([1.0, 4.0, 2.0]), np.array([-1.0, 1.0, 0.5])
+        c2 = np.array([1.0, 0.0, -1.0])
+        # three rows fit the intercept and the first control only
+        got = RunningMean(2).add(y.copy(), c1.copy(), c2.copy()).result()
+        assert got == pytest.approx(self._regression(y, [c1]), rel=1e-12)
+        two = RunningMean(2).add(y[:2].copy(), c1[:2].copy(), c2[:2].copy()).result()
+        assert two == RunningMean().add(y[:2].copy()).result()
+
+    def test_the_column_count_is_checked(self):
+        with pytest.raises(ValueError, match="give 2 control"):
+            RunningMean(2).add(np.ones(3), np.ones(3))
+
+
+def _filtered_compositions(counts, size):
+    """The value-count compositions as the product of every count filtered by their sum."""
+    return [(combo, math.prod(math.comb(c, k) for c, k in zip(counts, combo)))
+            for combo in itertools.product(*(range(min(c, size) + 1) for c in counts))
+            if sum(combo) == size]
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=5), data=st.data())
+def test_prefix_law_emits_the_filtered_product_in_its_order(counts, data):
+    size = data.draw(st.integers(-1, sum(counts) + 1))
+    values = np.repeat(np.arange(len(counts), dtype=float), counts)
+    data.draw(st.randoms()).shuffle(values)
+    _, law_counts, compositions = MultisetPermutation(values).prefix_law(size)
+    got = list(compositions)
+    assert law_counts == counts
+    assert got == _filtered_compositions(counts, size)
+    assert sum(weight for _, weight in got) == (math.comb(sum(counts), size) if size >= 0 else 0)
+
+
+def test_prefix_law_of_a_long_multiset_emits_only_its_compositions():
+    # 5999 ones and one 2: two compositions for each size, of 2 * 6000 candidates
+    spec = MultisetPermutation([1.0] * 5999 + [2.0])
+    _, _, compositions = spec.prefix_law(3000)
+    assert [combo for combo, _ in compositions] == [(2999, 1), (3000, 0)]
+
 
 class TestStandardizedMultiset:
     def test_values_are_a_read_only_copy(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import OpaqueFunction
 from lindeberg.functions import RidgeFunction, cos_profile, logistic_step_profile, sum_ridge
-from lindeberg.laws import Finite, Uniform, gaussian, student_t, uniform
+from lindeberg.laws import Finite, RidgeLaw, Uniform, gaussian, student_t, uniform
 from lindeberg.mixture import ConditionallyIid
 from lindeberg.sampling import (
     derive_child,
@@ -694,6 +694,31 @@ def test_markov_ridge_law_matches_path_enumeration(states, initial, kernel):
     value, error = spec.ridge_law(np.full(n, w), b).expect(np.cos)
     assert value == pytest.approx(expected, abs=1e-13) and error == 0.0
     assert spec.ridge_law(np.linspace(0.1, 0.6, n), b) is None
+
+
+@pytest.mark.parametrize("probs", [[0.6, 0.5], [1.0 + 1e-11, -1e-11], [1.0 - 2e-12, 0.0]],
+                         ids=["mass-1.1", "negative", "mass-short"])
+def test_ridge_law_atoms_must_be_a_probability_vector(probs):
+    with pytest.raises(ValueError, match="sum to 1 within 1e-12"):
+        RidgeLaw(np.array([0.0, 1.0]), np.asarray(probs))
+
+
+def test_ridge_law_rule_weights_are_not_held_to_the_atoms_tolerance():
+    # two uniform coordinates: the truncated density series carries 5e-7 of extra
+    # mass, and the law is still built (its check rule states the error)
+    law = IidFromDistribution(uniform(-1.0, 1.0), 2).ridge_law(np.full(2, math.sqrt(0.5)), 0.0)
+    assert abs(law.probs.sum() - 1.0) > 1e-12 and law.check is not None
+
+
+def test_markov_ridge_law_of_a_kernel_that_loses_mass_is_refused():
+    # the kernel's columns, which sum to 1.1 and 0.9, read as its rows, as a
+    # transposed lookup in the count recursion would read them.  From a uniform
+    # initial law such a kernel keeps the mass at 1, so this one is not uniform.
+    leaky = MarkovChain((-1.0, 1.0), (0.25, 0.75), ((0.7, 0.3), (0.4, 0.6)), 5)
+    assert leaky.ridge_law(np.full(5, 0.4), 0.0) is not None
+    object.__setattr__(leaky, "kernel", ((0.7, 0.4), (0.3, 0.6)))  # past the row check
+    with pytest.raises(ValueError, match="sum to 1 within 1e-12"):
+        leaky.ridge_law(np.full(5, 0.4), 0.0)
 
 
 @pytest.mark.parametrize("x_spec", [
