@@ -16,10 +16,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -85,41 +82,65 @@ _READS = {
 }
 
 
-@dataclass
+# Each config field in order: its type, as the errors name it and ``_has_type``
+# reads it, and its default, copied for each config (``command`` is always
+# given).  z_grid None means the command's default points.
+_CONFIG_FIELDS = {
+    "command": ("str", None),
+    "seed": ("int", 0),
+    "out": ("str", "."),
+    "replicates": ("int | None", None),
+    "n_list": ("list[int]", []),
+    "N_list": ("list[int]", []),
+    "multiset": ("list[float]", []),
+    "ensemble": ("str", "rademacher-perm"),
+    "seeds": ("int", suites.SWEEP_SEEDS),
+    "z_grid": ("list[str] | None", None),
+    "x_values": ("list[float]", []),
+    "specs": ("list[str]", list(suites.SWAPPING_SPEC_KINDS)),
+    "functions": ("list[str]", list(suites.SUITE_FUNCTION_KINDS)),
+    "trials": ("int", suites.RESOLVENT_TRIALS),
+    "tuples": ("int", suites.RESOLVENT_TUPLES),
+    "custom_spec": ("dict | None", None),
+}
+
+
 class ExperimentConfig:
     """Round-trippable run configuration; flags override file values."""
 
-    command: str
-    seed: int = 0
-    out: str = "."
-    replicates: int | None = None
-    n_list: list[int] = field(default_factory=list)
-    N_list: list[int] = field(default_factory=list)
-    multiset: list[float] = field(default_factory=list)
-    ensemble: str = "rademacher-perm"
-    seeds: int = suites.SWEEP_SEEDS
-    z_grid: list[str] | None = None  # None: the command's default points
-    x_values: list[float] = field(default_factory=list)
-    specs: list[str] = field(default_factory=lambda: list(suites.SWAPPING_SPEC_KINDS))
-    functions: list[str] = field(default_factory=lambda: list(suites.SUITE_FUNCTION_KINDS))
-    trials: int = suites.RESOLVENT_TRIALS
-    tuples: int = suites.RESOLVENT_TUPLES
-    custom_spec: dict | None = None
+    __slots__ = tuple(_CONFIG_FIELDS)
+
+    def __init__(self, command: str, **values):
+        unknown = sorted(set(values) - set(_CONFIG_FIELDS))
+        if unknown:
+            raise TypeError(f"ExperimentConfig() got unexpected argument(s) {unknown}")
+        values["command"] = command
+        for key, (_, default) in _CONFIG_FIELDS.items():
+            if key not in values:
+                values[key] = list(default) if isinstance(default, list) else default
+            setattr(self, key, values[key])
+
+    def __eq__(self, other):
+        if type(other) is not ExperimentConfig:
+            return NotImplemented
+        return ([getattr(self, key) for key in _CONFIG_FIELDS]
+                == [getattr(other, key) for key in _CONFIG_FIELDS])
 
     def to_dict(self) -> dict:
-        """``command``, ``seed``, ``out`` and the fields this command reads."""
+        """``command``, ``seed``, ``out`` and the fields this command reads, as copies."""
+        from copy import deepcopy  # here, as no command run needs it
+
         keys = ("command", "seed", "out", *_READS[self.command])
-        return {k: v for k, v in asdict(self).items() if k in keys}
+        return {k: deepcopy(getattr(self, k)) for k in _CONFIG_FIELDS if k in keys}
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        unknown = sorted(set(d) - set(ExperimentConfig.__dataclass_fields__))
+        unknown = sorted(set(d) - set(_CONFIG_FIELDS))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        hints = get_type_hints(ExperimentConfig)
-        for f in fields(ExperimentConfig):
-            if f.name in d and not _has_type(d[f.name], hints[f.name]):
-                raise ValueError(f"config key {f.name!r} must be {f.type}; got {d[f.name]!r}")
+        for key, (tp, _) in _CONFIG_FIELDS.items():
+            if key in d and not _has_type(d[key], tp):
+                raise ValueError(f"config key {key!r} must be {tp}; got {d[key]!r}")
         command = d.get("command")
         if command not in _READS:
             raise ValueError(f"unknown command {command!r}")
@@ -129,19 +150,21 @@ class ExperimentConfig:
         return ExperimentConfig(**d)
 
 
-def _has_type(value, tp) -> bool:
-    """Whether a JSON value fits a field annotation; bools are not numbers."""
-    if get_origin(tp) is UnionType:
-        return any(_has_type(value, t) for t in get_args(tp))
-    if get_origin(tp) is list:
-        return isinstance(value, list) and all(_has_type(v, get_args(tp)[0]) for v in value)
-    if tp is float:
+def _has_type(value, tp: str) -> bool:
+    """Whether a JSON value fits a field type of ``_CONFIG_FIELDS``: ``a | b``,
+    ``list[a]``, ``None``, ``float``, ``int``, ``str`` or ``dict``; bools are not
+    numbers."""
+    if " | " in tp:
+        return any(_has_type(value, t) for t in tp.split(" | "))
+    if tp.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, tp[5:-1]) for v in value)
+    if tp == "float":
         # finite, and an int only where it converts to a float: JSON ints are unbounded
-        number = _has_type(value, int) or isinstance(value, float)
+        number = _has_type(value, "int") or isinstance(value, float)
         return number and abs(value) <= sys.float_info.max
-    if tp is int:
+    if tp == "int":
         return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, tp)
+    return isinstance(value, {"None": type(None), "str": str, "dict": dict}[tp])
 
 
 def _fmt(value) -> str:

@@ -11,10 +11,10 @@ Gaussian laws, and the final explicit bound with constants 9.5 and 13.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
+from typing import NamedTuple
+
 import numpy as np
 
 from .functions import RidgeFunction, SmoothFunction
@@ -22,7 +22,6 @@ from .laws import normal_quadrature
 from .sampling import RunningMean, derive_child, rng_from, row_blocks, sample_batch
 from .specs import _ENUMERATION_BUDGET, MultisetPermutation
 from .standardize import build_y, center_and_scale
-from .swap import BoundReport
 
 _CONSISTENCY_STDERRS = 4.0  # how far apart the two interpolation estimates may be
 _STEIN_DEGREE = 3
@@ -33,8 +32,7 @@ _STEIN_DEGREE = 3
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GTransform:
+class GTransform(NamedTuple):
     """Lower-triangular transform R = G x and its closed-form inverse.
 
     Entries (1-based): G[i,j] = 1/(n-i+1) below the diagonal, 1 on it;
@@ -145,8 +143,7 @@ def martingale_increment_check(walk: PrefixWalk) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class SecondMomentChecks:
+class SecondMomentChecks(NamedTuple):
     """Enumerated left-hand sides next to their closed-form counterparts.
 
     ``mean_square`` is an equality: E((E(X_i|prefix))^2) against
@@ -167,6 +164,7 @@ class SecondMomentChecks:
 
 
 def second_moment_identity_check(walk: PrefixWalk) -> SecondMomentChecks:
+    from fractions import Fraction  # here, as below, so that only ``identities`` loads it
     values, i = walk.spec.values, walk.i
     n = values.size
     rest = n - i + 1
@@ -205,8 +203,7 @@ def second_moment_identity_check(walk: PrefixWalk) -> SecondMomentChecks:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CovariancePair:
+class CovariancePair(NamedTuple):
     """Covariances of the centered Gaussian vector and of the G-inverse image.
 
     ``sigma`` is Cov(Z_i - Zbar): (n-1)/n on the diagonal, -1/n off it.
@@ -252,6 +249,7 @@ def covariance_gap_sum_exact(n: int) -> Fraction:
     S(j) - 1/(n-1-j), and the diagonal entry is S(i) + 1: O(n) rational
     operations in all.
     """
+    from fractions import Fraction
     total = Fraction(0)
     prefix = Fraction(0)  # S(j)
     for j in range(n):
@@ -264,6 +262,7 @@ def covariance_gap_sum_exact(n: int) -> Fraction:
 
 
 def harmonic_gap_closed_form(n: int) -> Fraction:
+    from fractions import Fraction
     return Fraction(3) + 2 * sum(Fraction(1, k) for k in range(2, n))
 
 
@@ -342,8 +341,7 @@ def stein_mc_check(h: RidgeFunction, cov, replicates: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
+class InterpolationResult(NamedTuple):
     direct: float
     direct_stderr: float
     integral: float
@@ -480,6 +478,7 @@ def end_to_end_check(spec: MultisetPermutation, functions,
     exchangeable multiset specs are accepted here; weakly dependent chains
     belong to the swapping bound.
     """
+    from .swap import BoundReport  # here, so that ``identities`` never loads swap
     if not isinstance(spec, MultisetPermutation):
         raise TypeError("end_to_end_check requires a MultisetPermutation spec")
     if not functions:

@@ -12,10 +12,11 @@ partials are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .value import Value
 
 
 def _sigmoid(u):
@@ -34,18 +35,11 @@ def _sigmoid(u):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GProfile:
-    """Scalar g with derivatives up to order 3 and sup bounds b1, b2, b3."""
+class GProfile(Value):
+    """Scalar g (``name``, ``value``) with derivatives d1, d2, d3 up to order 3 and
+    sup bounds b1, b2, b3 on them."""
 
-    name: str
-    value: Callable
-    d1: Callable
-    d2: Callable
-    d3: Callable
-    b1: float
-    b2: float
-    b3: float
+    __slots__ = _fields = ("name", "value", "d1", "d2", "d3", "b1", "b2", "b3")
 
 
 def cos_profile() -> GProfile:

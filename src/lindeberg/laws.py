@@ -9,10 +9,11 @@ a quadrature where one exists.  Its JSON form is ``kind`` with its fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import ClassVar, Union, get_args
+from typing import Union, get_args
 
 import numpy as np
+
+from .value import Value
 
 
 def _reals(name: str, values) -> np.ndarray:
@@ -31,38 +32,39 @@ def _reals(name: str, values) -> np.ndarray:
     return values
 
 
-class _ParamLaw:
+class _ParamLaw(Value):
     """A law whose fields are finite floats that meet its ``domain`` (a rule and its
     test), listed in order as its JSON ``params``."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = float(_reals(f"{self.kind} {f.name}", [getattr(self, f.name)])[0])
-            object.__setattr__(self, f.name, value)
+    __slots__ = ()
+
+    def _validate(self):
+        for name in self._fields:
+            value = float(_reals(f"{self.kind} {name}", [getattr(self, name)])[0])
+            object.__setattr__(self, name, value)
         rule, holds = self.domain
         if not holds(self):
             raise ValueError(f"{self.kind} needs {rule}; got {self.to_dict()['params']}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": [getattr(self, f.name) for f in fields(self)]}
+        return {"kind": self.kind, "params": list(self._astuple())}
 
     @classmethod
     def from_dict(cls, d: dict):
         params = d["params"]
-        names = [f.name for f in fields(cls)]
-        if not isinstance(params, list) or len(params) != len(names):
-            raise ValueError(f"{cls.kind} params must be [{', '.join(names)}]; got {params!r}")
+        if not isinstance(params, list) or len(params) != len(cls._fields):
+            raise ValueError(f"{cls.kind} params must be [{', '.join(cls._fields)}]; "
+                             f"got {params!r}")
         return cls(*params)
 
 
-@dataclass(frozen=True)
 class Gaussian(_ParamLaw):
     """N(mu, sigma^2); sigma = 0 is the point mass at mu."""
 
-    mu: float = 0.0
-    sigma: float = 1.0
-    kind: ClassVar[str] = "gaussian"
-    domain: ClassVar[tuple] = ("sigma >= 0", lambda law: law.sigma >= 0)
+    __slots__ = _fields = ("mu", "sigma")
+    _defaults = {"mu": 0.0, "sigma": 1.0}
+    kind = "gaussian"
+    domain = ("sigma >= 0", lambda law: law.sigma >= 0)
 
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         """``rng.normal(mu, sigma, size)`` bit for bit, drawn into ``out`` when given."""
@@ -99,16 +101,13 @@ class Gaussian(_ParamLaw):
                                  self.sigma * float(np.linalg.norm(w)))
 
 
-@dataclass(frozen=True)
 class Uniform(_ParamLaw):
     """Uniform on [low, high]; the width high - low must be a finite float, as
     the draws are low + (high - low) u."""
 
-    low: float
-    high: float
-    kind: ClassVar[str] = "uniform"
-    domain: ClassVar[tuple] = ("0 < high - low < inf",
-                               lambda law: 0 < law.high - law.low < math.inf)
+    __slots__ = _fields = ("low", "high")
+    kind = "uniform"
+    domain = ("0 < high - low < inf", lambda law: 0 < law.high - law.low < math.inf)
 
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         """``rng.uniform(low, high, size)`` bit for bit, drawn into ``out`` when given."""
@@ -199,13 +198,12 @@ class Uniform(_ParamLaw):
         return RidgeLaw(*rule(1024, step), rule(724, math.sqrt(2.0) * step))
 
 
-@dataclass(frozen=True)
 class StudentT(_ParamLaw):
     """Student's t with df degrees of freedom."""
 
-    df: float
-    kind: ClassVar[str] = "student_t"
-    domain: ClassVar[tuple] = ("df > 0", lambda law: law.df > 0)
+    __slots__ = _fields = ("df",)
+    kind = "student_t"
+    domain = ("df > 0", lambda law: law.df > 0)
 
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         return _filled(out, rng.standard_t(self.df, size))
@@ -230,15 +228,13 @@ class StudentT(_ParamLaw):
         return None
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(Value):
     """Atoms ``values`` with probabilities ``probs`` (nonnegative, summing to 1)."""
 
-    values: tuple
-    probs: tuple
-    kind: ClassVar[str] = "finite"
+    __slots__ = _fields = ("values", "probs")
+    kind = "finite"
 
-    def __post_init__(self):
+    def _validate(self):
         object.__setattr__(self, "values", tuple(_reals("finite values", self.values).tolist()))
         object.__setattr__(self, "probs", tuple(_reals("finite probs", self.probs).tolist()))
         if not (self.values and len(self.probs) == len(self.values)
@@ -357,8 +353,7 @@ def _filled(out, draws: np.ndarray) -> np.ndarray:
 _QUADRATURE_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class RidgeLaw:
+class RidgeLaw(Value):
     """The law of a ridge argument w.X + b as ``nodes`` with probabilities ``probs``.
 
     ``check`` is the (nodes, probs) of the same construction at a resolution
@@ -368,14 +363,14 @@ class RidgeLaw:
     instead of aliasing alike.  Exact atoms must carry probabilities that are
     nonnegative and sum to 1 within 1e-12.  A rule's weights are not checked:
     they integrate a truncated density series, whose mass misses 1 by up to
-    5e-7 for two uniform coordinates.
+    5e-7 for two uniform coordinates.  Laws compare by identity.
     """
 
-    nodes: np.ndarray
-    probs: np.ndarray
-    check: tuple | None = None
+    __slots__ = _fields = ("nodes", "probs", "check")
+    _defaults = {"check": None}
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def _validate(self):
         if self.check is None and not _is_probability_vector(self.probs.tolist()):
             raise ValueError(f"ridge law atoms need probabilities that are nonnegative and "
                              f"sum to 1 within 1e-12; they sum to {float(self.probs.sum())!r}")

@@ -5,13 +5,12 @@ exact A_i/B_i under Gaussian mixing."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
-from .laws import Distribution, Gaussian, _normal_pdf, _pow, _reals, _scaled, normal_quadrature
+from .laws import Gaussian, _normal_pdf, _pow, _reals, _scaled, normal_quadrature
 from .specs import ABEstimate, _check_length, _jensen_cap, _marginal_ab
+from .value import Value
 
 
 def _normal_mass(lo: float, hi: float) -> float:
@@ -62,18 +61,16 @@ def _variance(mean: float, second: float) -> float:
     return max(second - mean * mean, 0.0) + 16.0 * math.ulp(1.0) * second
 
 
-@dataclass(frozen=True)
-class ConditionallyIid:
-    """Mixture of i.i.d. laws: theta from ``mixing``, then n conditional draws from
-    N(theta, scale^2), the one family there is, which ``conditional`` names."""
+class ConditionallyIid(Value):
+    """Mixture of i.i.d. laws: theta from ``mixing`` (a ``Distribution``), then n
+    conditional draws from N(theta, scale^2), the one family there is, which
+    ``conditional`` names."""
 
-    mixing: Distribution
-    conditional: str
-    scale: float
-    n: int
-    variant: ClassVar[str] = "conditionally_iid"
+    __slots__ = _fields = ("mixing", "conditional", "scale", "n")
+    _law_fields = ("mixing",)
+    variant = "conditionally_iid"
 
-    def __post_init__(self):
+    def _validate(self):
         _check_length(self.n)
         if self.conditional != "gaussian_mean":
             raise ValueError("conditionally_iid conditional must be 'gaussian_mean'; "

@@ -10,8 +10,8 @@ turn those bounds into the summarization bound for spectral statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,8 +135,7 @@ def flat_index(pair, N: int) -> int:
     return i * N - i * (i - 1) // 2 + (j - i)
 
 
-@dataclass(frozen=True)
-class FdAgreement:
+class FdAgreement(NamedTuple):
     """Worst relative errors of the trace formulas against finite differences."""
 
     order1: float
@@ -184,8 +183,7 @@ def fd_agreement_check(N_values, tuples: int, z: complex, rng) -> FdAgreement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivativeBounds:
+class DerivativeBounds(NamedTuple):
     """Trace bounds T_r and the induced bounds H_r on the partials of h.
 
     T1 = 2 |v|^-2 N^-1/2 caps |Tr(G dA G)|; T2 = 2 |v|^-3 N^-1 the two-factor
@@ -209,8 +207,7 @@ def trace_bounds(v: float, N: int) -> DerivativeBounds:
     return DerivativeBounds(t1, t2, t3, t1 / N, 2.0 * t2 / N, 6.0 * t3 / N)
 
 
-@dataclass(frozen=True)
-class TraceRatios:
+class TraceRatios(NamedTuple):
     """Measured |trace| / bound, per order; all must stay at or below 1."""
 
     order1: float
@@ -236,8 +233,7 @@ def trace_bound_check(x, N: int, z: complex, trials: int, rng) -> TraceRatios:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lemma41Constants:
+class Lemma41Constants(NamedTuple):
     """Derivative-bound constants for f = g(Re h) at a fixed z and order N.
 
     Chain-rule expansion against the H_r bounds gives, for B_r = sup|g^(r)|:

@@ -10,7 +10,6 @@ reads a spec from its JSON document and builds the multisets the commands use.
 
 from __future__ import annotations
 
-import inspect
 import math
 from typing import Sequence, Union, get_args
 
@@ -166,21 +165,21 @@ def sample_exchangeable(spec: ExchangeableSpec, seed: int,
 
 def spec_from_dict(d: dict) -> ExchangeableSpec:
     """Build a spec from its JSON document: ``variant`` names the class, and each
-    constructor parameter is read from the key of its name, a ``Distribution`` in
-    its law form (``kind`` with ``params``, or ``values`` and ``probs``).  A
-    malformed document, or one with a key that is not a parameter, raises ValueError."""
+    of its fields (``_fields``) is read from the key of its name, the fields that
+    hold a ``Distribution`` (``_law_fields``) in its law form (``kind`` with
+    ``params``, or ``values`` and ``probs``).  A malformed document, or one with a
+    key that is not a field, raises ValueError."""
     variant = d.get("variant") if isinstance(d, dict) else None
     cls = _SPEC_TYPES.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ValueError(f"spec variant must be one of {', '.join(_SPEC_TYPES)}; "
                          f"got {variant!r}")
-    params = inspect.signature(cls).parameters
-    unknown = sorted(set(d) - {"variant", *params})
+    unknown = sorted(set(d) - {"variant", *cls._fields})
     if unknown:
         raise ValueError(f"unknown key(s) in {variant} spec: {', '.join(unknown)}")
     try:
-        return cls(**{name: _law_from_dict(d[name]) if p.annotation == "Distribution"
-                      else d[name] for name, p in params.items()})
+        return cls(*(_law_from_dict(d[name]) if name in cls._law_fields else d[name]
+                     for name in cls._fields))
     except (KeyError, TypeError, OverflowError) as exc:  # a missing or mistyped field
         raise ValueError(f"malformed {variant} spec ({type(exc).__name__}: {exc})") from None
 

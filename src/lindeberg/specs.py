@@ -6,23 +6,22 @@ sampler (``sample``) and its law's oracles: ``ab_exact`` (None without an
 exact route), ``ridge_law``, ``abs_third_moment`` (closed forms only), and
 ``ab_cap`` (closed-form caps on A_i/B_i) where ``ab_exact`` can return None.
 A multiset's ``prefix_law`` serves its ``ab_exact`` and the enumerated
-identities of ``exchangeable``.  Its JSON form is its constructor's parameters.
+identities of ``exchangeable``.  Its JSON form is its fields (``_fields``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import ClassVar
+from operator import getitem
+from typing import NamedTuple
 
 import numpy as np
 
 from .laws import Distribution, RidgeLaw, _expectation, _is_probability_vector, _reals
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ABEstimate:
+class ABEstimate(NamedTuple):
     """Discrepancies A_i, B_i: their values when ``exact``, else closed-form caps on them."""
 
     a: float
@@ -63,6 +62,18 @@ def _compositions(counts: list, size: int):
     return walk(0, size) if size <= room[0] else iter(())
 
 
+def _binomial_row(c: int, lo: int, hi: int, old: dict) -> dict:
+    """{k: C(c, k)} for k = lo..hi, exact.  An entry of ``old`` (such a row) is
+    reused, and C(c, k) = C(c, k - 1) (c - k + 1) / k steps from the entry before;
+    only a row with neither calls math.comb."""
+    row = {}
+    for k in range(lo, hi + 1):
+        prev = row.get(k - 1, old.get(k - 1))
+        row[k] = (old[k] if k in old else math.comb(c, k) if prev is None
+                  else prev * (c - k + 1) // k)
+    return row
+
+
 def _check_length(n) -> None:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer; got {n!r}")
@@ -87,11 +98,14 @@ class MultisetPermutation:
     are stored as a read-only float64 array: one that owns its memory is kept
     as it is, anything else is copied.  ``values`` gives that array either way.
     The sum of the squared values must be a finite float, as the second
-    moments of every prefix are taken from it.
+    moments of every prefix are taken from it.  The distinct values, their
+    counts and moments, and the binomials of the last prefix size asked for
+    are kept once taken.
     """
 
-    __slots__ = ("_values", "_runs")
-    variant: ClassVar[str] = "multiset"
+    __slots__ = ("_values", "_runs", "_distinct", "_rows")
+    _fields, _law_fields = ("values",), ()
+    variant = "multiset"
 
     def __init__(self, values):
         array = _reals("multiset values", values)
@@ -99,7 +113,8 @@ class MultisetPermutation:
             raise ValueError("multiset values must be a nonempty sequence of numbers")
         bits = array.view(np.int64)
         change = bits[1:] != bits[:-1]
-        self._values = self._runs = None
+        self._values = self._runs = self._distinct = None
+        self._rows = {}
         if (1 + np.count_nonzero(change)) ** 2 <= array.size:
             ends = np.append(np.flatnonzero(change) + 1, array.size)
             self._runs = (array[ends - 1], ends)
@@ -154,20 +169,40 @@ class MultisetPermutation:
                 start = end
         return rng.permuted(out, axis=1, out=out)
 
+    def _moments(self) -> tuple:
+        """(distinct values, their counts as a list, the sum of the values and of
+        their squares, mean |v|^3), taken on first use."""
+        if self._distinct is None:
+            values, counts = np.unique(self.values, return_counts=True)
+            counts = counts.tolist()
+            with np.errstate(over="ignore"):
+                m3 = float(np.mean(np.abs(self.values) ** 3))
+            self._distinct = (values, counts, float(np.dot(values, counts)),
+                              float(np.dot(values * values, counts)), m3)
+        return self._distinct
+
     def prefix_law(self, size: int):
         """The distinct values, their counts, and an iterator over each composition c
         that a uniform ``size``-subset of the coordinates can hold (c_j of the
         counts[j] copies of value j, in lexicographic order) with its number of index
         sets, a product of binomials; the numbers sum to C(n, size).  None when the
-        search, prod_j (min(counts[j], size) + 1) candidates, exceeds the budget."""
-        values, counts = np.unique(self.values, return_counts=True)
-        counts = counts.tolist()
+        search, prod_j (min(counts[j], size) + 1) candidates, exceeds the budget.
+
+        The binomials C(c, k) that a size-subset can use, k from max(0, size - n + c)
+        to min(c, size) for each count c and for c = n, are kept until the next
+        call, which reuses them: sizes asked for in turn cost one exact step per
+        new binomial."""
+        values, counts = self._moments()[:2]
         budget = 1
         for c in counts:
             budget *= min(c, size) + 1
             if budget > _ENUMERATION_BUDGET:
                 return None
-        compositions = ((combo, math.prod(math.comb(c, k) for c, k in zip(counts, combo)))
+        n = self.n
+        self._rows = {c: _binomial_row(c, max(0, size - n + c), min(c, size),
+                                       self._rows.get(c, {})) for c in {*counts, n}}
+        rows = [self._rows[c] for c in counts]
+        compositions = ((combo, math.prod(map(getitem, rows, combo)))
                         for combo in _compositions(counts, size))
         return values, counts, compositions
 
@@ -177,10 +212,9 @@ class MultisetPermutation:
         if law is None:
             return None
         values, counts, compositions = law
-        total_sum = float(np.dot(values, counts))
-        total_sq = float(np.dot(values * values, counts))
+        total_sum, total_sq = self._moments()[2:4]
         rest = self.n - (i - 1)
-        sets = math.comb(self.n, i - 1)
+        sets = self._rows[self.n][i - 1]  # C(n, i - 1), kept by prefix_law
         a = b = 0.0
         for combo, weight in compositions:
             p = weight / sets
@@ -206,8 +240,7 @@ class MultisetPermutation:
 
     def abs_third_moment(self, i: int):
         """mean |v|^3; infinite where a cube overflows a float."""
-        with np.errstate(over="ignore"):
-            return float(np.mean(np.abs(self.values) ** 3))
+        return self._moments()[4]
 
     def ridge_law(self, weights, offset: float):
         """One atom when every weight is equal, as every permutation has the same
@@ -218,15 +251,14 @@ class MultisetPermutation:
         return RidgeLaw(np.array([atom]), np.ones(1))
 
 
-@dataclass(frozen=True)
-class IidFromDistribution:
+class IidFromDistribution(Value):
     """n independent draws from a scalar distribution (exchangeable)."""
 
-    dist: Distribution
-    n: int
-    variant: ClassVar[str] = "iid"
+    __slots__ = _fields = ("dist", "n")
+    _law_fields = ("dist",)
+    variant = "iid"
 
-    def __post_init__(self):
+    def _validate(self):
         _check_length(self.n)
 
     def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
@@ -242,21 +274,19 @@ class IidFromDistribution:
         return self.dist.ridge_law(weights, offset)
 
 
-@dataclass(frozen=True)
-class MarkovChain:
+class MarkovChain(Value):
     """Finite-state chain with real state values.
 
     Generally not exchangeable; admitted as a weakly dependent input for the
     swapping bound, never for the exchangeable summarization bound.
     """
 
-    states: tuple
-    initial: tuple
-    kernel: tuple
-    n: int
-    variant: ClassVar[str] = "markov"
+    _fields = ("states", "initial", "kernel", "n")
+    __slots__ = (*_fields, "_laws")
+    _law_fields = ()
+    variant = "markov"
 
-    def __post_init__(self):
+    def _validate(self):
         _check_length(self.n)
         object.__setattr__(self, "states", tuple(_reals("markov states", self.states).tolist()))
         object.__setattr__(self, "initial", tuple(_reals("markov initial", self.initial).tolist()))
@@ -273,14 +303,17 @@ class MarkovChain:
             raise ValueError(f"markov kernel must be {k} x {k}, each row nonnegative "
                              "and summing to 1 within 1e-12")
 
-    @cached_property
+    @property
     def _step_laws(self) -> tuple:
-        """The laws of the state at steps 1..n, each the one before times the kernel."""
-        kernel = np.asarray(self.kernel)
-        laws = [np.asarray(self.initial, dtype=float)]
-        for _ in range(self.n - 1):
-            laws.append(laws[-1] @ kernel)
-        return tuple(laws)
+        """The laws of the state at steps 1..n, each the one before times the
+        kernel; computed on first use."""
+        if not hasattr(self, "_laws"):
+            kernel = np.asarray(self.kernel)
+            laws = [np.asarray(self.initial, dtype=float)]
+            for _ in range(self.n - 1):
+                laws.append(laws[-1] @ kernel)
+            object.__setattr__(self, "_laws", tuple(laws))
+        return self._laws
 
     def sample(self, rng: np.random.Generator, replicates: int, out=None) -> np.ndarray:
         """Inverse-cdf draws from one row-major block of uniforms: column 0 goes

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .sampling import (
 )
 from .specs import IidFromDistribution
 from .standardize import center_and_scale
+from .value import Value
 
 _SYMMETRY_TOL = 1e-12
 _RANK_RTOL = 1e-10  # see rank_inequality_check
@@ -112,15 +112,14 @@ def _mirror_upper(a: np.ndarray) -> None:
             a[t:t + _TILE, s:e] = a[s:e, t:t + _TILE].T
 
 
-@dataclass(frozen=True)
-class WignerEnsembleSpec:
-    """Random symmetric matrix of order N with a specified entry law."""
+class WignerEnsembleSpec(Value):
+    """Random symmetric matrix of order N whose upper triangle is drawn from the
+    spec ``entries``, named by ``label``."""
 
-    N: int
-    entries: ExchangeableSpec
-    label: str = ""
+    __slots__ = _fields = ("N", "entries", "label")
+    _defaults = {"label": ""}
 
-    def __post_init__(self):
+    def _validate(self):
         if self.entries.n != upper_triangle_size(self.N):
             raise ValueError("entry spec must cover the upper triangle")
 
@@ -173,8 +172,7 @@ ENSEMBLES: dict[str, Callable[[int], WignerEnsembleSpec]] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     """Sorted spectrum with its defining trace identities.
 
     ``trace_error`` is |sum(eigs) - tr(A)|; ``frobenius_error`` is
@@ -387,8 +385,7 @@ def ks_distance(f: EsdFunction, g: Union[EsdFunction, Callable]) -> float:
     return float(np.max(gap))
 
 
-@dataclass(frozen=True)
-class RankCheck:
+class RankCheck(NamedTuple):
     ks: float
     rank: int
     bound: float
@@ -421,8 +418,7 @@ def rank_inequality_check(a, b) -> RankCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     """One convergence measurement for a (spec, N, seed) cell."""
 
     N: int

@@ -5,7 +5,7 @@ vector (``build_y``) that the exchangeable summarization bound compares X with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,8 +14,7 @@ import numpy as np
 _DEGENERATE_RTOL = 1e-13
 
 
-@dataclass(frozen=True)
-class StandardizedVector:
+class StandardizedVector(NamedTuple):
     """Sample mean, sample sd (divisor n), and the standardized coordinates."""
 
     mu_hat: float

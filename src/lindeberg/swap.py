@@ -13,7 +13,8 @@ Monte Carlo otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,14 +32,14 @@ from .specs import ABEstimate, IidFromDistribution
 _DOMINANCE_STDERRS = 3.0
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """A computed bound next to the estimate of Ef(X) - Ef(Y) it must dominate.
 
     ``kind`` is ``"exact"`` when the estimate comes from quadrature over the
     laws of the ridge argument; ``stderr`` is then the stated quadrature error
     and ``replicates`` is 0.  It is ``"mc"`` for a Monte Carlo mean over
-    ``replicates`` draws, with its standard error.
+    ``replicates`` draws, with its standard error.  ``components`` names the
+    bound's terms; by default there are none, in a mapping no report can change.
     """
 
     bound: float
@@ -46,7 +47,7 @@ class BoundReport:
     stderr: float
     replicates: int
     kind: str
-    components: dict = field(default_factory=dict)
+    components: Mapping = MappingProxyType({})
 
     def dominates(self) -> bool:
         """True when |estimate| <= bound + 3 stderr."""
@@ -143,8 +144,7 @@ def mean_difference(functions, x_spec, y_spec, replicates: int, seed: int) -> li
     return [mean.result() for mean in means]
 
 
-@dataclass
-class TelescopeResult:
+class TelescopeResult(NamedTuple):
     estimate: float
     stderr: float
     steps: np.ndarray

@@ -1,5 +1,3 @@
-import inspect
-
 import numpy as np
 import pytest
 
@@ -20,9 +18,9 @@ class OpaqueFunction(SmoothFunction):
 
 def spec_doc(spec) -> dict:
     """The JSON document of a vector spec, as ``spec_from_dict`` reads it: its
-    variant and each constructor parameter under its own name, a law in its law form."""
+    variant and each of its fields under its own name, a law in its law form."""
     doc = {"variant": spec.variant}
-    for name in inspect.signature(type(spec)).parameters:
+    for name in spec._fields:
         value = getattr(spec, name)
         if hasattr(value, "to_dict"):
             value = value.to_dict()

@@ -862,7 +862,7 @@ _TINY_THM11 = ["--functions", "cos", "--replicates", "200"]
 # The package modules every run loads: argument handling, the laws and specs
 # that spec documents name, and the samplers.
 _ALWAYS_LOADED = {"cli", "suites", "functions", "sampling", "laws", "specs", "mixture",
-                  "standardize"}
+                  "standardize", "value"}
 
 # Each run loads only the modules its subcommand calls: the package modules it
 # loads beyond ``_ALWAYS_LOADED``, and the package modules (and numpy.ma) it
@@ -875,7 +875,7 @@ _ALWAYS_LOADED = {"cli", "suites", "functions", "sampling", "laws", "specs", "mi
      {"swap"}, {"exchangeable", "spectral", "resolvent"}),
     (["thm11-check", "--spec-json", "{spec}", *_TINY_THM11],
      {"swap"}, {"exchangeable", "spectral", "resolvent"}),
-    (["identities", "--n", "3"], {"swap", "exchangeable"}, {"spectral", "resolvent"}),
+    (["identities", "--n", "3"], {"exchangeable"}, {"spectral", "resolvent", "swap"}),
     (["thm12-check", "--n", "5", "--replicates", "200"], {"swap", "exchangeable"},
      {"spectral", "resolvent"}),
     (["wigner-sweep", "--N", "20", "--seeds", "2"], {"spectral"},
