@@ -99,11 +99,11 @@ class MultisetPermutation:
     as it is, anything else is copied.  ``values`` gives that array either way.
     The sum of the squared values must be a finite float, as the second
     moments of every prefix are taken from it.  The distinct values, their
-    counts and moments, and the binomials of the last prefix size asked for
-    are kept once taken.
+    counts and moments, the binomials of the last prefix size asked for and
+    the i-independent terms of the caps are kept once taken.
     """
 
-    __slots__ = ("_values", "_runs", "_distinct", "_rows")
+    __slots__ = ("_values", "_runs", "_distinct", "_rows", "_cap")
     _fields, _law_fields = ("values",), ()
     variant = "multiset"
 
@@ -113,7 +113,7 @@ class MultisetPermutation:
             raise ValueError("multiset values must be a nonempty sequence of numbers")
         bits = array.view(np.int64)
         change = bits[1:] != bits[:-1]
-        self._values = self._runs = self._distinct = None
+        self._values = self._runs = self._distinct = self._cap = None
         self._rows = {}
         if (1 + np.count_nonzero(change)) ** 2 <= array.size:
             ends = np.append(np.flatnonzero(change) + 1, array.size)
@@ -229,13 +229,17 @@ class MultisetPermutation:
         """For V = X_i or X_i^2 against its target c: mean |v - c| over the values
         of V, or the root of (mean - c)^2 plus the variance of the mean of the
         n - k values a k-prefix leaves (k = i - 1), whichever is smaller.  The
-        variance is infinite where the squares of V's deviations overflow."""
+        variance is infinite where the squares of V's deviations overflow.  The
+        i-independent terms are taken once per pair of targets (the last pair kept)."""
+        if self._cap is None or self._cap[0] != (y_mean, y_second):
+            values = self.values
+            with np.errstate(over="ignore"):
+                terms = [(float(np.mean(np.abs(v - c))), float(np.mean(v)) - c, float(np.var(v)))
+                         for v, c in ((values, y_mean), (values * values, y_second))]
+            self._cap = ((y_mean, y_second), terms)
         n, k = self.n, i - 1
-        values = self.values
-        with np.errstate(over="ignore"):
-            a, b = (_jensen_cap(float(np.mean(np.abs(v - c))), float(np.mean(v)) - c,
-                                k / ((n - 1) * (n - k)) * float(np.var(v)) if k else 0.0)
-                    for v, c in ((values, y_mean), (values * values, y_second)))
+        a, b = (_jensen_cap(l1, shift, k / ((n - 1) * (n - k)) * var if k else 0.0)
+                for l1, shift, var in self._cap[1])
         return ABEstimate(a, b, False)
 
     def abs_third_moment(self, i: int):

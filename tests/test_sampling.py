@@ -255,6 +255,29 @@ def test_prefix_law_emits_the_filtered_product_in_its_order(counts, data):
     assert sum(weight for _, weight in got) == (math.comb(sum(counts), size) if size >= 0 else 0)
 
 
+def test_prefix_laws_asked_in_any_order_keep_their_exact_weights():
+    # each call reuses the binomials the last one kept; any order of sizes, and
+    # ab_exact's C(n, i - 1), must still give the exact products of math.comb
+    counts = [3, 1, 4, 2]
+    values = np.repeat(np.arange(len(counts), dtype=float), counts)
+    spec = MultisetPermutation(values)
+    for size in [0, 1, 2, 3, 9, 4, 5, 5, 10, 2, 7, 6, 8, 1]:
+        _, _, compositions = spec.prefix_law(size)
+        assert list(compositions) == _filtered_compositions(counts, size)
+    for i in range(spec.n, 0, -1):
+        fresh = MultisetPermutation(values).ab_exact(0.1, 1.3, i)
+        assert spec.ab_exact(0.1, 1.3, i) == fresh
+
+
+def test_multiset_caps_follow_their_targets():
+    # the i-independent terms of the caps are kept for the last pair of targets
+    values = np.arange(1.0, 21.0)
+    spec = MultisetPermutation(values)
+    for y_mean, y_second, i in [(0.0, 1.0, 3), (0.5, 2.0, 3), (0.5, 2.0, 7), (0.0, 1.0, 1)]:
+        assert spec.ab_cap(y_mean, y_second, i) == MultisetPermutation(values).ab_cap(
+            y_mean, y_second, i)
+
+
 def test_prefix_law_of_a_long_multiset_emits_only_its_compositions():
     # 5999 ones and one 2: two compositions for each size, of 2 * 6000 candidates
     spec = MultisetPermutation([1.0] * 5999 + [2.0])
