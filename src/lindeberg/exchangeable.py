@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .laws import normal_quadrature
 from .sampling import RunningMean, derive_child, rng_from, row_blocks, sample_batch
 from .specs import _ENUMERATION_BUDGET, MultisetPermutation
 from .standardize import build_y, center_and_scale
+
+if TYPE_CHECKING:  # for annotations only: the functions that form exact rationals import it
+    from fractions import Fraction
 
 _CONSISTENCY_STDERRS = 4.0  # how far apart the two interpolation estimates may be
 _STEIN_DEGREE = 3
@@ -164,7 +167,7 @@ class SecondMomentChecks(NamedTuple):
 
 
 def second_moment_identity_check(walk: PrefixWalk) -> SecondMomentChecks:
-    from fractions import Fraction  # here, as below, so that only ``identities`` loads it
+    from fractions import Fraction  # here and below, so that only ``identities`` loads it
     values, i = walk.spec.values, walk.i
     n = values.size
     rest = n - i + 1
