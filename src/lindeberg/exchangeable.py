@@ -91,7 +91,7 @@ class PrefixWalk:
         law = self.spec.prefix_law(self.i - 1)
         if law is None:
             raise _past_budget()
-        values, counts, compositions = law
+        values, counts, compositions, _ = law
         return tuple((np.repeat(values, combo), np.repeat(values, counts - np.asarray(combo)),
                       weight) for combo, weight in compositions)
 

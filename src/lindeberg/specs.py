@@ -99,11 +99,11 @@ class MultisetPermutation:
     as it is, anything else is copied.  ``values`` gives that array either way.
     The sum of the squared values must be a finite float, as the second
     moments of every prefix are taken from it.  The distinct values, their
-    counts and moments, the binomials of the last prefix size asked for and
-    the i-independent terms of the caps are kept once taken.
+    counts and moments, and the binomials of the last prefix size asked for
+    are kept once taken.
     """
 
-    __slots__ = ("_values", "_runs", "_distinct", "_rows", "_cap")
+    __slots__ = ("_values", "_runs", "_distinct", "_rows")
     _fields, _law_fields = ("values",), ()
     variant = "multiset"
 
@@ -113,7 +113,7 @@ class MultisetPermutation:
             raise ValueError("multiset values must be a nonempty sequence of numbers")
         bits = array.view(np.int64)
         change = bits[1:] != bits[:-1]
-        self._values = self._runs = self._distinct = self._cap = None
+        self._values = self._runs = self._distinct = None
         self._rows = {}
         if (1 + np.count_nonzero(change)) ** 2 <= array.size:
             ends = np.append(np.flatnonzero(change) + 1, array.size)
@@ -182,11 +182,12 @@ class MultisetPermutation:
         return self._distinct
 
     def prefix_law(self, size: int):
-        """The distinct values, their counts, and an iterator over each composition c
+        """The distinct values, their counts, an iterator over each composition c
         that a uniform ``size``-subset of the coordinates can hold (c_j of the
         counts[j] copies of value j, in lexicographic order) with its number of index
-        sets, a product of binomials; the numbers sum to C(n, size).  None when the
-        search, prod_j (min(counts[j], size) + 1) candidates, exceeds the budget.
+        sets, a product of binomials, and C(n, size), the sum of those numbers.  None
+        when the search, prod_j (min(counts[j], size) + 1) candidates, exceeds the
+        budget.
 
         The binomials C(c, k) that a size-subset can use, k from max(0, size - n + c)
         to min(c, size) for each count c and for c = n, are kept until the next
@@ -204,17 +205,16 @@ class MultisetPermutation:
         rows = [self._rows[c] for c in counts]
         compositions = ((combo, math.prod(map(getitem, rows, combo)))
                         for combo in _compositions(counts, size))
-        return values, counts, compositions
+        return values, counts, compositions, self._rows[n].get(size, 0)
 
     def ab_exact(self, y_mean, y_second, i):
         """By walking the prefix law; None past the budget."""
         law = self.prefix_law(i - 1)
         if law is None:
             return None
-        values, counts, compositions = law
+        values, counts, compositions, sets = law
         total_sum, total_sq = self._moments()[2:4]
         rest = self.n - (i - 1)
-        sets = self._rows[self.n][i - 1]  # C(n, i - 1), kept by prefix_law
         a = b = 0.0
         for combo, weight in compositions:
             p = weight / sets
@@ -229,17 +229,13 @@ class MultisetPermutation:
         """For V = X_i or X_i^2 against its target c: mean |v - c| over the values
         of V, or the root of (mean - c)^2 plus the variance of the mean of the
         n - k values a k-prefix leaves (k = i - 1), whichever is smaller.  The
-        variance is infinite where the squares of V's deviations overflow.  The
-        i-independent terms are taken once per pair of targets (the last pair kept)."""
-        if self._cap is None or self._cap[0] != (y_mean, y_second):
-            values = self.values
-            with np.errstate(over="ignore"):
-                terms = [(float(np.mean(np.abs(v - c))), float(np.mean(v)) - c, float(np.var(v)))
-                         for v, c in ((values, y_mean), (values * values, y_second))]
-            self._cap = ((y_mean, y_second), terms)
+        variance is infinite where the squares of V's deviations overflow."""
         n, k = self.n, i - 1
-        a, b = (_jensen_cap(l1, shift, k / ((n - 1) * (n - k)) * var if k else 0.0)
-                for l1, shift, var in self._cap[1])
+        values = self.values
+        with np.errstate(over="ignore"):
+            a, b = (_jensen_cap(float(np.mean(np.abs(v - c))), float(np.mean(v)) - c,
+                                k / ((n - 1) * (n - k)) * float(np.var(v)) if k else 0.0)
+                    for v, c in ((values, y_mean), (values * values, y_second)))
         return ABEstimate(a, b, False)
 
     def abs_third_moment(self, i: int):

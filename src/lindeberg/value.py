@@ -3,7 +3,9 @@
 A subclass lists its fields in ``_fields`` (and in its ``__slots__``), and any
 defaults in ``_defaults``.  It is built positionally or by keyword, checks
 itself in ``_validate`` (which may replace a field by its normalized form with
-``object.__setattr__``), and compares, hashes and prints by its fields.
+``object.__setattr__``), and compares, hashes and prints by its fields.  Copies
+and pickles are rebuilt through the constructor from the fields, so ``_validate``
+must accept the fields it has normalized.
 """
 
 
@@ -34,6 +36,9 @@ class Value:
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, key) for key in self._fields)
+
+    def __reduce__(self):
+        return type(self), self._astuple()
 
     def __setattr__(self, key, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -439,9 +439,9 @@ def test_wrong_composition_weight_fails_the_identities(tmp_path, monkeypatch, ca
         law = true_law(spec, size)
         if law is None or size == 0:
             return law
-        values, counts, compositions = law
+        values, counts, compositions, sets = law
         first, *rest = compositions
-        return values, counts, iter([(first[0], first[1] + 1), *rest])
+        return values, counts, iter([(first[0], first[1] + 1), *rest]), sets
 
     monkeypatch.setattr(MultisetPermutation, "prefix_law", perturbed)
     assert run_cli(["identities", "--n", "4", "--out", str(tmp_path)]) == 1
@@ -865,24 +865,31 @@ _ALWAYS_LOADED = {"cli", "suites", "functions", "sampling", "laws", "specs", "mi
                   "standardize", "value"}
 
 # Each run loads only the modules its subcommand calls: the package modules it
-# loads beyond ``_ALWAYS_LOADED``, and the package modules (and numpy.ma) it
-# must not load.  None of these runs solves an order the two-stage eigensolver
+# loads beyond ``_ALWAYS_LOADED``, and the modules (package ones, numpy.ma and
+# standard-library ones) it must not load.  No run builds classes through
+# ``dataclasses``, and only ``identities``, which forms exact rationals, loads
+# ``fractions`` and ``decimal`` (numpy itself imports ``inspect``, so nothing is
+# said of it).  None of these runs solves an order the two-stage eigensolver
 # takes, so none binds OpenBLAS through ctypes (numpy imports the ctypes module
 # itself, so the binding is checked).
+_STDLIB_UNUSED = {"dataclasses", "fractions", "decimal"}  # identities loads the last two
+
+
 @pytest.mark.parametrize("args, loads, unused", [
-    ([], set(), {"exchangeable", "spectral", "resolvent", "swap"}),
+    ([], set(), {"exchangeable", "spectral", "resolvent", "swap", *_STDLIB_UNUSED}),
     (["thm11-check", "--n", "5", "--specs", "iid-uniform", *_TINY_THM11],
-     {"swap"}, {"exchangeable", "spectral", "resolvent"}),
+     {"swap"}, {"exchangeable", "spectral", "resolvent", *_STDLIB_UNUSED}),
     (["thm11-check", "--spec-json", "{spec}", *_TINY_THM11],
-     {"swap"}, {"exchangeable", "spectral", "resolvent"}),
-    (["identities", "--n", "3"], {"exchangeable"}, {"spectral", "resolvent", "swap"}),
+     {"swap"}, {"exchangeable", "spectral", "resolvent", *_STDLIB_UNUSED}),
+    (["identities", "--n", "3"], {"exchangeable"},
+     {"spectral", "resolvent", "swap", "dataclasses"}),
     (["thm12-check", "--n", "5", "--replicates", "200"], {"swap", "exchangeable"},
-     {"spectral", "resolvent"}),
+     {"spectral", "resolvent", *_STDLIB_UNUSED}),
     (["wigner-sweep", "--N", "20", "--seeds", "2"], {"spectral"},
-     {"exchangeable", "resolvent", "numpy.ma"}),
-    (["semicircle-table"], {"spectral"}, {"exchangeable", "resolvent"}),
+     {"exchangeable", "resolvent", "numpy.ma", *_STDLIB_UNUSED}),
+    (["semicircle-table"], {"spectral"}, {"exchangeable", "resolvent", *_STDLIB_UNUSED}),
     (["resolvent-check", "--N", "3", "--tuples", "2", "--trials", "5"],
-     {"spectral", "resolvent"}, {"exchangeable", "swap"}),
+     {"spectral", "resolvent"}, {"exchangeable", "swap", *_STDLIB_UNUSED}),
 ], ids=["import", "thm11-check", "thm11-check-spec-json", "identities", "thm12-check",
         "wigner-sweep", "semicircle-table", "resolvent-check"])
 def test_each_command_loads_only_the_modules_it_calls(tmp_path, args, loads, unused):

@@ -73,49 +73,3 @@ def test_cli_compiles_before_numpy_loads():
     # every other module cli.py loads comes after numpy, so none is exempt
     assert {name for name, loaded in numpy_loaded.items() if not loaded} == {
         "lindeberg", "lindeberg.cli"}
-
-
-# Runs one command in process and prints its exit code and the modules then loaded.
-_CONTRACT_SCRIPT = """
-import contextlib, io, json, sys
-from lindeberg import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(sys.modules)]))
-"""
-
-_SPEC = {"variant": "conditionally_iid", "mixing": {"kind": "gaussian", "params": [0.0, 0.5]},
-         "conditional": "gaussian_mean", "scale": 0.75 ** 0.5, "n": 2}
-
-
-@pytest.mark.parametrize("args", [
-    ["identities", "--n", "3"],
-    ["thm11-check", "--n", "5", "--replicates", "200"],
-    ["thm11-check", "--spec-json", "{spec}", "--replicates", "200"],
-    ["thm12-check", "--n", "5", "--replicates", "200"],
-    ["resolvent-check", "--N", "3", "--tuples", "1", "--trials", "2"],
-    ["wigner-sweep", "--N", "10", "--seeds", "1"],
-    ["semicircle-table"],
-], ids=["identities", "thm11-check", "thm11-check-spec-json", "thm12-check",
-        "resolvent-check", "wigner-sweep", "semicircle-table"])
-def test_command_loads_no_class_builder_and_no_rationals_it_does_not_use(tmp_path, args):
-    """The load contract, one fresh interpreter per command: no run loads
-    ``dataclasses``; only ``identities``, which forms exact rationals, loads
-    ``fractions`` or ``decimal``; and ``identities`` never loads ``swap``.
-    (numpy itself imports ``inspect``, so nothing is asserted about it.)"""
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(_SPEC))
-    args = [a.format(spec=spec) for a in args] + ["--out", str(tmp_path / "out")]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", _CONTRACT_SCRIPT, json.dumps(args)],
-                            env=env, capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stderr[-2000:]
-    code, modules = json.loads(result.stdout.splitlines()[-1])
-    assert code == 0
-    assert "dataclasses" not in modules
-    if args[0] == "identities":
-        assert "lindeberg.swap" not in modules
-    else:
-        assert not {"fractions", "decimal"} & set(modules)

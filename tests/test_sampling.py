@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -248,40 +250,48 @@ def test_prefix_law_emits_the_filtered_product_in_its_order(counts, data):
     size = data.draw(st.integers(-1, sum(counts) + 1))
     values = np.repeat(np.arange(len(counts), dtype=float), counts)
     data.draw(st.randoms()).shuffle(values)
-    _, law_counts, compositions = MultisetPermutation(values).prefix_law(size)
+    _, law_counts, compositions, sets = MultisetPermutation(values).prefix_law(size)
     got = list(compositions)
     assert law_counts == counts
     assert got == _filtered_compositions(counts, size)
     assert sum(weight for _, weight in got) == (math.comb(sum(counts), size) if size >= 0 else 0)
+    assert sets == sum(weight for _, weight in got)
 
 
 def test_prefix_laws_asked_in_any_order_keep_their_exact_weights():
-    # each call reuses the binomials the last one kept; any order of sizes, and
-    # ab_exact's C(n, i - 1), must still give the exact products of math.comb
+    # each call reuses the binomials the last one kept; any order of sizes must
+    # still give the exact products of math.comb, and C(n, size) with them
     counts = [3, 1, 4, 2]
     values = np.repeat(np.arange(len(counts), dtype=float), counts)
     spec = MultisetPermutation(values)
     for size in [0, 1, 2, 3, 9, 4, 5, 5, 10, 2, 7, 6, 8, 1]:
-        _, _, compositions = spec.prefix_law(size)
+        _, _, compositions, sets = spec.prefix_law(size)
         assert list(compositions) == _filtered_compositions(counts, size)
+        assert sets == math.comb(spec.n, size)
     for i in range(spec.n, 0, -1):
         fresh = MultisetPermutation(values).ab_exact(0.1, 1.3, i)
         assert spec.ab_exact(0.1, 1.3, i) == fresh
 
 
-def test_multiset_caps_follow_their_targets():
-    # the i-independent terms of the caps are kept for the last pair of targets
-    values = np.arange(1.0, 21.0)
-    spec = MultisetPermutation(values)
-    for y_mean, y_second, i in [(0.0, 1.0, 3), (0.5, 2.0, 3), (0.5, 2.0, 7), (0.0, 1.0, 1)]:
-        assert spec.ab_cap(y_mean, y_second, i) == MultisetPermutation(values).ab_cap(
-            y_mean, y_second, i)
+def test_value_types_survive_copies_and_pickles():
+    # immutable value types are rebuilt through their constructors
+    chain = MarkovChain((0.0, 1.0), (0.5, 0.5), ((0.9, 0.1), (0.2, 0.8)), 4)
+    chain.ab_exact(0.5, 0.5, 3)  # fills the cached step laws, which copies drop
+    values = [gaussian(), uniform(-1.0, 1.0), student_t(5.0), Finite((0.0, 2.0), (0.25, 0.75)), chain,
+              IidFromDistribution(uniform(-1.0, 1.0), 3),
+              ConditionallyIid(gaussian(0.0, 0.5), "gaussian_mean", 0.75 ** 0.5, 2)]
+    for value in values:
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    restored = pickle.loads(pickle.dumps(chain))
+    assert restored.ab_exact(0.5, 0.5, 3) == chain.ab_exact(0.5, 0.5, 3)
 
 
 def test_prefix_law_of_a_long_multiset_emits_only_its_compositions():
     # 5999 ones and one 2: two compositions for each size, of 2 * 6000 candidates
     spec = MultisetPermutation([1.0] * 5999 + [2.0])
-    _, _, compositions = spec.prefix_law(3000)
+    _, _, compositions, _ = spec.prefix_law(3000)
     assert [combo for combo, _ in compositions] == [(2999, 1), (3000, 0)]
 
 
