@@ -83,25 +83,29 @@ _READS = {
 
 
 # Each config field in order: its type, as the errors name it and ``_has_type``
-# reads it, and its default, copied for each config (``command`` is always
-# given).  z_grid None means the command's default points.
+# reads it; its default, copied for each config (``command`` is always given);
+# and the flag that sets it, with the argparse keywords besides its ``type``,
+# which ``_arg_type`` takes from the field's type.  z_grid None means the
+# command's default points.
 _CONFIG_FIELDS = {
-    "command": ("str", None),
-    "seed": ("int", 0),
-    "out": ("str", "."),
-    "replicates": ("int | None", None),
-    "n_list": ("list[int]", []),
-    "N_list": ("list[int]", []),
-    "multiset": ("list[float]", []),
-    "ensemble": ("str", "rademacher-perm"),
-    "seeds": ("int", suites.SWEEP_SEEDS),
-    "z_grid": ("list[str] | None", None),
-    "x_values": ("list[float]", []),
-    "specs": ("list[str]", list(suites.SWAPPING_SPEC_KINDS)),
-    "functions": ("list[str]", list(suites.SUITE_FUNCTION_KINDS)),
-    "trials": ("int", suites.RESOLVENT_TRIALS),
-    "tuples": ("int", suites.RESOLVENT_TUPLES),
-    "custom_spec": ("dict | None", None),
+    "command": ("str", None, None, {}),
+    "seed": ("int", 0, "--seed", {}),
+    "out": ("str", ".", "--out", {"help": "output directory"}),
+    "replicates": ("int | None", None, "--replicates", {}),
+    "n_list": ("list[int]", [], "--n", {"help": "comma-separated vector lengths"}),
+    "N_list": ("list[int]", [], "--N", {"help": "comma-separated matrix orders"}),
+    "multiset": ("list[float]", [], "--multiset", {"help": "comma-separated multiset values"}),
+    "ensemble": ("str", "rademacher-perm", "--ensemble", {"choices": _ENSEMBLE_NAMES}),
+    "seeds": ("int", suites.SWEEP_SEEDS, "--seeds", {"help": "replicate seeds per sweep cell"}),
+    "z_grid": ("list[str] | None", None, "--z",
+               {"help": "comma-separated complex evaluation points"}),
+    "x_values": ("list[float]", [], "--x", {"help": "comma-separated real evaluation points"}),
+    "specs": ("list[str]", list(suites.SWAPPING_SPEC_KINDS), "--specs", {}),
+    "functions": ("list[str]", list(suites.SUITE_FUNCTION_KINDS), "--functions", {}),
+    "trials": ("int", suites.RESOLVENT_TRIALS, "--trials", {}),
+    "tuples": ("int", suites.RESOLVENT_TUPLES, "--tuples", {}),
+    "custom_spec": ("dict | None", None, "--spec-json",
+                    {"help": "path to an exchangeable-spec JSON document"}),
 }
 
 
@@ -115,16 +119,10 @@ class ExperimentConfig:
         if unknown:
             raise TypeError(f"ExperimentConfig() got unexpected argument(s) {unknown}")
         values["command"] = command
-        for key, (_, default) in _CONFIG_FIELDS.items():
+        for key, (_, default, *_) in _CONFIG_FIELDS.items():
             if key not in values:
                 values[key] = list(default) if isinstance(default, list) else default
             setattr(self, key, values[key])
-
-    def __eq__(self, other):
-        if type(other) is not ExperimentConfig:
-            return NotImplemented
-        return ([getattr(self, key) for key in _CONFIG_FIELDS]
-                == [getattr(other, key) for key in _CONFIG_FIELDS])
 
     def to_dict(self) -> dict:
         """``command``, ``seed``, ``out`` and the fields this command reads, as copies."""
@@ -138,7 +136,7 @@ class ExperimentConfig:
         unknown = sorted(set(d) - set(_CONFIG_FIELDS))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        for key, (tp, _) in _CONFIG_FIELDS.items():
+        for key, (tp, *_) in _CONFIG_FIELDS.items():
             if key in d and not _has_type(d[key], tp):
                 raise ValueError(f"config key {key!r} must be {tp}; got {d[key]!r}")
         command = d.get("command")
@@ -213,15 +211,25 @@ def _in_cell(flag: str, size: int, label: str, build, *args):
         raise ValueError(f"{flag} {size} ({label}): {exc}") from None
 
 
+def _multiset_cells(cfg: ExperimentConfig, default):
+    """Each cell as its ``_in_cell`` label and its spec: the explicit --multiset,
+    whose length fixes n, or else the ramp at each n."""
+    for n in _n_list(cfg, default, len(cfg.multiset) or None):
+        if cfg.multiset:
+            yield ("--n", n, "explicit multiset"), standardized_multiset(cfg.multiset)
+        else:
+            cell = ("--n", n, "ramp multiset")
+            yield cell, _in_cell(*cell, suites.ramp_multiset, n)
+
+
 def run_identities(cfg: ExperimentConfig):
-    n_list = _n_list(cfg, suites.IDENTITY_N_VALUES, len(cfg.multiset) or None)
+    """exact enumeration checks for conditional moments, the covariance gap,
+    and the Gaussian integration-by-parts identity"""
     identity_limit = suites.LIMITS["identity"]
     rows = []
     checks = {}
-    for n in n_list:
-        cell = ("--n", n, "explicit multiset" if cfg.multiset else "ramp multiset")
-        spec = (standardized_multiset(cfg.multiset) if cfg.multiset
-                else _in_cell(*cell, suites.ramp_multiset, n))
+    for cell, spec in _multiset_cells(cfg, suites.IDENTITY_N_VALUES):
+        n = spec.n
         worst_mean = worst_sq = worst_mart = 0.0
         slack = math.inf
         # refuses a multiset past the enumeration budget before any walk
@@ -287,6 +295,7 @@ def _swapping_group(spec, label, f_kinds, replicates, seeds):
 
 
 def run_thm11(cfg: ExperimentConfig):
+    """swapping-bound domination suite"""
     replicates = suites.SWAPPING_REPLICATES if cfg.replicates is None else cfg.replicates
     if cfg.custom_spec:
         spec = spec_from_dict(cfg.custom_spec)
@@ -307,14 +316,13 @@ def run_thm11(cfg: ExperimentConfig):
 
 
 def run_thm12(cfg: ExperimentConfig):
+    """exchangeable summarization bound suite"""
     replicates = suites.SUMMARIZATION_REPLICATES if cfg.replicates is None else cfg.replicates
-    n_list = _n_list(cfg, suites.SUMMARIZATION_N_VALUES, len(cfg.multiset) or None)
     rows = []
     checks = {}
     kinds = suites.SUMMARIZATION_FUNCTION_KINDS
-    for idx, n in enumerate(n_list):
-        spec = (standardized_multiset(cfg.multiset) if cfg.multiset
-                else _in_cell("--n", n, "ramp multiset", suites.ramp_multiset, n))
+    for idx, (_, spec) in enumerate(_multiset_cells(cfg, suites.SUMMARIZATION_N_VALUES)):
+        n = spec.n
         functions = [suites.summarization_function(f_kind, n) for f_kind in kinds]
         # the functions of one n share one draw of X, seeded from the first's slot
         reports = _cli.end_to_end_check(spec, functions, replicates,
@@ -335,6 +343,7 @@ def run_thm12(cfg: ExperimentConfig):
 
 
 def run_resolvent_check(cfg: ExperimentConfig):
+    """resolvent derivative formulas against finite differences plus trace bounds"""
     if cfg.z_grid is not None and len(cfg.z_grid) != 1:
         raise ValueError("resolvent-check takes exactly one --z value")
     z = suites.RESOLVENT_Z if cfg.z_grid is None else complex(cfg.z_grid[0])
@@ -389,6 +398,7 @@ def _median(values) -> float:
 
 
 def run_wigner_sweep(cfg: ExperimentConfig):
+    """semicircle convergence sweep over matrix orders and seeds"""
     if cfg.ensemble not in _cli.ENSEMBLES:
         raise ValueError(f"unknown ensemble {cfg.ensemble!r}")
     N_list = [int(N) for N in (cfg.N_list or suites.SWEEP_N_VALUES)]
@@ -424,6 +434,7 @@ def _is_stieltjes_root(z: complex, m: complex) -> bool:
 
 
 def run_semicircle_table(cfg: ExperimentConfig):
+    """reference law values (density, cdf, transform)"""
     rows = []
     zs = cfg.z_grid if cfg.z_grid is not None else ([] if cfg.x_values else suites.Z_GRID)
     xs = cfg.x_values or ([] if cfg.z_grid else suites.SEMICIRCLE_X)
@@ -467,37 +478,21 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _split_floats(text: str):
-    return [float(v) for v in text.split(",") if v != ""]
+def _split(convert):
+    """An argparse type: the comma-separated values of a flag, each through ``convert``."""
+    def split(text: str):
+        return [convert(v) for v in text.split(",") if v != ""]
+
+    split.__name__ = f"_split_{convert.__name__}s"  # argparse's "invalid ... value" names it
+    return split
 
 
-def _split_ints(text: str):
-    return [int(v) for v in text.split(",") if v != ""]
-
-
-def _split_strs(text: str):
-    return [v for v in text.split(",") if v != ""]
-
-
-# The flag and argparse keywords for each config field a command can read.
-_FLAGS = {
-    "replicates": ("--replicates", {"type": int}),
-    "n_list": ("--n", {"type": _split_ints, "help": "comma-separated vector lengths"}),
-    "N_list": ("--N", {"type": _split_ints, "help": "comma-separated matrix orders"}),
-    "multiset": ("--multiset", {"type": _split_floats,
-                                "help": "comma-separated multiset values"}),
-    "ensemble": ("--ensemble", {"choices": _ENSEMBLE_NAMES}),
-    "seeds": ("--seeds", {"type": int, "help": "replicate seeds per sweep cell"}),
-    "z_grid": ("--z", {"type": _split_strs,
-                       "help": "comma-separated complex evaluation points"}),
-    "x_values": ("--x", {"type": _split_floats,
-                         "help": "comma-separated real evaluation points"}),
-    "specs": ("--specs", {"type": _split_strs}),
-    "functions": ("--functions", {"type": _split_strs}),
-    "trials": ("--trials", {"type": int}),
-    "tuples": ("--tuples", {"type": int}),
-    "custom_spec": ("--spec-json", {"help": "path to an exchangeable-spec JSON document"}),
-}
+def _arg_type(tp: str):
+    """The argparse type of a field's flag: a list field's flag takes comma-separated
+    values, and a ``dict`` field's flag names a file."""
+    scalars = {"int": int, "float": float, "str": str}
+    tp = tp.removesuffix(" | None")
+    return _split(scalars[tp[5:-1]]) if tp.startswith("list[") else scalars.get(tp, str)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -506,28 +501,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification suites for swapping bounds, exchangeable "
                     "summarization, and semicircle-law experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "identities": "exact enumeration checks for conditional moments, the "
-                      "covariance gap, and the Gaussian integration-by-parts identity",
-        "thm11-check": "swapping-bound domination suite",
-        "thm12-check": "exchangeable summarization bound suite",
-        "resolvent-check": "resolvent derivative formulas against finite "
-                           "differences plus trace bounds",
-        "wigner-sweep": "semicircle convergence sweep over matrix orders and seeds",
-        "semicircle-table": "reference law values (density, cdf, transform)",
-    }
-    for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc, description=desc)
+    for name, run in _COMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__, description=run.__doc__)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        for key in _READS[name]:
-            flag, kwargs = _FLAGS[key]
-            p.add_argument(flag, dest=key, **kwargs)
+        for key in ("seed", "out", *_READS[name]):
+            tp, _, flag, kwargs = _CONFIG_FIELDS[key]
+            p.add_argument(flag, dest=key, type=_arg_type(tp), **kwargs)
     return parser
 
 
-_VALUE_FLAGS = ("--multiset", "--x", "--z", "--n", "--N")
+# Flags whose value may begin with a minus sign: those of the list fields.
+_VALUE_FLAGS = tuple(flag for tp, _, flag, _ in _CONFIG_FIELDS.values() if tp.startswith("list["))
 _NEGATIVE_START = re.compile(r"^-\d|^-\.\d|^--?\d")
 
 
@@ -563,7 +547,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         if value is None:
             continue
         if value == []:
-            raise ValueError(f"{_FLAGS[key][0]} needs at least one value")
+            raise ValueError(f"{_CONFIG_FIELDS[key][2]} needs at least one value")
         if key == "custom_spec":  # --spec-json names a file
             with open(value) as fh:
                 value = json.load(fh)

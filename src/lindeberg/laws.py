@@ -151,17 +151,19 @@ class Uniform(_ParamLaw):
         return np.exp(1j * self.mean() * t) * np.sinc(half * t / np.pi)
 
     def ridge_law(self, weights, offset: float):
-        """The density of b + sum_j w_j X_j by inverting its characteristic function.
+        """The law of b + sum_j w_j X_j, as a product rule or from its characteristic function.
 
-        The sum is centre + U with U supported on [-R, R], R = h sum|w_j|, and U's
-        2R-periodic extension has Fourier coefficients psi(pi k / R) / (2R), where
-        psi(t) = prod_j E e^{i w_j t (X_j - EX_j)} is real.  The density is summed
-        over k = 1..1024 at the points of [-R, R] spaced R / 400 apart, by
-        Clenshaw's recurrence, and integrated by the trapezoid rule; the check
-        rule takes 724 terms and a spacing sqrt(2) times wider.  With one nonzero
-        weight the sum is uniform on [centre - R, centre + R], whose density
-        jumps at the ends: Gauss-Legendre rules of 64 and 45 nodes on that
-        interval integrate it instead.
+        With at most three nonzero weights, the product of Gauss-Legendre rules of
+        64 nodes on each coordinate's interval integrates it, and the product of
+        45-node rules is the check rule.  (The sum's density has kinks or jumps
+        there, which a density series resolves slowly.)
+
+        With more, the sum is centre + U with U supported on [-R, R], R = h sum|w_j|,
+        and U's 2R-periodic extension has Fourier coefficients psi(pi k / R) / (2R),
+        where psi(t) = prod_j E e^{i w_j t (X_j - EX_j)} is real.  The density is
+        summed over k = 1..1024 at the points of [-R, R] spaced R / 400 apart, by
+        Clenshaw's recurrence, and integrated by the trapezoid rule; the check rule
+        takes 724 terms and a spacing sqrt(2) times wider.
         """
         w = np.asarray(weights, dtype=float)
         half = 0.5 * self.high - 0.5 * self.low
@@ -171,14 +173,18 @@ class Uniform(_ParamLaw):
             return None
         if radius == 0.0:
             return RidgeLaw(np.array([centre]), np.ones(1))
-        if np.count_nonzero(w) == 1:
+        if np.count_nonzero(w) <= 3:
             from numpy.polynomial.legendre import leggauss
 
-            def legendre(nodes: int) -> tuple:
-                x, weights = leggauss(nodes)
-                return centre + radius * x, 0.5 * weights
+            def product_rule(nodes: int) -> tuple:
+                x, x_weights = leggauss(nodes)
+                sums, probs = np.array([centre]), np.ones(1)
+                for w_j in w[w != 0.0]:
+                    sums = np.add.outer(sums, half * w_j * x).ravel()
+                    probs = np.multiply.outer(probs, 0.5 * x_weights).ravel()
+                return sums, probs
 
-            return RidgeLaw(*legendre(64), legendre(45))
+            return RidgeLaw(*product_rule(64), product_rule(45))
         centred = Uniform(-half, half)
         scales, counts = np.unique(np.abs(w), return_counts=True)
         if not math.isfinite(float(scales[-1]) * math.pi * 1024 / radius):
@@ -362,8 +368,8 @@ class RidgeLaw(Value):
     divides both: an integrand the rules cannot resolve makes them disagree
     instead of aliasing alike.  Exact atoms must carry probabilities that are
     nonnegative and sum to 1 within 1e-12.  A rule's weights are not checked:
-    they integrate a truncated density series, whose mass misses 1 by up to
-    5e-7 for two uniform coordinates.  Laws compare by identity.
+    they may integrate a truncated density series, whose mass misses 1 by up
+    to 5e-11 for four uniform coordinates.  Laws compare by identity.
     """
 
     __slots__ = _fields = ("nodes", "probs", "check")

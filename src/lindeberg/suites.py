@@ -1,19 +1,12 @@
 """Each command's default cells and the limit each of its checks compares
 against, read by the command-line harness and the acceptance suite alike."""
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
 
-from .functions import (
-    RidgeFunction,
-    cos_profile,
-    inv_quad_profile,
-    logistic_step_profile,
-    sum_ridge,
-)
+from .functions import (RidgeFunction, cos_profile, inv_quad_profile, logistic_step_profile,
+                        sum_ridge)
 from .laws import gaussian, uniform
 from .sampling import balanced_signs, standardized_multiset
 from .specs import IidFromDistribution, MarkovChain
@@ -21,16 +14,28 @@ from .specs import IidFromDistribution, MarkovChain
 SQRT3 = math.sqrt(3.0)
 
 
+def _lookup(table: dict, what: str, kind: str):
+    if kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return table[kind]
+
+
+# Each kind's builder, in the order the defaults run them (and thm11-check seeds them).
+_SWAPPING_SPECS = {
+    "iid-uniform": lambda n: IidFromDistribution(uniform(-SQRT3, SQRT3), n),
+    "multiset-rademacher": lambda n: standardized_multiset(balanced_signs(n)),
+    "markov-two-state": lambda n: MarkovChain(states=(-1.0, 1.0), initial=(0.5, 0.5),
+                                              kernel=((0.7, 0.3), (0.4, 0.6)), n=n),
+}
+_SUITE_PROFILES = {"cos": cos_profile, "inv_quad": inv_quad_profile,
+                   "logistic_step": lambda: logistic_step_profile(0.0, 0.5)}
+SWAPPING_SPEC_KINDS = tuple(_SWAPPING_SPECS)
+SUITE_FUNCTION_KINDS = tuple(_SUITE_PROFILES)
+
+
 def swapping_spec(kind: str, n: int):
     """The weakly dependent vectors compared against i.i.d. Gaussians."""
-    if kind == "iid-uniform":
-        return IidFromDistribution(uniform(-SQRT3, SQRT3), n)
-    if kind == "multiset-rademacher":
-        return standardized_multiset(balanced_signs(n))
-    if kind == "markov-two-state":
-        return MarkovChain(states=(-1.0, 1.0), initial=(0.5, 0.5),
-                           kernel=((0.7, 0.3), (0.4, 0.6)), n=n)
-    raise ValueError(f"unknown spec kind {kind!r}")
+    return _lookup(_SWAPPING_SPECS, "spec", kind)(n)
 
 
 def gaussian_comparison(n: int) -> IidFromDistribution:
@@ -39,17 +44,9 @@ def gaussian_comparison(n: int) -> IidFromDistribution:
 
 def suite_function(kind: str, n: int) -> RidgeFunction:
     """Smooth functions of the normalized sum used across the suite."""
-    if kind == "cos":
-        return sum_ridge(cos_profile(), n)
-    if kind == "inv_quad":
-        return sum_ridge(inv_quad_profile(), n)
-    if kind == "logistic_step":
-        return sum_ridge(logistic_step_profile(0.0, 0.5), n)
-    raise ValueError(f"unknown function kind {kind!r}")
+    return sum_ridge(_lookup(_SUITE_PROFILES, "function", kind)(), n)
 
 
-SWAPPING_SPEC_KINDS = ("iid-uniform", "multiset-rademacher", "markov-two-state")
-SUITE_FUNCTION_KINDS = ("cos", "inv_quad", "logistic_step")
 SWAPPING_N_VALUES = (5, 20, 50)
 # Monte Carlo replicates per Thm 1.1 cell without an exact difference.
 SWAPPING_REPLICATES = 100_000
@@ -60,18 +57,20 @@ def ramp_multiset(n: int):
     return standardized_multiset(np.arange(1.0, n + 1.0))
 
 
+_SUMMARIZATION_FUNCTIONS = {
+    "cos-alternating": lambda n: RidgeFunction(
+        cos_profile(), np.resize([1.0, -1.0], n) / math.sqrt(n)),
+    "inv_quad-ramp": lambda n: RidgeFunction(
+        inv_quad_profile(), (w := np.arange(1.0, n + 1.0)) / np.linalg.norm(w)),
+}
+SUMMARIZATION_FUNCTION_KINDS = tuple(_SUMMARIZATION_FUNCTIONS)
+
+
 def summarization_function(kind: str, n: int) -> RidgeFunction:
     """Permutation-asymmetric ridge functions with known mixed-partial bounds."""
-    if kind == "cos-alternating":
-        w = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-        return RidgeFunction(cos_profile(), w)
-    if kind == "inv_quad-ramp":
-        w = np.arange(1.0, n + 1.0)
-        return RidgeFunction(inv_quad_profile(), w / np.linalg.norm(w))
-    raise ValueError(f"unknown function kind {kind!r}")
+    return _lookup(_SUMMARIZATION_FUNCTIONS, "function", kind)(n)
 
 
-SUMMARIZATION_FUNCTION_KINDS = ("cos-alternating", "inv_quad-ramp")
 SUMMARIZATION_N_VALUES = (10, 50)
 SUMMARIZATION_REPLICATES = 25_000
 

@@ -320,7 +320,7 @@ def test_to_dict_config_round_trip(tmp_path, command):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(written))
     args = cli._build_parser().parse_args([command, "--config", str(path)])
-    assert cli.build_config(args) == cfg
+    assert cli.build_config(args).to_dict() == written
 
 
 @pytest.mark.parametrize("args", [
@@ -541,7 +541,7 @@ def test_config_file_with_flag_override(tmp_path):
 def test_config_round_trip():
     cfg = cli.ExperimentConfig(command="wigner-sweep", seed=4, N_list=[50, 100],
                                ensemble="gaussian", z_grid=["1j"], seeds=7)
-    assert cli.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert cli.ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
 def test_custom_spec_json_document(tmp_path):
@@ -915,7 +915,15 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, args, loads, unu
     assert not bound
 
 
-def test_thm12_bytes_do_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("args", [
+    ["thm12-check", "--n", "7,50", "--replicates", "30001", "--seed", "3"],
+    # the product Gauss-Legendre rule of an i.i.d. uniform law at n = 2
+    ["thm11-check", "--spec-json", "{spec}", "--seed", "3"],
+], ids=["thm12-check", "thm11-check-uniform-n2"])
+def test_thm12_bytes_do_not_depend_on_blas_threads(tmp_path, args):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variant": "iid", "n": 2, "dist": {
+        "kind": "uniform", "params": [-math.sqrt(3.0), math.sqrt(3.0)]}}))
     root = Path(__file__).resolve().parent.parent
     tables = []
     for threads in ("1", "2"):
@@ -924,11 +932,12 @@ def test_thm12_bytes_do_not_depend_on_blas_threads(tmp_path):
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
         out = tmp_path / f"blas{threads}"
         result = subprocess.run(
-            [sys.executable, "-m", "lindeberg", "thm12-check", "--n", "7,50",
-             "--replicates", "30001", "--seed", "3", "--out", str(out)],
+            [sys.executable, "-m", "lindeberg", *(a.format(spec=spec) for a in args),
+             "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr[-2000:]
-        tables.append((out / "thm12_check.csv").read_bytes())
+        stem = args[0].replace("-", "_")
+        tables.append((out / f"{stem}.csv").read_bytes())
     assert tables[0] == tables[1]
 
 

@@ -655,27 +655,51 @@ def test_second_order_term_is_nearly_the_whole_bound(n):
 
 
 def test_uniform_law_too_narrow_for_the_rule_has_no_exact_route():
-    # pi * 1024 * w / R overflows for a width of 2.6e-307, which warned of an
-    # overflow and gave nan frequencies; the difference is sampled instead
-    x = IidFromDistribution(uniform(0.0, 2.6258269130844917e-307), 2)
+    # past three nonzero weights, pi * 1024 * w / R overflows for a width of
+    # 2.6e-307, which warned of an overflow and gave nan frequencies; the
+    # difference is sampled instead.  At n = 2 the product rule needs no frequency.
+    narrow = uniform(0.0, 2.6258269130844917e-307)
+    x = IidFromDistribution(narrow, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert x.ridge_law(np.full(2, math.sqrt(0.5)), 0.0) is None
-        report, = swapping_report([suite_function("cos", 2)], x, gaussian_comparison(2), 2, [0])
+        assert x.ridge_law(np.full(4, 0.5), 0.0) is None
+        report, = swapping_report([suite_function("cos", 4)], x, gaussian_comparison(4), 2, [0])
+        assert IidFromDistribution(narrow, 2).ridge_law(np.full(2, math.sqrt(0.5)), 0.0) is not None
     assert report.kind == "mc" and math.isfinite(report.estimate)
 
 
-@pytest.mark.parametrize("weights", [[1.0], [0.0, -0.7, 0.0]], ids=["n1", "one-nonzero"])
+@pytest.mark.parametrize("weights", [[1.0], [0.0, -0.7, 0.0], [0.6, -0.8], [0.5, 0.0, -0.7, 0.4]],
+                         ids=["n1", "one-nonzero", "two-nonzero", "three-nonzero"])
 def test_uniform_law_with_one_nonzero_weight_is_exact(weights):
-    # w.U + b is uniform on [b - r, b + r], whose density jumps at the ends:
-    # E g = (G(b + r) - G(b - r)) / 2r for an antiderivative G of g
+    # E cos(b + sum_j w_j U_j) = cos b prod_j sin(h w_j) / (h w_j) for U_j uniform
+    # on [-h, h].  With one nonzero weight w.U + b is uniform on [b - r, b + r],
+    # whose density jumps at the ends: E g = (G(b + r) - G(b - r)) / 2r for an
+    # antiderivative G of g
     w, b, h = np.asarray(weights), 0.3, math.sqrt(3.0)
     law = IidFromDistribution(uniform(-h, h), w.size).ridge_law(w, b)
-    r = h * np.abs(w).sum()
-    for g, antiderivative in ((np.cos, np.sin), (lambda u: 1.0 / (1.0 + u * u), np.arctan)):
-        value, error = law.expect(g)
-        expected = (antiderivative(b + r) - antiderivative(b - r)) / (2.0 * r)
-        assert value == pytest.approx(expected, abs=1e-14) and error <= 1e-14
+    nonzero = w[w != 0.0]
+    value, error = law.expect(np.cos)
+    assert value == pytest.approx(math.cos(b) * np.prod(np.sinc(h * nonzero / np.pi)), abs=1e-14)
+    assert error <= 1e-14
+    if nonzero.size == 1:
+        r = h * np.abs(w).sum()
+        value, error = law.expect(lambda u: 1.0 / (1.0 + u * u))
+        assert value == pytest.approx((np.arctan(b + r) - np.arctan(b - r)) / (2.0 * r), abs=1e-14)
+        assert error <= 1e-14
+
+
+def test_uniform_cell_at_n2_is_exact():
+    # thm11-check's iid-uniform law at n = 2: the density series stated an error
+    # below its true one (inv_quad 6.13e-7 off against a stated 5.76e-7, and
+    # logistic_step 2.47e-7 against a stated 1.16e-7, where it is 0 by symmetry)
+    x = IidFromDistribution(uniform(-math.sqrt(3.0), math.sqrt(3.0)), 2)
+    reports = swapping_report([suite_function(k, 2) for k in _FUNCTIONS], x,
+                              gaussian_comparison(2), 2, [0, 1, 2])
+    cos, inv_quad, logistic_step = reports
+    assert all(report.kind == "exact" for report in reports)
+    assert cos.estimate == pytest.approx(-0.016562083129335603, abs=1e-12)
+    assert inv_quad.estimate == pytest.approx(-0.0139194399, abs=1e-9)
+    assert abs(logistic_step.estimate) <= logistic_step.stderr
 
 
 @pytest.mark.parametrize("states,initial,kernel", [
@@ -704,10 +728,10 @@ def test_ridge_law_atoms_must_be_a_probability_vector(probs):
 
 
 def test_ridge_law_rule_weights_are_not_held_to_the_atoms_tolerance():
-    # two uniform coordinates: the truncated density series carries 5e-7 of extra
-    # mass, and the law is still built (its check rule states the error)
-    law = IidFromDistribution(uniform(-1.0, 1.0), 2).ridge_law(np.full(2, math.sqrt(0.5)), 0.0)
-    assert abs(law.probs.sum() - 1.0) > 1e-12 and law.check is not None
+    # four uniform coordinates: the check rule's truncated density series carries
+    # 4.5e-11 of extra mass, and the law is still built (the rules' gap states the error)
+    law = IidFromDistribution(uniform(-1.0, 1.0), 4).ridge_law(np.full(4, 0.5), 0.0)
+    assert abs(law.check[1].sum() - 1.0) > 1e-12
 
 
 def test_markov_ridge_law_of_a_kernel_that_loses_mass_is_refused():

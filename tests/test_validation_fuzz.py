@@ -96,7 +96,7 @@ def test_any_json_value_as_a_spec_raises_only_value_error(doc):
     _raises_only_value_error(spec_from_dict, doc)
 
 
-_CONFIG_FIELDS = {key: tp for key, (tp, _) in cli._CONFIG_FIELDS.items()}
+_CONFIG_FIELDS = {key: tp for key, (tp, *_) in cli._CONFIG_FIELDS.items()}
 
 
 def _config_value(annotation: str):
@@ -200,7 +200,7 @@ _OPTIONS = {
 def _argv(draw, command, out):
     argv = [command, f"--seed={draw(st.integers(0, 2 ** 64 - 1))}", f"--out={out}"]
     for key in cli._READS[command]:
-        flag = cli._FLAGS[key][0]
+        flag = cli._CONFIG_FIELDS[key][2]
         if key in _SIZES and not (key == "n_list" and draw(st.booleans())
                                   and "multiset" in cli._READS[command]):
             argv.append(f"{flag}={draw(_SIZES[key])}")
