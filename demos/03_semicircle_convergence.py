@@ -26,7 +26,7 @@ print("ensemble: random permutation of a standardized +-1 multiset\n")
 spec = ENSEMBLES["rademacher-perm"](400)
 entries = sample_exchangeable(spec.entries, seed=2)
 sigma = center_and_scale(entries).sigma_hat
-eigs = eigenvalues(wigner_matrix(entries, spec.N) / sigma).eigenvalues
+eigs = eigenvalues(wigner_matrix(entries, spec.N) / sigma)
 
 print("eigenvalue histogram at N = 400 (* observed, | semicircle density):")
 edges = np.linspace(-2.4, 2.4, 25)

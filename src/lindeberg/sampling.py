@@ -2,10 +2,10 @@
 
 Every sampler is a pure function of ``(spec, seed)``: the same pair always
 reproduces the same vector, and replicate streams are derived with a
-counter-based splitter so parallel Monte Carlo stays reproducible.  The
-laws live in ``laws``, the vector specs in ``specs`` and ``mixture``; this
-module draws from them in row blocks, keeps running means of what is drawn,
-reads a spec from its JSON document and builds the multisets the commands use.
+counter-based splitter.  The laws live in ``laws``, the vector specs in
+``specs`` and ``mixture``; this module draws from them in row blocks, keeps
+running means of what is drawn, reads a spec from its JSON document and builds
+the multisets the commands use.
 """
 
 from __future__ import annotations

@@ -166,15 +166,24 @@ def test_z_outside_the_float_range_exits_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["thm12-check", "--multiset", "1e308,-1e308", "--replicates", "10"],
-    ["identities", "--multiset", "1e308,-1e308,0"],
+    ["thm12-check", "--multiset", "1.7e308,-1.7e308,-1.7e308", "--replicates", "10"],
+    ["identities", "--multiset", "1.7e308,-1.7e308,-1.7e308"],
 ], ids=["thm12-check", "identities"])
 def test_multiset_whose_sd_overflows_exits_2(tmp_path, capsys, argv):
-    # thm12-check once standardized it to zeros and passed with bound 0
+    # the first value's deviation from the mean overflows; thm12-check once
+    # standardized such a multiset to zeros and passed with bound 0
     assert run_cli([*argv, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == ("error: the sample mean and sd must be finite floats; "
-                                       "got mu_hat = 0, sigma_hat = inf\n")
+                                       "got mu_hat = -5.66667e+307, sigma_hat = inf\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["thm12-check", "identities"])
+@pytest.mark.parametrize("multiset", ["1e-14,2e-14,3e-14", "1e308,-1e308,0"])
+def test_multiset_at_any_scale_runs(tmp_path, command, multiset):
+    # the first was called constant, and the second's squares overflowed
+    replicates = ["--replicates", "10"] if command == "thm12-check" else []
+    assert run_cli([command, "--multiset", multiset, *replicates, "--out", str(tmp_path)]) == 0
 
 
 def test_semicircle_table_accepts_the_ends_of_the_z_range(tmp_path):

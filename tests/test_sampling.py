@@ -145,10 +145,23 @@ class TestCenterAndScale:
             assert np.array_equal(std.x_tilde, (x - mu) / sigma)
 
 
+    @pytest.mark.parametrize("values, expected", [
+        *((np.arange(1.0, 11.0) * scale, (np.arange(1.0, 11.0) - 5.5) / math.sqrt(8.25))
+          for scale in (1e-14, 1e-100, 1e300)),
+        ([1e308, -1e308], [1.0, -1.0]),
+        ([1e308, -1e308, 0.0], [math.sqrt(1.5), -math.sqrt(1.5), 0.0]),
+    ], ids=["ramp-1e-14", "ramp-1e-100", "ramp-1e300", "sd-overflows", "sd-overflows-3"])
+    def test_standardization_does_not_depend_on_scale(self, values, expected, recwarn):
+        # the ramp 1..10 at 1e-14 and 1e-100 was called constant; at 1e300, as
+        # in the sd-overflows cases, its squares overflowed
+        std = center_and_scale(values)
+        assert std.sigma_hat > 0.0
+        assert np.max(np.abs(std.x_tilde - expected)) <= 1e-12
+        assert not recwarn.list
+
     @pytest.mark.parametrize("values", [
-        [1e308, -1e308], [1e308, -1e308, 0.0], [1.7e308, 1.7e308], [1.0, math.nan],
-        [math.inf, 0.0],
-    ], ids=["sd-overflows", "sd-overflows-3", "mean-overflows", "nan", "inf"])
+        [1.7e308, 1.7e308], [1.0, math.nan], [math.inf, 0.0],
+    ], ids=["mean-overflows", "nan", "inf"])
     def test_nonfinite_mean_or_sd_raises(self, values, recwarn):
         # an overflowing sd once standardized every value to 0 with no error
         with pytest.raises(ValueError, match="must be finite floats"):

@@ -17,7 +17,6 @@ from lindeberg.specs import IidFromDistribution, MultisetPermutation
 from lindeberg.spectral import (
     _TILE,
     ENSEMBLES,
-    EsdFunction,
     WignerEnsembleSpec,
     _require_symmetric,
     _two_stage_driver,
@@ -106,21 +105,21 @@ class TestWignerConstruction:
 
 class TestEigenvalues:
     def test_diagonal(self):
-        assert np.array_equal(eigenvalues(np.diag([1.0, 2.0, 3.0])).eigenvalues,
+        assert np.array_equal(eigenvalues(np.diag([1.0, 2.0, 3.0])),
                               [1.0, 2.0, 3.0])
 
     def test_two_by_two_exchange(self):
-        assert eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvalues == pytest.approx([-1.0, 1.0])
+        assert eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx([-1.0, 1.0])
 
     def test_frobenius_identity_random(self):
         rng = np.random.default_rng(10)
         m = rng.standard_normal((50, 50))
         a = (m + m.T) / 2.0
-        summary = eigenvalues(a)
+        eigs = eigenvalues(a)
         # oracle: sum of squared eigenvalues equals the squared Frobenius norm
-        assert np.square(summary.eigenvalues).sum() == pytest.approx(
-            np.square(a).sum(), rel=1e-10)
-        assert summary.trace_error <= 1e-8 * 50 ** 1.5 * np.abs(a).max()
+        assert np.square(eigs).sum() == pytest.approx(np.square(a).sum(), rel=1e-10)
+        assert abs(eigs.sum() - np.trace(a)) <= 1e-8 * 50 ** 1.5 * np.abs(a).max()
+        assert isinstance(eigs, np.ndarray) and eigs.dtype == np.float64
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -136,17 +135,17 @@ class TestEigenvalues:
                 solve(a)
 
     def test_ascending_order(self):
-        assert np.array_equal(eigenvalues(np.diag([3.0, -1.0, 2.0])).eigenvalues,
+        assert np.array_equal(eigenvalues(np.diag([3.0, -1.0, 2.0])),
                               [-1.0, 2.0, 3.0])
         m = np.random.default_rng(11).standard_normal((40, 40))
-        assert np.all(np.diff(eigenvalues(m + m.T).eigenvalues) >= 0)
+        assert np.all(np.diff(eigenvalues(m + m.T)) >= 0)
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((30, 30))
         a = (m + m.T) / 2.0
-        base = eigenvalues(a).eigenvalues
-        scaled = eigenvalues(2.5 * a).eigenvalues
+        base = eigenvalues(a)
+        scaled = eigenvalues(2.5 * a)
         assert np.max(np.abs(scaled - 2.5 * base)) <= 1e-8
 
 
@@ -219,7 +218,7 @@ class TestSolverChoice:
         monkeypatch.setattr(spectral, "_two_stage_driver", lambda: (solve, lambda: 1))
         monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
         a = _random_symmetric(50, 3)
-        assert eigenvalues(a).eigenvalues.tobytes() == _two_stage_eigvalsh(a, solve).tobytes()
+        assert eigenvalues(a).tobytes() == _two_stage_eigvalsh(a, solve).tobytes()
 
     @pytest.mark.parametrize("driver", ["unbound", "two-threads", "small-order"])
     def test_fallback_returns_eigvalsh_bytes(self, monkeypatch, driver):
@@ -231,7 +230,7 @@ class TestSolverChoice:
         if driver != "small-order":
             monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
         a = _random_symmetric(50, 4)
-        assert eigenvalues(a).eigenvalues.tobytes() == np.linalg.eigvalsh(a).tobytes()
+        assert eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
 
     @pytest.mark.parametrize("route", ["two-stage", "eigvalsh"])
     def test_matrix_is_left_alone_unless_overwrite_is_allowed(self, monkeypatch, route):
@@ -241,12 +240,9 @@ class TestSolverChoice:
         monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
         a = _random_symmetric(60, 5)
         before = a.copy()
-        summary = eigenvalues(a)
+        eigs = eigenvalues(a)
         assert np.array_equal(a, before)
-        overwritten = eigenvalues(a, overwrite_a=True)
-        assert overwritten.eigenvalues.tobytes() == summary.eigenvalues.tobytes()
-        assert (overwritten.trace_error, overwritten.frobenius_error) == (
-            summary.trace_error, summary.frobenius_error)
+        assert eigenvalues(a, overwrite_a=True).tobytes() == eigs.tobytes()
         # eigvalsh always solves a copy
         assert np.array_equal(a, before) == (route == "eigvalsh")
 
@@ -254,9 +250,29 @@ class TestSolverChoice:
         monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 0)
         for driver in (None, (_two_stage_solve(), lambda: 1)):
             monkeypatch.setattr(spectral, "_two_stage_driver", lambda: driver)
-            summary = eigenvalues(np.empty((0, 0)))
-            assert summary.eigenvalues.shape == (0,)
-            assert summary.trace_error == summary.frobenius_error == 0.0
+            assert eigenvalues(np.empty((0, 0))).shape == (0,)
+
+    @pytest.mark.parametrize("route", ["two-stage", "eigvalsh"])
+    @pytest.mark.parametrize("identity", ["trace", "frobenius"])
+    def test_spectrum_missing_its_trace_identities_raises(self, monkeypatch, route, identity):
+        # shifted, the spectrum misses tr(A); reflected and stretched by 1%, it
+        # misses only the Frobenius identity, since tr(A) = 0
+        a = _random_symmetric(50, 7)
+        a[np.diag_indices(50)] -= np.trace(a) / 50
+        wrong = (lambda eigs: eigs + 1e-6) if identity == "trace" else (lambda eigs: -1.01 * eigs)
+        if route == "two-stage":
+            solve = _two_stage_solve()
+            monkeypatch.setattr(spectral, "_two_stage_driver", lambda: (solve, lambda: 1))
+            monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
+            right = spectral._two_stage_eigvalsh
+            monkeypatch.setattr(spectral, "_two_stage_eigvalsh",
+                                lambda *args: wrong(right(*args)))
+        else:
+            monkeypatch.setattr(spectral, "_two_stage_driver", lambda: None)
+            right = np.linalg.eigvalsh
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: wrong(right(m)))
+        with pytest.raises(np.linalg.LinAlgError, match="violated its trace identities"):
+            eigenvalues(a)
 
     def test_binding_reads_the_blas_thread_count(self):
         # a fresh interpreter per setting: OpenBLAS reads it when it loads
@@ -273,17 +289,6 @@ class TestSolverChoice:
             if result.stdout.strip() == "None":
                 pytest.skip("numpy's OpenBLAS is not bindable here")
             assert result.stdout.strip() == threads
-
-
-class TestEsdFunction:
-    def test_step_values_with_multiplicity(self):
-        esd = EsdFunction([0.0, 0.0, 1.0])
-        assert esd(-0.5) == 0.0
-        assert esd(0.0) == pytest.approx(2.0 / 3.0)
-        assert esd.left_value(0.0) == 0.0
-        assert esd(1.0) == 1.0
-        assert esd.left_value(1.0) == pytest.approx(2.0 / 3.0)
-        assert np.array_equal(esd.jump_points, [0.0, 1.0])
 
 
 class TestStieltjes:
@@ -341,13 +346,60 @@ class TestSemicircle:
             assert semicircle_stieltjes(z) == pytest.approx(re + 1j * im, abs=1e-9)
 
 
+def _brute_force_ks(eigs, other):
+    """max |F - G| over every point of either spectrum, from the left and from
+    the right, by counting; ``other`` is a second spectrum or a continuous cdf."""
+    eigs = list(eigs)
+    n = len(eigs)
+    points = eigs + ([] if callable(other) else list(other))
+    worst = 0.0
+    for p in points:
+        f_right = sum(e <= p for e in eigs) / n
+        f_left = sum(e < p for e in eigs) / n
+        if callable(other):
+            g_right = g_left = float(other(p))
+        else:
+            g_right = sum(e <= p for e in other) / len(other)
+            g_left = sum(e < p for e in other) / len(other)
+        worst = max(worst, abs(f_right - g_right), abs(f_left - g_left))
+    return worst
+
+
 class TestKsDistance:
     def test_identical_lists(self):
-        esd = EsdFunction([0.1, 0.7, 0.7, 2.0])
-        assert ks_distance(esd, EsdFunction([0.1, 0.7, 0.7, 2.0])) == 0.0
+        assert ks_distance([0.1, 0.7, 0.7, 2.0], [0.1, 0.7, 0.7, 2.0]) == 0.0
 
     def test_disjoint_point_masses(self):
-        assert ks_distance(EsdFunction(np.ones(10)), EsdFunction(np.zeros(10))) == 1.0
+        assert ks_distance(np.ones(10), np.zeros(10)) == 1.0
+
+    def test_step_values_with_multiplicity(self):
+        # the ESD of [0, 0, 1] is 2/3 at 0 and 0 just left of it
+        ties = [0.0, 0.0, 1.0]
+        assert ks_distance(ties, [0.0]) == pytest.approx(1.0 / 3.0)
+        assert ks_distance(ties, [1.0]) == pytest.approx(2.0 / 3.0)
+        assert ks_distance(ties, [0.0, 1.0, 1.0]) == pytest.approx(1.0 / 3.0)
+        assert ks_distance([1.0, 0.0, 0.0], ties) == 0.0
+        # against G(x) = x on [0, 1]: 2/3 - G(0) at the tie, G(1) - 2/3 at 1
+        assert ks_distance(ties, lambda x: np.clip(x, 0.0, 1.0)) == pytest.approx(2.0 / 3.0)
+        assert ks_distance(ties, lambda x: np.full_like(x, 0.9)) == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_both_forms_match_a_brute_force_count(self, seed):
+        rng = np.random.default_rng(seed)
+        # unsorted, with ties within and across the two lists
+        eigs = np.round(rng.uniform(-2.5, 2.5, rng.integers(1, 30)), 1)
+        other = np.round(rng.uniform(-2.5, 2.5, rng.integers(1, 30)), 1)
+        assert ks_distance(eigs, other) == pytest.approx(_brute_force_ks(eigs, other), abs=1e-15)
+        assert ks_distance(eigs, semicircle_cdf) == pytest.approx(
+            _brute_force_ks(eigs, semicircle_cdf), abs=1e-15)
+
+    @pytest.mark.parametrize("other", [[1.0], semicircle_cdf])
+    def test_empty_spectrum_rejected(self, other):
+        with pytest.raises(ValueError, match="need at least one eigenvalue"):
+            ks_distance([], other)
+        if not callable(other):
+            with pytest.raises(ValueError, match="need at least one eigenvalue"):
+                ks_distance(other, [])
 
     def test_two_point_spectrum_against_semicircle(self):
         # oracle: sup over the two jumps; at -1 the step is 1/2 against
@@ -356,24 +408,24 @@ class TestKsDistance:
         expected = math.sqrt(3.0) / (4.0 * math.pi) + 1.0 / 6.0
         integral = quad(semicircle_density, -2, -1)[0]
         assert 0.5 - integral == pytest.approx(expected, abs=1e-10)
-        ks = ks_distance(EsdFunction([-1.0, 1.0]), semicircle_cdf)
+        ks = ks_distance([-1.0, 1.0], semicircle_cdf)
         assert ks == pytest.approx(expected, abs=1e-12)
         assert ks == pytest.approx(0.3044988905221147, abs=1e-12)
 
     def test_step_vs_step_matches_dense_grid(self):
         rng = np.random.default_rng(31)
-        f = EsdFunction(rng.standard_normal(13))
-        g = EsdFunction(rng.standard_normal(29))
+        f = np.sort(rng.standard_normal(13))
+        g = np.sort(rng.standard_normal(29))
         grid = np.linspace(-4, 4, 20_001)
-        grid_sup = np.max(np.abs(f(grid) - g(grid)))
+        grid_sup = np.max(np.abs(np.searchsorted(f, grid, side="right") / f.size
+                                 - np.searchsorted(g, grid, side="right") / g.size))
         exact = ks_distance(f, g)
         assert exact >= grid_sup - 1e-12
         assert exact <= grid_sup + 1.0 / 13.0  # grid can miss a jump by one step
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(8)
-        f = EsdFunction(rng.standard_normal(17))
-        assert 0.0 <= ks_distance(f, semicircle_cdf) <= 1.0
+        assert 0.0 <= ks_distance(rng.standard_normal(17), semicircle_cdf) <= 1.0
 
 
 class TestRankInequality:
@@ -503,8 +555,8 @@ def _reference_row_bytes(spec, z_grid, seed):
     x = sample_exchangeable(spec.entries, seed)
     std = center_and_scale(x)
     m4 = float(np.mean(np.square(np.square(std.x_tilde))))
-    eigs = eigenvalues(wigner_matrix(x, spec.N) / std.sigma_hat).eigenvalues
-    ks = ks_distance(EsdFunction(eigs), semicircle_cdf)
+    eigs = eigenvalues(wigner_matrix(x, spec.N) / std.sigma_hat)
+    ks = ks_distance(eigs, semicircle_cdf)
     numbers = [std.mu_hat, std.sigma_hat, m4, ks]
     for z in z_grid:
         gap = stieltjes_esd(eigs, z) - semicircle_stieltjes(z)
@@ -565,7 +617,7 @@ class TestConvergenceExperiment:
         spec = gaussian_wigner(25)
         a, std = draw_wigner(spec, seed=9)
         scaled = a / std.sigma_hat
-        eigs = eigenvalues(scaled).eigenvalues
+        eigs = eigenvalues(scaled)
         for z in (1j, 1 + 1j):
             via_eigs = stieltjes_esd(eigs, z)
             via_trace = ResolventWorkspace(scaled, z).trace_mean()
