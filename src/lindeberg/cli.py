@@ -548,6 +548,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         spec_from_dict(cfg.custom_spec)  # validate early, from a flag or a config file
     if not all(math.isfinite(x) for x in cfg.x_values):
         raise ValueError("--x values must be finite")
+    for z in cfg.z_grid or ():
+        try:
+            complex(z)
+        except ValueError:
+            raise ValueError(f"--z values must be complex numbers; got {z!r}") from None
     if cfg.replicates is not None and cfg.replicates < 2:
         raise ValueError("--replicates must be at least 2 (a stderr needs two draws)")
     counts = {"--n": cfg.n_list, "--N": cfg.N_list, "--seeds": [cfg.seeds],

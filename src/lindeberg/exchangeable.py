@@ -414,11 +414,6 @@ def thm12_terms(m3: float, m4: float, l2p: float, l3p: float, n: int) -> dict:
             "third_order": 13.0 * m3 * l3p * n}
 
 
-def thm12_bound(m3: float, m4: float, l2p: float, l3p: float, n: int) -> float:
-    """9.5 sqrt(m4) L2' sqrt(n) + 13 m3 L3' n."""
-    return sum(thm12_terms(m3, m4, l2p, l3p, n).values())
-
-
 def _summary_mean(f: SmoothFunction, mu: float, sigma: float):
     """(Ef(Y), stated error) for the Gaussian summary vector Y of a ridge
     f = g(w.y + b), from w.Y + b ~ N(mu sum(w) + b, sigma^2 |w - mean(w)|^2);
@@ -513,6 +508,5 @@ def end_to_end_check(spec: MultisetPermutation, functions,
             stderr = 0.0
         elif summary is not None:
             stderr += summary[1]
-        reports.append(BoundReport(sum(components.values()), estimate, stderr, replicates,
-                                   "mc", components))
+        reports.append(BoundReport(estimate, stderr, replicates, "mc", components))
     return reports

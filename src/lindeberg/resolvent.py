@@ -276,12 +276,12 @@ def lemma41_bound(m3_tilde: float, m4_tilde: float, N: int,
                   constants: Lemma41Constants) -> float:
     """Summarization bound specialized to n = N(N+1)/2 upper-triangle entries.
 
-    Equals ``thm12_bound`` at L2', L3' and n, which collapses to
+    The sum of ``thm12_terms`` at L2', L3' and n, which collapses to
     C1 N^-1 sqrt(m4) + C2 N^-1/2 m3 with the recorded C1, C2.
     """
-    from .exchangeable import thm12_bound  # here, so resolvent-check never loads exchangeable
-    return thm12_bound(m3_tilde, m4_tilde, constants.l2p_bound, constants.l3p_bound,
-                       upper_triangle_size(N))
+    from .exchangeable import thm12_terms  # here, so resolvent-check never loads exchangeable
+    return sum(thm12_terms(m3_tilde, m4_tilde, constants.l2p_bound, constants.l3p_bound,
+                           upper_triangle_size(N)).values())
 
 
 def composed_partials(profile: GProfile, x, N: int, z: complex,

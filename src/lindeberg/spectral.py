@@ -401,7 +401,6 @@ class ExperimentRow(NamedTuple):
     sigma_hat: float
     m4_tilde: float
     ks: float
-    z_grid: tuple
     stieltjes_gaps: tuple  # complex m_esd(z) - m_sc(z) per grid point
 
 
@@ -431,5 +430,4 @@ def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
     eigs = eigenvalues(a, overwrite_a=True)
     ks = ks_distance(eigs, semicircle_cdf)
     gaps = tuple(stieltjes_esd(eigs, z) - semicircle_stieltjes(z) for z in z_grid)
-    return ExperimentRow(spec.N, seed, spec.label or "custom", mu, sigma, m4, ks,
-                         tuple(complex(z) for z in z_grid), gaps)
+    return ExperimentRow(spec.N, seed, spec.label or "custom", mu, sigma, m4, ks, gaps)

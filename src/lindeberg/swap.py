@@ -13,7 +13,6 @@ Monte Carlo otherwise.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -33,44 +32,40 @@ _DOMINANCE_STDERRS = 3.0
 
 
 class BoundReport(NamedTuple):
-    """A computed bound next to the estimate of Ef(X) - Ef(Y) it must dominate.
+    """A bound's named terms next to the estimate of Ef(X) - Ef(Y) it must dominate.
 
     ``kind`` is ``"exact"`` when the estimate comes from quadrature over the
     laws of the ridge argument; ``stderr`` is then the stated quadrature error
     and ``replicates`` is 0.  It is ``"mc"`` for a Monte Carlo mean over
-    ``replicates`` draws, with its standard error.  ``components`` names the
-    bound's terms; by default there are none, in a mapping no report can change.
+    ``replicates`` draws, with its standard error.  ``components`` maps each
+    term's name to its value; the bound is their sum.
     """
 
-    bound: float
     estimate: float
     stderr: float
     replicates: int
     kind: str
-    components: Mapping = MappingProxyType({})
+    components: Mapping
+
+    @property
+    def bound(self) -> float:
+        return sum(self.components.values())
 
     def dominates(self) -> bool:
         """True when |estimate| <= bound + 3 stderr."""
         return abs(self.estimate) <= self.bound + _DOMINANCE_STDERRS * self.stderr
 
 
-def lindeberg_bound(A, B, M3: float, L1: float, L2: float, L3: float) -> float:
-    """sum_i (A_i L1 + B_i L2 / 2) + n L3 M3 / 6."""
+def bound_components(A, B, M3: float, L1: float, L2: float, L3: float) -> dict:
+    """The three terms of the bound sum_i (A_i L1 + B_i L2 / 2) + n L3 M3 / 6.
+    A term whose derivative bound is zero vanishes even when its moment is
+    infinite (0 * inf counts as 0), and a sum that overflows a float is infinite."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValueError("A and B must have the same length")
     if A.min(initial=0.0) < 0 or B.min(initial=0.0) < 0 or min(M3, L1, L2, L3) < 0:
         raise ValueError("inputs must be nonnegative")
-    return float(sum(bound_components(A, B, M3, L1, L2, L3).values()))
-
-
-def bound_components(A, B, M3, L1, L2, L3) -> dict:
-    """The three terms of the bound.  A term whose derivative bound is zero
-    vanishes even when its moment is infinite (0 * inf counts as 0), and a
-    sum that overflows a float is infinite."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
     with np.errstate(over="ignore"):
         return {
             "first_order": 0.0 if L1 == 0 else float(A.sum() * L1),
@@ -241,9 +236,8 @@ def swapping_report(functions, x_spec, y_spec, replicates: int, seeds) -> list:
     for k, f in enumerate(functions):
         l1, l2, l3 = f.unmixed_bounds
         components = bound_components(A, B, m3, l1, l2, l3)
-        bound = lindeberg_bound(A, B, m3, l1, l2, l3)
         if k in sampled:
-            reports.append(BoundReport(bound, *sampled[k], replicates, "mc", components))
+            reports.append(BoundReport(*sampled[k], replicates, "mc", components))
         else:
-            reports.append(BoundReport(bound, *exact[k], 0, "exact", components))
+            reports.append(BoundReport(*exact[k], 0, "exact", components))
     return reports

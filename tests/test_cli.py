@@ -165,6 +165,21 @@ def test_z_outside_the_float_range_exits_2(tmp_path, capsys, argv, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["semicircle-table", "wigner-sweep", "resolvent-check"])
+def test_malformed_z_exits_2_naming_its_flag(tmp_path, capsys, command, source):
+    # complex() once raised here, and the error named neither the flag nor the key
+    if source == "flag":
+        args = [command, "--z", "abc"]
+    else:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": command, "z_grid": ["abc"]}))
+        args = [command, "--config", str(path)]
+    assert run_cli([*args, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: --z values must be complex numbers; got 'abc'\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["thm12-check", "--multiset", "1.7e308,-1.7e308,-1.7e308", "--replicates", "10"],
     ["identities", "--multiset", "1.7e308,-1.7e308,-1.7e308"],
@@ -210,6 +225,27 @@ def test_thm12_small(tmp_path):
     rows = read_rows(out, "thm12-check")
     assert len(rows) == 2
     assert {(r["estimate_kind"], r["replicates"]) for r in rows} == {("mc", "5000")}
+
+
+@pytest.mark.parametrize("args, terms", [
+    (["thm11-check"], ["first_order", "second_order", "third_moment"]),
+    (["thm12-check"], ["second_order", "third_order"]),
+    # theta ~ N(0, 0.5^2), X_i | theta ~ N(theta, 0.75): no exact A/B oracle
+    (["thm11-check", "--spec-json", "{spec}"], ["first_order", "second_order", "third_moment"]),
+], ids=["thm11-check", "thm12-check", "thm11-check-conditionally-iid"])
+def test_bound_column_is_the_sum_of_its_term_columns(tmp_path, args, terms):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variant": "conditionally_iid",
+                                "mixing": {"kind": "gaussian", "params": [0.0, 0.5]},
+                                "conditional": "gaussian_mean", "scale": 0.75 ** 0.5, "n": 2}))
+    out = tmp_path / "o"
+    assert run_cli([a.format(spec=spec) for a in args] + ["--out", str(out)]) == 0
+    rows = read_rows(out, args[0])
+    header = list(rows[0])
+    assert header[header.index("bound") + 1:header.index("estimate")] == terms
+    for row in rows:
+        # each cell is the repr of a float, so float() gives back its bits
+        assert float(row["bound"]) == sum(float(row[t]) for t in terms), row
 
 
 def test_ab_runs_once_per_coordinate_of_each_spec_and_n(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from lindeberg.exchangeable import (
     second_moment_identity_check,
     stein_exact_check,
     stein_mc_check,
-    thm12_bound,
+    thm12_terms,
 )
 from lindeberg.functions import (GProfile, QuadraticMean, RidgeFunction, cos_profile,
                                  inv_quad_profile, sum_ridge)
@@ -406,14 +406,14 @@ class TestInterpolation:
 
 class TestSummarizationBound:
     def test_direct_formula(self):
-        assert thm12_bound(1.0, 1.0, 1.0, 1.0, 4) == 71.0
+        assert sum(thm12_terms(1.0, 1.0, 1.0, 1.0, 4).values()) == 71.0
 
     def test_zero_derivative_bounds(self):
-        assert thm12_bound(2.0, 3.0, 0.0, 0.0, 10) == 0.0
+        assert sum(thm12_terms(2.0, 3.0, 0.0, 0.0, 10).values()) == 0.0
 
     def test_negative_moment_rejected(self):
         with pytest.raises(ValueError):
-            thm12_bound(-1.0, 1.0, 1.0, 1.0, 4)
+            thm12_terms(-1.0, 1.0, 1.0, 1.0, 4)
 
     def test_linear_in_sum_function_is_exact_zero(self):
         spec = ramp_multiset(8)

@@ -546,7 +546,7 @@ def _row_bytes(row):
     numbers = [row.mu_hat, row.sigma_hat, row.m4_tilde, row.ks]
     for gap in row.stieltjes_gaps:
         numbers += [gap.real, gap.imag]
-    return row.N, row.seed, row.ensemble, row.z_grid, np.array(numbers).tobytes()
+    return row.N, row.seed, row.ensemble, np.array(numbers).tobytes()
 
 
 def _reference_row_bytes(spec, z_grid, seed):
@@ -561,8 +561,7 @@ def _reference_row_bytes(spec, z_grid, seed):
     for z in z_grid:
         gap = stieltjes_esd(eigs, z) - semicircle_stieltjes(z)
         numbers += [gap.real, gap.imag]
-    return (spec.N, seed, spec.label, tuple(complex(z) for z in z_grid),
-            np.array(numbers).tobytes())
+    return spec.N, seed, spec.label, np.array(numbers).tobytes()
 
 
 # A fresh interpreter at one BLAS thread, where N >= 1200 is solved in place

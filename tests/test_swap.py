@@ -25,7 +25,6 @@ from lindeberg.swap import (
     bound_components,
     estimate_ab,
     estimate_ab_all,
-    lindeberg_bound,
     mean_difference,
     swapping_report,
     telescoping_difference,
@@ -34,29 +33,33 @@ from lindeberg.swap import (
 from lindeberg.suites import gaussian_comparison, ramp_multiset, suite_function, swapping_spec
 
 
+def _bound(A, B, M3, L1, L2, L3):
+    return sum(bound_components(A, B, M3, L1, L2, L3).values())
+
+
 class TestLindebergBound:
     def test_third_moment_only(self):
-        assert lindeberg_bound(np.zeros(6), np.zeros(6), 1.0, 5.0, 7.0, 1.0) == 1.0
+        assert _bound(np.zeros(6), np.zeros(6), 1.0, 5.0, 7.0, 1.0) == 1.0
 
     def test_direct_formula(self):
-        assert lindeberg_bound([1.0], [2.0], 0.0, 1.0, 1.0, 0.0) == 2.0
+        assert _bound([1.0], [2.0], 0.0, 1.0, 1.0, 0.0) == 2.0
 
     def test_constant_function_gives_zero(self):
-        assert lindeberg_bound([0.3, 0.1], [0.2, 0.4], 2.0, 0.0, 0.0, 0.0) == 0.0
+        assert _bound([0.3, 0.1], [0.2, 0.4], 2.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_zero_derivative_bound_cancels_infinite_moment(self):
-        assert lindeberg_bound([1.0], [2.0], math.inf, 1.0, 1.0, 0.0) == 2.0
-        assert lindeberg_bound([1.0], [2.0], math.inf, 1.0, 1.0, 1.0) == math.inf
+        assert _bound([1.0], [2.0], math.inf, 1.0, 1.0, 0.0) == 2.0
+        assert _bound([1.0], [2.0], math.inf, 1.0, 1.0, 1.0) == math.inf
 
     def test_negative_inputs_raise(self):
-        with pytest.raises(ValueError):
-            lindeberg_bound([-0.1], [0.0], 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            lindeberg_bound([0.1], [0.0], -1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="inputs must be nonnegative"):
+            bound_components([-0.1], [0.0], 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="inputs must be nonnegative"):
+            bound_components([0.1], [0.0], -1.0, 1.0, 1.0, 1.0)
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            lindeberg_bound([0.1, 0.2], [0.1], 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="A and B must have the same length"):
+            bound_components([0.1, 0.2], [0.1], 1.0, 1.0, 1.0, 1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0, 10), min_size=1, max_size=8),
@@ -64,15 +67,15 @@ class TestLindebergBound:
     def test_bound_equals_sum_of_components(self, a, m3, l1, l2, l3):
         b = [v / 2 for v in a]
         parts = bound_components(a, b, m3, l1, l2, l3)
-        assert lindeberg_bound(a, b, m3, l1, l2, l3) == pytest.approx(
-            sum(parts.values()), abs=1e-12)
+        report = BoundReport(0.0, 0.0, 0, "exact", parts)
+        assert report.bound == parts["first_order"] + parts["second_order"] + parts["third_moment"]
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_dominates_allows_three_stderr_by_default(sign):
     # bound 1, stderr 0.1: an estimate 4 stderr beyond the bound fails, 2 passes
     def report(excess):
-        return BoundReport(1.0, sign * (1.0 + excess * 0.1), 0.1, 1000, "mc")
+        return BoundReport(sign * (1.0 + excess * 0.1), 0.1, 1000, "mc", {"term": 1.0})
     assert not report(4.0).dominates()
     assert report(2.0).dominates()
 
