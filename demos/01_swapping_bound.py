@@ -4,11 +4,10 @@ Takes a vector X whose coordinates are a random permutation of a fixed
 multiset, compares Ef(X) against Ef(Y) for independent standard Gaussians Y,
 and shows that the computed swapping bound dominates the difference.  For
 this f the difference is exact: the sum of a permuted multiset is fixed and
-w.Y is Gaussian.  Also walks through the per-coordinate hybrid decomposition,
-by Monte Carlo, whose steps sum, replicate by replicate, to f(X) - f(Y).
+w.Y is Gaussian.
 """
 
-from lindeberg.swap import swapping_report, telescoping_difference
+from lindeberg.swap import swapping_report
 from lindeberg.suites import gaussian_comparison, suite_function, swapping_spec
 
 n = 20
@@ -27,13 +26,4 @@ for name, value in report.components.items():
 print(f"  total bound   {report.bound:10.6f}")
 print(f"\n{report.kind} estimate of Ef(X) - Ef(Y): "
       f"{report.estimate:+.6f} +- {report.stderr:.2g}")
-print(f"|estimate| <= bound + 3 stderr?  {report.dominates()}\n")
-
-tele = telescoping_difference(f, spec, y_spec, replicates=20_000, seed=7)
-print("hybrid decomposition (first five steps shown):")
-for i, (step, err) in enumerate(zip(tele.steps[:5], tele.step_stderr[:5]), start=1):
-    print(f"  step {i}: {step:+.6f} +- {err:.6f}")
-print(f"  ...")
-print(f"  sum of all {n} steps: {tele.steps.sum():+.6f}")
-print(f"  direct estimate:     {tele.estimate:+.6f}")
-print(f"  per-replicate identity error: {tele.identity_error:.2e}")
+print(f"|estimate| <= bound + 3 stderr?  {report.dominates()}")

@@ -350,7 +350,7 @@ def run_resolvent_check(cfg: ExperimentConfig):
     for t in range(cfg.trials):
         N = int(rng.choice(N_list))
         x = rng.uniform(-2.0, 2.0, N * (N + 1) // 2)
-        ratios = _cli.trace_bound_check(x, N, z, 1, rng)
+        ratios = _cli.trace_bound_check(x, N, z, rng)
         worst_ratio = max(worst_ratio, ratios.order1, ratios.order2, ratios.order3)
     rows.append({
         "N": 0, "kind": "trace_ratio",

@@ -21,13 +21,14 @@ from .functions import RidgeFunction, SmoothFunction
 from .laws import normal_quadrature
 from .sampling import RunningMean, derive_child, rng_from, row_blocks, sample_batch
 from .specs import _ENUMERATION_BUDGET, MultisetPermutation
-from .standardize import build_y, center_and_scale
+from .standardize import center_and_scale
 
 if TYPE_CHECKING:  # for annotations only: the functions that form exact rationals import it
     from fractions import Fraction
 
 _CONSISTENCY_STDERRS = 4.0  # how far apart the two interpolation estimates may be
 _STEIN_DEGREE = 3
+_T_GRID_SIZE = 32  # midpoint-rule nodes on the interpolation path
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +321,11 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
 
 
 def stein_mc_check(h: RidgeFunction, cov, replicates: int, seed: int):
-    """Monte Carlo check of the identity for a ridge h = g(w.x + b).
+    """Monte Carlo check of the identity for a ridge h = g(w.x).
 
     Returns (max |mean residual| over i, max allowed = 4 stderr).  The
     residual per draw is xi_i h(xi) - sum_j cov_ij d_j h(xi), with
-    d_j h = g'(w.xi + b) w_j, so the two sides share randomness and the
+    d_j h = g'(w.xi) w_j, so the two sides share randomness and the
     stderr accounts for their correlation.
     """
     cov = np.asarray(cov, dtype=float)
@@ -357,17 +358,18 @@ class InterpolationResult(NamedTuple):
 
 
 def interpolation_difference(f0: SmoothFunction, n: int, replicates: int = 40_000,
-                             t_grid_size: int = 32, seed: int = 0) -> InterpolationResult:
+                             seed: int = 0) -> InterpolationResult:
     """Two independent estimates of E f0(Z - Zbar) - E f0(G^{-1} V).
 
     The direct estimate averages f0 over fresh draws of both Gaussian
     vectors.  The second integrates the interpolation path W_t =
     sqrt(1-t) U + sqrt(t) Ztilde: the derivative in t reduces, through the
     integration-by-parts identity, to half the covariance gap contracted
-    against the Hessian of f0, integrated over t with a midpoint rule.  The
-    same draws serve every grid node, so doubling the grid probes only the
-    quadrature error.  Both estimates must agree within Monte Carlo error
-    and respect the bound L2' * (covariance gap sum) / 2.
+    against the Hessian of f0, integrated over t with a midpoint rule of
+    ``_T_GRID_SIZE`` nodes.  The same draws serve every grid node, so doubling
+    the grid probes only the quadrature error.  Both estimates must agree
+    within Monte Carlo error and respect the bound L2' * (covariance gap
+    sum) / 2.
     """
     pair = covariance_matrices(n)
     delta = pair.sigma - pair.sigma_tilde
@@ -375,7 +377,7 @@ def interpolation_difference(f0: SmoothFunction, n: int, replicates: int = 40_00
 
     rng = rng_from(derive_child(seed, 0))
     z = rng.standard_normal((replicates, n))
-    zt = build_y(0.0, 1.0, z)
+    zt = z - z.mean(axis=1, keepdims=True)
     v = rng.standard_normal((replicates, n))
     u = v @ ginv.T
     fz = np.asarray(f0(zt), dtype=float)
@@ -386,14 +388,14 @@ def interpolation_difference(f0: SmoothFunction, n: int, replicates: int = 40_00
     per_node = max(min(replicates // 4, 20_000), 256)
     rng_path = rng_from(derive_child(seed, 1))
     zp = rng_path.standard_normal((per_node, n))
-    ztp = build_y(0.0, 1.0, zp)
+    ztp = zp - zp.mean(axis=1, keepdims=True)
     up = rng_path.standard_normal((per_node, n)) @ ginv.T
     path_mean = np.zeros(per_node)
-    for m in range(t_grid_size):
-        t = (m + 0.5) / t_grid_size
+    for m in range(_T_GRID_SIZE):
+        t = (m + 0.5) / _T_GRID_SIZE
         w = math.sqrt(1.0 - t) * up + math.sqrt(t) * ztp
         path_mean += np.asarray(f0.hessian_quad(w, delta), dtype=float)
-    path_mean /= t_grid_size
+    path_mean /= _T_GRID_SIZE
     path_avg, path_err = RunningMean().add(path_mean).result()
     integral, integral_err = 0.5 * path_avg, 0.5 * path_err
 
@@ -414,39 +416,35 @@ def thm12_terms(m3: float, m4: float, l2p: float, l3p: float, n: int) -> dict:
             "third_order": 13.0 * m3 * l3p * n}
 
 
-def _summary_mean(f: SmoothFunction, mu: float, sigma: float):
+def _summary_mean(f: RidgeFunction, mu: float, sigma: float):
     """(Ef(Y), stated error) for the Gaussian summary vector Y of a ridge
-    f = g(w.y + b), from w.Y + b ~ N(mu sum(w) + b, sigma^2 |w - mean(w)|^2);
-    None for other f or when the quadrature cannot resolve g.
+    f = g(w.y), from w.Y ~ N(mu sum(w), sigma^2 |w - mean(w)|^2).  Raises
+    ValueError when the quadrature cannot resolve g.
     """
-    if not isinstance(f, RidgeFunction):
-        return None
     w = f.weights
-    law = normal_quadrature(mu * float(w.sum()) + f.offset,
-                            sigma * float(np.linalg.norm(w - w.mean())))
-    return None if law is None else law.expect(f.profile.value)
+    law = normal_quadrature(mu * float(w.sum()), sigma * float(np.linalg.norm(w - w.mean())))
+    summary = None if law is None else law.expect(f.profile.value)
+    if summary is None:
+        raise ValueError(f"the quadrature cannot resolve Ef(Y) for {f.profile.name} "
+                         f"at mu_hat = {mu:g}, sigma_hat = {sigma:g}")
+    return summary
 
 
-def _ridge_moments(f: SmoothFunction, mu: float, sigma: float, n: int):
-    """(E S, Var S) of the ridge argument S = w.X + b of a ridge f, for X a uniform
-    permutation of n values with mean mu and spread sigma (divisor n): mu sum(w) + b
+def _ridge_moments(f: RidgeFunction, mu: float, sigma: float, n: int):
+    """(E S, Var S) of the ridge argument S = w.X of a ridge f, for X a uniform
+    permutation of n values with mean mu and spread sigma (divisor n): mu sum(w)
     and sigma^2 n / (n - 1) |w - mean(w)|^2 (docs/derivations.md, "Control
-    variates").  None for other f, and where sigma is 0."""
-    if not isinstance(f, RidgeFunction) or sigma == 0:
-        return None
+    variates")."""
     w = f.weights
     spread = float(np.sum(np.square(w - w.mean())))
-    return mu * float(w.sum()) + f.offset, sigma * sigma * n / (n - 1) * spread
+    return mu * float(w.sum()), sigma * sigma * n / (n - 1) * spread
 
 
-def _add_block(mean: RunningMean, f: SmoothFunction, x, ey, moment) -> None:
+def _add_block(mean: RunningMean, f: RidgeFunction, x, ey, moment) -> None:
     """Feed one block's differences f(x) - ey to ``mean``, with the controls
-    S - E S and (S - E S)^2 - Var S of a ridge f where ``moment`` = (E S, Var S).
-    S is computed once, for g and for both controls; the block's columns are
-    freed on return, before the next function is evaluated."""
-    if moment is None:
-        mean.add(np.subtract(f(x), ey, dtype=float))
-        return
+    S - E S and (S - E S)^2 - Var S, where ``moment`` = (E S, Var S).  S is
+    computed once, for g and for both controls; the block's columns are freed
+    on return, before the next function is evaluated."""
     s = f.argument(x)
     diff = np.subtract(f.profile.value(s), ey, dtype=float)
     s -= moment[0]  # S - E S, in place once g has read S
@@ -457,23 +455,21 @@ def _add_block(mean: RunningMean, f: SmoothFunction, x, ey, moment) -> None:
 
 def end_to_end_check(spec: MultisetPermutation, functions,
                      replicates: int = 100_000, seed: int = 0) -> list:
-    """Bound-versus-estimate reports, one per smooth f, for a fixed multiset.
+    """Bound-versus-estimate reports, one per ridge f, for a fixed multiset.
 
     Fixing the multiset makes mu_hat, sigma_hat, and the centered absolute
-    moments deterministic, so each bound is a single number.  Ef(X) - Ef(Y) is
-    a Monte Carlo mean with control variates: for a ridge f = g(S), S = w.X + b,
-    the differences are regressed on S - E S and (S - E S)^2 - Var S, whose exact
-    means are zero (``_ridge_moments``), and the estimate is their mean less the
-    fitted part (``RunningMean``); any other f gets no controls.  Ef(Y) is exact
-    where ``_summary_mean`` has a route (its stated error is added to the
-    stderr) and sampled otherwise.  When sigma_hat = 0, Y is the constant vector
-    mu_hat, built like X so that X = Y gives exactly 0.  X, and the Gaussian Z
-    behind Y when some f needs it, are drawn once for all the functions, in row
-    blocks, each from one generator; each block's differences and controls go
-    into each f's accumulator, so memory does not grow with ``replicates``.
-    Each report equals the one-function call with the same seed, and the
-    functions' estimates share their Monte Carlo error.  Only genuinely
-    exchangeable multiset specs are accepted here; weakly dependent chains
+    moments deterministic, so each bound is a single number.  Ef(Y) is exact:
+    w.Y is Gaussian (``_summary_mean``), and the quadrature's stated error is
+    added to the stderr.  Ef(X) - Ef(Y) is then a Monte Carlo mean over X with
+    control variates: for f = g(S), S = w.X, the differences are regressed on
+    S - E S and (S - E S)^2 - Var S, whose exact means are zero
+    (``_ridge_moments``), and the estimate is their mean less the fitted part
+    (``RunningMean``).  X is drawn once for all the functions, in row blocks,
+    from one generator; each block's differences and controls go into each
+    f's accumulator, so memory does not grow with ``replicates``.  Each report
+    equals the one-function call with the same seed, and the functions'
+    estimates share their Monte Carlo error.  Only genuinely exchangeable,
+    non-constant multiset specs are accepted here; weakly dependent chains
     belong to the swapping bound.
     """
     from .swap import BoundReport  # here, so that ``identities`` never loads swap
@@ -481,32 +477,29 @@ def end_to_end_check(spec: MultisetPermutation, functions,
         raise TypeError("end_to_end_check requires a MultisetPermutation spec")
     if not functions:
         raise ValueError("give at least one function")
+    if not all(isinstance(f, RidgeFunction) for f in functions):
+        raise TypeError("end_to_end_check requires ridge functions")
     values = spec.values
     n = values.size
     std = center_and_scale(values)
     mu, sigma = std.mu_hat, std.sigma_hat
+    if sigma == 0:
+        raise ValueError("end_to_end_check requires a multiset that is not constant")
     m3 = float(np.mean(np.abs(values - mu) ** 3))
     m4 = float(np.mean((values - mu) ** 4))
 
-    summaries = [_summary_mean(f, mu, sigma) if sigma > 0 else None for f in functions]
+    summaries = [_summary_mean(f, mu, sigma) for f in functions]
     moments = [_ridge_moments(f, mu, sigma, n) for f in functions]
-    sample_z = any(summary is None for summary in summaries)
-    x_rng, z_rng = rng_from(derive_child(seed, 0)), rng_from(derive_child(seed, 1))
-    means = [RunningMean(0 if moment is None else 2) for moment in moments]
+    x_rng = rng_from(derive_child(seed, 0))
+    means = [RunningMean(2) for _ in functions]
     for block in row_blocks(replicates, n):
-        rows = block.stop - block.start
-        x = sample_batch(spec, x_rng, rows)
-        y = build_y(mu, sigma, z_rng.standard_normal((rows, n))) if sample_z else None
+        x = sample_batch(spec, x_rng, block.stop - block.start)
         for mean, f, summary, moment in zip(means, functions, summaries, moments):
-            _add_block(mean, f, x, f(y) if summary is None else summary[0], moment)
-        del x, y  # before the next block is drawn
+            _add_block(mean, f, x, summary[0], moment)
+        del x  # before the next block is drawn
     reports = []
     for mean, f, summary in zip(means, functions, summaries):
         components = thm12_terms(m3, m4, f.mixed_bounds[1], f.mixed_bounds[2], n)
         estimate, stderr = mean.result()
-        if sigma == 0:
-            stderr = 0.0
-        elif summary is not None:
-            stderr += summary[1]
-        reports.append(BoundReport(estimate, stderr, replicates, "mc", components))
+        reports.append(BoundReport(estimate, stderr + summary[1], replicates, "mc", components))
     return reports

@@ -2,8 +2,8 @@
 
 The paper's bounds see f only through sup bounds on its partials up to
 order 3, so a ``SmoothFunction`` is something to call plus the bounds it
-declares.  The built-in family is ridge functions g(w.x + b), whose r-th
-partials are g^(r)(w.x + b) times r weights, for profiles g that carry
+declares.  The built-in family is ridge functions g(w.x), whose r-th
+partials are g^(r)(w.x) times r weights, for profiles g that carry
 analytic derivatives and their suprema; plus the mean-of-squares map.
 ``finite_difference`` is the central-difference reference that analytic
 partials are checked against.
@@ -79,32 +79,30 @@ def inv_quad_profile() -> GProfile:
     return GProfile("inv_quad", g, d1, d2, d3, 3.0 * math.sqrt(3.0) / 8.0, 2.0, 4.669)
 
 
-def logistic_step_profile(threshold: float = 0.0, width: float = 1.0) -> GProfile:
-    """Smoothed indicator of u <= threshold via a logistic ramp."""
-    t, w = float(threshold), float(width)
-    s = lambda u: _sigmoid((u - t) / w)
+def logistic_step_profile() -> GProfile:
+    """Smoothed indicator of u >= 0: the logistic ramp s(u / w) of width w = 0.5."""
+    w = 0.5
+    s = lambda u: _sigmoid(u / w)
     g = s
     d1 = lambda u: s(u) * (1.0 - s(u)) / w
     d2 = lambda u: s(u) * (1.0 - s(u)) * (1.0 - 2.0 * s(u)) / w ** 2
     d3 = lambda u: s(u) * (1.0 - s(u)) * (1.0 - 6.0 * s(u) + 6.0 * s(u) ** 2) / w ** 3
-    return GProfile(f"logistic_step(t={t},w={w})", g, d1, d2, d3,
+    return GProfile("logistic_step(t=0.0,w=0.5)", g, d1, d2, d3,
                     0.25 / w, 1.0 / (6.0 * math.sqrt(3.0) * w ** 2), 0.125 / w ** 3)
 
 
-def tanh_clamp_profile(scale: float = 1.0) -> GProfile:
-    """g(u) = scale * tanh(u / scale), a smooth clamp to (-scale, scale).
+def tanh_clamp_profile() -> GProfile:
+    """g(u) = tanh(u), a smooth clamp to (-1, 1).
 
-    sup|g'| = 1; sup|g''| = 4/(3*sqrt(3)*scale) since |2 t (1-t^2)| with
-    t = tanh peaks at t = 1/sqrt(3); sup|g'''| = 2/scale^2, attained at u = 0
-    where |2 (1-t^2)(1-3t^2)| is maximal.
+    sup|g'| = 1; sup|g''| = 4/(3*sqrt(3)) since |2 t (1-t^2)| with t = tanh
+    peaks at t = 1/sqrt(3); sup|g'''| = 2, attained at u = 0 where
+    |2 (1-t^2)(1-3t^2)| is maximal.
     """
-    s = float(scale)
-    g = lambda u: s * np.tanh(u / s)
-    d1 = lambda u: 1.0 / np.cosh(u / s) ** 2
-    d2 = lambda u: -2.0 * np.tanh(u / s) / (s * np.cosh(u / s) ** 2)
-    d3 = lambda u: -2.0 * (1.0 - 3.0 * np.tanh(u / s) ** 2) / (s ** 2 * np.cosh(u / s) ** 2)
-    return GProfile(f"tanh_clamp(s={s})", g, d1, d2, d3,
-                    1.0, 4.0 / (3.0 * math.sqrt(3.0) * s), 2.0 / s ** 2)
+    d1 = lambda u: 1.0 / np.cosh(u) ** 2
+    d2 = lambda u: -2.0 * np.tanh(u) / np.cosh(u) ** 2
+    d3 = lambda u: -2.0 * (1.0 - 3.0 * np.tanh(u) ** 2) / np.cosh(u) ** 2
+    return GProfile("tanh_clamp(s=1.0)", np.tanh, d1, d2, d3,
+                    1.0, 4.0 / (3.0 * math.sqrt(3.0)), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +171,13 @@ class SmoothFunction:
 
 
 class RidgeFunction(SmoothFunction):
-    """f(x) = g(w.x + b) for a profile g.
+    """f(x) = g(w.x) for a profile g.
 
-    An r-th partial is g^(r)(w.x + b) times r weights, so both bounds are
-    b_r max|w|^r.
+    An r-th partial is g^(r)(w.x) times r weights, so both bounds are
+    b_r max|w|^r.  A shifted profile covers an offset.
     """
 
-    def __init__(self, profile: GProfile, weights, offset: float = 0.0):
+    def __init__(self, profile: GProfile, weights):
         w = np.asarray(weights, dtype=float)
         wmax = float(np.max(np.abs(w))) if w.size else 0.0
         bounds = tuple(b * wmax ** r for r, b in
@@ -187,12 +185,11 @@ class RidgeFunction(SmoothFunction):
         super().__init__(w.size, bounds, bounds)
         self.profile = profile
         self.weights = w
-        self.offset = float(offset)
 
     def argument(self, x):
-        """w.x + b along the last axis.  einsum sums each row on its own, so a row's
+        """w.x along the last axis.  einsum sums each row on its own, so a row's
         value does not depend on the batch around it or on BLAS threads."""
-        return np.einsum("...j,j->...", np.asarray(x, dtype=float), self.weights) + self.offset
+        return np.einsum("...j,j->...", np.asarray(x, dtype=float), self.weights)
 
     def __call__(self, x):
         return self.profile.value(self.argument(x))

@@ -1,8 +1,8 @@
-"""Scalar laws, and the laws of a ridge argument w.X + b as quadratures.
+"""Scalar laws, and the laws of a ridge argument w.X as quadratures.
 
 Each law checks its fields where it is built, and nowhere else.  It owns its
 sampler and what the swapping bound needs of it: its moments (infinite where
-a moment overflows a float) and the law of w.X + b for i.i.d. coordinates as
+a moment overflows a float) and the law of w.X for i.i.d. coordinates as
 a quadrature where one exists.  Its JSON form is ``kind`` with its fields.
 """
 
@@ -94,10 +94,10 @@ class Gaussian(_ParamLaw):
         return _pow(sigma, 3) * (2.0 * (z * z + 2.0) * _normal_pdf(z)
                                  + (z ** 3 + 3.0 * z) * math.erf(z / math.sqrt(2.0)))
 
-    def ridge_law(self, weights, offset: float):
-        """b + sum_j w_j X_j ~ N(b + mu sum(w), sigma^2 |w|^2)."""
+    def ridge_law(self, weights):
+        """sum_j w_j X_j ~ N(mu sum(w), sigma^2 |w|^2)."""
         w = np.asarray(weights, dtype=float)
-        return normal_quadrature(offset + self.mu * float(w.sum()),
+        return normal_quadrature(self.mu * float(w.sum()),
                                  self.sigma * float(np.linalg.norm(w)))
 
 
@@ -150,8 +150,8 @@ class Uniform(_ParamLaw):
         half = 0.5 * self.high - 0.5 * self.low
         return np.exp(1j * self.mean() * t) * np.sinc(half * t / np.pi)
 
-    def ridge_law(self, weights, offset: float):
-        """The law of b + sum_j w_j X_j, as a product rule or from its characteristic function.
+    def ridge_law(self, weights):
+        """The law of sum_j w_j X_j, as a product rule or from its characteristic function.
 
         With at most three nonzero weights, the product of Gauss-Legendre rules of
         64 nodes on each coordinate's interval integrates it, and the product of
@@ -167,7 +167,7 @@ class Uniform(_ParamLaw):
         """
         w = np.asarray(weights, dtype=float)
         half = 0.5 * self.high - 0.5 * self.low
-        centre = offset + self.mean() * float(w.sum())
+        centre = self.mean() * float(w.sum())
         radius = half * float(np.abs(w).sum())
         if not (math.isfinite(centre) and math.isfinite(radius)):
             return None
@@ -229,7 +229,7 @@ class StudentT(_ParamLaw):
         return math.exp(0.5 * p * math.log(df) + math.lgamma((p + 1) / 2)
                         + math.lgamma((df - p) / 2) - math.lgamma(df / 2)) / math.sqrt(math.pi)
 
-    def ridge_law(self, weights, offset: float):
+    def ridge_law(self, weights):
         """No exact route: sums of t variables have no closed-form law."""
         return None
 
@@ -266,7 +266,7 @@ class Finite(Value):
         with np.errstate(over="ignore"):
             return float(_expectation(self.probs, power(np.asarray(self.values))))
 
-    def ridge_law(self, weights, offset: float):
+    def ridge_law(self, weights):
         """No exact route is implemented for weighted sums of atoms."""
         return None
 
@@ -352,7 +352,7 @@ def _filled(out, draws: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Laws of a ridge argument w.X + b, as quadratures
+# Laws of a ridge argument w.X, as quadratures
 # ---------------------------------------------------------------------------
 
 # A stated error above this means the rule cannot resolve the integrand.
@@ -360,7 +360,7 @@ _QUADRATURE_TOL = 1e-6
 
 
 class RidgeLaw(Value):
-    """The law of a ridge argument w.X + b as ``nodes`` with probabilities ``probs``.
+    """The law of a ridge argument w.X as ``nodes`` with probabilities ``probs``.
 
     ``check`` is the (nodes, probs) of the same construction at a resolution
     lower by sqrt(2), or None when the nodes are the law's exact atoms.  Its node

@@ -133,14 +133,14 @@ class ConditionallyIid(Value):
         return ABEstimate(_jensen_cap(abs1 + abs(y_mean), m1 - y_mean, _variance(m1, m2)),
                           _jensen_cap(m2 + abs(a), m2 - a, _variance(m2, m4)), False)
 
-    def ridge_law(self, weights, offset: float):
-        """Under Gaussian mixing, b + w.X ~ N(b + m sum(w), tau^2 sum(w)^2 + scale^2 |w|^2);
+    def ridge_law(self, weights):
+        """Under Gaussian mixing, w.X ~ N(m sum(w), tau^2 sum(w)^2 + scale^2 |w|^2);
         None for other mixing laws."""
         if not isinstance(self.mixing, Gaussian):
             return None
         w = np.asarray(weights, dtype=float)
         total = float(w.sum())
-        return normal_quadrature(offset + self.mixing.mu * total,
+        return normal_quadrature(self.mixing.mu * total,
                                  math.hypot(self.mixing.sigma * total,
                                             self.scale * float(np.linalg.norm(w))))
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import GProfile, finite_difference
-from .spectral import _require_symmetric, check_z, upper_triangle_size, wigner_matrix
+from .spectral import _require_symmetric, check_z, wigner_matrix
 
 
 class ResolventWorkspace:
@@ -107,21 +107,14 @@ def _h_derivative(g: np.ndarray, pairs) -> complex:
     return (-1) ** k * sum(_trace(g, p) for p in permutations(pairs)) / g.shape[0]
 
 
-def resolvent_partials(x, N: int, z: complex, alpha, beta=None, gamma=None):
-    """Partial derivatives of h at x, from the exact trace formulas.
-
-    Returns d_alpha h when only alpha is given; (d_alpha h, d_beta d_alpha h)
-    with beta; all three orders with gamma.  The second order sums the two
-    orderings of (beta, alpha); the third sums all six orderings.
+def resolvent_partials(x, N: int, z: complex, alpha, beta, gamma):
+    """(d_alpha h, d_beta d_alpha h, d_gamma d_beta d_alpha h) at x, from the
+    exact trace formulas.  The second order sums the two orderings of
+    (beta, alpha); the third sums all six orderings.
     """
     g = ResolventWorkspace(wigner_matrix(x, N), z).G
-    first = _h_derivative(g, (alpha,))
-    if beta is None:
-        return first
-    second = _h_derivative(g, (alpha, beta))
-    if gamma is None:
-        return first, second
-    return first, second, _h_derivative(g, (alpha, beta, gamma))
+    return tuple(_h_derivative(g, pairs)
+                 for pairs in ((alpha,), (alpha, beta), (alpha, beta, gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +208,14 @@ class TraceRatios(NamedTuple):
     order3: float
 
 
-def trace_bound_check(x, N: int, z: complex, trials: int, rng) -> TraceRatios:
-    """Worst measured-to-bound trace ratios over random index tuples."""
+def trace_bound_check(x, N: int, z: complex, rng) -> TraceRatios:
+    """Measured-to-bound trace ratios at one random index tuple drawn from ``rng``."""
     g = ResolventWorkspace(wigner_matrix(x, N), z).G
     bounds = trace_bounds(z.imag, N)
     pairs = triu_pairs(N)
-    worst = [0.0, 0.0, 0.0]
-    for _ in range(trials):
-        picks = [pairs[int(rng.integers(len(pairs)))] for _ in range(3)]
-        for k, cap in enumerate((bounds.t1, bounds.t2, bounds.t3)):
-            worst[k] = max(worst[k], abs(_trace(g, picks[:k + 1])) / cap)
-    return TraceRatios(*worst)
+    picks = [pairs[int(rng.integers(len(pairs)))] for _ in range(3)]
+    return TraceRatios(*(abs(_trace(g, picks[:k + 1])) / cap
+                         for k, cap in enumerate((bounds.t1, bounds.t2, bounds.t3))))
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +260,6 @@ def lemma41_constants(b1: float, b2: float, b3: float, v: float, N: int) -> Lemm
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise ValueError(f"Lemma 4.1 constants overflow a float at |Im z| = {abs(v):g}")
     return Lemma41Constants(k1, k2, l2p, l3p, c1, c2)
-
-
-def lemma41_bound(m3_tilde: float, m4_tilde: float, N: int,
-                  constants: Lemma41Constants) -> float:
-    """Summarization bound specialized to n = N(N+1)/2 upper-triangle entries.
-
-    The sum of ``thm12_terms`` at L2', L3' and n, which collapses to
-    C1 N^-1 sqrt(m4) + C2 N^-1/2 m3 with the recorded C1, C2.
-    """
-    from .exchangeable import thm12_terms  # here, so resolvent-check never loads exchangeable
-    return sum(thm12_terms(m3_tilde, m4_tilde, constants.l2p_bound, constants.l3p_bound,
-                           upper_triangle_size(N)).values())
 
 
 def composed_partials(profile: GProfile, x, N: int, z: complex,

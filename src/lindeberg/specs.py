@@ -242,12 +242,12 @@ class MultisetPermutation:
         """mean |v|^3; infinite where a cube overflows a float."""
         return self._moments()[4]
 
-    def ridge_law(self, weights, offset: float):
+    def ridge_law(self, weights):
         """One atom when every weight is equal, as every permutation has the same
         sum; None otherwise."""
         if _common_weight(weights) is None:
             return None
-        atom = float(self.values @ np.asarray(weights, dtype=float)) + offset
+        atom = float(self.values @ np.asarray(weights, dtype=float))
         return RidgeLaw(np.array([atom]), np.ones(1))
 
 
@@ -270,8 +270,8 @@ class IidFromDistribution(Value):
     def abs_third_moment(self, i: int):
         return self.dist.abs_moment(3)
 
-    def ridge_law(self, weights, offset: float):
-        return self.dist.ridge_law(weights, offset)
+    def ridge_law(self, weights):
+        return self.dist.ridge_law(weights)
 
 
 class MarkovChain(Value):
@@ -347,7 +347,7 @@ class MarkovChain(Value):
         with np.errstate(over="ignore"):
             return float(_expectation(self._step_laws[i - 1], np.abs(self.states) ** 3))
 
-    def ridge_law(self, weights, offset: float):
+    def ridge_law(self, weights):
         """Exact atoms when every weight is equal: the sum is fixed by how often
         each state is visited, and the law of those counts follows from a dynamic
         program over (current state, counts).  None for unequal weights or when
@@ -381,4 +381,4 @@ class MarkovChain(Value):
         counts = counts[:, keep]
         states = np.asarray(self.states, dtype=float)
         totals = states[:-1] @ counts + states[-1] * (n - counts.sum(axis=0))
-        return RidgeLaw(offset + w * totals, probs[keep])
+        return RidgeLaw(w * totals, probs[keep])

@@ -144,18 +144,17 @@ def student_t_perm_wigner(N: int) -> WignerEnsembleSpec:
     return WignerEnsembleSpec(N, standardized_multiset(draws), "student-t-perm")
 
 
-def contaminated_wigner(N: int, outlier_exponent: float = 0.4,
-                        scale_exponent: float = 0.25) -> WignerEnsembleSpec:
+def contaminated_wigner(N: int) -> WignerEnsembleSpec:
     """Near-balanced +-1 multiset with a thin band of large outliers.
 
-    floor(n^outlier_exponent) entries are inflated to n^scale_exponent, which
-    pushes the standardized fourth moment toward the regime where the
-    semicircle approximation degrades.
+    floor(n^0.4) entries are inflated to n^0.25, which pushes the standardized
+    fourth moment toward the regime where the semicircle approximation
+    degrades.
     """
     n = upper_triangle_size(N)
     values = balanced_signs(n)
-    k = max(int(n ** outlier_exponent), 1)
-    values[:k] *= n ** scale_exponent
+    k = max(int(n ** 0.4), 1)
+    values[:k] *= n ** 0.25
     return WignerEnsembleSpec(N, standardized_multiset(values), "contaminated")
 
 

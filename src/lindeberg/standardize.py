@@ -1,5 +1,5 @@
-"""Sample standardization (``center_and_scale``) and the Gaussian summary
-vector (``build_y``) that the exchangeable summarization bound compares X with.
+"""Sample standardization (``center_and_scale``): the mean mu_hat and spread
+sigma_hat that the exchangeable summarization bound summarizes X by.
 """
 
 from __future__ import annotations
@@ -56,8 +56,3 @@ def center_and_scale(x, out: np.ndarray | None = None) -> StandardizedVector:
     np.ldexp(d, -k, out=d)
     return StandardizedVector(mu, sigma, np.divide(d, unit_sigma, out=d))
 
-
-def build_y(mu_hat: float, sigma_hat: float, z) -> np.ndarray:
-    """Gaussian summary mu + sigma * (z - mean(z)) along the last axis; its mean is mu."""
-    z = np.asarray(z, dtype=float)
-    return mu_hat + sigma_hat * (z - z.mean(axis=-1, keepdims=True))

@@ -28,7 +28,7 @@ _SWAPPING_SPECS = {
                                               kernel=((0.7, 0.3), (0.4, 0.6)), n=n),
 }
 _SUITE_PROFILES = {"cos": cos_profile, "inv_quad": inv_quad_profile,
-                   "logistic_step": lambda: logistic_step_profile(0.0, 0.5)}
+                   "logistic_step": logistic_step_profile}
 SWAPPING_SPEC_KINDS = tuple(_SWAPPING_SPECS)
 SUITE_FUNCTION_KINDS = tuple(_SUITE_PROFILES)
 

@@ -6,13 +6,12 @@ discrepancies A_i, B_i, a third-moment cap M3, and sup bounds on the first
 three unmixed partials of f.  M3 is always taken from closed forms, and so
 are the discrepancies: their exact values where the spec has an exact route,
 closed-form caps on them otherwise.  The true difference comes from the laws
-of the ridge argument w.X + b where both specs have one, and from seeded
+of the ridge argument w.X where both specs have one, and from seeded
 Monte Carlo otherwise.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -139,66 +138,18 @@ def mean_difference(functions, x_spec, y_spec, replicates: int, seed: int) -> li
     return [mean.result() for mean in means]
 
 
-class TelescopeResult(NamedTuple):
-    estimate: float
-    stderr: float
-    steps: np.ndarray
-    step_stderr: np.ndarray
-    identity_error: float
-
-
-def telescoping_difference(f: SmoothFunction, x_spec, y_spec,
-                           replicates: int, seed: int) -> TelescopeResult:
-    """Per-step hybrid decomposition of Ef(X) - Ef(Y).
-
-    Hybrid i keeps the first i coordinates of X and the tail of Y; the i-th
-    step estimate is Ef(hybrid_i) - Ef(hybrid_{i-1}), and the steps sum to
-    the total difference replicate by replicate.
-    """
-    n = x_spec.n
-    if f.arity != n or y_spec.n != n:
-        raise ValueError("function arity and spec lengths must agree")
-    X = sample_batch(x_spec, derive_child(seed, 0), replicates)
-    Y = sample_batch(y_spec, derive_child(seed, 1), replicates)
-    if isinstance(f, RidgeFunction):
-        args = np.empty((replicates, n + 1))
-        args[:, 0] = Y @ f.weights + f.offset
-        args[:, 1:] = np.cumsum((X - Y) * f.weights, axis=1)
-        args[:, 1:] += args[:, [0]]
-        values = np.asarray(f.profile.value(args), dtype=float)
-    else:
-        values = np.empty((replicates, n + 1))
-        hybrid = Y.copy()
-        values[:, 0] = f(hybrid)
-        for i in range(n):
-            hybrid[:, i] = X[:, i]
-            values[:, i + 1] = f(hybrid)
-    steps = values[:, 1:] - values[:, :-1]
-    totals = values[:, -1] - values[:, 0]
-    identity_error = float(np.max(np.abs(steps.sum(axis=1) - totals)))
-    estimate, stderr = RunningMean().add(totals).result()
-    return TelescopeResult(
-        estimate=estimate,
-        stderr=stderr,
-        steps=steps.mean(axis=0),
-        step_stderr=steps.std(axis=0, ddof=1) / math.sqrt(replicates),
-        identity_error=identity_error,
-    )
-
-
 def _exact_difference(f: SmoothFunction, x_spec, y_spec, laws: dict):
-    """(Ef(X) - Ef(Y), stated error) for a ridge f = g(w.x + b), by quadrature
+    """(Ef(X) - Ef(Y), stated error) for a ridge f = g(w.x), by quadrature
     over each spec's ``ridge_law``; None when either spec has no law for w or a
-    rule cannot resolve g.  ``laws`` caches the pair of laws per (w, b).
+    rule cannot resolve g.  ``laws`` caches the pair of laws per w.
     """
     if not isinstance(f, RidgeFunction):
         return None
     if f.arity != x_spec.n or y_spec.n != x_spec.n:
         raise ValueError("function arity and spec lengths must agree")
-    key = (f.weights.tobytes(), f.offset)
+    key = f.weights.tobytes()
     if key not in laws:
-        laws[key] = (x_spec.ridge_law(f.weights, f.offset),
-                     y_spec.ridge_law(f.weights, f.offset))
+        laws[key] = (x_spec.ridge_law(f.weights), y_spec.ridge_law(f.weights))
     x_law, y_law = laws[key]
     if x_law is None or y_law is None:
         return None

@@ -38,10 +38,10 @@ from lindeberg.resolvent import (
     lemma41_constants,
     trace_bound_check,
     triu_pairs,
-    upper_triangle_size,
 )
 from lindeberg.sampling import derive_child, rng_from, standardized_multiset
-from lindeberg.spectral import ENSEMBLES, rank_inequality_check, thm13_experiment
+from lindeberg.spectral import (ENSEMBLES, rank_inequality_check, thm13_experiment,
+                                upper_triangle_size)
 from lindeberg.swap import swapping_report
 from lindeberg.suites import (
     IDENTITY_N_VALUES,
@@ -219,7 +219,7 @@ def test_criterion_09_resolvent_derivative_formulas(criterion_report):
     for _ in range(RESOLVENT_TRIALS):
         N = int(rng.choice(RESOLVENT_N_VALUES))
         x = rng.uniform(-2.0, 2.0, upper_triangle_size(N))
-        r = trace_bound_check(x, N, RESOLVENT_Z, 1, rng)
+        r = trace_bound_check(x, N, RESOLVENT_Z, rng)
         worst_ratio = max(worst_ratio, r.order1, r.order2, r.order3)
     elapsed = time.perf_counter() - start
     ok = (max(agreement.order1, agreement.order2, agreement.order3)
@@ -232,7 +232,7 @@ def test_criterion_09_resolvent_derivative_formulas(criterion_report):
 def test_criterion_10_composed_derivative_bounds(criterion_report):
     start = time.perf_counter()
     rng = rng_from(derive_child(MASTER_SEED, 10))
-    g = tanh_clamp_profile(1.0)
+    g = tanh_clamp_profile()
     ok = True
     for N in (4, 8, 16):
         c = lemma41_constants(g.b1, g.b2, g.b3, 1.0, N)

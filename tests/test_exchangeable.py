@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import OpaqueFunction
 from lindeberg.exchangeable import (
@@ -32,8 +34,8 @@ from lindeberg.laws import uniform
 from lindeberg.sampling import (RunningMean, derive_child, rng_from, row_blocks, sample_batch,
                                 standardized_multiset)
 from lindeberg.specs import IidFromDistribution, MultisetPermutation
-from lindeberg.standardize import build_y, center_and_scale
-from lindeberg.suites import ramp_multiset, summarization_function
+from lindeberg.standardize import center_and_scale
+from lindeberg.suites import SUMMARIZATION_FUNCTION_KINDS, ramp_multiset, summarization_function
 
 IDENTITY = GProfile("identity", lambda u: u, np.ones_like, np.zeros_like, np.zeros_like,
                     1.0, 0.0, 0.0)
@@ -395,12 +397,15 @@ class TestInterpolation:
         assert abs(res.direct) <= res.bound + 4 * res.direct_stderr
         assert abs(res.integral) <= res.bound + 4 * res.integral_stderr
 
-    def test_grid_refinement_is_stable(self):
+    def test_grid_refinement_is_stable(self, monkeypatch):
         # shared draws across nodes: double the grid and only quadrature
         # error moves, which must stay below one stderr
+        from lindeberg import exchangeable
+
         f0 = sum_ridge(inv_quad_profile(), 5)
-        coarse = interpolation_difference(f0, 5, replicates=64_000, t_grid_size=32, seed=9)
-        fine = interpolation_difference(f0, 5, replicates=64_000, t_grid_size=64, seed=9)
+        coarse = interpolation_difference(f0, 5, replicates=64_000, seed=9)
+        monkeypatch.setattr(exchangeable, "_T_GRID_SIZE", 2 * exchangeable._T_GRID_SIZE)
+        fine = interpolation_difference(f0, 5, replicates=64_000, seed=9)
         assert abs(coarse.integral - fine.integral) <= coarse.integral_stderr
 
 
@@ -434,9 +439,8 @@ class TestSummarizationBound:
     def test_degenerate_multiset(self):
         spec = MultisetPermutation((3.0, 3.0, 3.0))
         f = summarization_function("cos-alternating", 3)
-        report, = end_to_end_check(spec, [f], replicates=500, seed=0)
-        assert report.bound == 0.0
-        assert report.estimate == 0.0
+        with pytest.raises(ValueError, match="not constant"):
+            end_to_end_check(spec, [f], replicates=500, seed=0)
 
     def test_domination_on_sample_cells(self):
         for n in (10, 50):
@@ -487,17 +491,18 @@ def test_chain_rule_bound_through_g_inverse():
 
 
 def test_exact_gaussian_summary_agrees_with_sampled_summary():
-    # the same X draws; Ef(Y) by quadrature for the ridge f, sampled for the
-    # same map wrapped as a generic function
-    n = 10
-    f = summarization_function("inv_quad-ramp", n)
-    generic = OpaqueFunction(f)
-    exact, sampled = end_to_end_check(ramp_multiset(n), [f, generic], replicates=20_000,
-                                      seed=4)
-    assert exact.bound == sampled.bound
-    assert exact.stderr < sampled.stderr
-    assert abs(exact.estimate - sampled.estimate) <= 4.0 * math.hypot(exact.stderr,
-                                                                      sampled.stderr)
+    # the same X draws; Ef(Y) by quadrature in end_to_end_check, and sampled
+    # here from Y = mu_hat + sigma_hat (Z - Zbar)
+    n, replicates, seed = 10, 20_000, 4
+    spec, f = ramp_multiset(n), summarization_function("inv_quad-ramp", n)
+    exact, = end_to_end_check(spec, [f], replicates, seed)
+    std = center_and_scale(spec.values)
+    x = rng_from(derive_child(seed, 0)).permuted(np.tile(spec.values, (replicates, 1)), axis=1)
+    z = rng_from(derive_child(seed, 1)).standard_normal((replicates, n))
+    diff = f(x) - f(std.mu_hat + std.sigma_hat * (z - z.mean(axis=1, keepdims=True)))
+    sampled, sampled_stderr = diff.mean(), diff.std(ddof=1) / math.sqrt(replicates)
+    assert exact.stderr < sampled_stderr
+    assert abs(exact.estimate - sampled) <= 4.0 * math.hypot(exact.stderr, sampled_stderr)
 
 
 @pytest.mark.parametrize("kind", ["cos-alternating", "inv_quad-ramp"])
@@ -522,7 +527,11 @@ def test_two_point_ridge_argument_leaves_one_control():
     # n = 2: S takes two values, so (S - E S)^2 is constant up to rounding and
     # collinear with S - E S; f(X) is then exactly fitted and the estimate exact
     spec = MultisetPermutation([0.0, 3.0])
-    f = RidgeFunction(inv_quad_profile(), [0.7, 0.0], 0.2)
+    g = inv_quad_profile()
+    shifted = GProfile("inv_quad(u + 0.2)", *(lambda u, h=h: h(u + 0.2)
+                                              for h in (g.value, g.d1, g.d2, g.d3)),
+                       g.b1, g.b2, g.b3)
+    f = RidgeFunction(shifted, [0.7, 0.0])
     std = center_and_scale(spec.values)
     ey, _ = _summary_mean(f, std.mu_hat, std.sigma_hat)
     exact = 0.5 * (f(np.array([0.0, 3.0])) + f(np.array([3.0, 0.0]))) - ey
@@ -531,36 +540,28 @@ def test_two_point_ridge_argument_leaves_one_control():
 
 
 def test_ridge_moments_are_those_of_every_order():
-    # mean and variance of w.X + b over all 5040 orders of a multiset with repeats
+    # mean and variance of w.X over all 5040 orders of a multiset with repeats
     spec = MultisetPermutation([0.5, 0.5, 2.0, -1.0, 3.0, 3.0, 3.0])
-    f = RidgeFunction(cos_profile(), [0.3, -1.2, 0.0, 2.0, 0.7, 0.7, -0.4], 0.25)
+    f = RidgeFunction(cos_profile(), [0.3, -1.2, 0.0, 2.0, 0.7, 0.7, -0.4])
     s = f.argument(np.array(list(itertools.permutations(spec.values))))
     std = center_and_scale(spec.values)
     mean, var = _ridge_moments(f, std.mu_hat, std.sigma_hat, spec.n)
     assert mean == pytest.approx(s.mean(), rel=1e-13)
     assert var == pytest.approx(s.var(), rel=1e-13)
-    assert _ridge_moments(OpaqueFunction(f), std.mu_hat, std.sigma_hat, spec.n) is None
 
 
-def _whole_batch_reference(spec, f, replicates, seed, sampled_y):
-    """end_to_end_check's estimate and stderr from one whole batch of X (and Z),
-    whose per-row differences, with the controls S - E S and (S - E S)^2 - Var S
-    of a ridge f, are fed to the accumulator in row blocks."""
+def _whole_batch_reference(spec, f, replicates, seed):
+    """end_to_end_check's estimate and stderr from one whole batch of X, whose
+    per-row differences, with the controls S - E S and (S - E S)^2 - Var S, are
+    fed to the accumulator in row blocks."""
     n = spec.n
     std = center_and_scale(spec.values)
     x = rng_from(derive_child(seed, 0)).permuted(np.tile(spec.values, (replicates, 1)), axis=1)
-    if sampled_y:
-        z = rng_from(derive_child(seed, 1)).standard_normal((replicates, n))
-        diff, quad_error = f(x) - f(build_y(std.mu_hat, std.sigma_hat, z)), 0.0
-    else:
-        ey, quad_error = _summary_mean(f, std.mu_hat, std.sigma_hat)
-        diff = f(x) - ey
-    moments = _ridge_moments(f, std.mu_hat, std.sigma_hat, n)
-    columns = [diff]
-    if moments is not None:
-        d = f.argument(x) - moments[0]
-        columns += [d, d * d - moments[1]]
-    mean = RunningMean(len(columns) - 1)
+    ey, quad_error = _summary_mean(f, std.mu_hat, std.sigma_hat)
+    mean_s, var_s = _ridge_moments(f, std.mu_hat, std.sigma_hat, n)
+    d = f.argument(x) - mean_s
+    columns = [f(x) - ey, d, d * d - var_s]
+    mean = RunningMean(2)
     for block in row_blocks(replicates, n):  # the same blocks as end_to_end_check
         mean.add(*(column[block] for column in columns))
     estimate, stderr = mean.result()
@@ -569,67 +570,82 @@ def _whole_batch_reference(spec, f, replicates, seed, sampled_y):
 
 # f reads x_0 - x_1 with weights +-1, whose products are exact, so its values
 # do not depend on how BLAS groups the rows of a batch.
-@pytest.mark.parametrize("sampled_y", [False, True], ids=["exact-y", "sampled-y"])
-def test_blocked_draws_match_one_whole_batch(sampled_y):
+@pytest.mark.parametrize("y_kind", ["exact-y"])
+def test_blocked_draws_match_one_whole_batch(y_kind):
     n = 50
     spec = ramp_multiset(n)
     w = np.zeros(n)
     w[:2] = (1.0, -1.0)
     f = RidgeFunction(cos_profile(), w)
-    if sampled_y:  # a generic f has no summary law, so Y is sampled
-        f = OpaqueFunction(f)
     replicates = 3 * next(row_blocks(1 << 30, n)).stop + 17  # three whole blocks and a part
     report, = end_to_end_check(spec, [f], replicates, seed=8)
-    estimate, stderr = _whole_batch_reference(spec, f, replicates, 8, sampled_y)
+    estimate, stderr = _whole_batch_reference(spec, f, replicates, 8)
     assert report.estimate == estimate and report.stderr == stderr
     assert report.replicates == replicates
 
 
-def _summarization_group(n, sampled_y):
-    """The suite's ridge functions at n, plus a generic one whose Y is sampled."""
-    functions = [summarization_function(kind, n) for kind in ("cos-alternating",
-                                                               "inv_quad-ramp")]
-    if sampled_y:
-        f = functions[0]
-        functions.append(OpaqueFunction(f))
-    return functions
+def _summarization_group(n):
+    """The suite's ridge functions at n."""
+    return [summarization_function(kind, n) for kind in SUMMARIZATION_FUNCTION_KINDS]
 
 
-@pytest.mark.parametrize("sampled_y", [False, True], ids=["exact-y", "sampled-y"])
-def test_group_call_equals_one_function_calls(sampled_y):
+@pytest.mark.parametrize("y_kind", ["exact-y"])
+def test_group_call_equals_one_function_calls(y_kind):
     n = 10
     spec = ramp_multiset(n)
     replicates = 2 * next(row_blocks(1 << 30, n)).stop + 5
-    functions = _summarization_group(n, sampled_y)
+    functions = _summarization_group(n)
     group = end_to_end_check(spec, functions, replicates, seed=6)
     assert len(group) == len(functions)
     for f, report in zip(functions, group):
         assert end_to_end_check(spec, [f], replicates, seed=6) == [report]
 
 
-@pytest.mark.parametrize("sampled_y", [False, True], ids=["exact-y", "sampled-y"])
+@pytest.mark.parametrize("y_kind", ["exact-y"])
 @pytest.mark.parametrize("count", [1, 2, 3])
-def test_group_draws_each_input_once(monkeypatch, count, sampled_y):
+def test_group_draws_each_input_once(monkeypatch, count, y_kind):
     from lindeberg import exchangeable
 
-    drawn = {"x": 0, "z": 0}
+    drawn = []
 
     def counting_sample(spec, rng, rows):
         out = sample_batch(spec, rng, rows)
-        drawn["x"] += out.size
+        drawn.append(out.size)
         return out
 
-    def counting_build_y(mu, sigma, z):
-        drawn["z"] += np.size(z)
-        return build_y(mu, sigma, z)
-
     monkeypatch.setattr(exchangeable, "sample_batch", counting_sample)
-    monkeypatch.setattr(exchangeable, "build_y", counting_build_y)
     n, replicates = 50, 7_000
-    functions = _summarization_group(n, sampled_y)
-    functions = functions[-count:] if sampled_y else (functions * 2)[:count]
+    functions = (_summarization_group(n) * 2)[:count]
     end_to_end_check(ramp_multiset(n), functions, replicates, seed=2)
-    assert drawn == {"x": replicates * n, "z": replicates * n if sampled_y else 0}
+    assert sum(drawn) == replicates * n
+
+
+def test_non_ridge_function_is_rejected():
+    f = summarization_function("cos-alternating", 6)
+    with pytest.raises(TypeError, match="ridge functions"):
+        end_to_end_check(ramp_multiset(6), [f, OpaqueFunction(f)], 100, 0)
+
+
+def test_summary_the_quadrature_cannot_resolve_is_rejected():
+    # w.Y has sd 2.9e6 here, which no trapezoid rule on cos resolves
+    spec = MultisetPermutation(np.arange(1.0, 11.0) * 1e6)
+    with pytest.raises(ValueError, match="cannot resolve Ef"):
+        end_to_end_check(spec, [summarization_function("cos-alternating", 10)], 100, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+def test_every_multiset_thm12_check_takes_has_an_exact_summary(values):
+    # thm12-check standardizes its multiset first; what that accepts never
+    # reaches end_to_end_check's rejections
+    try:
+        spec = standardized_multiset(values)
+    except ValueError:  # constant, or past the floats: thm12-check exits 2 first
+        assume(False)
+    n = len(values)
+    functions = [summarization_function(kind, n) for kind in SUMMARIZATION_FUNCTION_KINDS]
+    reports = end_to_end_check(spec, functions, 16, seed=0)
+    assert all(math.isfinite(r.estimate) and math.isfinite(r.stderr) for r in reports)
 
 
 def test_end_to_end_memory_does_not_grow_with_replicates():

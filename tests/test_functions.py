@@ -56,10 +56,8 @@ def finite_difference_agreement(f: RidgeFunction, rng: np.random.Generator,
 ALL_PROFILES = [
     cos_profile(),
     inv_quad_profile(),
-    logistic_step_profile(0.0, 0.5),
-    logistic_step_profile(1.0, 2.0),
-    tanh_clamp_profile(1.0),
-    tanh_clamp_profile(0.3),
+    logistic_step_profile(),
+    tanh_clamp_profile(),
 ]
 
 
@@ -237,7 +235,7 @@ def test_ridge_mixed_partial_product_rule():
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 101])
 def test_ridge_rows_do_not_depend_on_the_batch(n):
     rng = np.random.default_rng(n)
-    f = RidgeFunction(cos_profile(), rng.standard_normal(n), offset=0.3)
+    f = RidgeFunction(cos_profile(), rng.standard_normal(n))
     x = rng.standard_normal((1000, n))
     whole = f.argument(x)
     for block in (1, 3, 7, 64, 999):

@@ -25,7 +25,7 @@ from lindeberg.sampling import (
 )
 from lindeberg.specs import IidFromDistribution, MarkovChain, MultisetPermutation
 from lindeberg.spectral import contaminated_wigner
-from lindeberg.standardize import build_y, center_and_scale
+from lindeberg.standardize import center_and_scale
 from lindeberg.swap import bound_components, estimate_ab
 
 
@@ -330,22 +330,6 @@ class TestStandardizedMultiset:
             tracemalloc.stop()
         assert spec.n == values.size
         assert peak < 1.5 * values.nbytes  # the standardized array and a bool mask
-
-
-class TestBuildY:
-    def test_centered_z(self):
-        assert build_y(0.0, 1.0, [1.0, -1.0]) == pytest.approx([1.0, -1.0])
-
-    def test_zero_sigma(self):
-        assert np.array_equal(build_y(3.0, 0.0, [0.3, -2.0, 5.0]), [3.0, 3.0, 3.0])
-
-    def test_direct_formula(self):
-        assert build_y(0.0, 2.0, [2.0, 0.0, 1.0]) == pytest.approx([2.0, -2.0, 0.0])
-
-    def test_mean_is_exactly_mu(self):
-        rng = np.random.default_rng(8)
-        y = build_y(1.37, 2.1, rng.standard_normal(64))
-        assert y.mean() == pytest.approx(1.37, abs=1e-13)
 
 
 def test_invalid_kernel_rows_raise():

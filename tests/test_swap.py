@@ -27,7 +27,6 @@ from lindeberg.swap import (
     estimate_ab_all,
     mean_difference,
     swapping_report,
-    telescoping_difference,
     third_moment_bound,
 )
 from lindeberg.suites import gaussian_comparison, ramp_multiset, suite_function, swapping_spec
@@ -512,48 +511,6 @@ def test_third_moment_bound_draws_nothing(monkeypatch):
     assert list(inspect.signature(third_moment_bound).parameters) == ["x_spec", "y_spec"]
 
 
-class TestTelescoping:
-    def test_identical_laws_give_zero_estimate(self):
-        f = sum_ridge(logistic_step_profile(0.0, 1.0), 6)
-        x = IidFromDistribution(gaussian(), 6)
-        y = IidFromDistribution(gaussian(), 6)
-        res = telescoping_difference(f, x, y, replicates=40_000, seed=21)
-        assert abs(res.estimate) <= 4 * res.stderr
-        for step, err in zip(res.steps, res.step_stderr):
-            assert abs(step) <= 5 * err + 1e-12
-
-    def test_constant_function_is_exact_zero(self):
-        f = RidgeFunction(cos_profile(), np.zeros(4), offset=2.5)  # constant cos(2.5)
-        x = standardized_multiset([-1.0, 0.0, 0.5, 3.0])
-        y = IidFromDistribution(gaussian(), 4)
-        res = telescoping_difference(f, x, y, replicates=500, seed=3)
-        assert res.estimate == 0.0 and res.stderr == 0.0
-
-    def test_steps_sum_to_total_per_replicate(self):
-        f = suite_function("cos", 12)
-        res = telescoping_difference(
-            f, swapping_spec("multiset-rademacher", 12), gaussian_comparison(12),
-            replicates=2_000, seed=7)
-        assert res.identity_error <= 1e-12
-        assert res.steps.sum() == pytest.approx(res.estimate, abs=1e-12)
-
-    def test_generic_path_matches_ridge_path(self):
-        f = suite_function("inv_quad", 5)
-        x = swapping_spec("iid-uniform", 5)
-        y = gaussian_comparison(5)
-        ridge = telescoping_difference(f, x, y, replicates=300, seed=9)
-        generic = OpaqueFunction(f)
-        plain = telescoping_difference(generic, x, y, replicates=300, seed=9)
-        assert plain.estimate == pytest.approx(ridge.estimate, abs=1e-12)
-        assert np.allclose(plain.steps, ridge.steps, atol=1e-12)
-
-    def test_arity_mismatch_raises(self):
-        f = suite_function("cos", 4)
-        with pytest.raises(ValueError):
-            telescoping_difference(f, swapping_spec("iid-uniform", 5),
-                                   gaussian_comparison(5), 10, 0)
-
-
 def test_swapping_bound_dominates_on_sample_cells():
     for spec_kind, n, f_kind in [
         ("iid-uniform", 5, "cos"),
@@ -573,7 +530,7 @@ def test_difference_shrinks_with_dimension():
     skewed = Finite((-0.5, 2.0), (0.8, 0.2))
     medians = []
     for n in (10, 40, 160):
-        f = sum_ridge(logistic_step_profile(0.0, 0.5), n)
+        f = sum_ridge(logistic_step_profile(), n)
         gaps = []
         for s in range(20):
             (est, _), = mean_difference([f], IidFromDistribution(skewed, n),
@@ -632,7 +589,7 @@ def test_exact_default_cells_agree_with_monte_carlo(spec_kind, n):
 def test_uniform_law_with_unequal_weights():
     # E cos(sum w_j U_j) = prod_j sin(h w_j) / (h w_j) for U_j uniform on [-h, h]
     weights = np.array([0.9, -0.4, 0.25, 0.6, 0.05, -0.3])
-    f = RidgeFunction(cos_profile(), weights, offset=0.0)
+    f = RidgeFunction(cos_profile(), weights)
     x = IidFromDistribution(uniform(-1.5, 1.5), weights.size)
     y = IidFromDistribution(gaussian(), weights.size)
     report, = swapping_report([f], x, y, 2, [0])
@@ -665,9 +622,9 @@ def test_uniform_law_too_narrow_for_the_rule_has_no_exact_route():
     x = IidFromDistribution(narrow, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert x.ridge_law(np.full(4, 0.5), 0.0) is None
+        assert x.ridge_law(np.full(4, 0.5)) is None
         report, = swapping_report([suite_function("cos", 4)], x, gaussian_comparison(4), 2, [0])
-        assert IidFromDistribution(narrow, 2).ridge_law(np.full(2, math.sqrt(0.5)), 0.0) is not None
+        assert IidFromDistribution(narrow, 2).ridge_law(np.full(2, math.sqrt(0.5))) is not None
     assert report.kind == "mc" and math.isfinite(report.estimate)
 
 
@@ -677,16 +634,16 @@ def test_uniform_law_with_one_nonzero_weight_is_exact(weights):
     # E cos(b + sum_j w_j U_j) = cos b prod_j sin(h w_j) / (h w_j) for U_j uniform
     # on [-h, h].  With one nonzero weight w.U + b is uniform on [b - r, b + r],
     # whose density jumps at the ends: E g = (G(b + r) - G(b - r)) / 2r for an
-    # antiderivative G of g
+    # antiderivative G of g.  The offset b shifts the profile.
     w, b, h = np.asarray(weights), 0.3, math.sqrt(3.0)
-    law = IidFromDistribution(uniform(-h, h), w.size).ridge_law(w, b)
+    law = IidFromDistribution(uniform(-h, h), w.size).ridge_law(w)
     nonzero = w[w != 0.0]
-    value, error = law.expect(np.cos)
+    value, error = law.expect(lambda u: np.cos(u + b))
     assert value == pytest.approx(math.cos(b) * np.prod(np.sinc(h * nonzero / np.pi)), abs=1e-14)
     assert error <= 1e-14
     if nonzero.size == 1:
         r = h * np.abs(w).sum()
-        value, error = law.expect(lambda u: 1.0 / (1.0 + u * u))
+        value, error = law.expect(lambda u: 1.0 / (1.0 + (u + b) * (u + b)))
         assert value == pytest.approx((np.arctan(b + r) - np.arctan(b - r)) / (2.0 * r), abs=1e-14)
         assert error <= 1e-14
 
@@ -718,9 +675,9 @@ def test_markov_ridge_law_matches_path_enumeration(states, initial, kernel):
         for s, t in zip(path, path[1:]):
             prob *= kernel[s][t]
         expected += prob * math.cos(w * sum(states[s] for s in path) + b)
-    value, error = spec.ridge_law(np.full(n, w), b).expect(np.cos)
+    value, error = spec.ridge_law(np.full(n, w)).expect(lambda u: np.cos(u + b))
     assert value == pytest.approx(expected, abs=1e-13) and error == 0.0
-    assert spec.ridge_law(np.linspace(0.1, 0.6, n), b) is None
+    assert spec.ridge_law(np.linspace(0.1, 0.6, n)) is None
 
 
 @pytest.mark.parametrize("probs", [[0.6, 0.5], [1.0 + 1e-11, -1e-11], [1.0 - 2e-12, 0.0]],
@@ -733,7 +690,7 @@ def test_ridge_law_atoms_must_be_a_probability_vector(probs):
 def test_ridge_law_rule_weights_are_not_held_to_the_atoms_tolerance():
     # four uniform coordinates: the check rule's truncated density series carries
     # 4.5e-11 of extra mass, and the law is still built (the rules' gap states the error)
-    law = IidFromDistribution(uniform(-1.0, 1.0), 4).ridge_law(np.full(4, 0.5), 0.0)
+    law = IidFromDistribution(uniform(-1.0, 1.0), 4).ridge_law(np.full(4, 0.5))
     assert abs(law.check[1].sum() - 1.0) > 1e-12
 
 
@@ -742,10 +699,10 @@ def test_markov_ridge_law_of_a_kernel_that_loses_mass_is_refused():
     # transposed lookup in the count recursion would read them.  From a uniform
     # initial law such a kernel keeps the mass at 1, so this one is not uniform.
     leaky = MarkovChain((-1.0, 1.0), (0.25, 0.75), ((0.7, 0.3), (0.4, 0.6)), 5)
-    assert leaky.ridge_law(np.full(5, 0.4), 0.0) is not None
+    assert leaky.ridge_law(np.full(5, 0.4)) is not None
     object.__setattr__(leaky, "kernel", ((0.7, 0.4), (0.3, 0.6)))  # past the row check
     with pytest.raises(ValueError, match="sum to 1 within 1e-12"):
-        leaky.ridge_law(np.full(5, 0.4), 0.0)
+        leaky.ridge_law(np.full(5, 0.4))
 
 
 @pytest.mark.parametrize("x_spec", [
@@ -819,7 +776,7 @@ def test_swapping_report_samples_its_monte_carlo_functions_together():
     chain = swapping_spec("markov-two-state", n)
     y = gaussian_comparison(n)
     ramp = RidgeFunction(cos_profile(), np.linspace(0.1, 0.6, n))
-    step = RidgeFunction(logistic_step_profile(0.0, 0.5), np.linspace(0.6, 0.1, n))
+    step = RidgeFunction(logistic_step_profile(), np.linspace(0.6, 0.1, n))
     functions = [suite_function("cos", n), ramp, step]
     reports = swapping_report(functions, chain, y, 4_000, [21, 22, 23])
     assert [r.kind for r in reports] == ["exact", "mc", "mc"]
