@@ -74,23 +74,25 @@ def upper_triangle_size(N: int) -> int:
     return N * (N + 1) // 2
 
 
-def wigner_matrix(x, N: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Symmetric N x N matrix with N^{-1/2}-scaled upper-triangle entries.
+def wigner_matrix(x, N: int, out: np.ndarray | None = None, sigma: float = 1.0) -> np.ndarray:
+    """Symmetric N x N matrix with (sqrt(N) sigma)^{-1}-scaled upper-triangle entries.
 
     ``x`` lists the entries for positions (i, j), i <= j, in row-major
-    order; the lower triangle mirrors them.  ``out``, an N x N float64
-    array, receives the matrix instead of a new one.  Every upper row is
-    written before the lower triangle, so ``x`` may lie in the tail of the
-    buffer behind a C-contiguous ``out``: row i ends before the entries of
-    row i + 1 start there, so no entry is overwritten before it is read.
+    order; the lower triangle mirrors them.  Each entry is divided by
+    sqrt(N) sigma in float64 and rounded once to the matrix's dtype.
+    ``out``, an N x N float64 or float32 array, receives the matrix instead
+    of a new float64 one.  Every upper row is written before the lower
+    triangle, so ``x`` may lie in the tail of the buffer behind a C-contiguous
+    float64 ``out``: row i ends before the entries of row i + 1 start there,
+    so no entry is overwritten before it is read.
     """
     x = np.asarray(x, dtype=float)
     if x.size != upper_triangle_size(N):
         raise ValueError("entry vector length must be N(N+1)/2")
     a = np.empty((N, N)) if out is None else out
-    if a.shape != (N, N) or a.dtype != np.float64:
-        raise ValueError("out must be an N x N float64 array")
-    scale = math.sqrt(N)
+    if a.shape != (N, N) or a.dtype not in (np.float64, np.float32):
+        raise ValueError("out must be an N x N float64 or float32 array")
+    scale = math.sqrt(N) * sigma
     start = 0
     for i in range(N):
         row = a[i, i:]
@@ -174,18 +176,22 @@ ENSEMBLES: dict[str, Callable[[int], WignerEnsembleSpec]] = {
 # LAPACK's matrix_layout code for column-major storage.
 _LAPACK_COL_MAJOR = 102
 
-# Smallest order solved by the two-stage driver.  With OpenBLAS at one thread
-# on a 2-core Xeon host, medians of 7 solves put dsyevd_2stage at 1.26x
-# dsyevd's time for N = 900, 0.96-1.01x from 1100 to 1300, 0.94x at 1400 and
-# 1600, 0.86x at 2000 and 0.77x at 3000.
-_TWO_STAGE_MIN_ORDER = 1200
+# Smallest order that ssyevd_2stage solves in place of ssyevd.  With OpenBLAS
+# at one thread on a 2-core Xeon host, medians of 5 to 21 alternated solves of
+# +-1/sqrt(N) matrices put ssyevd_2stage at 1.77x ssyevd's time for N = 1000,
+# 1.06-1.29x from 1600 to 1900, 0.99-1.18x at 2000, 1.16x at 2400, 0.84-0.96x
+# at 2500 and 0.88x at 3000 and 4000.
+_TWO_STAGE_MIN_ORDER = 2500
+
+# float32's machine epsilon: its unit roundoff is half of it.
+_EPS32 = 2.0 ** -23
 
 
 @functools.cache
-def _two_stage_driver():
-    """(LAPACKE dsyevd_2stage, OpenBLAS get_num_threads) from the OpenBLAS
-    that numpy's wheel ships, bound through ctypes on the first call; None
-    when there is no such library or it lacks the symbols."""
+def _lapacke_binding():
+    """(LAPACKE ssyevd, LAPACKE ssyevd_2stage, OpenBLAS get_num_threads) from
+    the OpenBLAS that numpy's wheel ships, bound through ctypes on the first
+    call; None when there is no such library or it lacks the symbols."""
     import ctypes
 
     libs = list(Path(np.__file__).resolve().parent.parent.glob(
@@ -194,76 +200,86 @@ def _two_stage_driver():
         return None
     try:
         lib = ctypes.CDLL(str(libs[0]))
-        solve = lib.scipy_LAPACKE_dsyevd_2stage64_
+        solvers = (lib.scipy_LAPACKE_ssyevd64_, lib.scipy_LAPACKE_ssyevd_2stage64_)
         threads = lib.scipy_openblas_get_num_threads64_
     except (OSError, AttributeError):
         return None
-    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    # (matrix_layout, jobz, uplo, n, a, lda, w) with 64-bit LAPACK integers
-    solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                      matrix, ctypes.c_int64, vector]
-    solve.restype = ctypes.c_int64
+    matrix = np.ctypeslib.ndpointer(np.float32, ndim=2, flags="C_CONTIGUOUS")
+    vector = np.ctypeslib.ndpointer(np.float32, ndim=1, flags="C_CONTIGUOUS")
+    for solve in solvers:
+        # (matrix_layout, jobz, uplo, n, a, lda, w) with 64-bit LAPACK integers
+        solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                          matrix, ctypes.c_int64, vector]
+        solve.restype = ctypes.c_int64
     threads.argtypes = []
     threads.restype = ctypes.c_int
-    return solve, threads
+    return (*solvers, threads)
 
 
-def _two_stage_eigvalsh(a: np.ndarray, solve, overwrite_a: bool = False) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric float64 matrix ``a`` by
-    ``dsyevd_2stage`` with JOBZ='N', on a C-order copy of ``a``, or on ``a``
-    itself when ``overwrite_a`` is set and it is a writable C-order float64
-    array (its contents are then undefined).
+def _lapacke_eigvalsh(a: np.ndarray, solve) -> np.ndarray:
+    """Ascending eigenvalues, as float64, of the symmetric C-order float32
+    matrix ``a`` by ``solve`` (ssyevd or ssyevd_2stage) with JOBZ='N', in ``a``
+    itself, whose contents are then undefined.
 
     Read as column-major, the C-order matrix is a's transpose, so UPLO='U'
     reads a's lower triangle: the one ``np.linalg.eigvalsh`` reads.
     """
     N = a.shape[0]
-    in_place = (overwrite_a and a.dtype == np.float64 and a.flags.c_contiguous
-                and a.flags.writeable)
-    work = a if in_place else np.array(a, dtype=np.float64, order="C")
-    eigs = np.empty(N)
-    info = solve(_LAPACK_COL_MAJOR, b"N", b"U", N, work, max(N, 1), eigs)
+    eigs = np.empty(N, dtype=np.float32)
+    info = solve(_LAPACK_COL_MAJOR, b"N", b"U", N, a, max(N, 1), eigs)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevd_2stage failed with info = {info}")
-    return eigs
+        raise np.linalg.LinAlgError(f"LAPACK eigensolver failed with info = {info}")
+    return eigs.astype(np.float64)
 
 
-def eigenvalues(matrix, overwrite_a: bool = False) -> np.ndarray:
-    """Ascending spectrum of a symmetric matrix via a dense symmetric eigensolver.
+def eigenvalues(matrix) -> np.ndarray:
+    """Ascending spectrum, as float64, of a symmetric matrix; its dtype picks
+    the precision.
 
-    Two routes give the spectrum.  LAPACK's two-stage driver dsyevd_2stage,
-    from the OpenBLAS that numpy loads, solves when that OpenBLAS runs one
-    thread and N >= 1200: there its band reduction beats the one-stage
-    tridiagonal reduction, which is memory-bound.  Every other case, and
-    every numpy build whose OpenBLAS cannot be bound, calls
-    ``np.linalg.eigvalsh``.  The two agree to rounding.
+    A float32 matrix is solved in single precision by LAPACK's ssyevd from
+    the OpenBLAS that numpy loads, bound through ``ctypes`` on first use, in
+    the matrix's own memory, whose contents are then undefined (one that is
+    not a writable C-order array is copied first).  When that OpenBLAS runs
+    one thread and N >= 2500, the two-stage variant ssyevd_2stage solves it:
+    there its band reduction beats the one-stage tridiagonal reduction, which
+    is memory-bound.  Where that OpenBLAS cannot be bound,
+    ``np.linalg.eigvalsh`` solves a float64 copy and rounds the spectrum to
+    float32.  Any other matrix is solved in float64 by ``np.linalg.eigvalsh``.
 
-    ``overwrite_a=True`` (scipy's name for it) lets the two-stage route solve
-    in ``matrix`` itself, which saves a copy of it and leaves its contents
-    undefined; by default ``matrix`` is left unchanged.  ``eigvalsh`` always
-    works on a copy.
-
-    Raises ValueError for asymmetric input, and LinAlgError when the
-    spectrum misses tr(A) or sum(a_ij^2) by more than 1e-8 * N^{3/2} times
-    max|a| or its square.
+    Raises ValueError for asymmetric input, and LinAlgError when the spectrum
+    misses tr(A) or sum(a_ij^2), both summed in float64.  A float64 spectrum
+    may miss them by 1e-8 * N^{3/2} times max|a| or its square; a float32 one
+    by what its stated error allows: with d = N 2^-23 max|eig|, N d and
+    d (2 sum|eig| + N d) (docs/derivations.md, "Single-precision spectrum").
     """
-    a = np.asarray(matrix, dtype=float)
+    a = np.asarray(matrix)
+    if a.dtype != np.float32:
+        a = np.asarray(a, dtype=float)
     N = a.shape[0]
     if a.shape != (N, N):
         raise ValueError("matrix must be square")
     amax = _require_symmetric(a, "matrix must be symmetric within 1e-12")
     # taken before a solve in place overwrites a
-    trace = float(np.trace(a))
-    frobenius = float(np.einsum("ij,ij->", a, a))
-    driver = _two_stage_driver() if N >= _TWO_STAGE_MIN_ORDER else None
-    if driver is not None and driver[1]() == 1:
-        eigs = _two_stage_eigvalsh(a, driver[0], overwrite_a)
-    else:
+    trace = float(np.trace(a, dtype=np.float64))
+    frobenius = float(np.einsum("ij,ij->", a, a, dtype=np.float64))
+    if a.dtype == np.float64:
         eigs = np.linalg.eigvalsh(a)
-    tol = 1e-8 * N ** 1.5
-    if (abs(float(eigs.sum()) - trace) > tol * max(amax, 1e-300)
-            or abs(float(np.square(eigs).sum()) - frobenius) > tol * max(amax ** 2, 1e-300)):
+        tol = 1e-8 * N ** 1.5
+        trace_tol, frobenius_tol = tol * max(amax, 1e-300), tol * max(amax ** 2, 1e-300)
+    else:
+        binding = _lapacke_binding()
+        if binding is None:
+            eigs = np.linalg.eigvalsh(a).astype(np.float64)
+        else:
+            if not (a.flags.c_contiguous and a.flags.writeable):
+                a = np.array(a, order="C")
+            two_stage = N >= _TWO_STAGE_MIN_ORDER and binding[2]() == 1
+            eigs = _lapacke_eigvalsh(a, binding[1] if two_stage else binding[0])
+        # the stated solver error, N eps max|eig| (docs/derivations.md)
+        d = N * _EPS32 * float(np.abs(eigs).max(initial=0.0))
+        trace_tol, frobenius_tol = N * d, d * (2.0 * float(np.abs(eigs).sum()) + N * d)
+    if (abs(float(eigs.sum()) - trace) > trace_tol
+            or abs(float(np.square(eigs).sum()) - frobenius) > frobenius_tol):
         raise np.linalg.LinAlgError("eigensolver violated its trace identities")
     return eigs
 
@@ -404,19 +420,26 @@ class ExperimentRow(NamedTuple):
 
 
 def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
-                     seed: int) -> ExperimentRow:
+                     seed: int, buffer: np.ndarray | None = None) -> ExperimentRow:
     """Spectrum of the sigma-normalized matrix against the semicircle law.
 
     Records the KS distance of the ESD to the semicircle cdf and the
     Stieltjes-transform gaps on the supplied grid, together with the
-    empirical standardized fourth moment of the entries.
+    empirical standardized fourth moment of the entries.  The matrix is
+    rounded to float32 and solved in single precision (``eigenvalues``).
+    ``buffer``, a float64 array of N(N+1) doubles, is worked in instead of
+    a new one; its contents are then undefined.
     """
     # One buffer of N(N+1) doubles, twice the entry count n: the entries are
-    # drawn into its tail and standardized into its head, and the matrix then
-    # fills its first N^2 doubles and is solved there, so the live set is the
-    # buffer, plus the spec's multiset unless that is stored as a few runs.
+    # drawn into its tail and standardized into its head, and the float32
+    # matrix then fills the head (N^2 floats fit in n doubles) and is solved
+    # there, so the live set is the buffer, plus the spec's multiset unless
+    # that is stored as a few runs.
     N, n = spec.N, upper_triangle_size(spec.N)
-    buffer = np.empty(2 * n)
+    if buffer is None:
+        buffer = np.empty(2 * n)
+    if buffer.shape != (2 * n,) or buffer.dtype != np.float64:
+        raise ValueError("buffer must be a float64 array of N(N+1) doubles")
     x = sample_exchangeable(spec.entries, seed, out=buffer[n:])
     std = center_and_scale(x, out=buffer[:n])
     if std.sigma_hat == 0.0:
@@ -424,9 +447,8 @@ def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
     mu, sigma = std.mu_hat, std.sigma_hat
     x4 = np.square(std.x_tilde, out=std.x_tilde)  # two squares: much faster than a 4th power
     m4 = float(np.mean(np.square(x4, out=x4)))
-    a = wigner_matrix(x, N, out=buffer[:N * N].reshape(N, N))
-    np.divide(a, sigma, out=a)
-    eigs = eigenvalues(a, overwrite_a=True)
+    a = buffer[:n].view(np.float32)[:N * N].reshape(N, N)
+    eigs = eigenvalues(wigner_matrix(x, N, out=a, sigma=sigma))
     ks = ks_distance(eigs, semicircle_cdf)
     gaps = tuple(stieltjes_esd(eigs, z) - semicircle_stieltjes(z) for z in z_grid)
     return ExperimentRow(spec.N, seed, spec.label or "custom", mu, sigma, m4, ks, gaps)

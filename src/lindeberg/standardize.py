@@ -44,6 +44,13 @@ def center_and_scale(x, out: np.ndarray | None = None) -> StandardizedVector:
         # max and -min rather than abs, which would take a second temporary
         k = math.frexp(max(float(d.max(initial=0.0)), -float(d.min(initial=0.0))))[1]
         np.ldexp(d, -k, out=d)
+        # mu_hat is rounded, so the deviations sum to n (mean - mu_hat): 1e-4 of
+        # sigma_hat where that is a few hundred ulps of mu_hat.  Centring them
+        # again leaves a sum of order n eps, and leaves as they are deviations
+        # that sum exactly (a symmetric ramp's).  A deviation that overflowed
+        # makes sigma_hat inf, which raises below.
+        shift = float(d.mean())
+        np.subtract(d, shift if math.isfinite(shift) else 0.0, out=d)
         unit_sigma = float(np.sqrt(np.mean(np.square(d, out=d))))
         sigma = math.ldexp(unit_sigma, k)
     if not (math.isfinite(mu) and math.isfinite(sigma)):
@@ -54,5 +61,5 @@ def center_and_scale(x, out: np.ndarray | None = None) -> StandardizedVector:
         return StandardizedVector(mu, 0.0, d)
     np.subtract(x, mu, out=d)
     np.ldexp(d, -k, out=d)
+    np.subtract(d, shift, out=d)
     return StandardizedVector(mu, sigma, np.divide(d, unit_sigma, out=d))
-

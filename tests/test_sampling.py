@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spec_doc
@@ -118,6 +118,11 @@ class TestCenterAndScale:
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    # large common offsets, where the rounded mu_hat alone leaves |sum| at
+    # 5.2e-12 and 2.5e-10 unless the deviations are centred again
+    @example([-448008.80164623715, -448168.0, -448168.0, -448008.80164623715,
+              -448008.80164623715])
+    @example([1e6, 999999.0, 999999.0])
     def test_sum_identities(self, values):
         std = center_and_scale(values)
         if std.sigma_hat == 0.0:
@@ -134,7 +139,9 @@ class TestCenterAndScale:
         elif kind == "degenerate":
             x = np.full(101, 0.1)
         mu = float(x.mean())
-        sigma = float(np.sqrt(np.mean(np.square(x - mu))))
+        d = x - mu
+        d -= d.mean()  # the deviations are centred again, as mu_hat is rounded
+        sigma = float(np.sqrt(np.mean(np.square(d))))
         std = center_and_scale(x)
         assert std.mu_hat == mu
         if kind == "degenerate":
@@ -142,7 +149,7 @@ class TestCenterAndScale:
             assert np.array_equal(std.x_tilde, np.zeros_like(x))
         else:
             assert std.sigma_hat == sigma > 0.0
-            assert np.array_equal(std.x_tilde, (x - mu) / sigma)
+            assert np.array_equal(std.x_tilde, d / sigma)
 
 
     @pytest.mark.parametrize("values, expected", [
@@ -309,6 +316,13 @@ def test_prefix_law_of_a_long_multiset_emits_only_its_compositions():
 
 
 class TestStandardizedMultiset:
+    def test_large_offset_has_mean_zero(self):
+        # sigma_hat is some 470 ulps of mu_hat: the rounded mu_hat alone leaves
+        # a mean of -1.6e-4 unless the deviations are centred again
+        spec = standardized_multiset([1e6, 1e6, 1e6 + 1e-6])
+        assert abs(np.mean(spec.values)) <= 1e-15
+        assert abs(np.mean(np.square(spec.values)) - 1.0) <= 1e-15
+
     def test_values_are_a_read_only_copy(self):
         values = np.arange(1.0, 8.0)
         spec = standardized_multiset(values)

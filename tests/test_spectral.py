@@ -12,15 +12,14 @@ from scipy.integrate import quad
 from lindeberg import spectral
 from lindeberg.laws import Finite
 from lindeberg.resolvent import ResolventWorkspace
-from lindeberg.sampling import sample_exchangeable
+from lindeberg.sampling import derive_child, sample_exchangeable
 from lindeberg.specs import IidFromDistribution, MultisetPermutation
 from lindeberg.spectral import (
     _TILE,
     ENSEMBLES,
     WignerEnsembleSpec,
+    _lapacke_eigvalsh,
     _require_symmetric,
-    _two_stage_driver,
-    _two_stage_eigvalsh,
     contaminated_wigner,
     eigenvalues,
     gaussian_wigner,
@@ -37,6 +36,7 @@ from lindeberg.spectral import (
     wigner_matrix,
 )
 from lindeberg.standardize import center_and_scale
+from lindeberg.suites import SWEEP_N_VALUES, Z_GRID
 
 
 def draw_wigner(spec, seed):
@@ -76,6 +76,24 @@ class TestWignerConstruction:
         a = wigner_matrix(buffer[n:], N, out=buffer[:N * N].reshape(N, N))
         assert np.shares_memory(a, buffer)
         assert a.tobytes() == wigner_matrix(x, N).tobytes()
+
+    @pytest.mark.parametrize("N", [1, 2, _TILE - 1, _TILE, _TILE + 1])
+    def test_float32_entries_are_scaled_and_rounded_once(self, N):
+        # each entry divided by sqrt(N) sigma in float64, then rounded to float32
+        x = np.random.default_rng(N).standard_normal(upper_triangle_size(N))
+        sigma = 0.7
+        expected = np.zeros((N, N), dtype=np.float32)
+        iu = np.triu_indices(N)
+        expected[iu] = (x / (math.sqrt(N) * sigma)).astype(np.float32)
+        expected.T[iu] = expected[iu]
+        out = np.empty((N, N), dtype=np.float32)
+        assert wigner_matrix(x, N, out=out, sigma=sigma) is out
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("out", [np.empty((3, 3), np.float16), np.empty((2, 2))])
+    def test_out_of_another_dtype_or_order_rejected(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            wigner_matrix([1.0] * 6, 3, out=out)
 
     def test_wrong_entry_count(self):
         with pytest.raises(ValueError):
@@ -149,126 +167,174 @@ class TestEigenvalues:
         assert np.max(np.abs(scaled - 2.5 * base)) <= 1e-8
 
 
-def _two_stage_solve():
-    driver = _two_stage_driver()
-    if driver is None:
+def _binding():
+    binding = spectral._lapacke_binding()
+    if binding is None:
         pytest.skip("numpy's OpenBLAS is not bindable here")
-    return driver[0]
+    return binding
 
 
-def _random_symmetric(N, seed):
+def _route(monkeypatch, threads=1, min_order=1):
+    """Bind the real drivers, with ``threads`` as the reported BLAS thread
+    count and ``min_order`` as the two-stage threshold; (ssyevd, ssyevd_2stage)."""
+    ssyevd, two_stage, _ = _binding()
+    monkeypatch.setattr(spectral, "_lapacke_binding", lambda: (ssyevd, two_stage, lambda: threads))
+    monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", min_order)
+    return ssyevd, two_stage
+
+
+def _random_symmetric(N, seed, dtype=np.float64):
     m = np.random.default_rng(seed).standard_normal((N, N))
-    return (m + m.T) / 2.0
+    return ((m + m.T) / 2.0).astype(dtype)
+
+
+def _within_stated_error(a, eigs, z_grid=()) -> bool:
+    """Whether the float32 spectrum ``eigs`` of the float64 matrix ``a`` lies
+    within the stated error d of a's float64 one (docs/derivations.md,
+    "Single-precision spectrum"): 2^-24 ||A||_F for rounding the entries,
+    plus twice the solver term N 2^-23 ||A||_2, which also covers the float64
+    solve.  So do the KS distances to the semicircle cdf, within d / pi, and
+    the Stieltjes transforms at ``z_grid``, within d / |Im z|^2."""
+    reference = np.linalg.eigvalsh(a)
+    N = a.shape[0]
+    norm2 = float(np.abs(reference).max(initial=0.0))
+    d = 2.0 ** -24 * float(np.linalg.norm(a)) + 2 * N * 2.0 ** -23 * norm2
+    ks_move = abs(ks_distance(eigs, semicircle_cdf) - ks_distance(reference, semicircle_cdf))
+    return (float(np.max(np.abs(eigs - reference))) <= d and ks_move <= d / math.pi
+            and all(abs(stieltjes_esd(eigs, z) - stieltjes_esd(reference, z))
+                    <= d / z.imag ** 2 for z in z_grid))
 
 
 class TestTwoStageSolver:
+    """``_lapacke_eigvalsh`` with the bound ssyevd_2stage; ``TestOneStageSolver``
+    runs the same tests with ssyevd."""
+
+    DRIVER = 1  # the index of the driver in ``_lapacke_binding()``
+
+    def solve(self):
+        return _binding()[self.DRIVER]
+
+    def patch(self, monkeypatch):
+        """Route every float32 matrix of ``eigenvalues`` to this driver."""
+        _route(monkeypatch, min_order=0 if self.DRIVER else 10 ** 9)
+
     @pytest.mark.parametrize("N", [1, 2, 3, 64, 300])
     def test_agrees_with_eigvalsh(self, N):
+        # within the stated error of a float32 spectrum
         a = _random_symmetric(N, N)
-        reference = np.linalg.eigvalsh(a)
-        eigs = _two_stage_eigvalsh(a, _two_stage_solve())
-        tol = 10 * N * np.finfo(float).eps * np.max(np.abs(reference))
-        assert np.all(np.diff(eigs) >= 0)
-        assert np.max(np.abs(eigs - reference)) <= tol
+        eigs = _lapacke_eigvalsh(a.astype(np.float32), self.solve())
+        assert eigs.dtype == np.float64 and np.all(np.diff(eigs) >= 0)
+        assert _within_stated_error(a, eigs)
 
     def test_diagonal_is_exact(self):
         d = np.array([3.0, -1.0, 2.0, 0.5, -7.25])
-        assert np.array_equal(_two_stage_eigvalsh(np.diag(d), _two_stage_solve()), np.sort(d))
+        a = np.diag(d).astype(np.float32)
+        assert np.array_equal(_lapacke_eigvalsh(a, self.solve()), np.sort(d))
 
-    def test_reads_the_lower_triangle_of_any_layout(self):
-        # the same triangle as eigvalsh, whatever the input's memory order
-        a = _random_symmetric(40, 1)
-        a[np.triu_indices(40, 1)] += 1e-13
-        solve = _two_stage_solve()
-        lower = _two_stage_eigvalsh(np.tril(a) + np.tril(a, -1).T, solve)
-        assert np.array_equal(_two_stage_eigvalsh(a, solve), lower)
-        assert np.array_equal(_two_stage_eigvalsh(np.asfortranarray(a), solve), lower)
+    def test_reads_the_lower_triangle_of_any_layout(self, monkeypatch):
+        # the same triangle as eigvalsh; ``eigenvalues`` copies other layouts
+        # to C order (a visible float32 asymmetry fails its symmetry check)
+        a = _random_symmetric(40, 1, np.float32)
+        lower = _lapacke_eigvalsh(a.copy(), self.solve())
+        skewed = a.copy()
+        skewed[np.triu_indices(40, 1)] += 1.0
+        assert np.array_equal(_lapacke_eigvalsh(skewed, self.solve()), lower)
+        self.patch(monkeypatch)
+        assert np.array_equal(eigenvalues(np.asfortranarray(a)), lower)
 
-    def test_input_is_left_alone(self):
-        a = _random_symmetric(30, 2)
+    def test_input_is_left_alone(self, monkeypatch):
+        # a float32 matrix that is not a writable C-order array is copied
+        self.patch(monkeypatch)
+        a = _random_symmetric(30, 2, np.float32)
         before = a.copy()
-        _two_stage_eigvalsh(a, _two_stage_solve())
-        assert np.array_equal(a, before)
+        read_only = a.copy()
+        read_only.setflags(write=False)
+        for other in (np.asfortranarray(a), read_only):
+            eigenvalues(other)
+            assert np.array_equal(other, before)
 
-    def test_overwrite_solves_in_place_only_in_c_order(self):
-        solve = _two_stage_solve()
-        a = _random_symmetric(40, 6)
-        expected = _two_stage_eigvalsh(a, solve).tobytes()
+    def test_overwrite_solves_in_place_only_in_c_order(self, monkeypatch):
+        self.patch(monkeypatch)
+        a = _random_symmetric(40, 6, np.float32)
+        expected = _lapacke_eigvalsh(a.copy(), self.solve()).tobytes()
         fortran = np.asfortranarray(a)
-        assert _two_stage_eigvalsh(fortran, solve, overwrite_a=True).tobytes() == expected
+        assert eigenvalues(fortran).tobytes() == expected
         assert np.array_equal(fortran, a)
         c_order = a.copy()
-        assert _two_stage_eigvalsh(c_order, solve, overwrite_a=True).tobytes() == expected
+        assert eigenvalues(c_order).tobytes() == expected
         assert not np.array_equal(c_order, a)  # LAPACK's reduction overwrote it
 
     def test_nonzero_info_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
-            _two_stage_eigvalsh(np.eye(3), lambda *args: 3)
+            _lapacke_eigvalsh(np.eye(3, dtype=np.float32), lambda *args: 3)
+
+
+class TestOneStageSolver(TestTwoStageSolver):
+    DRIVER = 0
 
 
 class TestSolverChoice:
-    """``eigenvalues`` takes the two-stage route only at one BLAS thread and
-    order at least ``_TWO_STAGE_MIN_ORDER``; otherwise ``eigvalsh``'s bytes."""
+    """``eigenvalues`` solves a float32 matrix by the bound ssyevd_2stage at one
+    BLAS thread and order at least ``_TWO_STAGE_MIN_ORDER``, by the bound
+    ssyevd otherwise, and by ``eigvalsh`` where nothing is bound; a float64
+    matrix always by ``eigvalsh``."""
 
     def _never(self, *args):
-        raise AssertionError("two-stage driver called")
+        raise AssertionError("LAPACKE driver called")
 
     def test_one_thread_takes_the_two_stage_route(self, monkeypatch):
-        solve = _two_stage_solve()
-        monkeypatch.setattr(spectral, "_two_stage_driver", lambda: (solve, lambda: 1))
-        monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
-        a = _random_symmetric(50, 3)
-        assert eigenvalues(a).tobytes() == _two_stage_eigvalsh(a, solve).tobytes()
+        _, two_stage = _route(monkeypatch)
+        a = _random_symmetric(50, 3, np.float32)
+        assert eigenvalues(a.copy()).tobytes() == _lapacke_eigvalsh(a, two_stage).tobytes()
 
-    @pytest.mark.parametrize("driver", ["unbound", "two-threads", "small-order"])
+    @pytest.mark.parametrize("driver", ["small-order", "two-threads"])
+    def test_other_cases_take_ssyevd(self, monkeypatch, driver):
+        ssyevd, _ = _route(monkeypatch, *{"small-order": (1, 51),
+                                          "two-threads": (2, 1)}[driver])
+        a = _random_symmetric(50, 4, np.float32)
+        assert eigenvalues(a.copy()).tobytes() == _lapacke_eigvalsh(a, ssyevd).tobytes()
+
+    @pytest.mark.parametrize("driver", ["unbound"])
     def test_fallback_returns_eigvalsh_bytes(self, monkeypatch, driver):
-        monkeypatch.setattr(spectral, "_two_stage_driver", {
-            "unbound": lambda: None,
-            "two-threads": lambda: (self._never, lambda: 2),
-            "small-order": lambda: (self._never, lambda: 1),
-        }[driver])
-        if driver != "small-order":
-            monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
-        a = _random_symmetric(50, 4)
-        assert eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+        monkeypatch.setattr(spectral, "_lapacke_binding", lambda: None)
+        a = _random_symmetric(50, 4, np.float32)
+        expected = np.linalg.eigvalsh(a).astype(np.float64)
+        assert eigenvalues(a).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("route", ["two-stage", "eigvalsh"])
-    def test_matrix_is_left_alone_unless_overwrite_is_allowed(self, monkeypatch, route):
-        solve = _two_stage_solve()
-        threads = 1 if route == "two-stage" else 2
-        monkeypatch.setattr(spectral, "_two_stage_driver", lambda: (solve, lambda: threads))
-        monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
+    def test_float64_takes_eigvalsh_and_leaves_the_matrix_alone(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_lapacke_binding",
+                            lambda: (self._never, self._never, lambda: 1))
         a = _random_symmetric(60, 5)
         before = a.copy()
-        eigs = eigenvalues(a)
+        assert eigenvalues(a).tobytes() == np.linalg.eigvalsh(before).tobytes()
         assert np.array_equal(a, before)
-        assert eigenvalues(a, overwrite_a=True).tobytes() == eigs.tobytes()
-        # eigvalsh always solves a copy
-        assert np.array_equal(a, before) == (route == "eigvalsh")
 
     def test_empty_matrix(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 0)
-        for driver in (None, (_two_stage_solve(), lambda: 1)):
-            monkeypatch.setattr(spectral, "_two_stage_driver", lambda: driver)
-            assert eigenvalues(np.empty((0, 0))).shape == (0,)
+        binding = (*_route(monkeypatch, min_order=0), lambda: 1)
+        for bound in (None, binding):
+            monkeypatch.setattr(spectral, "_lapacke_binding", lambda: bound)
+            for dtype in (np.float32, np.float64):
+                assert eigenvalues(np.empty((0, 0), dtype)).shape == (0,)
 
-    @pytest.mark.parametrize("route", ["two-stage", "eigvalsh"])
+    @pytest.mark.parametrize("route", ["two-stage", "eigvalsh", "unbound"])
     @pytest.mark.parametrize("identity", ["trace", "frobenius"])
     def test_spectrum_missing_its_trace_identities_raises(self, monkeypatch, route, identity):
-        # shifted, the spectrum misses tr(A); reflected and stretched by 1%, it
-        # misses only the Frobenius identity, since tr(A) = 0
-        a = _random_symmetric(50, 7)
-        a[np.diag_indices(50)] -= np.trace(a) / 50
-        wrong = (lambda eigs: eigs + 1e-6) if identity == "trace" else (lambda eigs: -1.01 * eigs)
+        # "eigvalsh" solves a float64 matrix, the other routes a float32 one.
+        # With a zero diagonal, tr(A) = 0 exactly.  Shifted by 4x the float32
+        # routes' per-eigenvalue error N 2^-23 max|eig|, the spectrum misses
+        # tr(A); reflected and stretched by 0.1%, only the Frobenius identity.
+        # Either move is 1e5 or more times the float64 route's tolerance.
+        N = 50
+        a = _random_symmetric(N, 7, np.float64 if route == "eigvalsh" else np.float32)
+        a[np.diag_indices(N)] = 0.0
+        shift = 4 * N * 2.0 ** -23 * float(np.abs(np.linalg.eigvalsh(a)).max())
+        wrong = (lambda eigs: eigs + shift) if identity == "trace" else (lambda eigs: -1.001 * eigs)
         if route == "two-stage":
-            solve = _two_stage_solve()
-            monkeypatch.setattr(spectral, "_two_stage_driver", lambda: (solve, lambda: 1))
-            monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", 1)
-            right = spectral._two_stage_eigvalsh
-            monkeypatch.setattr(spectral, "_two_stage_eigvalsh",
-                                lambda *args: wrong(right(*args)))
+            _route(monkeypatch)
+            right = spectral._lapacke_eigvalsh
+            monkeypatch.setattr(spectral, "_lapacke_eigvalsh", lambda *args: wrong(right(*args)))
         else:
-            monkeypatch.setattr(spectral, "_two_stage_driver", lambda: None)
+            monkeypatch.setattr(spectral, "_lapacke_binding", lambda: None)
             right = np.linalg.eigvalsh
             monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: wrong(right(m)))
         with pytest.raises(np.linalg.LinAlgError, match="violated its trace identities"):
@@ -277,8 +343,8 @@ class TestSolverChoice:
     def test_binding_reads_the_blas_thread_count(self):
         # a fresh interpreter per setting: OpenBLAS reads it when it loads
         root = Path(__file__).resolve().parent.parent
-        script = ("from lindeberg.spectral import _two_stage_driver as d; "
-                  "print(d() and d()[1]())")
+        script = ("from lindeberg.spectral import _lapacke_binding as b; "
+                  "print(b() and b()[2]())")
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(
@@ -289,6 +355,31 @@ class TestSolverChoice:
             if result.stdout.strip() == "None":
                 pytest.skip("numpy's OpenBLAS is not bindable here")
             assert result.stdout.strip() == threads
+
+
+# The calibration cells of docs/calibration.md (master seed 777, the first seed
+# of each cell) and the order 2000 of the benchmark's sweep.
+_CALIBRATION_CELLS = [*((ensemble, N) for ensemble in ("rademacher-perm", "gaussian")
+                        for N in SWEEP_N_VALUES), ("rademacher-perm", 2000)]
+
+
+class TestSinglePrecisionSpectrum:
+    @pytest.mark.parametrize("route", ["ssyevd", "two-stage", "unbound"])
+    @pytest.mark.parametrize("ensemble, N", _CALIBRATION_CELLS,
+                             ids=[f"{e}-{N}" for e, N in _CALIBRATION_CELLS])
+    def test_within_the_stated_error_of_the_float64_spectrum(self, monkeypatch, route,
+                                                            ensemble, N):
+        if route == "unbound":
+            monkeypatch.setattr(spectral, "_lapacke_binding", lambda: None)
+        else:
+            _route(monkeypatch, min_order=0 if route == "two-stage" else 10 ** 9)
+        spec = ENSEMBLES[ensemble](N)
+        x = sample_exchangeable(spec.entries,
+                                derive_child(777, N * 1000 + (ensemble == "gaussian") * 7))
+        sigma = center_and_scale(x).sigma_hat
+        a = np.empty((N, N), dtype=np.float32)
+        eigs = eigenvalues(wigner_matrix(x, N, out=a, sigma=sigma))
+        assert _within_stated_error(wigner_matrix(x, N) / sigma, eigs, Z_GRID)
 
 
 class TestStieltjes:
@@ -555,7 +646,8 @@ def _reference_row_bytes(spec, z_grid, seed):
     x = sample_exchangeable(spec.entries, seed)
     std = center_and_scale(x)
     m4 = float(np.mean(np.square(np.square(std.x_tilde))))
-    eigs = eigenvalues(wigner_matrix(x, spec.N) / std.sigma_hat)
+    a = np.empty((spec.N, spec.N), dtype=np.float32)
+    eigs = eigenvalues(wigner_matrix(x, spec.N, out=a, sigma=std.sigma_hat))
     ks = ks_distance(eigs, semicircle_cdf)
     numbers = [std.mu_hat, std.sigma_hat, m4, ks]
     for z in z_grid:
@@ -564,22 +656,23 @@ def _reference_row_bytes(spec, z_grid, seed):
     return spec.N, seed, spec.label, np.array(numbers).tobytes()
 
 
-# A fresh interpreter at one BLAS thread, where N >= 1200 is solved in place
-# by the two-stage driver.
+# A fresh interpreter at one BLAS thread, where the order 300 is solved by
+# ssyevd_2stage once the threshold is lowered to it, and 299 by ssyevd.
 _IN_PLACE_IDENTITY_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from test_spectral import _reference_row_bytes, _row_bytes
-from lindeberg.spectral import _two_stage_driver, rademacher_perm_wigner, thm13_experiment
+from lindeberg import spectral
 
-driver = _two_stage_driver()
-if driver is None or driver[1]() != 1:
+binding = spectral._lapacke_binding()
+if binding is None or binding[2]() != 1:
     print("unbound")
 else:
-    spec = rademacher_perm_wigner(1200)
+    spectral._TWO_STAGE_MIN_ORDER = 300
     grid = [1j, 2j, 1 + 1j]
-    row = _row_bytes(thm13_experiment(spec, grid, 4))
-    print(row == _reference_row_bytes(spec, grid, 4))
+    print(all(_row_bytes(spectral.thm13_experiment(spec, grid, 4))
+              == _reference_row_bytes(spec, grid, 4)
+              for spec in map(spectral.rademacher_perm_wigner, (299, 300))))
 """
 
 
@@ -649,8 +742,8 @@ class TestConvergenceExperiment:
 
     # The live set is the N(N+1)-double buffer: every ensemble's entries are
     # drawn straight into it.  The spec, and with it the multiset, is built
-    # before tracing starts.  Measured (numpy 2.4, N = 1000): 1.19 and 1.09 x
-    # 8N^2 bytes; the margins are 0.11 x 8N^2 = 0.9 MB and 0.8 MB, under the
+    # before tracing starts.  Measured (numpy 2.4, N = 1000): 1.17 and 1.08 x
+    # 8N^2 bytes; the margins are 0.13 and 0.12 x 8N^2 = 1.0 MB, under the
     # 0.5 x 8N^2 of a copied-in draw of the n = N(N+1)/2 entries.
     @pytest.mark.parametrize("ensemble, bound", [("rademacher-perm", 1.3), ("gaussian", 1.2)],
                              ids=["rademacher-perm", "gaussian"])
@@ -666,38 +759,42 @@ class TestConvergenceExperiment:
         assert peak < bound * 8 * N * N
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-    def test_peak_rss_of_two_seeds_near_the_live_set(self):
+    def test_peak_rss_of_two_seeds_near_the_live_set(self, tmp_path):
         # tracemalloc sees neither LAPACK's workspace nor freed heap that stays
-        # resident, so the process's own resident high-water mark is read.  At
-        # one BLAS thread N = 2000 is solved in place, so the live set is
+        # resident, so the process's own resident high-water mark is read, over
+        # the sweep of the benchmark's spectra workload: N = 1000 and then 2000,
+        # two seeds each, at one BLAS thread.  The live set at N = 2000 is
         # 1.0 x 8N^2 bytes: the buffer of N(N+1) doubles, as the spec keeps its
-        # two-valued multiset as two runs.  Measured: 1.34 (the rest is
-        # LAPACK's workspace and OpenBLAS's buffers); the margin is
-        # 0.16 x 8N^2 = 5.1 MB, well under the 0.5 x 8N^2 that a retained
-        # multiset would add.
+        # two-valued multiset as two runs and N = 1000's buffer is freed.
+        # Measured: 1.32 (the rest is OpenBLAS's buffers and LAPACK's
+        # workspace).  A buffer per seed instead of per order measured 1.53:
+        # freeing N = 1000's first buffer raises glibc's mmap threshold, so its
+        # second comes from the heap and stays resident, which adds up to its
+        # 0.25 x 8N^2.  The bound sits between the two, 0.10 x 8N^2 = 3.2 MB
+        # above the first.
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-        result = subprocess.run([sys.executable, "-c", _RSS_SCRIPT], env=env,
+        result = subprocess.run([sys.executable, "-c", _RSS_SCRIPT, str(tmp_path)], env=env,
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr[-2000:]
-        assert float(result.stdout.split()[-1]) < 1.5
+        assert float(result.stdout.split()[-1]) < 1.42
 
 
 # VmHWM, not ru_maxrss: the latter keeps the launching process's high-water
 # mark across exec.
 _RSS_SCRIPT = """
-from lindeberg.spectral import rademacher_perm_wigner, thm13_experiment
+import sys
+from lindeberg import cli, spectral  # spectral loaded before the baseline
 
 def high_water():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM"))
 
-N = 2000
 base = high_water()
-spec = rademacher_perm_wigner(N)
-for seed in (1, 2):
-    thm13_experiment(spec, [1j], seed)
-print((high_water() - base) / (8 * N * N))
+code = cli.main(["wigner-sweep", "--ensemble", "rademacher-perm", "--N", "1000,2000",
+                 "--seeds", "2", "--seed", "0", "--out", sys.argv[1]])
+assert code == 0
+print((high_water() - base) / (8 * 2000 * 2000))
 """
