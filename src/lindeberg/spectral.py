@@ -176,22 +176,15 @@ ENSEMBLES: dict[str, Callable[[int], WignerEnsembleSpec]] = {
 # LAPACK's matrix_layout code for column-major storage.
 _LAPACK_COL_MAJOR = 102
 
-# Smallest order that ssyevd_2stage solves in place of ssyevd.  With OpenBLAS
-# at one thread on a 2-core Xeon host, medians of 5 to 21 alternated solves of
-# +-1/sqrt(N) matrices put ssyevd_2stage at 1.77x ssyevd's time for N = 1000,
-# 1.06-1.29x from 1600 to 1900, 0.99-1.18x at 2000, 1.16x at 2400, 0.84-0.96x
-# at 2500 and 0.88x at 3000 and 4000.
-_TWO_STAGE_MIN_ORDER = 2500
-
 # float32's machine epsilon: its unit roundoff is half of it.
 _EPS32 = 2.0 ** -23
 
 
 @functools.cache
 def _lapacke_binding():
-    """(LAPACKE ssyevd, LAPACKE ssyevd_2stage, OpenBLAS get_num_threads) from
-    the OpenBLAS that numpy's wheel ships, bound through ctypes on the first
-    call; None when there is no such library or it lacks the symbols."""
+    """LAPACKE ssyevd from the OpenBLAS that numpy's wheel ships, bound
+    through ctypes on the first call; None when there is no such library or
+    it lacks the symbol."""
     import ctypes
 
     libs = list(Path(np.__file__).resolve().parent.parent.glob(
@@ -199,27 +192,22 @@ def _lapacke_binding():
     if len(libs) != 1:
         return None
     try:
-        lib = ctypes.CDLL(str(libs[0]))
-        solvers = (lib.scipy_LAPACKE_ssyevd64_, lib.scipy_LAPACKE_ssyevd_2stage64_)
-        threads = lib.scipy_openblas_get_num_threads64_
+        solve = ctypes.CDLL(str(libs[0])).scipy_LAPACKE_ssyevd64_
     except (OSError, AttributeError):
         return None
-    matrix = np.ctypeslib.ndpointer(np.float32, ndim=2, flags="C_CONTIGUOUS")
-    vector = np.ctypeslib.ndpointer(np.float32, ndim=1, flags="C_CONTIGUOUS")
-    for solve in solvers:
-        # (matrix_layout, jobz, uplo, n, a, lda, w) with 64-bit LAPACK integers
-        solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                          matrix, ctypes.c_int64, vector]
-        solve.restype = ctypes.c_int64
-    threads.argtypes = []
-    threads.restype = ctypes.c_int
-    return (*solvers, threads)
+    # (matrix_layout, jobz, uplo, n, a, lda, w) with 64-bit LAPACK integers
+    solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                      np.ctypeslib.ndpointer(np.float32, ndim=2, flags="C_CONTIGUOUS"),
+                      ctypes.c_int64,
+                      np.ctypeslib.ndpointer(np.float32, ndim=1, flags="C_CONTIGUOUS")]
+    solve.restype = ctypes.c_int64
+    return solve
 
 
 def _lapacke_eigvalsh(a: np.ndarray, solve) -> np.ndarray:
     """Ascending eigenvalues, as float64, of the symmetric C-order float32
-    matrix ``a`` by ``solve`` (ssyevd or ssyevd_2stage) with JOBZ='N', in ``a``
-    itself, whose contents are then undefined.
+    matrix ``a`` by ``solve`` (LAPACKE ssyevd) with JOBZ='N', in ``a`` itself,
+    whose contents are then undefined.
 
     Read as column-major, the C-order matrix is a's transpose, so UPLO='U'
     reads a's lower triangle: the one ``np.linalg.eigvalsh`` reads.
@@ -239,12 +227,10 @@ def eigenvalues(matrix) -> np.ndarray:
     A float32 matrix is solved in single precision by LAPACK's ssyevd from
     the OpenBLAS that numpy loads, bound through ``ctypes`` on first use, in
     the matrix's own memory, whose contents are then undefined (one that is
-    not a writable C-order array is copied first).  When that OpenBLAS runs
-    one thread and N >= 2500, the two-stage variant ssyevd_2stage solves it:
-    there its band reduction beats the one-stage tridiagonal reduction, which
-    is memory-bound.  Where that OpenBLAS cannot be bound,
-    ``np.linalg.eigvalsh`` solves a float64 copy and rounds the spectrum to
-    float32.  Any other matrix is solved in float64 by ``np.linalg.eigvalsh``.
+    not a writable C-order array is copied first).  Where that OpenBLAS cannot
+    be bound, ``np.linalg.eigvalsh`` solves a float64 copy and rounds the
+    spectrum to float32.  Any other matrix is solved in float64 by
+    ``np.linalg.eigvalsh``.
 
     Raises ValueError for asymmetric input, and LinAlgError when the spectrum
     misses tr(A) or sum(a_ij^2), both summed in float64.  A float64 spectrum
@@ -267,14 +253,13 @@ def eigenvalues(matrix) -> np.ndarray:
         tol = 1e-8 * N ** 1.5
         trace_tol, frobenius_tol = tol * max(amax, 1e-300), tol * max(amax ** 2, 1e-300)
     else:
-        binding = _lapacke_binding()
-        if binding is None:
+        solve = _lapacke_binding()
+        if solve is None:
             eigs = np.linalg.eigvalsh(a).astype(np.float64)
         else:
             if not (a.flags.c_contiguous and a.flags.writeable):
                 a = np.array(a, order="C")
-            two_stage = N >= _TWO_STAGE_MIN_ORDER and binding[2]() == 1
-            eigs = _lapacke_eigvalsh(a, binding[1] if two_stage else binding[0])
+            eigs = _lapacke_eigvalsh(a, solve)
         # the stated solver error, N eps max|eig| (docs/derivations.md)
         d = N * _EPS32 * float(np.abs(eigs).max(initial=0.0))
         trace_tol, frobenius_tol = N * d, d * (2.0 * float(np.abs(eigs).sum()) + N * d)
@@ -428,7 +413,8 @@ def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
     empirical standardized fourth moment of the entries.  The matrix is
     rounded to float32 and solved in single precision (``eigenvalues``).
     ``buffer``, a float64 array of N(N+1) doubles, is worked in instead of
-    a new one; its contents are then undefined.
+    a new one; its contents are then undefined.  ``wigner-sweep`` passes one
+    buffer per order; the default, a new buffer, serves single calls.
     """
     # One buffer of N(N+1) doubles, twice the entry count n: the entries are
     # drawn into its tail and standardized into its head, and the float32

@@ -167,20 +167,11 @@ class TestEigenvalues:
         assert np.max(np.abs(scaled - 2.5 * base)) <= 1e-8
 
 
-def _binding():
-    binding = spectral._lapacke_binding()
-    if binding is None:
+def _ssyevd():
+    solve = spectral._lapacke_binding()
+    if solve is None:
         pytest.skip("numpy's OpenBLAS is not bindable here")
-    return binding
-
-
-def _route(monkeypatch, threads=1, min_order=1):
-    """Bind the real drivers, with ``threads`` as the reported BLAS thread
-    count and ``min_order`` as the two-stage threshold; (ssyevd, ssyevd_2stage)."""
-    ssyevd, two_stage, _ = _binding()
-    monkeypatch.setattr(spectral, "_lapacke_binding", lambda: (ssyevd, two_stage, lambda: threads))
-    monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_ORDER", min_order)
-    return ssyevd, two_stage
+    return solve
 
 
 def _random_symmetric(N, seed, dtype=np.float64):
@@ -205,46 +196,35 @@ def _within_stated_error(a, eigs, z_grid=()) -> bool:
                     <= d / z.imag ** 2 for z in z_grid))
 
 
-class TestTwoStageSolver:
-    """``_lapacke_eigvalsh`` with the bound ssyevd_2stage; ``TestOneStageSolver``
-    runs the same tests with ssyevd."""
-
-    DRIVER = 1  # the index of the driver in ``_lapacke_binding()``
-
-    def solve(self):
-        return _binding()[self.DRIVER]
-
-    def patch(self, monkeypatch):
-        """Route every float32 matrix of ``eigenvalues`` to this driver."""
-        _route(monkeypatch, min_order=0 if self.DRIVER else 10 ** 9)
+class TestSsyevdSolver:
+    """``_lapacke_eigvalsh`` with the bound ssyevd."""
 
     @pytest.mark.parametrize("N", [1, 2, 3, 64, 300])
     def test_agrees_with_eigvalsh(self, N):
         # within the stated error of a float32 spectrum
         a = _random_symmetric(N, N)
-        eigs = _lapacke_eigvalsh(a.astype(np.float32), self.solve())
+        eigs = _lapacke_eigvalsh(a.astype(np.float32), _ssyevd())
         assert eigs.dtype == np.float64 and np.all(np.diff(eigs) >= 0)
         assert _within_stated_error(a, eigs)
 
     def test_diagonal_is_exact(self):
         d = np.array([3.0, -1.0, 2.0, 0.5, -7.25])
         a = np.diag(d).astype(np.float32)
-        assert np.array_equal(_lapacke_eigvalsh(a, self.solve()), np.sort(d))
+        assert np.array_equal(_lapacke_eigvalsh(a, _ssyevd()), np.sort(d))
 
-    def test_reads_the_lower_triangle_of_any_layout(self, monkeypatch):
+    def test_reads_the_lower_triangle_of_any_layout(self):
         # the same triangle as eigvalsh; ``eigenvalues`` copies other layouts
         # to C order (a visible float32 asymmetry fails its symmetry check)
         a = _random_symmetric(40, 1, np.float32)
-        lower = _lapacke_eigvalsh(a.copy(), self.solve())
+        lower = _lapacke_eigvalsh(a.copy(), _ssyevd())
         skewed = a.copy()
         skewed[np.triu_indices(40, 1)] += 1.0
-        assert np.array_equal(_lapacke_eigvalsh(skewed, self.solve()), lower)
-        self.patch(monkeypatch)
+        assert np.array_equal(_lapacke_eigvalsh(skewed, _ssyevd()), lower)
         assert np.array_equal(eigenvalues(np.asfortranarray(a)), lower)
 
-    def test_input_is_left_alone(self, monkeypatch):
+    def test_input_is_left_alone(self):
         # a float32 matrix that is not a writable C-order array is copied
-        self.patch(monkeypatch)
+        _ssyevd()
         a = _random_symmetric(30, 2, np.float32)
         before = a.copy()
         read_only = a.copy()
@@ -253,10 +233,9 @@ class TestTwoStageSolver:
             eigenvalues(other)
             assert np.array_equal(other, before)
 
-    def test_overwrite_solves_in_place_only_in_c_order(self, monkeypatch):
-        self.patch(monkeypatch)
+    def test_overwrite_solves_in_place_only_in_c_order(self):
         a = _random_symmetric(40, 6, np.float32)
-        expected = _lapacke_eigvalsh(a.copy(), self.solve()).tobytes()
+        expected = _lapacke_eigvalsh(a.copy(), _ssyevd()).tobytes()
         fortran = np.asfortranarray(a)
         assert eigenvalues(fortran).tobytes() == expected
         assert np.array_equal(fortran, a)
@@ -269,30 +248,17 @@ class TestTwoStageSolver:
             _lapacke_eigvalsh(np.eye(3, dtype=np.float32), lambda *args: 3)
 
 
-class TestOneStageSolver(TestTwoStageSolver):
-    DRIVER = 0
-
-
 class TestSolverChoice:
-    """``eigenvalues`` solves a float32 matrix by the bound ssyevd_2stage at one
-    BLAS thread and order at least ``_TWO_STAGE_MIN_ORDER``, by the bound
-    ssyevd otherwise, and by ``eigvalsh`` where nothing is bound; a float64
-    matrix always by ``eigvalsh``."""
+    """``eigenvalues`` solves a float32 matrix by the bound ssyevd, or by
+    ``eigvalsh`` where nothing is bound; a float64 matrix always by
+    ``eigvalsh``."""
 
     def _never(self, *args):
         raise AssertionError("LAPACKE driver called")
 
-    def test_one_thread_takes_the_two_stage_route(self, monkeypatch):
-        _, two_stage = _route(monkeypatch)
-        a = _random_symmetric(50, 3, np.float32)
-        assert eigenvalues(a.copy()).tobytes() == _lapacke_eigvalsh(a, two_stage).tobytes()
-
-    @pytest.mark.parametrize("driver", ["small-order", "two-threads"])
-    def test_other_cases_take_ssyevd(self, monkeypatch, driver):
-        ssyevd, _ = _route(monkeypatch, *{"small-order": (1, 51),
-                                          "two-threads": (2, 1)}[driver])
+    def test_float32_takes_ssyevd(self):
         a = _random_symmetric(50, 4, np.float32)
-        assert eigenvalues(a.copy()).tobytes() == _lapacke_eigvalsh(a, ssyevd).tobytes()
+        assert eigenvalues(a.copy()).tobytes() == _lapacke_eigvalsh(a, _ssyevd()).tobytes()
 
     @pytest.mark.parametrize("driver", ["unbound"])
     def test_fallback_returns_eigvalsh_bytes(self, monkeypatch, driver):
@@ -302,21 +268,19 @@ class TestSolverChoice:
         assert eigenvalues(a).tobytes() == expected.tobytes()
 
     def test_float64_takes_eigvalsh_and_leaves_the_matrix_alone(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_lapacke_binding",
-                            lambda: (self._never, self._never, lambda: 1))
+        monkeypatch.setattr(spectral, "_lapacke_binding", lambda: self._never)
         a = _random_symmetric(60, 5)
         before = a.copy()
         assert eigenvalues(a).tobytes() == np.linalg.eigvalsh(before).tobytes()
         assert np.array_equal(a, before)
 
     def test_empty_matrix(self, monkeypatch):
-        binding = (*_route(monkeypatch, min_order=0), lambda: 1)
-        for bound in (None, binding):
+        for bound in (None, spectral._lapacke_binding()):
             monkeypatch.setattr(spectral, "_lapacke_binding", lambda: bound)
             for dtype in (np.float32, np.float64):
                 assert eigenvalues(np.empty((0, 0), dtype)).shape == (0,)
 
-    @pytest.mark.parametrize("route", ["two-stage", "eigvalsh", "unbound"])
+    @pytest.mark.parametrize("route", ["ssyevd", "eigvalsh", "unbound"])
     @pytest.mark.parametrize("identity", ["trace", "frobenius"])
     def test_spectrum_missing_its_trace_identities_raises(self, monkeypatch, route, identity):
         # "eigvalsh" solves a float64 matrix, the other routes a float32 one.
@@ -329,8 +293,8 @@ class TestSolverChoice:
         a[np.diag_indices(N)] = 0.0
         shift = 4 * N * 2.0 ** -23 * float(np.abs(np.linalg.eigvalsh(a)).max())
         wrong = (lambda eigs: eigs + shift) if identity == "trace" else (lambda eigs: -1.001 * eigs)
-        if route == "two-stage":
-            _route(monkeypatch)
+        if route == "ssyevd":
+            _ssyevd()
             right = spectral._lapacke_eigvalsh
             monkeypatch.setattr(spectral, "_lapacke_eigvalsh", lambda *args: wrong(right(*args)))
         else:
@@ -340,22 +304,6 @@ class TestSolverChoice:
         with pytest.raises(np.linalg.LinAlgError, match="violated its trace identities"):
             eigenvalues(a)
 
-    def test_binding_reads_the_blas_thread_count(self):
-        # a fresh interpreter per setting: OpenBLAS reads it when it loads
-        root = Path(__file__).resolve().parent.parent
-        script = ("from lindeberg.spectral import _lapacke_binding as b; "
-                  "print(b() and b()[2]())")
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-            result = subprocess.run([sys.executable, "-c", script], env=env,
-                                    capture_output=True, text=True, timeout=300)
-            assert result.returncode == 0, result.stderr[-2000:]
-            if result.stdout.strip() == "None":
-                pytest.skip("numpy's OpenBLAS is not bindable here")
-            assert result.stdout.strip() == threads
-
 
 # The calibration cells of docs/calibration.md (master seed 777, the first seed
 # of each cell) and the order 2000 of the benchmark's sweep.
@@ -364,7 +312,7 @@ _CALIBRATION_CELLS = [*((ensemble, N) for ensemble in ("rademacher-perm", "gauss
 
 
 class TestSinglePrecisionSpectrum:
-    @pytest.mark.parametrize("route", ["ssyevd", "two-stage", "unbound"])
+    @pytest.mark.parametrize("route", ["ssyevd", "unbound"])
     @pytest.mark.parametrize("ensemble, N", _CALIBRATION_CELLS,
                              ids=[f"{e}-{N}" for e, N in _CALIBRATION_CELLS])
     def test_within_the_stated_error_of_the_float64_spectrum(self, monkeypatch, route,
@@ -372,7 +320,7 @@ class TestSinglePrecisionSpectrum:
         if route == "unbound":
             monkeypatch.setattr(spectral, "_lapacke_binding", lambda: None)
         else:
-            _route(monkeypatch, min_order=0 if route == "two-stage" else 10 ** 9)
+            _ssyevd()
         spec = ENSEMBLES[ensemble](N)
         x = sample_exchangeable(spec.entries,
                                 derive_child(777, N * 1000 + (ensemble == "gaussian") * 7))
@@ -656,26 +604,6 @@ def _reference_row_bytes(spec, z_grid, seed):
     return spec.N, seed, spec.label, np.array(numbers).tobytes()
 
 
-# A fresh interpreter at one BLAS thread, where the order 300 is solved by
-# ssyevd_2stage once the threshold is lowered to it, and 299 by ssyevd.
-_IN_PLACE_IDENTITY_SCRIPT = """
-import sys
-sys.path.insert(0, sys.argv[1])
-from test_spectral import _reference_row_bytes, _row_bytes
-from lindeberg import spectral
-
-binding = spectral._lapacke_binding()
-if binding is None or binding[2]() != 1:
-    print("unbound")
-else:
-    spectral._TWO_STAGE_MIN_ORDER = 300
-    grid = [1j, 2j, 1 + 1j]
-    print(all(_row_bytes(spectral.thm13_experiment(spec, grid, 4))
-              == _reference_row_bytes(spec, grid, 4)
-              for spec in map(spectral.rademacher_perm_wigner, (299, 300))))
-"""
-
-
 class TestConvergenceExperiment:
     @pytest.mark.parametrize("N", [2, 3, _TILE - 1, _TILE, _TILE + 1])
     @pytest.mark.parametrize("ensemble", list(ENSEMBLES))
@@ -686,17 +614,12 @@ class TestConvergenceExperiment:
                 == _reference_row_bytes(spec, grid, seed=N))
 
     def test_bytes_equal_the_public_pieces_when_solved_in_place(self):
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-        result = subprocess.run(
-            [sys.executable, "-c", _IN_PLACE_IDENTITY_SCRIPT, str(root / "tests")],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert result.returncode == 0, result.stderr[-2000:]
-        if result.stdout.strip() == "unbound":
-            pytest.skip("numpy's OpenBLAS is not bindable here")
-        assert result.stdout.strip() == "True"
+        # the bound ssyevd solves the matrix in the experiment's buffer and in
+        # the reference's own array alike
+        _ssyevd()
+        grid = [1j, 2j, 1 + 1j]
+        assert all(_row_bytes(thm13_experiment(spec, grid, 4)) == _reference_row_bytes(spec, grid, 4)
+                   for spec in map(rademacher_perm_wigner, (299, 300)))
 
     def test_row_contents(self):
         row = thm13_experiment(rademacher_perm_wigner(30), [1j, 2j], seed=3)
