@@ -46,15 +46,13 @@ for k, c in enumerate(counts):
 print("\nconvergence sweep (median over 10 seeds):")
 print("     N     KS distance   worst |m(z) - m_sc(z)| on grid")
 for N in (50, 100, 200, 400):
-    ks, gaps = [], []
-    for s in range(10):
-        row = thm13_experiment(ENSEMBLES["rademacher-perm"](N), Z_GRID,
-                               derive_child(31, N * 100 + s))
-        ks.append(row.ks)
-        gaps.append(max(abs(g) for g in row.stieltjes_gaps))
+    rows = thm13_experiment(ENSEMBLES["rademacher-perm"](N), Z_GRID,
+                            [derive_child(31, N * 100 + s) for s in range(10)])
+    ks = [row.ks for row in rows]
+    gaps = [max(abs(g) for g in row.stieltjes_gaps) for row in rows]
     print(f"  {N:4d}   {np.median(ks):11.4f}   {np.median(gaps):11.4f}")
 
 print("\nfor comparison, the i.i.d. Gaussian baseline at N = 400:")
-rows = [thm13_experiment(ENSEMBLES["gaussian"](400), Z_GRID, derive_child(32, s))
-        for s in range(10)]
+rows = thm13_experiment(ENSEMBLES["gaussian"](400), Z_GRID,
+                        [derive_child(32, s) for s in range(10)])
 print(f"  KS median {np.median([r.ks for r in rows]):.4f}")

@@ -367,10 +367,9 @@ def run_resolvent_check(cfg: ExperimentConfig):
     return rows, checks, {}
 
 
-def _sweep_cell(spec, z_grid, seed, buffer):
-    row = _cli.thm13_experiment(spec, z_grid, seed, buffer)
+def _sweep_cell(row):
     out = {
-        "N": spec.N, "seed": seed,
+        "N": row.N, "seed": row.seed,
         "ensemble": row.ensemble, "mu_hat": row.mu_hat,
         "sigma_hat": row.sigma_hat, "m4_tilde": row.m4_tilde, "ks": row.ks,
     }
@@ -398,16 +397,11 @@ def run_wigner_sweep(cfg: ExperimentConfig):
     rows = []
     for N in N_list:
         cell = ("--N", N, f"ensemble {cfg.ensemble}")
-        # The ensemble is deterministic, so one build serves every seed of the
-        # order, and so does one work buffer: freeing a buffer per seed raises
-        # glibc's mmap threshold, and the next seed's buffer then comes from
-        # the heap and stays resident under the next order's cells.
+        # the ensemble is deterministic, so one build serves every seed of the order
         spec = _in_cell(*cell, _cli.ENSEMBLES[cfg.ensemble], N)
-        buffer = np.empty(N * (N + 1))
-        rows += [_in_cell(*cell, _sweep_cell, spec, z_grid,
-                          derive_child(cfg.seed, N * 100_003 + s), buffer)
-                 for s in range(cfg.seeds)]
-        del spec, buffer  # free this order's memory before the next, larger order's
+        seeds = [derive_child(cfg.seed, N * 100_003 + s) for s in range(cfg.seeds)]
+        rows += map(_sweep_cell, _in_cell(*cell, _cli.thm13_experiment, spec, z_grid, seeds))
+        del spec  # free this order's multiset before the next, larger order's
     medians = {N: _median([r["ks"] for r in rows if r["N"] == N]) for N in N_list}
     checks = {"all_cells_finite": all(math.isfinite(r["ks"]) for r in rows)}
     summary_extra = {"median_ks": {str(N): medians[N] for N in N_list},

@@ -79,19 +79,15 @@ def wigner_matrix(x, N: int, out: np.ndarray | None = None, sigma: float = 1.0) 
 
     ``x`` lists the entries for positions (i, j), i <= j, in row-major
     order; the lower triangle mirrors them.  Each entry is divided by
-    sqrt(N) sigma in float64 and rounded once to the matrix's dtype.
-    ``out``, an N x N float64 or float32 array, receives the matrix instead
-    of a new float64 one.  Every upper row is written before the lower
-    triangle, so ``x`` may lie in the tail of the buffer behind a C-contiguous
-    float64 ``out``: row i ends before the entries of row i + 1 start there,
-    so no entry is overwritten before it is read.
+    sqrt(N) sigma in float64 and rounded once to the matrix's dtype: a new
+    float64 one, or ``out``, an N x N float32 array.
     """
     x = np.asarray(x, dtype=float)
     if x.size != upper_triangle_size(N):
         raise ValueError("entry vector length must be N(N+1)/2")
+    if out is not None and (out.shape != (N, N) or out.dtype != np.float32):
+        raise ValueError("out must be an N x N float32 array")
     a = np.empty((N, N)) if out is None else out
-    if a.shape != (N, N) or a.dtype not in (np.float64, np.float32):
-        raise ValueError("out must be an N x N float64 or float32 array")
     scale = math.sqrt(N) * sigma
     start = 0
     for i in range(N):
@@ -241,9 +237,9 @@ def eigenvalues(matrix) -> np.ndarray:
     a = np.asarray(matrix)
     if a.dtype != np.float32:
         a = np.asarray(a, dtype=float)
-    N = a.shape[0]
-    if a.shape != (N, N):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    N = a.shape[0]
     amax = _require_symmetric(a, "matrix must be symmetric within 1e-12")
     # taken before a solve in place overwrites a
     trace = float(np.trace(a, dtype=np.float64))
@@ -405,36 +401,38 @@ class ExperimentRow(NamedTuple):
 
 
 def thm13_experiment(spec: WignerEnsembleSpec, z_grid: Sequence[complex],
-                     seed: int, buffer: np.ndarray | None = None) -> ExperimentRow:
-    """Spectrum of the sigma-normalized matrix against the semicircle law.
+                     seeds: Sequence[int]) -> list[ExperimentRow]:
+    """Spectrum of the sigma-normalized matrix against the semicircle law, one
+    row per seed.
 
     Records the KS distance of the ESD to the semicircle cdf and the
     Stieltjes-transform gaps on the supplied grid, together with the
     empirical standardized fourth moment of the entries.  The matrix is
     rounded to float32 and solved in single precision (``eigenvalues``).
-    ``buffer``, a float64 array of N(N+1) doubles, is worked in instead of
-    a new one; its contents are then undefined.  ``wigner-sweep`` passes one
-    buffer per order; the default, a new buffer, serves single calls.
+
+    Every seed works in one buffer of N(N+1) doubles, twice the entry count
+    n: the entries are drawn into its tail and standardized into its head,
+    and the float32 matrix then fills the head (N^2 floats fit in n doubles)
+    and is solved there.  So the live set is the buffer, plus the spec's
+    multiset unless that is stored as a few runs.  One buffer per call, not
+    per seed, keeps the peak down: freeing a buffer raises glibc's mmap
+    threshold, so the next seed's buffer would come from the heap and stay
+    resident under a later, larger order's cells.
     """
-    # One buffer of N(N+1) doubles, twice the entry count n: the entries are
-    # drawn into its tail and standardized into its head, and the float32
-    # matrix then fills the head (N^2 floats fit in n doubles) and is solved
-    # there, so the live set is the buffer, plus the spec's multiset unless
-    # that is stored as a few runs.
     N, n = spec.N, upper_triangle_size(spec.N)
-    if buffer is None:
-        buffer = np.empty(2 * n)
-    if buffer.shape != (2 * n,) or buffer.dtype != np.float64:
-        raise ValueError("buffer must be a float64 array of N(N+1) doubles")
-    x = sample_exchangeable(spec.entries, seed, out=buffer[n:])
-    std = center_and_scale(x, out=buffer[:n])
-    if std.sigma_hat == 0.0:
-        raise ValueError("degenerate entries: sigma_hat must be positive")
-    mu, sigma = std.mu_hat, std.sigma_hat
-    x4 = np.square(std.x_tilde, out=std.x_tilde)  # two squares: much faster than a 4th power
-    m4 = float(np.mean(np.square(x4, out=x4)))
+    buffer = np.empty(2 * n)
     a = buffer[:n].view(np.float32)[:N * N].reshape(N, N)
-    eigs = eigenvalues(wigner_matrix(x, N, out=a, sigma=sigma))
-    ks = ks_distance(eigs, semicircle_cdf)
-    gaps = tuple(stieltjes_esd(eigs, z) - semicircle_stieltjes(z) for z in z_grid)
-    return ExperimentRow(spec.N, seed, spec.label or "custom", mu, sigma, m4, ks, gaps)
+    rows = []
+    for seed in seeds:
+        x = sample_exchangeable(spec.entries, seed, out=buffer[n:])
+        std = center_and_scale(x, out=buffer[:n])
+        if std.sigma_hat == 0.0:
+            raise ValueError("degenerate entries: sigma_hat must be positive")
+        mu, sigma = std.mu_hat, std.sigma_hat
+        x4 = np.square(std.x_tilde, out=std.x_tilde)  # two squares: much faster than a 4th power
+        m4 = float(np.mean(np.square(x4, out=x4)))
+        eigs = eigenvalues(wigner_matrix(x, N, out=a, sigma=sigma))
+        ks = ks_distance(eigs, semicircle_cdf)
+        gaps = tuple(stieltjes_esd(eigs, z) - semicircle_stieltjes(z) for z in z_grid)
+        rows.append(ExperimentRow(N, seed, spec.label or "custom", mu, sigma, m4, ks, gaps))
+    return rows

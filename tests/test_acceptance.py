@@ -277,11 +277,9 @@ def sweep_rows():
     rows = {}
     for ensemble in ("rademacher-perm", "gaussian"):
         for N in SWEEP_N_VALUES:
-            rows[ensemble, N] = [
-                thm13_experiment(ENSEMBLES[ensemble](N), Z_GRID,
-                                 derive_child(MASTER_SEED, N * 1000 + s + (ensemble == "gaussian") * 7))
-                for s in range(SWEEP_SEEDS)
-            ]
+            seeds = [derive_child(MASTER_SEED, N * 1000 + s + (ensemble == "gaussian") * 7)
+                     for s in range(SWEEP_SEEDS)]
+            rows[ensemble, N] = thm13_experiment(ENSEMBLES[ensemble](N), Z_GRID, seeds)
     return rows
 
 

@@ -66,17 +66,6 @@ class TestWignerConstruction:
         expected.T[iu] = expected[iu]
         assert np.array_equal(wigner_matrix(x, N), expected)
 
-    @pytest.mark.parametrize("N", [1, 2, 3, _TILE - 1, _TILE, _TILE + 1])
-    def test_entries_may_alias_the_tail_of_the_buffer(self, N):
-        # the layout of thm13_experiment: x in the second half of N(N+1) doubles
-        n = upper_triangle_size(N)
-        x = np.random.default_rng(N).standard_normal(n)
-        buffer = np.empty(2 * n)
-        buffer[n:] = x
-        a = wigner_matrix(buffer[n:], N, out=buffer[:N * N].reshape(N, N))
-        assert np.shares_memory(a, buffer)
-        assert a.tobytes() == wigner_matrix(x, N).tobytes()
-
     @pytest.mark.parametrize("N", [1, 2, _TILE - 1, _TILE, _TILE + 1])
     def test_float32_entries_are_scaled_and_rounded_once(self, N):
         # each entry divided by sqrt(N) sigma in float64, then rounded to float32
@@ -90,7 +79,8 @@ class TestWignerConstruction:
         assert wigner_matrix(x, N, out=out, sigma=sigma) is out
         assert np.array_equal(out, expected)
 
-    @pytest.mark.parametrize("out", [np.empty((3, 3), np.float16), np.empty((2, 2))])
+    @pytest.mark.parametrize("out", [np.empty((3, 3), np.float16), np.empty((3, 3)),
+                                     np.empty((2, 2), np.float32)])
     def test_out_of_another_dtype_or_order_rejected(self, out):
         with pytest.raises(ValueError, match="out must be"):
             wigner_matrix([1.0] * 6, 3, out=out)
@@ -142,6 +132,12 @@ class TestEigenvalues:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("matrix", [np.array(1.0), np.float32(2.0), np.zeros((2, 2, 2))],
+                             ids=["0-d", "float32-scalar", "3-d"])
+    def test_not_two_dimensional_rejected(self, matrix):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            eigenvalues(matrix)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
@@ -589,8 +585,8 @@ def _row_bytes(row):
 
 
 def _reference_row_bytes(spec, z_grid, seed):
-    """``_row_bytes(thm13_experiment(spec, z_grid, seed))`` built from the public
-    pieces, each step on arrays of its own."""
+    """``_row_bytes`` of ``thm13_experiment(spec, z_grid, [seed])``'s one row,
+    built from the public pieces, each step on arrays of its own."""
     x = sample_exchangeable(spec.entries, seed)
     std = center_and_scale(x)
     m4 = float(np.mean(np.square(np.square(std.x_tilde))))
@@ -610,19 +606,37 @@ class TestConvergenceExperiment:
     def test_bytes_equal_the_public_pieces(self, ensemble, N):
         spec = ENSEMBLES[ensemble](N)
         grid = [1j, 2j, 1 + 1j]
-        assert (_row_bytes(thm13_experiment(spec, grid, seed=N))
-                == _reference_row_bytes(spec, grid, seed=N))
+        [row] = thm13_experiment(spec, grid, [N])
+        assert _row_bytes(row) == _reference_row_bytes(spec, grid, seed=N)
 
     def test_bytes_equal_the_public_pieces_when_solved_in_place(self):
         # the bound ssyevd solves the matrix in the experiment's buffer and in
         # the reference's own array alike
         _ssyevd()
         grid = [1j, 2j, 1 + 1j]
-        assert all(_row_bytes(thm13_experiment(spec, grid, 4)) == _reference_row_bytes(spec, grid, 4)
-                   for spec in map(rademacher_perm_wigner, (299, 300)))
+        assert all(_row_bytes(row) == _reference_row_bytes(spec, grid, 4)
+                   for spec in map(rademacher_perm_wigner, (299, 300))
+                   for row in thm13_experiment(spec, grid, [4]))
+
+    @pytest.mark.parametrize("route", ["ssyevd", "unbound"])
+    @pytest.mark.parametrize("ensemble, N", [("rademacher-perm", 299), ("rademacher-perm", 300),
+                                             ("gaussian", 300)])
+    def test_seeds_sharing_the_buffer_match_single_seed_calls(self, monkeypatch, route,
+                                                             ensemble, N):
+        # each seed works in what the seed before it left in the buffer
+        if route == "unbound":
+            monkeypatch.setattr(spectral, "_lapacke_binding", lambda: None)
+        else:
+            _ssyevd()
+        spec = ENSEMBLES[ensemble](N)
+        grid = [1j, 2j, 1 + 1j]
+        seeds = [5, 6, 7]
+        shared = [_row_bytes(row) for row in thm13_experiment(spec, grid, seeds)]
+        assert shared == [_row_bytes(row) for seed in seeds
+                          for row in thm13_experiment(spec, grid, [seed])]
 
     def test_row_contents(self):
-        row = thm13_experiment(rademacher_perm_wigner(30), [1j, 2j], seed=3)
+        [row] = thm13_experiment(rademacher_perm_wigner(30), [1j, 2j], [3])
         assert row.N == 30 and row.ensemble == "rademacher-perm"
         assert row.sigma_hat == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= row.ks <= 1.0
@@ -640,7 +654,7 @@ class TestConvergenceExperiment:
 
     def test_fourth_moment_matches_the_power(self):
         spec = student_t_perm_wigner(40)
-        row = thm13_experiment(spec, [1j], seed=6)
+        [row] = thm13_experiment(spec, [1j], [6])
         x_tilde = center_and_scale(sample_exchangeable(spec.entries, 6)).x_tilde
         reference = float(np.mean(np.power(x_tilde, 4)))
         assert abs(row.m4_tilde - reference) <= 4 * np.spacing(reference)
@@ -649,17 +663,17 @@ class TestConvergenceExperiment:
         n = upper_triangle_size(4)
         spec = WignerEnsembleSpec(4, IidFromDistribution(Finite((1.0,), (1.0,)), n))
         with pytest.raises(ValueError, match="degenerate"):
-            thm13_experiment(spec, [1j], seed=0)
+            thm13_experiment(spec, [1j], [0])
 
     def test_order_one_sanity(self):
         spec = WignerEnsembleSpec(1, MultisetPermutation((-1.0,)))
         with pytest.raises(ValueError):
-            thm13_experiment(spec, [1j], seed=0)  # single value has sigma 0
+            thm13_experiment(spec, [1j], [0])  # single value has sigma 0
 
     def test_gaussian_baseline_ks_shrinks(self):
         ks = {}
         for N in (20, 80):
-            rows = [thm13_experiment(gaussian_wigner(N), [1j], seed=s) for s in range(8)]
+            rows = thm13_experiment(gaussian_wigner(N), [1j], range(8))
             ks[N] = float(np.median([r.ks for r in rows]))
         assert ks[80] < ks[20]
 
@@ -675,7 +689,7 @@ class TestConvergenceExperiment:
         spec = ENSEMBLES[ensemble](N)
         tracemalloc.start()
         try:
-            thm13_experiment(spec, [1j], seed=2)
+            thm13_experiment(spec, [1j], [2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -686,15 +700,16 @@ class TestConvergenceExperiment:
         # tracemalloc sees neither LAPACK's workspace nor freed heap that stays
         # resident, so the process's own resident high-water mark is read, over
         # the sweep of the benchmark's spectra workload: N = 1000 and then 2000,
-        # two seeds each, at one BLAS thread.  The live set at N = 2000 is
-        # 1.0 x 8N^2 bytes: the buffer of N(N+1) doubles, as the spec keeps its
-        # two-valued multiset as two runs and N = 1000's buffer is freed.
-        # Measured: 1.32 (the rest is OpenBLAS's buffers and LAPACK's
-        # workspace).  A buffer per seed instead of per order measured 1.53:
-        # freeing N = 1000's first buffer raises glibc's mmap threshold, so its
-        # second comes from the heap and stays resident, which adds up to its
-        # 0.25 x 8N^2.  The bound sits between the two, 0.10 x 8N^2 = 3.2 MB
-        # above the first.
+        # two seeds each, at one BLAS thread.  The sweep makes one
+        # thm13_experiment call per order, and the call's seeds share one
+        # buffer of N(N+1) doubles.  The live set at N = 2000 is 1.0 x 8N^2
+        # bytes: that buffer, as the spec keeps its two-valued multiset as two
+        # runs and N = 1000's buffer is freed.  Measured: 1.32 (the rest is
+        # OpenBLAS's buffers and LAPACK's workspace).  A buffer per seed
+        # instead of per call measured 1.53: freeing N = 1000's first buffer
+        # raises glibc's mmap threshold, so its second comes from the heap and
+        # stays resident, which adds up to its 0.25 x 8N^2.  The bound sits
+        # between the two, 0.10 x 8N^2 = 3.2 MB above the first.
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
